@@ -55,15 +55,10 @@ _ALLOWED_KEYS = {
     "solver": {"tol", "max_iter"},
     "evolve": {
         "dt_initial", "dt_min", "safety", "t_max", "blowup_threshold",
-        "dealias", "record_every", "rtol", "atol", "sign",
+        "record_every", "rtol", "atol", "sign",
     },
     "initial": {"kind", "path", "scale", "center", "width", "amplitude", "cutoff"},
     "verify": {"t_blowup", "t_final"},
-}
-
-_BOOLEAN_STATES = {
-    "1": True, "yes": True, "true": True, "on": True,
-    "0": False, "no": False, "false": False, "off": False,
 }
 
 
@@ -255,15 +250,6 @@ class _SectionReader:
             return None
         return self._convert(key, text, "number", float)
 
-    def boolean(self, key: str, default=_REQUIRED) -> bool:
-        text = self.raw(key, default)
-        if not isinstance(text, str):
-            return text
-        state = _BOOLEAN_STATES.get(text.lower())
-        if state is None:
-            raise ConfigError(f"[{self.section}] key {key!r}: invalid boolean {text!r}")
-        return state
-
     def real_tuple(self, key: str, count: int | None, default=_REQUIRED):
         text = self.raw(key, default)
         if not isinstance(text, str):
@@ -327,7 +313,7 @@ def _read_initial(reader: _SectionReader) -> InitialSpec:
             raise ConfigError(f"[initial] kind must be 'file' or 'bump', got {kind!r}")
 
 
-def _read_evolve(reader: _SectionReader, dealias_default: bool) -> EvolveConfig:
+def _read_evolve(reader: _SectionReader) -> EvolveConfig:
     defaults = EvolveConfig()
     try:
         return EvolveConfig(
@@ -336,7 +322,6 @@ def _read_evolve(reader: _SectionReader, dealias_default: bool) -> EvolveConfig:
             safety=reader.real("safety", defaults.safety),
             t_max=reader.real("t_max", defaults.t_max),
             blowup_threshold=reader.real_or_none("blowup_threshold"),
-            dealias=reader.boolean("dealias", dealias_default),
             record_every=reader.integer("record_every", defaults.record_every),
             rtol=reader.real("rtol", defaults.rtol),
             atol=reader.real("atol", defaults.atol),
@@ -390,15 +375,12 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
 
     evolve_reader = _SectionReader(parser, "evolve")
     evolve_cfg = None
-    if command == "evolve":
-        evolve_cfg = _read_evolve(evolve_reader, dealias_default=True)
-    elif command == "verify-self-similar":
-        # the separable profile is spectrally broadband, so truncation is
-        # off by default for the verification run; records default to every
-        # step so the trailing-window fit has enough samples
-        evolve_cfg = _read_evolve(evolve_reader, dealias_default=False)
-        if evolve_reader.raw("record_every", None) is None:
-            evolve_cfg = dataclasses.replace(evolve_cfg, record_every=1)
+    if command in ("evolve", "verify-self-similar"):
+        evolve_cfg = _read_evolve(evolve_reader)
+    if command == "verify-self-similar" and evolve_reader.raw("record_every", None) is None:
+        # records default to every step so the trailing-window fit has
+        # enough samples
+        evolve_cfg = dataclasses.replace(evolve_cfg, record_every=1)
 
     initial = None
     if command == "evolve":

@@ -20,6 +20,7 @@ import numpy as np
 from .spectral import (
     Grid,
     RealField,
+    _real_fft,
     field_integral,
     l2_norm,
     quadratic_form,
@@ -96,7 +97,6 @@ class EvolveConfig:
     safety: float = 0.9
     t_max: float = 1.0
     blowup_threshold: float | None = None
-    dealias: bool = True
     record_every: int = 10
     rtol: float = 1e-8
     atol: float = 1e-10
@@ -175,33 +175,24 @@ class StepResult:
     error_estimate: float
 
 
-def _rhs_values(grid: Grid, values: np.ndarray, dealias: bool, sign: int) -> np.ndarray:
-    coeff = np.fft.fft2(values)
-    if dealias:
-        keep = grid.dealias_keep
-        z = np.fft.ifft2(np.where(keep, grid.m11 * coeff, 0.0)).real
-        w = np.fft.ifft2(np.where(keep, coeff, 0.0)).real
-        prod_coeff = np.fft.fft2(z * w)
-        prod = np.fft.ifft2(np.where(keep, prod_coeff, 0.0)).real
-    else:
-        z = np.fft.ifft2(grid.m11 * coeff).real
-        prod = z * values
-    return sign * prod
+def _rhs_values(grid: Grid, values: np.ndarray, sign: int) -> np.ndarray:
+    return sign * _real_fft(values, grid.m11) * values
 
 
-def rhs(omega: RealField, dealias: bool = True, sign: int = 1) -> RealField:
+def rhs(omega: RealField, sign: int = 1) -> RealField:
     """Right-hand side (Z11 w) w, pointwise in space.
 
-    With dealias, both factors are truncated by the 2/3 rule before the
-    product and the product is truncated after, removing the aliased images
-    of the quadratic interaction.
+    The product is taken on the grid without spectral truncation: Z11 has
+    order zero, so no derivative loss feeds aliasing. The product vanishes
+    exactly wherever w does, so the flow keeps the support of the data, as
+    the equation w = w0 exp(int Z11 w dt) does.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return RealField(omega.grid, _rhs_values(omega.grid, omega.values, dealias, sign))
+    return RealField(omega.grid, _rhs_values(omega.grid, omega.values, sign))
 
 
-def _rk_attempt(grid: Grid, y: np.ndarray, dt: float, dealias: bool,
+def _rk_attempt(grid: Grid, y: np.ndarray, dt: float,
                 sign: int) -> tuple[np.ndarray, np.ndarray]:
     """One raw Cash-Karp attempt: fifth-order update and embedded error field.
 
@@ -210,18 +201,17 @@ def _rk_attempt(grid: Grid, y: np.ndarray, dt: float, dealias: bool,
     rejections.
     """
     k = np.empty((6,) + y.shape)
-    k[0] = _rhs_values(grid, y, dealias, sign)
+    k[0] = _rhs_values(grid, y, sign)
     for i in range(1, 6):
         a = np.asarray(_RK_A[i])
         yi = y + dt * np.tensordot(a, k[:i], axes=1)
-        k[i] = _rhs_values(grid, yi, dealias, sign)
+        k[i] = _rhs_values(grid, yi, sign)
     y_new = y + dt * np.tensordot(_RK_B5, k, axes=1)
     err = dt * np.tensordot(_RK_E, k, axes=1)
     return y_new, err
 
 
-def rk_step(omega: RealField, dt: float, dealias: bool = True,
-            sign: int = 1) -> tuple[RealField, np.ndarray]:
+def rk_step(omega: RealField, dt: float, sign: int = 1) -> tuple[RealField, np.ndarray]:
     """Single fixed step of the embedded pair, no acceptance control.
 
     Returns the fifth-order update and the pointwise difference between the
@@ -230,7 +220,7 @@ def rk_step(omega: RealField, dt: float, dealias: bool = True,
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    y_new, err = _rk_attempt(omega.grid, omega.values, dt, dealias, sign)
+    y_new, err = _rk_attempt(omega.grid, omega.values, dt, sign)
     return RealField(omega.grid, y_new), err
 
 
@@ -255,7 +245,7 @@ def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
     y = omega.values
     while True:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            y_new, err_field = _rk_attempt(grid, y, dt, config.dealias, config.sign)
+            y_new, err_field = _rk_attempt(grid, y, dt, config.sign)
             err = _scaled_error(err_field, y, y_new, config.rtol, config.atol)
         if np.isfinite(err) and err <= 1.0 and np.all(np.isfinite(y_new)):
             if err == 0.0:

@@ -18,13 +18,12 @@ small masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .shapes import Mask
-from .spectral import Grid, RealField, apply_z11
+from .spectral import Grid, RealField, _real_fft, apply_z11
 
 __all__ = [
     "RestrictedOperator",
@@ -83,15 +82,9 @@ class RestrictedOperator:
         if self.mask.grid is not self.grid and self.mask.grid != self.grid:
             raise ValueError("mask grid does not match operator grid")
 
-    @cached_property
-    def _m11(self) -> np.ndarray:
-        return self.grid.m11
-
     def apply_packed(self, x: np.ndarray) -> np.ndarray:
         """Operator action on a member-cell vector of length cell_count."""
-        full = self.mask.unpack(x)
-        z = np.fft.ifft2(self._m11 * np.fft.fft2(full)).real
-        return self.mask.pack(z)
+        return self.mask.pack(_real_fft(self.mask.unpack(x), self.grid.m11))
 
 
 def apply_L(op: RestrictedOperator, phi: RealField) -> RealField:

@@ -23,10 +23,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "RealField",
-    "SpectralField",
     "make_grid",
-    "fft_forward",
-    "fft_inverse",
     "apply_z11",
     "apply_z22",
     "quadratic_form",
@@ -56,8 +53,9 @@ class Grid:
     Derived attributes (set at construction): ``h`` sample spacing, ``x``
     1-d sample coordinates in ``[-L/2, L/2)``, ``k1``/``k2`` integer
     wavenumber meshes in FFT layout, ``lam1``/``lam2`` physical frequencies
-    ``2*pi*k/L``, ``m11``/``m22`` the multiplier meshes, and
-    ``dealias_keep`` the 2/3-rule retention mask.
+    ``2*pi*k/L``, and ``m11``/``m22`` the multiplier meshes. All meshes
+    cover the full frequency plane; the transforms read the half plane
+    ``k2 >= 0`` of a multiplier as a view.
 
     The multipliers are computed from the integer wavenumbers, so they are
     bitwise independent of ``box_length`` (the symbol is 0-homogeneous).
@@ -98,10 +96,6 @@ class Grid:
         object.__setattr__(self, "m11", m11)
         object.__setattr__(self, "m22", m22)
 
-        kcut = n // 3
-        keep = (np.abs(k1) <= kcut) & (np.abs(k2) <= kcut)
-        object.__setattr__(self, "dealias_keep", keep)
-
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid of sample coordinates, axis 0 along x1, axis 1 along x2."""
         return np.meshgrid(self.x, self.x, indexing="ij")
@@ -136,36 +130,27 @@ class RealField:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Complex Fourier coefficients of a field, indexed by lattice frequency."""
+def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarray:
+    """The one transform site: real-input FFTs over the half plane k2 >= 0.
 
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.shape != (self.grid.n, self.grid.n):
-            raise ValueError(f"coefficients shape {c.shape} does not match grid ({self.grid.n}, {self.grid.n})")
-        object.__setattr__(self, "coefficients", c)
-
-
-def fft_forward(f: RealField) -> SpectralField:
-    """Forward transform; the 1/n^2 factor is on this side, so the zero
-    coefficient equals the field mean."""
-    return SpectralField(f.grid, np.fft.fft2(f.values, norm="forward"))
-
-
-def fft_inverse(F: SpectralField) -> RealField:
-    """Inverse transform. The imaginary part (roundoff for Hermitian input)
-    is discarded."""
-    w = np.fft.ifft2(F.coefficients, norm="forward")
-    return RealField(F.grid, w.real)
-
-
-def _multiply_symbol(f: RealField, symbol: np.ndarray) -> RealField:
-    c = np.fft.fft2(f.values)
-    return RealField(f.grid, np.fft.ifft2(symbol * c).real, post_blowup=f.post_blowup)
+    With ``symbol``, a full-plane multiplier even under k -> -k, returns the
+    multiplier applied to ``values`` in physical space. Without it, returns
+    the power |c(k)|^2 of the coefficients normalized so that c(0) is the
+    field mean, on the full-plane labels of :class:`Grid`.
+    """
+    n = values.shape[0]
+    if symbol is not None:
+        return np.fft.irfft2(symbol[:, : n // 2 + 1] * np.fft.rfft2(values), s=values.shape)
+    coeff = np.fft.rfft2(values, norm="forward")
+    half = coeff.real**2 + coeff.imag**2
+    # c(-k) is the conjugate of c(k), so the columns k2 < 0 are the half
+    # plane mirrored through the origin. Mirroring, rather than weighting
+    # columns by two, keeps each power on its own (k1, k2) label: the row
+    # k1 = -n/2 is its own mirror, so (-n/2, j) pairs with (-n/2, -j).
+    full = np.empty((n, n))
+    full[:, : n // 2 + 1] = half
+    full[:, n // 2 + 1:] = half[-np.arange(n) % n, n // 2 - 1: 0: -1]
+    return full
 
 
 def apply_z11(f: RealField) -> RealField:
@@ -175,13 +160,13 @@ def apply_z11(f: RealField) -> RealField:
     x2-waves, and is idempotent only on fields spectrally supported where
     the multiplier is 0 or 1.
     """
-    return _multiply_symbol(f, f.grid.m11)
+    return RealField(f.grid, _real_fft(f.values, f.grid.m11), post_blowup=f.post_blowup)
 
 
 def apply_z22(f: RealField) -> RealField:
     """Companion multiplier lam2^2/|lam|^2; together with
     :func:`apply_z11` it sums to the identity on mean-zero fields."""
-    return _multiply_symbol(f, f.grid.m22)
+    return RealField(f.grid, _real_fft(f.values, f.grid.m22), post_blowup=f.post_blowup)
 
 
 def inner(f: RealField, g: RealField) -> float:
@@ -210,9 +195,7 @@ def quadratic_form(f: RealField) -> float:
     ``f``. Nonnegative termwise; it vanishes exactly when the spectrum is
     supported on the lam1 = 0 axis (zero mode included).
     """
-    c = np.fft.fft2(f.values, norm="forward")
-    power = c.real**2 + c.imag**2
-    return float(f.grid.box_length**2 * np.sum(f.grid.m11 * power))
+    return float(f.grid.box_length**2 * np.sum(f.grid.m11 * _real_fft(f.values)))
 
 
 def cone_mass_ratio(f: RealField, k: float) -> float:
@@ -223,8 +206,7 @@ def cone_mass_ratio(f: RealField, k: float) -> float:
     """
     if not k > 1:
         raise ValueError(f"cone parameter k must exceed 1, got {k}")
-    c = np.fft.fft2(f.values)
-    power = c.real**2 + c.imag**2
+    power = _real_fft(f.values)
     total = power.sum()
     if total == 0.0:
         raise ValueError("cone_mass_ratio is undefined for the zero field")

@@ -146,7 +146,7 @@ def test_criterion_5_self_similar_evolution(profile128):
     lifespan = 1.0
     omega0 = RealField(grid, solution.q.values / lifespan)
     config = EvolveConfig(dt_initial=1e-3, t_max=0.9, rtol=1e-10, atol=1e-12,
-                          dealias=False, record_every=1)
+                          record_every=1)
     trace = evolve(omega0, config, record_fields=True)
     deviations = [self_similar_deviation(state, solution.q, lifespan, float(t))
                   for t, state in zip(trace.times, trace.fields)]
@@ -208,7 +208,7 @@ def test_criterion_8_integrator_order():
 
     def run_fixed(field, dt, steps):
         for _ in range(steps):
-            field, _ = rk_step(field, dt, dealias=False)
+            field, _ = rk_step(field, dt)
         return field
 
     # exact separable solution from the profile over [0, 0.5] with lifespan 1

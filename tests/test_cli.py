@@ -103,7 +103,6 @@ class TestEvolveCommand:
             "[evolve]\n"
             "t_max = 5.0\n"
             f"blowup_threshold = {threshold}\n"
-            "dealias = false\n"
             "record_every = 1\n"
         )
 

@@ -183,7 +183,6 @@ class TestLoadEvolve:
             safety = 0.8
             t_max = 5.0
             blowup_threshold = 100.0
-            dealias = off
             record_every = 2
             rtol = 1e-9
             atol = 1e-11
@@ -192,7 +191,7 @@ class TestLoadEvolve:
         cfg = load_run_config(write_config(tmp_path, text))
         assert cfg.evolve == EvolveConfig(
             dt_initial=1e-4, dt_min=1e-10, safety=0.8, t_max=5.0,
-            blowup_threshold=100.0, dealias=False, record_every=2,
+            blowup_threshold=100.0, record_every=2,
             rtol=1e-9, atol=1e-11, sign=-1)
 
     def test_empty_threshold_means_none(self, tmp_path):
@@ -257,9 +256,10 @@ class TestLoadEvolve:
         with pytest.raises(ConfigError, match="record_every"):
             load_run_config(write_config(tmp_path, text))
 
-    def test_invalid_boolean(self, tmp_path):
-        text = EVOLVE_BASE + "\n[evolve]\ndealias = maybe\n"
-        with pytest.raises(ConfigError, match="invalid boolean 'maybe'"):
+    def test_removed_dealias_key_rejected(self, tmp_path):
+        text = EVOLVE_BASE + "\n[evolve]\ndealias = false\n"
+        with pytest.raises(ConfigError,
+                           match=r"^unknown key 'dealias' in section \[evolve\]$"):
             load_run_config(write_config(tmp_path, text))
 
 
@@ -281,13 +281,11 @@ class TestLoadVerify:
         cfg = load_run_config(write_config(tmp_path, VERIFY_BASE))
         assert cfg.verify_t_blowup == 1.0
         assert cfg.verify_t_final == pytest.approx(0.9)
-        assert cfg.evolve.dealias is False
         assert cfg.evolve.record_every == 1
 
     def test_explicit_overrides_survive(self, tmp_path):
-        text = VERIFY_BASE + "\n[evolve]\ndealias = true\nrecord_every = 4\n"
+        text = VERIFY_BASE + "\n[evolve]\nrecord_every = 4\n"
         cfg = load_run_config(write_config(tmp_path, text))
-        assert cfg.evolve.dealias is True
         assert cfg.evolve.record_every == 4
 
     def test_custom_times(self, tmp_path):

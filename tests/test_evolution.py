@@ -6,8 +6,6 @@ quadratic form) and the solved profile's defect. Stepper order is measured
 by step halving against a fine reference.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -21,8 +19,6 @@ from z11sim import (
     StepUnderflowError,
     estimate_blowup_time,
     evolve,
-    fft_forward,
-    fft_inverse,
     field_integral,
     gaussian_bump,
     l2_norm,
@@ -55,7 +51,7 @@ def profile32(grid32):
 class TestEvolveConfig:
     def test_defaults_valid(self):
         cfg = EvolveConfig()
-        assert cfg.dealias and cfg.sign == 1 and cfg.blowup_threshold is None
+        assert cfg.sign == 1 and cfg.blowup_threshold is None
 
     @pytest.mark.parametrize("kwargs", [
         {"dt_initial": 0.0},
@@ -124,23 +120,17 @@ class TestRhs:
 
     def test_annihilates_x1_constant(self, grid32):
         """A field depending only on x2 sits on the zero set of the
-        multiplier, so the response vanishes exactly for either dealias
-        setting."""
+        multiplier, so the response vanishes exactly."""
         _, x2 = grid32.coords()
         f = RealField(grid32, np.cos(2.0 * np.pi * x2 / grid32.box_length))
-        for dealias in (True, False):
-            assert np.all(rhs(f, dealias=dealias).values == 0.0)
+        assert np.all(rhs(f).values == 0.0)
 
     def test_quadratic_scaling_exact(self, grid32):
         rng = np.random.default_rng(71)
         f = RealField(grid32, rng.standard_normal((32, 32)))
         doubled = RealField(grid32, 2.0 * f.values)
-        for dealias in (True, False):
-            # powers of two scale without rounding through the transforms
-            np.testing.assert_array_equal(
-                rhs(doubled, dealias=dealias).values,
-                4.0 * rhs(f, dealias=dealias).values,
-            )
+        # powers of two scale without rounding through the transforms
+        np.testing.assert_array_equal(rhs(doubled).values, 4.0 * rhs(f).values)
 
     def test_sign_flag_negates_exactly(self, grid32):
         rng = np.random.default_rng(72)
@@ -156,19 +146,9 @@ class TestRhs:
         form of the field, the mechanism behind monotone mass."""
         rng = np.random.default_rng(73)
         f = RealField(grid32, rng.standard_normal((32, 32)))
-        got = field_integral(rhs(f, dealias=False))
+        got = field_integral(rhs(f))
         np.testing.assert_allclose(got, quadratic_form(f), rtol=1e-12)
         assert got >= 0.0
-
-    def test_mass_production_dealiased(self, grid32):
-        rng = np.random.default_rng(74)
-        f = RealField(grid32, rng.standard_normal((32, 32)))
-        coeff = fft_forward(f)
-        truncated = fft_inverse(dataclasses.replace(
-            coeff,
-            coefficients=np.where(grid32.dealias_keep, coeff.coefficients, 0.0)))
-        got = field_integral(rhs(f, dealias=True))
-        np.testing.assert_allclose(got, quadratic_form(truncated), rtol=1e-12)
 
     def test_profile_defect_identity(self, profile32):
         """The profile is a fixed point of the dynamics up to its defect:
@@ -176,26 +156,17 @@ class TestRhs:
         and rhs(Q) - Q is exactly the verification defect."""
         sol = profile32
         report = verify_profile(sol)
-        out = rhs(sol.q, dealias=False)
+        out = rhs(sol.q)
         residual = np.abs(out.values - sol.q.values)
         assert residual.max() <= report.defect_max * (1.0 + 1e-12) + 1e-15
 
-    def test_dealias_agrees_on_band_limited(self, grid32):
-        """Spectrum inside |k| <= n/6 keeps the product inside the retained
-        band, so both settings coincide to roundoff."""
-        rng = np.random.default_rng(75)
-        coeff = np.zeros((32, 32), dtype=complex)
-        band = (np.abs(grid32.k1) <= 5) & (np.abs(grid32.k2) <= 5)
-        coeff[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
-        coeff[0, 0] = 0.0
-        # hermitian symmetrize for a real field
-        sym = 0.5 * (coeff + np.conj(coeff[(-np.arange(32)) % 32][:, (-np.arange(32)) % 32]))
-        from z11sim import SpectralField
-        f = fft_inverse(SpectralField(grid32, sym))
-        assert np.max(np.abs(f.values.imag if np.iscomplexobj(f.values) else 0.0)) == 0.0
-        on = rhs(f, dealias=True).values
-        off = rhs(f, dealias=False).values
-        np.testing.assert_allclose(on, off, atol=1e-13 * np.max(np.abs(off)))
+    def test_vanishes_off_support(self, grid32):
+        """The product is pointwise: wherever the field is zero the
+        right-hand side is exactly zero, though Z11 w is not."""
+        f = gaussian_bump(grid32, width=0.5, cutoff=1.0)
+        out = rhs(f).values
+        assert np.all(out[f.values == 0.0] == 0.0)
+        assert np.any(out[f.values != 0.0] != 0.0)
 
 
 class TestRkStep:
@@ -214,8 +185,8 @@ class TestRkStep:
         """The embedded error field scales like dt^5, so halving dt shrinks
         it by about 32."""
         f = gaussian_bump(grid32, width=0.8)
-        _, e1 = rk_step(f, 0.02, dealias=False)
-        _, e2 = rk_step(f, 0.01, dealias=False)
+        _, e1 = rk_step(f, 0.02)
+        _, e2 = rk_step(f, 0.01)
         ratio = np.max(np.abs(e1)) / np.max(np.abs(e2))
         assert 25.0 < ratio < 45.0
 
@@ -224,7 +195,7 @@ class TestRkStep:
         chosen so errors sit well above roundoff."""
         def run_fixed(field, dt, steps):
             for _ in range(steps):
-                field, _ = rk_step(field, dt, dealias=False)
+                field, _ = rk_step(field, dt)
             return field
 
         w0 = gaussian_bump(grid32, width=0.8, amplitude=2.0)
@@ -365,7 +336,7 @@ class TestEvolve:
         T = 1.0
         w0 = RealField(grid32, sol.q.values / T)
         cfg = EvolveConfig(dt_initial=1e-3, t_max=0.5, rtol=1e-10, atol=1e-12,
-                           dealias=False, record_every=1)
+                           record_every=1)
         trace = evolve(w0, cfg, record_fields=True)
         assert trace.terminated == "horizon"
         devs = [self_similar_deviation(f, sol.q, T, t)
@@ -471,16 +442,26 @@ class TestGaussianBump:
             gaussian_bump(grid32, width=1.0, cutoff=-1.0)
 
 
-class TestDealiasConsistency:
-    def test_short_run_agrees_across_settings(self):
-        """While the solution stays resolved the two settings integrate the
-        same dynamics; a short well-resolved run must agree closely."""
-        grid = make_grid(64, 8.0)
-        w0 = gaussian_bump(grid, width=0.8)
-        base = dict(dt_initial=1e-3, t_max=0.2, rtol=1e-10, atol=1e-12,
-                    record_every=10**9)
-        on = evolve(w0, EvolveConfig(dealias=True, **base), record_fields=True)
-        off = evolve(w0, EvolveConfig(dealias=False, **base), record_fields=True)
-        a = on.fields[-1].values
-        b = off.fields[-1].values
-        assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b))
+class TestExactInvariants:
+    """The equation is a pointwise ODE, w(x, t) = w0(x) exp(int Z11 w dt),
+    so the support and the sign of the data are kept exactly; the
+    discrete flow must keep them to the last bit, up to blow-up."""
+
+    @pytest.mark.parametrize("amplitude", [1.0, -1.0])
+    def test_support_and_sign_kept_to_blowup(self, amplitude):
+        grid = make_grid(64, 16.0)
+        w0 = gaussian_bump(grid, width=0.5, amplitude=amplitude, cutoff=2.0)
+        outside = w0.values == 0.0
+        # negative data blows up under the sign-flipped equation
+        cfg = EvolveConfig(dt_initial=1e-3, t_max=20.0, blowup_threshold=1e5,
+                           record_every=1, sign=int(amplitude))
+        trace = evolve(w0, cfg, record_fields=True)
+        assert trace.terminated in ("threshold", "step_underflow")
+        assert trace.sup_norm[-1] >= 1e3
+        for field in trace.fields:
+            assert np.all(field.values[outside] == 0.0)
+            if amplitude > 0:
+                assert field.values.min() >= 0.0
+            else:
+                assert field.values.max() <= 0.0
+        assert np.all(trace.support_cells == np.count_nonzero(~outside))

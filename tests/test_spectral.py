@@ -11,12 +11,9 @@ import pytest
 from z11sim import (
     Grid,
     RealField,
-    SpectralField,
     apply_z11,
     apply_z22,
     cone_mass_ratio,
-    fft_forward,
-    fft_inverse,
     field_integral,
     inner,
     l2_norm,
@@ -24,6 +21,7 @@ from z11sim import (
     quadratic_form,
     sup_norm,
 )
+from z11sim.spectral import _real_fft
 
 
 def dft_multiplier_oracle(values: np.ndarray) -> np.ndarray:
@@ -89,13 +87,6 @@ class TestGrid:
         np.testing.assert_array_equal(g.m11[0, 1:], np.zeros(31))
         np.testing.assert_array_equal(g.m11[1:, 0], np.ones(31))
 
-    def test_dealias_keep_band(self):
-        g = make_grid(32, 8.0)
-        kcut = 32 // 3
-        assert g.dealias_keep[0, 0]
-        assert g.dealias_keep[kcut, 0]
-        assert not g.dealias_keep[kcut + 1, 0]
-
     def test_grid_equality(self):
         assert make_grid(32, 8.0) == make_grid(32, 8.0)
         assert make_grid(32, 8.0) != make_grid(32, 16.0)
@@ -125,32 +116,35 @@ class TestRealField:
 
 class TestTransforms:
     def test_roundtrip(self):
-        g = make_grid(64, 8.0)
         rng = np.random.default_rng(11)
-        f = RealField(g, rng.standard_normal((64, 64)))
-        back = fft_inverse(fft_forward(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12
+        values = rng.standard_normal((64, 64))
+        back = _real_fft(values, np.ones((64, 64)))
+        assert np.max(np.abs(back - values)) <= 1e-12
 
     def test_zero_coefficient_is_mean(self):
         g = make_grid(32, 8.0)
         rng = np.random.default_rng(12)
-        f = RealField(g, rng.standard_normal((32, 32)))
-        coeff = fft_forward(f).coefficients
-        np.testing.assert_allclose(coeff[0, 0].real, f.values.mean(), rtol=1e-13)
-        assert abs(coeff[0, 0].imag) < 1e-15
+        values = rng.standard_normal((32, 32))
+        zero_mode = np.where((g.k1 == 0) & (g.k2 == 0), 1.0, 0.0)
+        np.testing.assert_allclose(_real_fft(values, zero_mode), values.mean(), rtol=1e-13)
+        np.testing.assert_allclose(_real_fft(values)[0, 0], values.mean() ** 2, rtol=1e-13)
 
     def test_parseval(self):
         g = make_grid(64, 5.0)
         rng = np.random.default_rng(13)
         f = RealField(g, rng.standard_normal((64, 64)))
-        spectral = g.box_length**2 * np.sum(np.abs(fft_forward(f).coefficients) ** 2)
+        spectral = g.box_length**2 * np.sum(_real_fft(f.values))
         physical = l2_norm(f) ** 2
         assert abs(spectral - physical) / physical <= 1e-12
 
-    def test_spectral_field_shape_validation(self):
-        g = make_grid(16, 1.0)
-        with pytest.raises(ValueError, match="shape"):
-            SpectralField(g, np.zeros((16, 4), dtype=complex))
+    def test_power_matches_full_plane_transform(self):
+        """The half-plane power mirrored onto full-plane labels equals the
+        power of the complex transform at every lattice frequency."""
+        rng = np.random.default_rng(14)
+        values = rng.standard_normal((32, 32))
+        coeff = np.fft.fft2(values) / 32**2
+        np.testing.assert_allclose(_real_fft(values), np.abs(coeff) ** 2,
+                                   rtol=1e-12, atol=1e-18)
 
 
 class TestMultiplierOperators:
@@ -287,3 +281,31 @@ class TestConeMassRatio:
         narrow = cone_mass_ratio(f, 1.5)
         wide = cone_mass_ratio(f, 4.0)
         assert 0.0 < narrow < wide < 1.0
+
+    def test_matches_full_plane_definition(self):
+        """Against a full-plane definition built here from the DFT matrix.
+
+        A random field has power on the Nyquist row k1 = -n/2, whose labels
+        (-n/2, j) and (-n/2, -j) have k1/k2 of opposite sign, so at most one
+        lies in the cone; a half-plane sum that doubles columns instead of
+        mirroring them to their own labels is caught here."""
+        n = 32
+        g = make_grid(n, 8.0)
+        rng = np.random.default_rng(43)
+        values = rng.standard_normal((n, n))
+        j = np.arange(n)
+        w = np.exp(-2j * np.pi * np.outer(j, j) / n)
+        power = np.abs(w @ values @ w.T) ** 2
+        k = np.where(j < n // 2, j, j - n).astype(float)
+        k1 = k[:, None] * np.ones(n)
+        k2 = np.ones(n)[:, None] * k[None, :]
+        assert power[n // 2, 1:].sum() > 0.0
+        for cone in (1.5, 2.0, 4.0):
+            in_cone = np.zeros((n, n), dtype=bool)
+            for a in range(n):
+                for b in range(n):
+                    if k2[a, b] != 0:
+                        in_cone[a, b] = 1.0 / cone < k1[a, b] / k2[a, b] < cone
+            expected = power[in_cone].sum() / power.sum()
+            got = cone_mass_ratio(RealField(g, values), cone)
+            assert abs(got - expected) <= 1e-14
