@@ -65,6 +65,7 @@ def _cmd_solve_profile(cfg: RunConfig) -> list[str]:
         "residual_l2": solution.residual_l2,
         "iterations": solution.iterations,
         "delta_estimate": solution.delta_estimate,
+        "delta_over_h2": solution.delta_estimate / grid.h**2,
         "cell_count": mask.cell_count,
         "mask_area": mask_area(mask),
         "verification": dataclasses.asdict(report),
@@ -154,6 +155,7 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
         "residual_l2": solution.residual_l2,
         "iterations": solution.iterations,
         "delta_estimate": solution.delta_estimate,
+        "delta_over_h2": solution.delta_estimate / grid.h**2,
         "cell_count": mask.cell_count,
         "terminated": trace.terminated,
         "max_deviation": max(deviations),

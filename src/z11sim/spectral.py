@@ -133,23 +133,24 @@ class RealField:
 def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarray:
     """The one transform site: real-input FFTs over the half plane k2 >= 0.
 
-    With ``symbol``, a full-plane multiplier even under k -> -k, returns the
+    ``values`` is an n1 x n2 array, periodic on both axes. With ``symbol``,
+    a full-plane n1 x n2 multiplier even under k -> -k, returns the
     multiplier applied to ``values`` in physical space. Without it, returns
     the power |c(k)|^2 of the coefficients normalized so that c(0) is the
-    field mean, on the full-plane labels of :class:`Grid`.
+    field mean, on the full-plane FFT labels.
     """
-    n = values.shape[0]
+    n1, n2 = values.shape
     if symbol is not None:
-        return np.fft.irfft2(symbol[:, : n // 2 + 1] * np.fft.rfft2(values), s=values.shape)
+        return np.fft.irfft2(symbol[:, : n2 // 2 + 1] * np.fft.rfft2(values), s=values.shape)
     coeff = np.fft.rfft2(values, norm="forward")
     half = coeff.real**2 + coeff.imag**2
     # c(-k) is the conjugate of c(k), so the columns k2 < 0 are the half
     # plane mirrored through the origin. Mirroring, rather than weighting
     # columns by two, keeps each power on its own (k1, k2) label: the row
-    # k1 = -n/2 is its own mirror, so (-n/2, j) pairs with (-n/2, -j).
-    full = np.empty((n, n))
-    full[:, : n // 2 + 1] = half
-    full[:, n // 2 + 1:] = half[-np.arange(n) % n, n // 2 - 1: 0: -1]
+    # k1 = -n1/2 is its own mirror, so (-n1/2, j) pairs with (-n1/2, -j).
+    full = np.empty((n1, n2))
+    full[:, : n2 // 2 + 1] = half
+    full[:, n2 // 2 + 1:] = half[-np.arange(n1) % n1, (n2 - 1) // 2: 0: -1]
     return full
 
 

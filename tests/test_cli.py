@@ -63,6 +63,8 @@ class TestSolveProfileCommand:
         assert record["residual_l2"] <= 1e-9
         assert record["cell_count"] == int(mask.indicator.sum())
         assert 0.0 < record["delta_estimate"] <= 1.0
+        h = record["box_length"] / record["grid_n"]
+        assert record["delta_over_h2"] == record["delta_estimate"] / h**2
         assert record["verification"]["off_mask_exact_zero"] is True
         assert record["shape"] == "disk(0, 0, 0.5)"
 
@@ -212,6 +214,8 @@ class TestVerifyCommand:
         assert record["max_deviation"] <= 1e-6
         assert abs(record["fitted_t_blowup"] - 1.0) <= 0.02
         assert record["fit_quality"] >= 0.999
+        h = record["box_length"] / record["grid_n"]
+        assert record["delta_over_h2"] == record["delta_estimate"] / h**2
 
         trace = read_trace_csv(outdir / "trace.csv")
         deviation_lines = (outdir / "deviation.csv").read_text().splitlines()

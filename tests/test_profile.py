@@ -20,6 +20,7 @@ from z11sim import (
     ShapeUnion,
     SingularOperatorError,
     apply_L,
+    apply_z11,
     dense_L_matrix,
     estimate_coercivity,
     l2_norm,
@@ -97,6 +98,83 @@ class TestApplyL:
         np.testing.assert_allclose(rolled_out, np.roll(out, shift, axis=(0, 1)), atol=1e-13)
 
 
+def _corner_disk(grid):
+    """A disk centred on the box corner, so it wraps both periodic edges."""
+    centred = rasterize(Disk((0.0, 0.0), 1.0), grid).indicator
+    return np.roll(centred, (grid.n // 2, grid.n // 2), axis=(0, 1))
+
+
+def _strip(grid):
+    ind = np.zeros((grid.n, grid.n), dtype=bool)
+    ind[40:43, 10:30] = True
+    return ind
+
+
+def _single_cell(grid):
+    ind = np.zeros((grid.n, grid.n), dtype=bool)
+    ind[7, 90] = True
+    return ind
+
+
+def _two_disks(grid):
+    shape = ShapeUnion((Disk((-0.4, 0.15), 0.3), Disk((0.45, -0.25), 0.35)))
+    return rasterize(shape, grid).indicator
+
+
+def _wide_scatter(grid):
+    """Random cells spread over 80 of 128 rows and columns."""
+    ind = np.zeros((grid.n, grid.n), dtype=bool)
+    ind[20:100, 30:110] = np.random.default_rng(65).random((80, 80)) < 0.1
+    return ind
+
+
+def _rfft2_shapes(monkeypatch, op, x):
+    """Shapes of the real transforms one operator application runs."""
+    shapes = []
+    rfft2 = np.fft.rfft2
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return rfft2(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft2", recording)
+    op.apply_packed(x)
+    monkeypatch.undo()
+    return shapes
+
+
+class TestEmbeddedApply:
+    """The box-embedded application against the full-grid multiplier."""
+
+    @pytest.mark.parametrize("build, box", [
+        (_corner_disk, (64, 64)),
+        (_strip, (8, 64)),
+        (_single_cell, (1, 1)),
+        (_two_disks, (32, 16)),
+        (_wide_scatter, (128, 128)),
+    ])
+    def test_matches_full_grid(self, monkeypatch, build, box):
+        grid = make_grid(128, 16.0)
+        mask = Mask(grid, build(grid))
+        op = RestrictedOperator(grid, mask)
+        x = np.random.default_rng(66).standard_normal(mask.cell_count)
+        full = mask.pack(apply_z11(RealField(grid, mask.unpack(x))).values)
+        np.testing.assert_allclose(op.apply_packed(x), full, rtol=0, atol=1e-13)
+        assert _rfft2_shapes(monkeypatch, op, x) == [box]
+
+    def test_transform_size_independent_of_grid(self, monkeypatch):
+        """At fixed h the unit disk embeds in the same 64 x 64 box whatever
+        the box length, so an application costs the same at any n. The
+        centre sits off the lattice so the disk spans 32 cells per axis."""
+        shapes = []
+        for box_length, n in ((8.0, 128), (16.0, 256)):
+            grid = make_grid(n, box_length)
+            mask = rasterize(Disk((0.01, 0.02), 1.0), grid)
+            op = RestrictedOperator(grid, mask)
+            shapes += _rfft2_shapes(monkeypatch, op, np.ones(mask.cell_count))
+        assert shapes == [(64, 64), (64, 64)]
+
+
 class TestDenseMatrix:
     def test_single_cell_closed_form(self):
         """One-cell operator value is the lattice mean of the symbol,
@@ -165,6 +243,25 @@ class TestCoercivity:
         op = RestrictedOperator(grid, mask)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
         estimate = estimate_coercivity(op, tol=1e-6)
+        assert abs(estimate - dense_min) / dense_min <= 1e-6
+
+    def test_past_initial_basis_capacity(self, monkeypatch):
+        """A run longer than the 64 rows the Lanczos basis starts with still
+        matches the dense spectrum, so the basis keeps its rows when it grows."""
+        grid = make_grid(64, 8.0)
+        op = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
+        applies = 0
+        apply_packed = RestrictedOperator.apply_packed
+
+        def counting(self, x):
+            nonlocal applies
+            applies += 1
+            return apply_packed(self, x)
+
+        monkeypatch.setattr(RestrictedOperator, "apply_packed", counting)
+        estimate = estimate_coercivity(op, tol=1e-6)
+        dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
+        assert applies > 64
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
     def test_tol_validation(self, disk_setup):
@@ -252,6 +349,23 @@ class TestSolveProfile:
         assert len(err.residual_history) == 3
         assert np.all(err.best.values[~mask.indicator] == 0.0)
         assert err.residual_history[-1] > 1e-10
+
+    def test_certificate_independent_of_embedded_apply(self, disk_setup, monkeypatch):
+        """A 0.1 % error in the box-embedded application, which CG uses,
+        is caught by the full-grid residual certificate and shows in
+        verify_profile."""
+        grid, mask, op = disk_setup
+        apply_packed = RestrictedOperator.apply_packed
+        monkeypatch.setattr(RestrictedOperator, "apply_packed",
+                            lambda self, x: 1.001 * apply_packed(self, x))
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_profile(op, tol=1e-8)
+        err = excinfo.value
+        np.testing.assert_allclose(err.residual_history[-1], 1 - 1 / 1.001, rtol=1e-4)
+        sol = ProfileSolution(q=err.best, residual_l2=err.residual_history[-1],
+                              iterations=1, delta_estimate=0.5, grid=grid, mask=mask)
+        np.testing.assert_allclose(verify_profile(sol).on_mask_max_dev, 1 - 1 / 1.001,
+                                   rtol=1e-4)
 
     def test_curvature_breakdown(self):
         class NegatingStub:
