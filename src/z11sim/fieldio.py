@@ -106,6 +106,8 @@ def _parse_header(raw: bytes, path: str) -> FieldHeader:
         raise FieldFileError(f"{path}: bad magic {magic!r}")
     if n < 16 or n & (n - 1):
         raise FieldFileError(f"{path}: header n = {n} is not a power of two >= 16")
+    if not (np.isfinite(box_length) and box_length > 0):
+        raise FieldFileError(f"{path}: header box length {box_length} is not positive and finite")
     if kind_code >= len(KIND_NAMES):
         raise FieldFileError(f"{path}: unknown kind code {kind_code}")
     return FieldHeader(n=int(n), box_length=float(box_length), kind=KIND_NAMES[kind_code])
@@ -141,6 +143,8 @@ def read_field(path: str | os.PathLike) -> RealField | Mask:
         if not np.all((values == 0.0) | (values == 1.0)):
             raise FieldFileError(f"{path}: mask payload not boolean (values beyond 0/1)")
         return Mask(grid, values == 1.0)
+    if not np.all(np.isfinite(values)):
+        raise FieldFileError(f"{path}: {header.kind} payload holds NaN or inf")
     return RealField(grid, values)
 
 
@@ -172,5 +176,9 @@ def read_trace_csv(path: str | os.PathLike) -> dict[str, np.ndarray]:
             if len(parts) != len(names):
                 raise FieldFileError(f"trace row has {len(parts)} columns")
             for slot, part in zip(data, parts):
-                slot.append(float(part))
+                try:
+                    value = float(part)
+                except ValueError:
+                    raise FieldFileError(f"trace cell {part!r} is not a number") from None
+                slot.append(value)
     return {name: np.array(column) for name, column in zip(names, data)}

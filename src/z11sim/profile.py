@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .shapes import Mask
 from .spectral import Grid, RealField, _real_fft, apply_z11
@@ -48,8 +48,11 @@ __all__ = [
 
 DENSE_CELL_LIMIT = 4096
 
-# Seed for the Lanczos start vector: fixed so repeated runs are bit-identical.
+# Seed for the Lanczos start vector and restarts: fixed so repeated runs
+# are bit-identical.
 _LANCZOS_SEED = 0x5EED
+# Largest Krylov basis the coercivity estimate keeps between restarts.
+_KRYLOV_DIM = 40
 
 
 class ConvergenceError(RuntimeError):
@@ -284,54 +287,26 @@ def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
 def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
     """Estimate the smallest eigenvalue of the restricted operator.
 
-    Lanczos with full reorthogonalization on the masked subspace (the
-    subspace is treated as the ambient space). Stops when the Ritz residual
-    bound beta * |last eigenvector entry| certifies relative accuracy
-    ``tol``, when the Krylov space is exhausted (then the value is exact to
-    roundoff), or at the 2 * cell_count iteration cap.
+    ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
+    on the masked subspace, with a Krylov basis of at most _KRYLOV_DIM
+    vectors, a fixed start vector and a fixed restart generator, so
+    repeated runs are bit-identical. It stops when the Ritz residual is at
+    most 0.1 * tol times the Ritz value; if that does not happen within
+    ARPACK's restart cap it raises ``ArpackNoConvergence``. A one-cell
+    mask is its own eigenvalue.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    dim = op.mask.cell_count
-    cap = 2 * dim
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    # Rows 0..j hold the Lanczos vectors; capacity doubles when full, so
-    # reorthogonalization reads a view instead of copying the basis.
-    basis = np.empty((min(cap, 64), dim))
-    basis[0] = v
-    alphas: list[float] = []
-    betas: list[float] = []
-    theta = None
-    for j in range(cap):
-        w = op.apply_packed(basis[j])
-        if j > 0:
-            w -= betas[j - 1] * basis[j - 1]
-        alpha = float(basis[j] @ w)
-        w -= alpha * basis[j]
-        # Full reorthogonalization, twice for good measure.
-        bmat = basis[: j + 1]
-        w -= bmat.T @ (bmat @ w)
-        w -= bmat.T @ (bmat @ w)
-        alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas), select="i", select_range=(0, 0)
-        )
-        theta = float(vals[0])
-        if beta <= 1e-14 * max(1.0, abs(alpha)):
-            break  # Krylov space exhausted; theta is exact to roundoff
-        residual_bound = beta * abs(float(vecs[-1, 0]))
-        if residual_bound <= 0.1 * tol * max(theta, np.finfo(float).tiny):
-            break
-        betas.append(beta)
-        if j + 1 == len(basis):
-            grown = np.empty((2 * len(basis), dim))
-            grown[: j + 1] = basis
-            basis = grown
-        basis[j + 1] = w / beta
-    if theta is None or theta <= 10 * np.finfo(float).eps:
+    m = op.mask.cell_count
+    if m == 1:
+        theta = float(dense_L_matrix(op)[0, 0])
+    else:
+        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
+        operator = LinearOperator((m, m), matvec=op.apply_packed, dtype=float)
+        theta = float(eigsh(operator, k=1, which="SA", v0=v0, ncv=min(_KRYLOV_DIM, m),
+                            tol=0.1 * tol, return_eigenvectors=False,
+                            rng=_LANCZOS_SEED)[0])
+    if theta <= 10 * np.finfo(float).eps:
         raise SingularOperatorError(
             f"operator numerically singular (smallest-eigenvalue estimate {theta})"
         )

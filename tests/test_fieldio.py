@@ -205,6 +205,39 @@ class TestReadErrors:
             read_field(path)
 
 
+def _vpf_bytes(box_length: float, kind: int, payload_value: float) -> bytes:
+    values = np.zeros((32, 32))
+    values[7, 3] = payload_value
+    header = MAGIC + struct.pack("<IdB", 32, box_length, kind)
+    return header + values.astype("<f8").tobytes()
+
+
+_TRACE_HEADER = b"t,sup_norm,integral,l2_norm,qform\n"
+
+
+@pytest.mark.parametrize("reader, raw, match", [
+    pytest.param(read_field, _vpf_bytes(0.0, 0, 1.0), "box length", id="box-zero"),
+    pytest.param(read_field, _vpf_bytes(-8.0, 0, 1.0), "box length", id="box-negative"),
+    pytest.param(read_field, _vpf_bytes(float("nan"), 0, 1.0), "box length", id="box-nan"),
+    pytest.param(read_header, _vpf_bytes(float("inf"), 0, 1.0), "box length",
+                 id="header-box-inf"),
+    pytest.param(read_header, _vpf_bytes(0.0, 2, 1.0), "box length", id="header-mask-box-zero"),
+    pytest.param(read_field, _vpf_bytes(8.0, 0, float("nan")),
+                 "omega payload holds NaN or inf", id="omega-nan"),
+    pytest.param(read_field, _vpf_bytes(8.0, 1, float("-inf")),
+                 "profile payload holds NaN or inf", id="profile-inf"),
+    pytest.param(read_trace_csv, _TRACE_HEADER + b"0.0,1.0,x,1.0,1.0\n",
+                 "'x' is not a number", id="trace-non-numeric"),
+])
+def test_invalid_values_raise_typed_error(reader, raw, match, tmp_path):
+    """Values that the writers never produce make a malformed file, not a
+    bare ValueError from the grid or field constructors or from float()."""
+    path = tmp_path / "bad"
+    path.write_bytes(raw)
+    with pytest.raises(FieldFileError, match=match):
+        reader(path)
+
+
 class TestTraceCsv:
     def _trace(self):
         times = np.array([0.0, 0.1, np.pi / 10, 0.5])

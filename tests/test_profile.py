@@ -31,7 +31,7 @@ from z11sim import (
     sup_norm,
     verify_profile,
 )
-from z11sim.profile import _cg
+from z11sim.profile import _KRYLOV_DIM, _cg
 
 from test_spectral import dft_multiplier_oracle
 
@@ -229,6 +229,16 @@ class TestDenseMatrix:
             dense_L_matrix(op)
 
 
+def _tiny_operator(cells: int) -> RestrictedOperator:
+    """Operator on the first ``cells`` cells, row by row, of an 8-wide
+    block of a 32-cell grid."""
+    grid = make_grid(32, 8.0)
+    ind = np.zeros((32, 32), dtype=bool)
+    rows, cols = np.divmod(np.arange(cells), 8)
+    ind[4 + rows, 20 + cols] = True
+    return RestrictedOperator(grid, Mask(grid, ind))
+
+
 class TestCoercivity:
     def test_matches_dense_smallest_eigenvalue(self, disk_setup):
         _, _, op = disk_setup
@@ -245,9 +255,9 @@ class TestCoercivity:
         estimate = estimate_coercivity(op, tol=1e-6)
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
-    def test_past_initial_basis_capacity(self, monkeypatch):
-        """A run longer than the 64 rows the Lanczos basis starts with still
-        matches the dense spectrum, so the basis keeps its rows when it grows."""
+    def test_restarts_past_krylov_dim(self, monkeypatch):
+        """A run needing more applies than the Krylov basis holds, so ARPACK
+        restarts at least once, still matches the dense spectrum."""
         grid = make_grid(64, 8.0)
         op = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
         applies = 0
@@ -261,8 +271,30 @@ class TestCoercivity:
         monkeypatch.setattr(RestrictedOperator, "apply_packed", counting)
         estimate = estimate_coercivity(op, tol=1e-6)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
-        assert applies > 64
+        assert applies > _KRYLOV_DIM
         assert abs(estimate - dense_min) / dense_min <= 1e-6
+
+    def test_one_cell_is_lattice_mean(self):
+        """A one-cell mask is its own eigenvalue, the closed form of
+        TestDenseMatrix.test_single_cell_closed_form."""
+        op = _tiny_operator(1)
+        assert op.mask.cell_count == 1
+        np.testing.assert_allclose(estimate_coercivity(op), (32**2 - 1) / (2 * 32**2),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("cells", [2, _KRYLOV_DIM])
+    def test_krylov_space_spans_tiny_mask(self, cells):
+        """With no more cells than the Krylov basis holds, the basis spans
+        the whole subspace and the estimate is exact to roundoff."""
+        op = _tiny_operator(cells)
+        assert op.mask.cell_count == cells
+        dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
+        assert abs(estimate_coercivity(op) - dense_min) / dense_min <= 1e-12
+
+    @pytest.mark.parametrize("cells", [1, 2, _KRYLOV_DIM])
+    def test_tiny_mask_deterministic(self, cells):
+        op = _tiny_operator(cells)
+        assert estimate_coercivity(op) == estimate_coercivity(op)
 
     def test_tol_validation(self, disk_setup):
         with pytest.raises(ValueError, match="tol"):
