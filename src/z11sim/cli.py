@@ -15,12 +15,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, load_run_config
 from .diagnostics import run_diagnostics
 from .evolution import estimate_blowup_time, evolve, gaussian_bump, self_similar_deviation
-from .fieldio import atomic_write_bytes, read_field, write_field, write_trace_csv
+from .fieldio import _write_csv, atomic_write_bytes, read_field, write_field, write_trace_csv
 from .profile import RestrictedOperator, solve_profile, verify_profile
 from .shapes import Mask, mask_area, rasterize
 from .spectral import Grid, RealField, make_grid
@@ -33,13 +31,6 @@ def _json_bytes(obj) -> bytes:
 
 def _write_json(path: str, obj) -> None:
     atomic_write_bytes(path, _json_bytes(obj))
-
-
-def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _solve(cfg: RunConfig, grid: Grid):
@@ -95,23 +86,24 @@ def _initial_field(cfg: RunConfig, grid: Grid) -> RealField:
 def _cmd_evolve(cfg: RunConfig) -> list[str]:
     grid = make_grid(cfg.grid_n, cfg.box_length)
     omega0 = _initial_field(cfg, grid)
-    keep_fields = bool(cfg.snapshot_times)
-    trace = evolve(omega0, cfg.evolve, record_fields=keep_fields)
+    # one (time, state) candidate per requested time, replaced while its
+    # time is below the request: the first record at or after the request,
+    # or the last record when the run ends earlier
+    chosen: list[tuple[float, RealField] | None] = [None] * len(cfg.snapshot_times)
+
+    def keep_snapshots(t: float, state: RealField) -> None:
+        for index, requested in enumerate(cfg.snapshot_times):
+            if chosen[index] is None or chosen[index][0] < requested:
+                chosen[index] = (t, state)
+
+    trace = evolve(omega0, cfg.evolve, on_record=keep_snapshots)
     artifacts = ["trace.csv", "evolve.json"]
     write_trace_csv(os.path.join(cfg.output_dir, "trace.csv"), trace)
     snapshots = []
-    for index, requested in enumerate(cfg.snapshot_times):
-        # first recorded state at or after the requested time; the last
-        # record when the run ended earlier
-        position = int(np.searchsorted(trace.times, requested, side="left"))
-        position = min(position, len(trace) - 1)
+    for index, (requested, (t, state)) in enumerate(zip(cfg.snapshot_times, chosen)):
         name = f"snapshot_{index:03d}.vpf"
-        write_field(os.path.join(cfg.output_dir, name), trace.fields[position])
-        snapshots.append({
-            "requested": float(requested),
-            "time": float(trace.times[position]),
-            "file": name,
-        })
+        write_field(os.path.join(cfg.output_dir, name), state)
+        snapshots.append({"requested": float(requested), "time": t, "file": name})
         artifacts.append(name)
     _write_json(os.path.join(cfg.output_dir, "evolve.json"), {
         "command": cfg.command,
@@ -136,11 +128,12 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     t_blowup = cfg.verify_t_blowup
     omega0 = RealField(grid, solution.q.values / t_blowup)
     evolve_cfg = dataclasses.replace(cfg.evolve, t_max=cfg.verify_t_final)
-    trace = evolve(omega0, evolve_cfg, record_fields=True)
-    deviations = [
-        self_similar_deviation(state, solution.q, t_blowup, float(t))
-        for t, state in zip(trace.times, trace.fields)
-    ]
+    deviations: list[float] = []
+
+    def track_deviation(t: float, state: RealField) -> None:
+        deviations.append(self_similar_deviation(state, solution.q, t_blowup, t))
+
+    trace = evolve(omega0, evolve_cfg, on_record=track_deviation)
     write_trace_csv(os.path.join(cfg.output_dir, "trace.csv"), trace)
     _write_csv(os.path.join(cfg.output_dir, "deviation.csv"), ("t", "deviation"),
                zip(trace.times, deviations))

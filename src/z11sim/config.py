@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -357,6 +358,11 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
         raise ConfigError(f"[run] seed must be nonnegative, got {seed}")
     output_dir = os.path.join(base_dir, run.raw("output_dir", "out"))
     snapshot_times = run.real_tuple("snapshot_times", None, ())
+    for requested in snapshot_times:
+        if not (math.isfinite(requested) and requested >= 0.0):
+            raise ConfigError(
+                f"[run] snapshot_times must be finite and nonnegative, got {requested}"
+            )
 
     grid = _SectionReader(parser, "grid")
     if not grid.present():

@@ -75,10 +75,12 @@ def negation_symmetry_error(grid: Grid, rng: np.random.Generator) -> float:
     negated = RealField(grid, -bump.values)
     cfg = EvolveConfig(t_max=0.05, rtol=1e-6, atol=1e-9, record_every=1)
     flipped = EvolveConfig(t_max=0.05, rtol=1e-6, atol=1e-9, record_every=1, sign=-1)
-    forward = evolve(negated, cfg, record_fields=True)
-    mirrored = evolve(bump, flipped, record_fields=True)
+    forward: list[RealField] = []
+    mirrored: list[RealField] = []
+    evolve(negated, cfg, on_record=lambda t, state: forward.append(state))
+    evolve(bump, flipped, on_record=lambda t, state: mirrored.append(state))
     worst = 0.0
-    for f_state, m_state in zip(forward.fields, mirrored.fields):
+    for f_state, m_state in zip(forward, mirrored):
         worst = max(worst, float(np.max(np.abs(f_state.values + m_state.values))))
     return worst
 

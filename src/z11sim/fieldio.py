@@ -148,19 +148,20 @@ def read_field(path: str | os.PathLike) -> RealField | Mask:
     return RealField(grid, values)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: str | os.PathLike, header: tuple[str, ...], rows) -> None:
+    """Write rows of numbers under a header line, each number as a float at
+    shortest round-trip precision, so the file reproduces them exactly."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) for x in row))
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def write_trace_csv(path: str | os.PathLike, trace: EvolutionTrace) -> None:
     """Write a trace as CSV with the fixed column order t, sup_norm,
-    integral, l2_norm, qform. Floats are written with shortest round-trip
-    precision so the file reproduces the trace exactly."""
-    lines = [",".join(TRACE_COLUMNS)]
-    rows = zip(trace.times, trace.sup_norm, trace.integral, trace.l2_norm, trace.qform)
-    for row in rows:
-        lines.append(",".join(_format_float(x) for x in row))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    integral, l2_norm, qform."""
+    _write_csv(path, TRACE_COLUMNS, zip(trace.times, trace.sup_norm, trace.integral,
+                                        trace.l2_norm, trace.qform))
 
 
 def read_trace_csv(path: str | os.PathLike) -> dict[str, np.ndarray]:

@@ -111,22 +111,18 @@ def make_grid(n: int, box_length: float) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class RealField:
-    """Real samples of a scalar field on a :class:`Grid`.
-
-    ``values`` must be finite everywhere unless ``post_blowup`` marks the
-    field as the product of a diverged evolution.
-    """
+    """Real samples of a scalar field on a :class:`Grid`; ``values`` must
+    be finite everywhere."""
 
     grid: Grid
     values: np.ndarray
-    post_blowup: bool = False
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"values shape {v.shape} does not match grid ({self.grid.n}, {self.grid.n})")
-        if not self.post_blowup and not np.all(np.isfinite(v)):
-            raise ValueError("field contains NaN/Inf and is not flagged post_blowup")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("field contains NaN/Inf")
         object.__setattr__(self, "values", v)
 
 
@@ -161,13 +157,13 @@ def apply_z11(f: RealField) -> RealField:
     x2-waves, and is idempotent only on fields spectrally supported where
     the multiplier is 0 or 1.
     """
-    return RealField(f.grid, _real_fft(f.values, f.grid.m11), post_blowup=f.post_blowup)
+    return RealField(f.grid, _real_fft(f.values, f.grid.m11))
 
 
 def apply_z22(f: RealField) -> RealField:
     """Companion multiplier lam2^2/|lam|^2; together with
     :func:`apply_z11` it sums to the identity on mean-zero fields."""
-    return RealField(f.grid, _real_fft(f.values, f.grid.m22), post_blowup=f.post_blowup)
+    return RealField(f.grid, _real_fft(f.values, f.grid.m22))
 
 
 def inner(f: RealField, g: RealField) -> float:

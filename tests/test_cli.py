@@ -4,6 +4,7 @@ error contract on stderr, and byte-level determinism of reruns."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from z11sim import (
     read_field,
     read_header,
     read_trace_csv,
+    sup_norm,
 )
 from z11sim.cli import main
 
@@ -128,23 +130,35 @@ class TestEvolveCommand:
         assert trace["sup_norm"][-1] >= threshold
 
     def test_snapshots(self, tmp_path, capsys):
+        """Each request selects the first record at or after it, or the
+        final record when the run ends earlier."""
         profile = self._solve_first(tmp_path, capsys)
         threshold = 50.0 * float(np.max(np.abs(profile.values)))
         ini = tmp_path / "evolve.ini"
-        ini.write_text(self._evolve_ini(threshold,
-                                        extra_run="snapshot_times = 0.2, 99.0\n"))
+        ini.write_text(self._evolve_ini(threshold))
         assert run_cli(capsys, ini)[0] == 0
         outdir = tmp_path / "evolveout"
+        trace = read_trace_csv(outdir / "trace.csv")
+        times = trace["t"]
+        # exactly on a record, between two records, an early time, and a
+        # time past the end of the run
+        requests = (times[5], 0.5 * (times[8] + times[9]), 0.2, 99.0)
+        expected = [5, 9, int(np.argmax(times >= 0.2)), len(times) - 1]
+        listed = ", ".join(repr(float(r)) for r in requests)
+        ini.write_text(self._evolve_ini(threshold, extra_run=f"snapshot_times = {listed}\n"))
+        assert run_cli(capsys, ini)[0] == 0
         record = json.loads((outdir / "evolve.json").read_text())
         snaps = record["snapshots"]
-        assert [s["file"] for s in snaps] == ["snapshot_000.vpf", "snapshot_001.vpf"]
-        assert snaps[0]["time"] >= 0.2
-        # second request lies past the end of the run: clamped to the
-        # final recorded state
-        assert snaps[1]["time"] == record["final_time"]
-        for s in snaps:
+        assert [s["file"] for s in snaps] == [f"snapshot_{i:03d}.vpf" for i in range(4)]
+        assert [s["requested"] for s in snaps] == [float(r) for r in requests]
+        assert times[8] < requests[1] < times[9]
+        assert snaps[2]["time"] >= 0.2
+        assert snaps[3]["time"] == record["final_time"]
+        for s, position in zip(snaps, expected):
+            assert s["time"] == times[position]
             field = read_field(outdir / s["file"])
             assert isinstance(field, RealField)
+            assert sup_norm(field) == trace["sup_norm"][position]
 
     def test_initial_grid_mismatch_reported(self, tmp_path, capsys):
         self._solve_first(tmp_path, capsys)
@@ -221,6 +235,58 @@ class TestVerifyCommand:
         deviation_lines = (outdir / "deviation.csv").read_text().splitlines()
         assert deviation_lines[0] == "t,deviation"
         assert len(deviation_lines) - 1 == len(trace["t"])
+
+
+class TestBoundedMemory:
+    """Recorded states are streamed, not kept: peak traced memory of a
+    command at n = 64 grows by less than two fields when the run records
+    about four times as many states."""
+
+    EVOLVE = (
+        "[run]\ncommand = evolve\noutput_dir = {out}\nsnapshot_times = 0.5\n\n"
+        "[grid]\nn = 64\nbox_length = 16.0\n\n"
+        "[initial]\nkind = bump\nwidth = 0.5\ncutoff = 2.0\n\n"
+        "[evolve]\nt_max = 20.0\nrecord_every = {setting}\n"
+    )
+    VERIFY = (
+        "[run]\ncommand = verify-self-similar\noutput_dir = {out}\n\n"
+        "[grid]\nn = 64\nbox_length = 16.0\n\n"
+        "[shape]\nspec = disk(0, 0, 1)\n\n"
+        "[evolve]\n{setting}\n"
+    )
+    # (template, setting with few records, setting with about 4x as many)
+    CASES = {
+        "evolve": (EVOLVE, "4", "1"),
+        "verify-self-similar": (VERIFY, "rtol = 1e-10\natol = 1e-12",
+                                "rtol = 1e-13\natol = 1e-15"),
+    }
+
+    def _peak(self, tmp_path, capsys, text, name):
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(text.replace("{out}", name))
+        tracemalloc.start()
+        try:
+            code = main([str(ini)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        lines = (tmp_path / name / "trace.csv").read_text().count("\n")
+        return peak, lines - 1
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_peak_memory_independent_of_record_count(self, tmp_path, capsys, command):
+        template, few, many = self.CASES[command]
+        # a discarded warm-up, so one-time allocations count in neither run
+        self._peak(tmp_path, capsys, template.replace("{setting}", few), "warmup")
+        peak_few, records_few = self._peak(
+            tmp_path, capsys, template.replace("{setting}", few), "few")
+        peak_many, records_many = self._peak(
+            tmp_path, capsys, template.replace("{setting}", many), "many")
+        assert records_many >= 3.5 * records_few
+        field_bytes = 64 * 64 * 8
+        assert peak_many - peak_few <= 2 * field_bytes
 
 
 class TestDiagnosticsCommand:

@@ -220,6 +220,13 @@ class TestLoadEvolve:
         cfg = load_run_config(write_config(tmp_path, text))
         assert cfg.snapshot_times == (0.5, 1.0, 2.5)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
+    def test_snapshot_times_finite_nonnegative(self, tmp_path, bad):
+        text = EVOLVE_BASE.replace("seed = 7",
+                                   f"seed = 7\nsnapshot_times = 0.5, {bad}")
+        with pytest.raises(ConfigError, match="snapshot_times must be finite and nonnegative"):
+            load_run_config(write_config(tmp_path, text))
+
     def test_missing_initial_section(self, tmp_path):
         text = "[run]\ncommand = evolve\n\n[grid]\nn = 64\nbox_length = 8\n"
         with pytest.raises(ConfigError, match=r"missing section \[initial\]"):

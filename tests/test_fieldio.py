@@ -112,11 +112,11 @@ class TestLayout:
 
 class TestWriteErrors:
     def test_non_finite_refused_and_nothing_written(self, grid, tmp_path):
-        values = np.zeros((32, 32))
-        values[4, 4] = np.nan
+        field = RealField(grid, np.zeros((32, 32)))
+        field.values[4, 4] = np.nan  # a finite field mutated in place
         path = tmp_path / "bad.vpf"
         with pytest.raises(ValueError, match="non-finite"):
-            write_field(path, RealField(grid, values, post_blowup=True))
+            write_field(path, field)
         assert not path.exists()
         assert os.listdir(tmp_path) == []
 
@@ -125,10 +125,10 @@ class TestWriteErrors:
         good = awkward_field(grid)
         write_field(path, good)
         original = path.read_bytes()
-        values = np.zeros((32, 32))
-        values[0, 0] = np.inf
+        field = RealField(grid, np.zeros((32, 32)))
+        field.values[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            write_field(path, RealField(grid, values, post_blowup=True))
+            write_field(path, field)
         assert path.read_bytes() == original
 
     def test_kind_mismatch(self, grid, tmp_path):
