@@ -21,7 +21,7 @@ from .evolution import estimate_blowup_time, evolve, gaussian_bump, self_similar
 from .fieldio import _write_csv, atomic_write_bytes, read_field, write_field, write_trace_csv
 from .profile import RestrictedOperator, solve_profile, verify_profile
 from .shapes import Mask, mask_area, rasterize
-from .spectral import Grid, RealField, make_grid
+from .spectral import Grid, RealField
 
 __all__ = ["main"]
 
@@ -41,7 +41,7 @@ def _solve(cfg: RunConfig, grid: Grid):
 
 
 def _cmd_solve_profile(cfg: RunConfig) -> list[str]:
-    grid = make_grid(cfg.grid_n, cfg.box_length)
+    grid = Grid(cfg.grid_n, cfg.box_length)
     mask, solution = _solve(cfg, grid)
     report = verify_profile(solution)
     write_field(os.path.join(cfg.output_dir, "profile.vpf"), solution.q, kind="profile")
@@ -84,7 +84,7 @@ def _initial_field(cfg: RunConfig, grid: Grid) -> RealField:
 
 
 def _cmd_evolve(cfg: RunConfig) -> list[str]:
-    grid = make_grid(cfg.grid_n, cfg.box_length)
+    grid = Grid(cfg.grid_n, cfg.box_length)
     omega0 = _initial_field(cfg, grid)
     # one (time, state) candidate per requested time, replaced while its
     # time is below the request: the first record at or after the request,
@@ -123,7 +123,7 @@ def _cmd_evolve(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
-    grid = make_grid(cfg.grid_n, cfg.box_length)
+    grid = Grid(cfg.grid_n, cfg.box_length)
     mask, solution = _solve(cfg, grid)
     t_blowup = cfg.verify_t_blowup
     omega0 = RealField(grid, solution.q.values / t_blowup)
@@ -134,10 +134,11 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
         deviations.append(self_similar_deviation(state, solution.q, t_blowup, t))
 
     trace = evolve(omega0, evolve_cfg, on_record=track_deviation)
+    # fit before writing, so a failed fit leaves no fresh CSVs behind
+    fitted_t, fit_quality = estimate_blowup_time(trace)
     write_trace_csv(os.path.join(cfg.output_dir, "trace.csv"), trace)
     _write_csv(os.path.join(cfg.output_dir, "deviation.csv"), ("t", "deviation"),
                zip(trace.times, deviations))
-    fitted_t, fit_quality = estimate_blowup_time(trace)
     _write_json(os.path.join(cfg.output_dir, "verify.json"), {
         "command": cfg.command,
         "grid_n": cfg.grid_n,
@@ -160,7 +161,7 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_diagnostics(cfg: RunConfig) -> list[str]:
-    grid = make_grid(cfg.grid_n, cfg.box_length)
+    grid = Grid(cfg.grid_n, cfg.box_length)
     result = run_diagnostics(grid, cfg.seed)
     _write_json(os.path.join(cfg.output_dir, "diagnostics.json"), result["summary"])
     trials = result["cone_trials"]

@@ -39,7 +39,6 @@ __all__ = [
     "ConvergenceError",
     "CurvatureBreakdownError",
     "SingularOperatorError",
-    "apply_L",
     "dense_L_matrix",
     "solve_profile",
     "estimate_coercivity",
@@ -140,22 +139,6 @@ class RestrictedOperator:
         box = np.zeros(self._symbol.shape)
         box[self._box_index] = x
         return _real_fft(box, self._symbol)[self._box_index]
-
-
-def apply_L(op: RestrictedOperator, phi: RealField) -> RealField:
-    """Apply the restricted operator to a field supported on the mask.
-
-    The input must be exactly zero off the mask (tolerance 0); the output is
-    zero off the mask by construction.
-    """
-    if phi.grid != op.grid:
-        raise ValueError("field grid does not match operator grid")
-    off = phi.values[~op.mask.indicator]
-    if off.size and np.any(off != 0.0):
-        raise ValueError("apply_L input must be exactly zero off the mask")
-    z = apply_z11(phi)
-    out = np.where(op.mask.indicator, z.values, 0.0)
-    return RealField(op.grid, out)
 
 
 def dense_L_matrix(op: RestrictedOperator) -> np.ndarray:

@@ -157,8 +157,8 @@ class Mask:
             raise ValueError("mask must contain at least one cell")
         object.__setattr__(self, "indicator", ind)
         object.__setattr__(self, "cell_count", count)
-        x1, x2 = self.grid.coords()
-        pts = np.column_stack([x1[ind], x2[ind]])
+        r, c = self.indices
+        pts = np.column_stack([self.grid.x[r], self.grid.x[c]])
         object.__setattr__(self, "diameter", _point_set_diameter(pts))
 
     @cached_property

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "RealField",
-    "make_grid",
     "apply_z11",
     "apply_z22",
     "quadratic_form",
@@ -39,6 +38,12 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _wavenumbers(n: int) -> np.ndarray:
+    """Integer wavenumbers in FFT ordering: 0..n/2-1, -n/2..-1."""
+    k = np.arange(n)
+    return np.where(k < n // 2, k, k - n)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Sample lattice and frequency lattice of the periodic box.
@@ -51,13 +56,13 @@ class Grid:
         Physical side length of the periodic box.
 
     Derived attributes (set at construction): ``h`` sample spacing, ``x``
-    1-d sample coordinates in ``[-L/2, L/2)``, ``k1``/``k2`` integer
-    wavenumber meshes in FFT layout, ``lam1``/``lam2`` physical frequencies
-    ``2*pi*k/L``, and ``m11``/``m22`` the multiplier meshes. All meshes
-    cover the full frequency plane; the transforms read the half plane
-    ``k2 >= 0`` of a multiplier as a view.
+    1-d sample coordinates in ``[-L/2, L/2)``, and ``m11`` the multiplier
+    ``k1^2/|k|^2`` on the full integer frequency plane in FFT layout, with
+    axis 0 along k1. It is the only mesh a grid holds: ``m11.T`` is the
+    companion multiplier ``k2^2/|k|^2`` bitwise, and the transforms read
+    the half plane ``k2 >= 0`` of a multiplier as a view.
 
-    The multipliers are computed from the integer wavenumbers, so they are
+    The multiplier is computed from the integer wavenumbers, so it is
     bitwise independent of ``box_length`` (the symbol is 0-homogeneous).
     """
 
@@ -79,34 +84,15 @@ class Grid:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "x", -0.5 * length + h * np.arange(n))
 
-        # Integer wavenumbers in FFT ordering: 0..n/2-1, -n/2..-1.
-        kint = np.arange(n)
-        kint = np.where(kint < n // 2, kint, kint - n)
-        k1 = kint[:, None] * np.ones(n, dtype=int)[None, :]
-        k2 = np.ones(n, dtype=int)[:, None] * kint[None, :]
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "lam1", (2.0 * np.pi / length) * k1)
-        object.__setattr__(self, "lam2", (2.0 * np.pi / length) * k2)
-
-        ksq = k1.astype(float) ** 2 + k2.astype(float) ** 2
+        ksq1 = _wavenumbers(n).astype(float) ** 2
+        ksq = ksq1[:, None] + ksq1[None, :]
         with np.errstate(invalid="ignore", divide="ignore"):
-            m11 = np.where(ksq > 0, k1.astype(float) ** 2 / ksq, 0.0)
-            m22 = np.where(ksq > 0, k2.astype(float) ** 2 / ksq, 0.0)
+            m11 = np.where(ksq > 0, ksq1[:, None] / ksq, 0.0)
         object.__setattr__(self, "m11", m11)
-        object.__setattr__(self, "m22", m22)
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid of sample coordinates, axis 0 along x1, axis 1 along x2."""
         return np.meshgrid(self.x, self.x, indexing="ij")
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.n, self.n))
-
-
-def make_grid(n: int, box_length: float) -> Grid:
-    """Construct a :class:`Grid`, validating ``n`` and ``box_length``."""
-    return Grid(n, box_length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +148,10 @@ def apply_z11(f: RealField) -> RealField:
 
 def apply_z22(f: RealField) -> RealField:
     """Companion multiplier lam2^2/|lam|^2; together with
-    :func:`apply_z11` it sums to the identity on mean-zero fields."""
-    return RealField(f.grid, _real_fft(f.values, f.grid.m22))
+    :func:`apply_z11` it sums to the identity on mean-zero fields. Its
+    symbol is the transpose of Z11's, so it is Z11 conjugated by
+    transposing the data."""
+    return RealField(f.grid, _real_fft(f.values, f.grid.m11.T))
 
 
 def inner(f: RealField, g: RealField) -> float:
@@ -207,8 +195,9 @@ def cone_mass_ratio(f: RealField, k: float) -> float:
     total = power.sum()
     if total == 0.0:
         raise ValueError("cone_mass_ratio is undefined for the zero field")
-    k1 = f.grid.k1
-    k2 = f.grid.k2
+    kint = _wavenumbers(f.grid.n)
+    k1 = kint[:, None]
+    k2 = kint[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(k2 != 0, k1 / np.where(k2 != 0, k2, 1), 0.0)
     in_cone = (k2 != 0) & (ratio > 1.0 / k) & (ratio < k)

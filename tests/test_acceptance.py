@@ -14,9 +14,9 @@ import pytest
 from z11sim import (
     Disk,
     EvolveConfig,
+    Grid,
     RealField,
     RestrictedOperator,
-    apply_L,
     apply_z11,
     apply_z22,
     cone_mass_study,
@@ -25,7 +25,6 @@ from z11sim import (
     estimate_coercivity,
     evolve,
     gaussian_bump,
-    make_grid,
     rasterize,
     read_field,
     rk_step,
@@ -47,7 +46,7 @@ def _report(number, name, ok, detail):
 @pytest.fixture(scope="module")
 def profile128():
     """Shared disk profile at production scale: r = 1, box 16, n = 128."""
-    grid = make_grid(128, 16.0)
+    grid = Grid(128, 16.0)
     mask = rasterize(Disk((0.0, 0.0), 1.0), grid)
     operator = RestrictedOperator(grid, mask)
     t0 = time.perf_counter()
@@ -57,7 +56,7 @@ def profile128():
 
 def test_criterion_1_multiplier_identities():
     t0 = time.perf_counter()
-    grid = make_grid(64, 2.0 * np.pi)
+    grid = Grid(64, 2.0 * np.pi)
     x1, x2 = grid.coords()
     errors = []
     for j in (1, 2, 5, 21):
@@ -80,7 +79,7 @@ def test_criterion_1_multiplier_identities():
 
 def test_criterion_2_operator_oracle():
     t0 = time.perf_counter()
-    grid = make_grid(32, 8.0)
+    grid = Grid(32, 8.0)
     mask = rasterize(Disk((0.0, 0.0), 1.0), grid)
     operator = RestrictedOperator(grid, mask)
     dense = dense_L_matrix(operator)
@@ -102,7 +101,7 @@ def test_criterion_2_operator_oracle():
 
 def test_criterion_3_coercivity():
     t0 = time.perf_counter()
-    grid = make_grid(32, 8.0)
+    grid = Grid(32, 8.0)
     operator = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
     dense_min = float(np.linalg.eigvalsh(dense_L_matrix(operator))[0])
     lanczos = estimate_coercivity(operator, tol=1e-6)
@@ -111,7 +110,7 @@ def test_criterion_3_coercivity():
     # unit disk held fixed while the box grows at matched h = 0.25
     deltas = []
     for box, n in ((8.0, 32), (16.0, 64), (32.0, 128)):
-        g = make_grid(n, box)
+        g = Grid(n, box)
         op = RestrictedOperator(g, rasterize(Disk((0.0, 0.0), 1.0), g))
         deltas.append(estimate_coercivity(op, tol=1e-6))
     drift = (max(deltas) - min(deltas)) / min(deltas)
@@ -162,7 +161,7 @@ def test_criterion_5_self_similar_evolution(profile128):
 
 def test_criterion_6_blowup_from_positive_bump():
     t0 = time.perf_counter()
-    grid = make_grid(64, 16.0)
+    grid = Grid(64, 16.0)
     omega0 = gaussian_bump(grid, width=0.5, amplitude=1.0, cutoff=2.0)
     config = EvolveConfig(dt_initial=1e-3, t_max=20.0, blowup_threshold=1e5,
                           record_every=1)
@@ -188,7 +187,7 @@ def test_criterion_6_blowup_from_positive_bump():
 
 def test_criterion_7_cone_mass_probe():
     t0 = time.perf_counter()
-    grid = make_grid(128, 16.0)
+    grid = Grid(128, 16.0)
     rng = np.random.default_rng(20260823)
     records = cone_mass_study(grid, rng, trials=100, k=2.0)
     ratios = np.array([r["ratio"] for r in records])
@@ -202,7 +201,7 @@ def test_criterion_7_cone_mass_probe():
 
 def test_criterion_8_integrator_order():
     t0 = time.perf_counter()
-    grid = make_grid(64, 16.0)
+    grid = Grid(64, 16.0)
     operator = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
     solution = solve_profile(operator, tol=1e-10)
 
@@ -227,7 +226,7 @@ def test_criterion_8_integrator_order():
 
 def test_criterion_9_determinism_and_io(tmp_path, capsys):
     t0 = time.perf_counter()
-    grid = make_grid(64, 16.0)
+    grid = Grid(64, 16.0)
     rng = np.random.default_rng(93)
     field = RealField(grid, rng.standard_normal((64, 64)))
     path = tmp_path / "field.vpf"

@@ -236,6 +236,23 @@ class TestVerifyCommand:
         assert deviation_lines[0] == "t,deviation"
         assert len(deviation_lines) - 1 == len(trace["t"])
 
+    def test_failed_fit_leaves_no_csvs(self, tmp_path, capsys):
+        """The shipped verify config at n = 64 and rtol = 1e-7 records too
+        few samples for the blow-up fit; the run fails before it writes."""
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "verify_disk.ini")
+        with open(shipped) as handle:
+            text = handle.read()
+        ini = tmp_path / "verify.ini"
+        ini.write_text(text.replace("n = 128", "n = 64").replace("rtol = 1e-10", "rtol = 1e-7"))
+        code, out, err = run_cli(capsys, ini)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err.strip())
+        assert "blow-up fit needs at least" in record["message"]
+        outdir = tmp_path / "out-verify-disk"
+        assert json.loads((outdir / "error.json").read_text()) == record
+        assert sorted(os.listdir(outdir)) == ["error.json"]
+
 
 class TestBoundedMemory:
     """Recorded states are streamed, not kept: peak traced memory of a

@@ -13,6 +13,7 @@ from z11sim import (
     Disk,
     EvolutionTrace,
     EvolveConfig,
+    Grid,
     RealField,
     RestrictedOperator,
     StepUnderflowError,
@@ -21,7 +22,6 @@ from z11sim import (
     field_integral,
     gaussian_bump,
     l2_norm,
-    make_grid,
     quadratic_form,
     rasterize,
     rhs,
@@ -37,7 +37,7 @@ from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_C, _RK_E
 
 @pytest.fixture(scope="module")
 def grid32():
-    return make_grid(32, 8.0)
+    return Grid(32, 8.0)
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +403,7 @@ class TestSelfSimilarDeviation:
             self_similar_deviation(q, q, T=1.0, t=1.0)
 
     def test_grid_mismatch(self, profile32):
-        other = make_grid(32, 16.0)
+        other = Grid(32, 16.0)
         state = RealField(other, np.zeros((32, 32)))
         with pytest.raises(ValueError, match="grids differ"):
             self_similar_deviation(state, profile32.q, T=1.0, t=0.0)
@@ -441,7 +441,7 @@ class TestExactInvariants:
 
     @pytest.mark.parametrize("amplitude", [1.0, -1.0])
     def test_support_and_sign_kept_to_blowup(self, amplitude):
-        grid = make_grid(64, 16.0)
+        grid = Grid(64, 16.0)
         w0 = gaussian_bump(grid, width=0.5, amplitude=amplitude, cutoff=2.0)
         outside = w0.values == 0.0
         # negative data blows up under the sign-flipped equation

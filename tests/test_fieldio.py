@@ -16,9 +16,9 @@ from z11sim import (
     EvolutionTrace,
     FieldFileError,
     FieldHeader,
+    Grid,
     Mask,
     RealField,
-    make_grid,
     rasterize,
     read_field,
     read_header,
@@ -31,7 +31,7 @@ from z11sim.fieldio import MAGIC, TRACE_COLUMNS, atomic_write_bytes
 
 @pytest.fixture()
 def grid():
-    return make_grid(32, 8.0)
+    return Grid(32, 8.0)
 
 
 def awkward_field(grid):

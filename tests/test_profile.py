@@ -13,18 +13,17 @@ from z11sim import (
     ConvergenceError,
     CurvatureBreakdownError,
     Disk,
+    Grid,
     Mask,
     ProfileSolution,
     RealField,
     RestrictedOperator,
     ShapeUnion,
     SingularOperatorError,
-    apply_L,
     apply_z11,
     dense_L_matrix,
     estimate_coercivity,
     l2_norm,
-    make_grid,
     mask_area,
     rasterize,
     solve_profile,
@@ -38,46 +37,26 @@ from test_spectral import dft_multiplier_oracle
 
 @pytest.fixture(scope="module")
 def disk_setup():
-    grid = make_grid(32, 8.0)
+    grid = Grid(32, 8.0)
     mask = rasterize(Disk((0.0, 0.0), 1.0), grid)
     return grid, mask, RestrictedOperator(grid, mask)
 
 
 class TestApplyL:
+    """The matrix-free action of the restricted operator L,
+    ``RestrictedOperator.apply_packed`` on member-cell vectors."""
+
     def test_matches_direct_dft_oracle(self):
-        grid = make_grid(16, 4.0)
+        grid = Grid(16, 4.0)
         mask = rasterize(Disk((0.0, 0.0), 0.5), grid)
         op = RestrictedOperator(grid, mask)
-        rng = np.random.default_rng(61)
-        phi_values = np.where(mask.indicator, rng.standard_normal((16, 16)), 0.0)
-        expected = np.where(mask.indicator, dft_multiplier_oracle(phi_values), 0.0)
-        got = apply_L(op, RealField(grid, phi_values)).values
-        np.testing.assert_allclose(got, expected, atol=1e-13)
-
-    def test_output_zero_off_mask(self, disk_setup):
-        grid, mask, op = disk_setup
-        rng = np.random.default_rng(62)
-        phi = RealField(grid, np.where(mask.indicator, rng.standard_normal((32, 32)), 0.0))
-        out = apply_L(op, phi)
-        assert np.all(out.values[~mask.indicator] == 0.0)
-
-    def test_rejects_off_mask_support(self, disk_setup):
-        grid, mask, op = disk_setup
-        values = np.zeros((32, 32))
-        values[0, 0] = 1e-300  # subnormal leakage still counts
-        assert not mask.indicator[0, 0]
-        with pytest.raises(ValueError, match="exactly zero off the mask"):
-            apply_L(op, RealField(grid, values))
-
-    def test_rejects_grid_mismatch(self, disk_setup):
-        _, _, op = disk_setup
-        other = make_grid(32, 16.0)
-        with pytest.raises(ValueError, match="grid does not match"):
-            apply_L(op, RealField(other, np.zeros((32, 32))))
+        x = np.random.default_rng(61).standard_normal(mask.cell_count)
+        expected = mask.pack(dft_multiplier_oracle(mask.unpack(x)))
+        np.testing.assert_allclose(op.apply_packed(x), expected, atol=1e-13)
 
     def test_operator_grid_mask_consistency(self):
-        g1 = make_grid(32, 8.0)
-        g2 = make_grid(32, 16.0)
+        g1 = Grid(32, 8.0)
+        g2 = Grid(32, 16.0)
         mask = rasterize(Disk((0.0, 0.0), 1.0), g1)
         with pytest.raises(ValueError, match="mask grid"):
             RestrictedOperator(g2, mask)
@@ -86,15 +65,14 @@ class TestApplyL:
         """Rolling the mask and the input rolls the output: the multiplier
         commutes with lattice translations."""
         grid, mask, op = disk_setup
-        rng = np.random.default_rng(63)
-        phi_values = np.where(mask.indicator, rng.standard_normal((32, 32)), 0.0)
-        out = apply_L(op, RealField(grid, phi_values)).values
+        x = np.random.default_rng(63).standard_normal(mask.cell_count)
+        out = mask.unpack(op.apply_packed(x))
 
         shift = (5, -3)
         rolled_mask = Mask(grid, np.roll(mask.indicator, shift, axis=(0, 1)))
         rolled_op = RestrictedOperator(grid, rolled_mask)
-        rolled_phi = RealField(grid, np.roll(phi_values, shift, axis=(0, 1)))
-        rolled_out = apply_L(rolled_op, rolled_phi).values
+        rolled_x = rolled_mask.pack(np.roll(mask.unpack(x), shift, axis=(0, 1)))
+        rolled_out = rolled_mask.unpack(rolled_op.apply_packed(rolled_x))
         np.testing.assert_allclose(rolled_out, np.roll(out, shift, axis=(0, 1)), atol=1e-13)
 
 
@@ -154,7 +132,7 @@ class TestEmbeddedApply:
         (_wide_scatter, (128, 128)),
     ])
     def test_matches_full_grid(self, monkeypatch, build, box):
-        grid = make_grid(128, 16.0)
+        grid = Grid(128, 16.0)
         mask = Mask(grid, build(grid))
         op = RestrictedOperator(grid, mask)
         x = np.random.default_rng(66).standard_normal(mask.cell_count)
@@ -168,7 +146,7 @@ class TestEmbeddedApply:
         centre sits off the lattice so the disk spans 32 cells per axis."""
         shapes = []
         for box_length, n in ((8.0, 128), (16.0, 256)):
-            grid = make_grid(n, box_length)
+            grid = Grid(n, box_length)
             mask = rasterize(Disk((0.01, 0.02), 1.0), grid)
             op = RestrictedOperator(grid, mask)
             shapes += _rfft2_shapes(monkeypatch, op, np.ones(mask.cell_count))
@@ -180,7 +158,7 @@ class TestDenseMatrix:
         """One-cell operator value is the lattice mean of the symbol,
         (n^2 - 1) / (2 n^2): the symbol and its axis-swapped companion sum
         to 1 at every nonzero frequency and swapping is a lattice bijection."""
-        grid = make_grid(32, 8.0)
+        grid = Grid(32, 8.0)
         ind = np.zeros((32, 32), dtype=bool)
         ind[4, 20] = True
         op = RestrictedOperator(grid, Mask(grid, ind))
@@ -190,7 +168,7 @@ class TestDenseMatrix:
 
     def test_matches_independent_assembly(self):
         """Dense matrix against entrywise DFT-oracle assembly."""
-        grid = make_grid(16, 4.0)
+        grid = Grid(16, 4.0)
         mask = rasterize(Disk((0.0, 0.0), 0.5), grid)
         op = RestrictedOperator(grid, mask)
         dense = dense_L_matrix(op)
@@ -221,7 +199,7 @@ class TestDenseMatrix:
             np.testing.assert_allclose(dense @ x, direct, atol=1e-10)
 
     def test_cell_limit(self):
-        grid = make_grid(128, 16.0)
+        grid = Grid(128, 16.0)
         ind = np.zeros((128, 128), dtype=bool)
         ind[:65, :65] = True  # 4225 cells
         op = RestrictedOperator(grid, Mask(grid, ind))
@@ -232,7 +210,7 @@ class TestDenseMatrix:
 def _tiny_operator(cells: int) -> RestrictedOperator:
     """Operator on the first ``cells`` cells, row by row, of an 8-wide
     block of a 32-cell grid."""
-    grid = make_grid(32, 8.0)
+    grid = Grid(32, 8.0)
     ind = np.zeros((32, 32), dtype=bool)
     rows, cols = np.divmod(np.arange(cells), 8)
     ind[4 + rows, 20 + cols] = True
@@ -247,7 +225,7 @@ class TestCoercivity:
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
     def test_on_asymmetric_mask(self):
-        grid = make_grid(32, 8.0)
+        grid = Grid(32, 8.0)
         shape = ShapeUnion((Disk((-0.4, 0.15), 0.3), Disk((0.45, -0.25), 0.35)))
         mask = rasterize(shape, grid)
         op = RestrictedOperator(grid, mask)
@@ -258,7 +236,7 @@ class TestCoercivity:
     def test_restarts_past_krylov_dim(self, monkeypatch):
         """A run needing more applies than the Krylov basis holds, so ARPACK
         restarts at least once, still matches the dense spectrum."""
-        grid = make_grid(64, 8.0)
+        grid = Grid(64, 8.0)
         op = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
         applies = 0
         apply_packed = RestrictedOperator.apply_packed
@@ -305,7 +283,7 @@ class TestCoercivity:
     def test_complete_line_is_singular(self):
         """A mask containing a full line of constant x2 supports a field
         that is constant in x1, which the operator annihilates."""
-        grid = make_grid(32, 8.0)
+        grid = Grid(32, 8.0)
         ind = np.zeros((32, 32), dtype=bool)
         ind[:, 5] = True
         op = RestrictedOperator(grid, Mask(grid, ind))
@@ -322,8 +300,7 @@ class TestSolveProfile:
         _, mask, op = disk_setup
         sol = solve_profile(op, tol=1e-10)
         # recompute the residual from scratch, h-weighted
-        z = apply_L(op, sol.q)
-        dev = z.values[mask.indicator] - 1.0
+        dev = mask.pack(apply_z11(sol.q).values) - 1.0
         recomputed = np.linalg.norm(dev) / np.sqrt(mask.cell_count)
         assert recomputed <= 1e-10
         np.testing.assert_allclose(sol.residual_l2, recomputed, rtol=1e-6, atol=1e-16)
@@ -347,7 +324,7 @@ class TestSolveProfile:
         np.testing.assert_allclose(sol.delta_estimate, dense_min, rtol=1e-6)
 
     def test_asymmetric_mask_certificate(self):
-        grid = make_grid(32, 8.0)
+        grid = Grid(32, 8.0)
         shape = ShapeUnion((Disk((-0.4, 0.15), 0.3), Disk((0.45, -0.25), 0.35)))
         op = RestrictedOperator(grid, rasterize(shape, grid))
         sol = solve_profile(op, tol=1e-9)
@@ -360,13 +337,13 @@ class TestSolveProfile:
                 solve_profile(disk_setup[2], tol=tol)
 
     def test_rejects_full_grid(self):
-        grid = make_grid(32, 8.0)
+        grid = Grid(32, 8.0)
         op = RestrictedOperator(grid, Mask(grid, np.ones((32, 32), dtype=bool)))
         with pytest.raises(ValueError, match="full-grid mask"):
             solve_profile(op)
 
     def test_rejects_wide_mask(self):
-        grid = make_grid(32, 8.0)
+        grid = Grid(32, 8.0)
         ind = np.zeros((32, 32), dtype=bool)
         ind[4, 4] = ind[4, 28] = True  # spread wider than box_length/4
         op = RestrictedOperator(grid, Mask(grid, ind))

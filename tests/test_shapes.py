@@ -7,11 +7,11 @@ from z11sim import (
     Annulus,
     Disk,
     Ellipse,
+    Grid,
     Mask,
     Rectangle,
     ShapeDifference,
     ShapeUnion,
-    make_grid,
     mask_area,
     rasterize,
     shape_contains,
@@ -99,42 +99,42 @@ class TestRasterize:
         |i| = 0, 1, 2, 3, 4 there are 9, 7, 7, 5, 1 admissible j, so the
         total is 9 + 2*(7 + 7 + 5 + 1) = 49.
         """
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         mask = rasterize(Disk((0.0, 0.0), 1.0), g)
         assert mask.cell_count == 49
         np.testing.assert_allclose(mask_area(mask), 49 * 0.25**2, rtol=1e-14)
 
     def test_unit_disk_diameter_exact(self):
         """Cell centers (+-1, 0) lie exactly on the closed boundary."""
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         mask = rasterize(Disk((0.0, 0.0), 1.0), g)
         assert mask.diameter == 2.0
 
     def test_membership_is_by_cell_center(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         # centered between cell centers, radius below half a cell: no center inside
         with pytest.raises(ValueError, match="zero cells"):
             rasterize(Disk((0.125, 0.125), 0.05), g)
 
     def test_single_cell_shape(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         mask = rasterize(Disk((0.25, -0.5), 0.05), g)
         assert mask.cell_count == 1
         assert mask.diameter == 0.0
 
     def test_diameter_limit_enforced(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         with pytest.raises(ValueError, match="exceeds box_length/4"):
             rasterize(Disk((0.0, 0.0), 1.3), g)
 
     def test_diameter_exactly_at_limit_allowed(self):
         # diameter 2.0 equals box_length/4 for the unit disk in a box of 8
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         mask = rasterize(Disk((0.0, 0.0), 1.0), g)
         assert mask.diameter == g.box_length / 4.0
 
     def test_composite_shape(self):
-        g = make_grid(64, 8.0)
+        g = Grid(64, 8.0)
         ring = ShapeDifference(Disk((0.0, 0.0), 1.0), Disk((0.0, 0.0), 0.5))
         mask = rasterize(ring, g)
         disk_cells = rasterize(Disk((0.0, 0.0), 1.0), g).cell_count
@@ -144,17 +144,17 @@ class TestRasterize:
 
 class TestMask:
     def test_indicator_shape_validation(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         with pytest.raises(ValueError, match="shape"):
             Mask(g, np.ones((16, 16), dtype=bool))
 
     def test_empty_mask_rejected(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         with pytest.raises(ValueError, match="at least one cell"):
             Mask(g, np.zeros((32, 32), dtype=bool))
 
     def test_pack_unpack_roundtrip(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         mask = rasterize(Disk((0.0, 0.0), 1.0), g)
         rng = np.random.default_rng(5)
         packed = rng.standard_normal(mask.cell_count)
@@ -163,7 +163,7 @@ class TestMask:
         assert np.all(full[~mask.indicator] == 0.0)
 
     def test_pack_is_row_major(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         ind = np.zeros((32, 32), dtype=bool)
         ind[2, 5] = ind[2, 9] = ind[7, 1] = True
         mask = Mask(g, ind)
@@ -174,7 +174,7 @@ class TestMask:
     def test_diameter_uses_hull_for_large_masks(self):
         # ~1800 member cells triggers the convex-hull reduction; built
         # directly since this set is wider than the solver's box margin
-        g = make_grid(128, 8.0)
+        g = Grid(128, 8.0)
         ind = shape_contains(Disk((0.0, 0.0), 1.5), *g.coords())
         mask = Mask(g, ind)
         assert mask.cell_count > 1000

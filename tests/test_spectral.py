@@ -5,6 +5,8 @@ the transform is re-derived from its defining sum via explicit matrix
 products, independent of the FFT library code path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from z11sim import (
     field_integral,
     inner,
     l2_norm,
-    make_grid,
     quadratic_form,
     sup_norm,
 )
@@ -44,7 +45,7 @@ def dft_multiplier_oracle(values: np.ndarray) -> np.ndarray:
 
 class TestGrid:
     def test_valid_construction(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         assert g.n == 32
         assert g.h == 0.25
         assert g.x[0] == -4.0
@@ -53,61 +54,62 @@ class TestGrid:
     @pytest.mark.parametrize("n", [12, 15, 24, 33, 8, 0, -16])
     def test_invalid_n(self, n):
         with pytest.raises(ValueError, match="power of two"):
-            make_grid(n, 8.0)
+            Grid(n, 8.0)
 
     def test_non_integer_n(self):
         with pytest.raises(TypeError, match="integer"):
-            make_grid(32.0, 8.0)
+            Grid(32.0, 8.0)
 
     @pytest.mark.parametrize("length", [0.0, -1.0, np.inf, np.nan])
     def test_invalid_box_length(self, length):
         with pytest.raises(ValueError, match="box_length"):
-            make_grid(32, length)
-
-    def test_wavenumber_layout(self):
-        g = make_grid(16, 2 * np.pi)
-        assert g.k1[0, 0] == 0
-        assert g.k1[1, 0] == 1
-        assert g.k1[-1, 0] == -1
-        assert g.k1[8, 0] == -8
-        np.testing.assert_array_equal(g.k2, g.k1.T)
-        np.testing.assert_allclose(g.lam1, g.k1.astype(float), atol=1e-15)
+            Grid(32, length)
 
     def test_multiplier_is_box_independent(self):
-        small = make_grid(32, 4.0)
-        large = make_grid(32, 64.0)
+        small = Grid(32, 4.0)
+        large = Grid(32, 64.0)
         np.testing.assert_array_equal(small.m11, large.m11)
-        np.testing.assert_array_equal(small.m22, large.m22)
 
     def test_multiplier_range_and_zero_mode(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         assert g.m11[0, 0] == 0.0
         assert g.m11.min() >= 0.0
         assert g.m11.max() <= 1.0
         np.testing.assert_array_equal(g.m11[0, 1:], np.zeros(31))
         np.testing.assert_array_equal(g.m11[1:, 0], np.ones(31))
 
+    def test_holds_one_multiplier_mesh(self):
+        """A grid keeps one full-plane float mesh (8 MiB at n = 1024)."""
+        tracemalloc.start()
+        try:
+            grid = Grid(1024, 16.0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grid.m11.nbytes == 8 * 2**20
+        assert held < 16 * 2**20
+
     def test_grid_equality(self):
-        assert make_grid(32, 8.0) == make_grid(32, 8.0)
-        assert make_grid(32, 8.0) != make_grid(32, 16.0)
-        assert make_grid(32, 8.0) != make_grid(64, 8.0)
+        assert Grid(32, 8.0) == Grid(32, 8.0)
+        assert Grid(32, 8.0) != Grid(32, 16.0)
+        assert Grid(32, 8.0) != Grid(64, 8.0)
 
 
 class TestRealField:
     def test_shape_validation(self):
-        g = make_grid(16, 1.0)
+        g = Grid(16, 1.0)
         with pytest.raises(ValueError, match="shape"):
             RealField(g, np.zeros((16, 8)))
 
     def test_finiteness_validation(self):
-        g = make_grid(16, 1.0)
+        g = Grid(16, 1.0)
         values = np.zeros((16, 16))
         values[3, 4] = np.nan
         with pytest.raises(ValueError, match="NaN/Inf"):
             RealField(g, values)
 
     def test_dtype_coercion(self):
-        g = make_grid(16, 1.0)
+        g = Grid(16, 1.0)
         f = RealField(g, np.ones((16, 16), dtype=np.float32))
         assert f.values.dtype == np.float64
 
@@ -121,15 +123,15 @@ class TestTransforms:
             assert np.max(np.abs(back - values)) <= 1e-12
 
     def test_zero_coefficient_is_mean(self):
-        g = make_grid(32, 8.0)
         rng = np.random.default_rng(12)
         values = rng.standard_normal((32, 32))
-        zero_mode = np.where((g.k1 == 0) & (g.k2 == 0), 1.0, 0.0)
+        zero_mode = np.zeros((32, 32))
+        zero_mode[0, 0] = 1.0
         np.testing.assert_allclose(_real_fft(values, zero_mode), values.mean(), rtol=1e-13)
         np.testing.assert_allclose(_real_fft(values)[0, 0], values.mean() ** 2, rtol=1e-13)
 
     def test_parseval(self):
-        g = make_grid(64, 5.0)
+        g = Grid(64, 5.0)
         rng = np.random.default_rng(13)
         f = RealField(g, rng.standard_normal((64, 64)))
         spectral = g.box_length**2 * np.sum(_real_fft(f.values))
@@ -150,7 +152,7 @@ class TestTransforms:
 class TestMultiplierOperators:
     def test_matches_direct_dft_oracle(self):
         """apply_z11 against the definitional transform, no shared code."""
-        g = make_grid(16, 8.0)
+        g = Grid(16, 8.0)
         rng = np.random.default_rng(21)
         values = rng.standard_normal((16, 16))
         expected = dft_multiplier_oracle(values)
@@ -158,19 +160,19 @@ class TestMultiplierOperators:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_x1_wave_identity(self):
-        g = make_grid(64, 2 * np.pi)
+        g = Grid(64, 2 * np.pi)
         x1, _ = g.coords()
         f = RealField(g, np.cos(3 * x1) + 2.0 * np.sin(7 * x1))
         assert np.max(np.abs(apply_z11(f).values - f.values)) <= 1e-12
 
     def test_x2_wave_annihilation(self):
-        g = make_grid(64, 2 * np.pi)
+        g = Grid(64, 2 * np.pi)
         _, x2 = g.coords()
         f = RealField(g, np.sin(2 * x2) - 0.5 * np.cos(5 * x2))
         assert np.max(np.abs(apply_z11(f).values)) == 0.0
 
     def test_completeness_on_mean_zero(self):
-        g = make_grid(64, 2 * np.pi)
+        g = Grid(64, 2 * np.pi)
         rng = np.random.default_rng(22)
         values = rng.standard_normal((64, 64))
         values -= values.mean()
@@ -178,20 +180,40 @@ class TestMultiplierOperators:
         total = apply_z11(f).values + apply_z22(f).values
         assert np.max(np.abs(total - values)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_transposition_swaps_z11_and_z22(self, n):
+        """Transposing the data conjugates Z11 into Z22. The Z22 symbol is
+        the transposed Z11 mesh bit for bit, so the law holds up to the
+        FFT's roundoff: the real transform runs along the last axis, so
+        transposed data takes another rounding path. The data has a
+        nonzero mean, so a companion built as 1 - Z11 (which is 1 on the
+        zero mode) fails here."""
+        g = Grid(n, 8.0)
+        j = np.arange(n)
+        k = np.where(j < n // 2, j, j - n).astype(float)
+        denom = k[:, None] ** 2 + k[None, :] ** 2
+        m22 = np.divide(k[None, :] ** 2, denom, out=np.zeros((n, n)), where=denom > 0)
+        assert np.array_equal(g.m11.T, m22)
+
+        values = 0.5 + np.random.default_rng(n).standard_normal((n, n))
+        swapped = apply_z11(RealField(g, values.T)).values.T
+        np.testing.assert_allclose(apply_z22(RealField(g, values)).values, swapped,
+                                   rtol=0, atol=1e-13)
+
     def test_kills_constants(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         f = RealField(g, np.full((32, 32), 3.7))
         assert np.max(np.abs(apply_z11(f).values)) <= 1e-14
 
     def test_symmetry(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         rng = np.random.default_rng(23)
         f = RealField(g, rng.standard_normal((32, 32)))
         h = RealField(g, rng.standard_normal((32, 32)))
         assert abs(inner(apply_z11(f), h) - inner(f, apply_z11(h))) <= 1e-12
 
     def test_preserves_realness_and_linearity(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         rng = np.random.default_rng(24)
         a = rng.standard_normal((32, 32))
         b = rng.standard_normal((32, 32))
@@ -202,7 +224,7 @@ class TestMultiplierOperators:
 
 class TestQuadraticForm:
     def test_matches_inner_product(self):
-        g = make_grid(64, 7.0)
+        g = Grid(64, 7.0)
         rng = np.random.default_rng(31)
         f = RealField(g, rng.standard_normal((64, 64)))
         qf = quadratic_form(f)
@@ -210,20 +232,20 @@ class TestQuadraticForm:
         assert abs(qf - direct) / abs(direct) <= 1e-10
 
     def test_nonnegative_on_sign_changing_fields(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         rng = np.random.default_rng(32)
         for _ in range(20):
             f = RealField(g, rng.standard_normal((32, 32)))
             assert quadratic_form(f) >= 0.0
 
     def test_zero_for_pure_x2_fields(self):
-        g = make_grid(32, 2 * np.pi)
+        g = Grid(32, 2 * np.pi)
         _, x2 = g.coords()
         f = RealField(g, np.sin(3 * x2))
         assert quadratic_form(f) == 0.0
 
     def test_scaling(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         rng = np.random.default_rng(33)
         values = rng.standard_normal((32, 32))
         one = quadratic_form(RealField(g, values))
@@ -233,7 +255,7 @@ class TestQuadraticForm:
 
 class TestNormsAndIntegral:
     def test_against_direct_sums(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         rng = np.random.default_rng(41)
         values = rng.standard_normal((32, 32))
         f = RealField(g, values)
@@ -243,14 +265,14 @@ class TestNormsAndIntegral:
         np.testing.assert_allclose(field_integral(f), h2 * values.sum(), rtol=1e-14)
 
     def test_constant_integral(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         f = RealField(g, np.full((32, 32), 2.0))
         np.testing.assert_allclose(field_integral(f), 2.0 * 8.0**2, rtol=1e-14)
 
 
 class TestConeMassRatio:
     def test_parameter_validation(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         f = RealField(g, np.ones((32, 32)))
         with pytest.raises(ValueError, match="exceed 1"):
             cone_mass_ratio(f, 1.0)
@@ -258,24 +280,24 @@ class TestConeMassRatio:
             cone_mass_ratio(f, 0.5)
 
     def test_zero_field_rejected(self):
-        g = make_grid(32, 8.0)
+        g = Grid(32, 8.0)
         with pytest.raises(ValueError, match="zero field"):
             cone_mass_ratio(RealField(g, np.zeros((32, 32))), 2.0)
 
     def test_pure_x1_wave_outside_cone(self):
         """The lam2 = 0 axis is excluded, so a pure x1-wave has ratio 0."""
-        g = make_grid(32, 2 * np.pi)
+        g = Grid(32, 2 * np.pi)
         x1, _ = g.coords()
         assert cone_mass_ratio(RealField(g, np.cos(3 * x1)), 2.0) == 0.0
 
     def test_diagonal_wave_inside_cone(self):
-        g = make_grid(32, 2 * np.pi)
+        g = Grid(32, 2 * np.pi)
         x1, x2 = g.coords()
         f = RealField(g, np.cos(2 * (x1 + x2)))
         assert cone_mass_ratio(f, 2.0) >= 1.0 - 1e-12
 
     def test_widening_cone_captures_more(self):
-        g = make_grid(64, 8.0)
+        g = Grid(64, 8.0)
         rng = np.random.default_rng(42)
         f = RealField(g, rng.standard_normal((64, 64)))
         narrow = cone_mass_ratio(f, 1.5)
@@ -290,7 +312,7 @@ class TestConeMassRatio:
         lies in the cone; a half-plane sum that doubles columns instead of
         mirroring them to their own labels is caught here."""
         n = 32
-        g = make_grid(n, 8.0)
+        g = Grid(n, 8.0)
         rng = np.random.default_rng(43)
         values = rng.standard_normal((n, n))
         j = np.arange(n)
