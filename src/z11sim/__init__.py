@@ -8,23 +8,14 @@ model in time to observe self-similar and generic finite-time blow-up.
 """
 
 from .config import (
-    COMMANDS,
     ConfigError,
-    InitialSpec,
-    RunConfig,
     load_run_config,
     parse_shape,
 )
-from .diagnostics import (
-    cone_mass_study,
-    multiplier_identity_report,
-    negation_symmetry_error,
-    run_diagnostics,
-)
+from .diagnostics import run_diagnostics
 from .evolution import (
     EvolutionTrace,
     EvolveConfig,
-    StepResult,
     StepUnderflowError,
     estimate_blowup_time,
     evolve,
@@ -36,7 +27,6 @@ from .evolution import (
 )
 from .fieldio import (
     FieldFileError,
-    FieldHeader,
     read_field,
     read_header,
     read_trace_csv,
@@ -46,7 +36,6 @@ from .fieldio import (
 from .profile import (
     ConvergenceError,
     CurvatureBreakdownError,
-    ProfileReport,
     ProfileSolution,
     RestrictedOperator,
     SingularOperatorError,
@@ -62,11 +51,9 @@ from .shapes import (
     Mask,
     Rectangle,
     ShapeDifference,
-    ShapeSpec,
     ShapeUnion,
     mask_area,
     rasterize,
-    shape_contains,
 )
 from .spectral import (
     Grid,
@@ -85,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Annulus",
-    "COMMANDS",
     "ConfigError",
     "ConvergenceError",
     "CurvatureBreakdownError",
@@ -94,26 +80,19 @@ __all__ = [
     "EvolutionTrace",
     "EvolveConfig",
     "FieldFileError",
-    "FieldHeader",
     "Grid",
-    "InitialSpec",
     "Mask",
-    "ProfileReport",
     "ProfileSolution",
     "RealField",
     "Rectangle",
     "RestrictedOperator",
-    "RunConfig",
     "ShapeDifference",
-    "ShapeSpec",
     "ShapeUnion",
     "SingularOperatorError",
-    "StepResult",
     "StepUnderflowError",
     "apply_z11",
     "apply_z22",
     "cone_mass_ratio",
-    "cone_mass_study",
     "dense_L_matrix",
     "estimate_blowup_time",
     "estimate_coercivity",
@@ -124,8 +103,6 @@ __all__ = [
     "l2_norm",
     "load_run_config",
     "mask_area",
-    "multiplier_identity_report",
-    "negation_symmetry_error",
     "parse_shape",
     "quadratic_form",
     "rasterize",
@@ -136,7 +113,6 @@ __all__ = [
     "rk_step",
     "run_diagnostics",
     "self_similar_deviation",
-    "shape_contains",
     "solve_profile",
     "step",
     "sup_norm",

@@ -40,9 +40,6 @@ from .shapes import (
 
 __all__ = [
     "ConfigError",
-    "InitialSpec",
-    "RunConfig",
-    "COMMANDS",
     "parse_shape",
     "load_run_config",
 ]
@@ -54,10 +51,7 @@ _ALLOWED_KEYS = {
     "grid": {"n", "box_length"},
     "shape": {"spec"},
     "solver": {"tol", "max_iter"},
-    "evolve": {
-        "dt_initial", "dt_min", "safety", "t_max", "blowup_threshold",
-        "record_every", "rtol", "atol", "sign",
-    },
+    "evolve": {field.name for field in dataclasses.fields(EvolveConfig)},
     "initial": {"kind", "path", "scale", "center", "width", "amplitude", "cutoff"},
     "verify": {"t_blowup", "t_final"},
 }
@@ -315,22 +309,19 @@ def _read_initial(reader: _SectionReader) -> InitialSpec:
 
 
 def _read_evolve(reader: _SectionReader) -> EvolveConfig:
-    defaults = EvolveConfig()
+    """Read every EvolveConfig field; its default picks the parser: None
+    reads an optional number, an int an integer, anything else a number."""
+    values = {}
+    for field in dataclasses.fields(EvolveConfig):
+        if field.default is None:
+            values[field.name] = reader.real_or_none(field.name)
+        elif isinstance(field.default, int):
+            values[field.name] = reader.integer(field.name, field.default)
+        else:
+            values[field.name] = reader.real(field.name, field.default)
     try:
-        return EvolveConfig(
-            dt_initial=reader.real("dt_initial", defaults.dt_initial),
-            dt_min=reader.real("dt_min", defaults.dt_min),
-            safety=reader.real("safety", defaults.safety),
-            t_max=reader.real("t_max", defaults.t_max),
-            blowup_threshold=reader.real_or_none("blowup_threshold"),
-            record_every=reader.integer("record_every", defaults.record_every),
-            rtol=reader.real("rtol", defaults.rtol),
-            atol=reader.real("atol", defaults.atol),
-            sign=reader.integer("sign", defaults.sign),
-        )
+        return EvolveConfig(**values)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"[evolve] {exc}") from exc
 
 

@@ -20,8 +20,7 @@ from .spectral import (
     quadratic_form,
 )
 
-__all__ = ["multiplier_identity_report", "negation_symmetry_error",
-           "cone_mass_study", "run_diagnostics"]
+__all__ = ["run_diagnostics"]
 
 
 def multiplier_identity_report(grid: Grid, rng: np.random.Generator) -> dict:

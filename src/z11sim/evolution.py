@@ -31,7 +31,6 @@ from .spectral import (
 __all__ = [
     "EvolveConfig",
     "EvolutionTrace",
-    "StepResult",
     "StepUnderflowError",
     "rhs",
     "rk_step",

@@ -23,7 +23,6 @@ from .spectral import Grid, RealField
 
 __all__ = [
     "FieldFileError",
-    "FieldHeader",
     "KIND_NAMES",
     "read_field",
     "read_header",
@@ -142,6 +141,8 @@ def read_field(path: str | os.PathLike) -> RealField | Mask:
     if header.kind == "mask":
         if not np.all((values == 0.0) | (values == 1.0)):
             raise FieldFileError(f"{path}: mask payload not boolean (values beyond 0/1)")
+        if not values.any():
+            raise FieldFileError(f"{path}: mask payload has no cells")
         return Mask(grid, values == 1.0)
     if not np.all(np.isfinite(values)):
         raise FieldFileError(f"{path}: {header.kind} payload holds NaN or inf")

@@ -35,7 +35,6 @@ from .spectral import Grid, RealField, _real_fft, apply_z11
 __all__ = [
     "RestrictedOperator",
     "ProfileSolution",
-    "ProfileReport",
     "ConvergenceError",
     "CurvatureBreakdownError",
     "SingularOperatorError",

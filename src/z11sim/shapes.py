@@ -23,11 +23,9 @@ __all__ = [
     "Annulus",
     "ShapeUnion",
     "ShapeDifference",
-    "ShapeSpec",
     "Mask",
     "rasterize",
     "mask_area",
-    "shape_contains",
 ]
 
 
@@ -117,22 +115,23 @@ def shape_contains(spec: ShapeSpec, x1: np.ndarray, x2: np.ndarray) -> np.ndarra
     raise TypeError(f"not a shape spec: {spec!r}")
 
 
-def _point_set_diameter(points: np.ndarray) -> float:
-    """Largest pairwise distance among points, shape (m, 2)."""
-    m = len(points)
-    if m < 2:
-        return 0.0
-    if m > 1000:
-        # Diameter is attained on the convex hull; fall back to brute force
-        # for degenerate (e.g. collinear) sets that qhull rejects.
-        try:
-            from scipy.spatial import ConvexHull, QhullError
+def _row_extent_diameter(x: np.ndarray, indicator: np.ndarray) -> float:
+    """Largest distance between the cell centers of a nonempty indicator.
 
-            points = points[ConvexHull(points).vertices]
-        except QhullError:
-            pass
-    diff = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2).max()))
+    Every vertex of the convex hull is the leftmost or rightmost cell of
+    its row, so the diameter is the largest distance between the row
+    extents. Rounded subtraction is monotone, so this is bitwise the
+    maximum over all pairs of cells.
+    """
+    n = len(x)
+    rows = np.flatnonzero(indicator.any(axis=1))
+    row_cells = indicator[rows]
+    lo = x[row_cells.argmax(axis=1)]
+    hi = x[n - 1 - row_cells[:, ::-1].argmax(axis=1)]
+    y = x[rows]
+    dy = y[:, None] - y[None, :]
+    dx = np.maximum(np.abs(hi[:, None] - lo[None, :]), np.abs(lo[:, None] - hi[None, :]))
+    return float(np.sqrt((dy**2 + dx**2).max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,9 +156,7 @@ class Mask:
             raise ValueError("mask must contain at least one cell")
         object.__setattr__(self, "indicator", ind)
         object.__setattr__(self, "cell_count", count)
-        r, c = self.indices
-        pts = np.column_stack([self.grid.x[r], self.grid.x[c]])
-        object.__setattr__(self, "diameter", _point_set_diameter(pts))
+        object.__setattr__(self, "diameter", _row_extent_diameter(self.grid.x, ind))
 
     @cached_property
     def indices(self) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from z11sim import (
     RestrictedOperator,
     apply_z11,
     apply_z22,
-    cone_mass_study,
     dense_L_matrix,
     estimate_blowup_time,
     estimate_coercivity,
@@ -33,6 +32,7 @@ from z11sim import (
     write_field,
 )
 from z11sim.cli import main as cli_main
+from z11sim.diagnostics import cone_mass_study
 
 from test_spectral import dft_multiplier_oracle
 

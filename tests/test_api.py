@@ -1,8 +1,9 @@
-"""Public API guard: the exported names resolve, and the functions the
-benchmark tracer looks up by qualified name stay public functions of their
-own modules. The tracer wraps only functions listed in a module's
-``__all__`` and defined in that module, so pruning one of these would zero
-its per-layer metric without any error."""
+"""Public API guard: the package exports exactly what a user constructs,
+calls or catches, and the functions the benchmark tracer looks up by
+qualified name stay public functions of their own modules. The tracer
+wraps only functions listed in a module's ``__all__`` and defined in that
+module, so pruning one of these would zero its per-layer metric without
+any error."""
 
 import importlib
 import inspect
@@ -10,6 +11,37 @@ import inspect
 import pytest
 
 import z11sim
+
+EXPORTED = {
+    "Annulus", "ConfigError", "ConvergenceError", "CurvatureBreakdownError",
+    "Disk", "Ellipse", "EvolutionTrace", "EvolveConfig", "FieldFileError",
+    "Grid", "Mask", "ProfileSolution", "RealField", "Rectangle",
+    "RestrictedOperator", "ShapeDifference", "ShapeUnion",
+    "SingularOperatorError", "StepUnderflowError", "apply_z11", "apply_z22",
+    "cone_mass_ratio", "dense_L_matrix", "estimate_blowup_time",
+    "estimate_coercivity", "evolve", "field_integral", "gaussian_bump",
+    "inner", "l2_norm", "load_run_config", "mask_area", "parse_shape",
+    "quadratic_form", "rasterize", "read_field", "read_header",
+    "read_trace_csv", "rhs", "rk_step", "run_diagnostics",
+    "self_similar_deviation", "solve_profile", "step", "sup_norm",
+    "verify_profile", "write_field", "write_trace_csv",
+}
+
+# Constants, aliases, records a public call only returns, and sub-steps of
+# a public call: importable from their module, not exported.
+INTERNAL = (
+    "config.COMMANDS",
+    "config.InitialSpec",
+    "config.RunConfig",
+    "shapes.ShapeSpec",
+    "shapes.shape_contains",
+    "profile.ProfileReport",
+    "evolution.StepResult",
+    "fieldio.FieldHeader",
+    "diagnostics.multiplier_identity_report",
+    "diagnostics.negation_symmetry_error",
+    "diagnostics.cone_mass_study",
+)
 
 TRACED = (
     "spectral.apply_z11",
@@ -33,12 +65,25 @@ def test_every_exported_name_resolves_once():
         assert hasattr(z11sim, name), name
 
 
+def test_exports_are_pinned():
+    assert set(z11sim.__all__) == EXPORTED
+
+
 @pytest.mark.parametrize("name", ["apply_L", "make_grid"])
 def test_removed_names_are_gone(name):
     assert name not in z11sim.__all__
     assert not hasattr(z11sim, name)
     for module in ("spectral", "profile"):
         assert not hasattr(importlib.import_module(f"z11sim.{module}"), name)
+
+
+@pytest.mark.parametrize("qualified", INTERNAL)
+def test_internal_name_lives_in_its_module_only(qualified):
+    layer, _, name = qualified.partition(".")
+    module = importlib.import_module(f"z11sim.{layer}")
+    assert hasattr(module, name)
+    assert name not in module.__all__
+    assert not hasattr(z11sim, name)
 
 
 @pytest.mark.parametrize("qualified", TRACED)

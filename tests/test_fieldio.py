@@ -15,7 +15,6 @@ from z11sim import (
     Disk,
     EvolutionTrace,
     FieldFileError,
-    FieldHeader,
     Grid,
     Mask,
     RealField,
@@ -26,7 +25,7 @@ from z11sim import (
     write_field,
     write_trace_csv,
 )
-from z11sim.fieldio import MAGIC, TRACE_COLUMNS, atomic_write_bytes
+from z11sim.fieldio import MAGIC, TRACE_COLUMNS, FieldHeader, atomic_write_bytes
 
 
 @pytest.fixture()
@@ -226,6 +225,8 @@ _TRACE_HEADER = b"t,sup_norm,integral,l2_norm,qform\n"
                  "omega payload holds NaN or inf", id="omega-nan"),
     pytest.param(read_field, _vpf_bytes(8.0, 1, float("-inf")),
                  "profile payload holds NaN or inf", id="profile-inf"),
+    pytest.param(read_field, _vpf_bytes(8.0, 2, 0.0), "mask payload has no cells",
+                 id="mask-empty"),
     pytest.param(read_trace_csv, _TRACE_HEADER + b"0.0,1.0,x,1.0,1.0\n",
                  "'x' is not a number", id="trace-non-numeric"),
 ])

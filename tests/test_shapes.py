@@ -1,8 +1,13 @@
 """Shape membership, rasterization, and mask bookkeeping tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import z11sim
 from z11sim import (
     Annulus,
     Disk,
@@ -14,9 +19,8 @@ from z11sim import (
     ShapeUnion,
     mask_area,
     rasterize,
-    shape_contains,
 )
-from z11sim.shapes import _point_set_diameter
+from z11sim.shapes import shape_contains
 
 
 class TestShapeValidation:
@@ -171,20 +175,36 @@ class TestMask:
         full[2, 5], full[2, 9], full[7, 1] = 10.0, 20.0, 30.0
         np.testing.assert_array_equal(mask.pack(full), [10.0, 20.0, 30.0])
 
-    def test_diameter_uses_hull_for_large_masks(self):
-        # ~1800 member cells triggers the convex-hull reduction; built
-        # directly since this set is wider than the solver's box margin
+    def test_diameter_of_large_mask(self):
+        # ~1800 member cells; built directly since this set is wider than
+        # the solver's box margin
         g = Grid(128, 8.0)
         ind = shape_contains(Disk((0.0, 0.0), 1.5), *g.coords())
         mask = Mask(g, ind)
         assert mask.cell_count > 1000
         assert mask.diameter == 3.0
 
-    def test_point_diameter_collinear_fallback(self):
-        # collinear input defeats the hull; brute force must still answer
-        points = np.column_stack([np.linspace(0.0, 5.0, 1200), np.zeros(1200)])
-        assert _point_set_diameter(points) == 5.0
+    def test_diameter_of_collinear_cells(self):
+        # a full row and a full column of cells: the ends are (n - 1) h apart
+        g = Grid(32, 8.0)
+        ind = np.zeros((32, 32), dtype=bool)
+        ind[3, :] = True
+        assert Mask(g, ind).diameter == 7.75
+        assert Mask(g, ind.T).diameter == 7.75
 
-    def test_point_diameter_degenerate_sizes(self):
-        assert _point_set_diameter(np.zeros((0, 2))) == 0.0
-        assert _point_set_diameter(np.array([[1.0, 2.0]])) == 0.0
+    def test_large_mask_loads_no_scipy_spatial(self):
+        # a fresh interpreter, so no other test has imported scipy.spatial
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import z11sim.cli\n"
+            "from z11sim import Grid, Mask\n"
+            "ind = np.zeros((64, 64), dtype=bool)\n"
+            "ind[8:56, 8:56] = True\n"
+            "assert Mask(Grid(64, 8.0), ind).cell_count > 1000\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(z11sim.__file__))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout.strip() == "False"
