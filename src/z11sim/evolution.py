@@ -21,6 +21,8 @@ import numpy as np
 from .spectral import (
     Grid,
     RealField,
+    _box_kernel,
+    _embedding_axis,
     _real_fft,
     field_integral,
     l2_norm,
@@ -174,8 +176,20 @@ class StepResult:
     error_estimate: float
 
 
-def _rhs_values(grid: Grid, values: np.ndarray, sign: int) -> np.ndarray:
-    return sign * _real_fft(values, grid.m11) * values
+def _rhs_values(symbol: np.ndarray, values: np.ndarray, sign: int) -> np.ndarray:
+    return sign * _real_fft(values, symbol) * values
+
+
+def _box(omega: RealField) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Grid index and symbol of the box embedding omega's support, where the
+    box circulant is exact; the zero field runs on the grid."""
+    support = omega.values != 0.0
+    n = omega.grid.n
+    if not support.any():
+        return np.ix_(np.arange(n), np.arange(n)), omega.grid.m11
+    (start1, p1), (start2, p2) = (_embedding_axis(support.any(axis=a)) for a in (1, 0))
+    index = np.ix_((start1 + np.arange(p1)) % n, (start2 + np.arange(p2)) % n)
+    return index, _box_kernel(n, p1, p2)[1]
 
 
 def rhs(omega: RealField, sign: int = 1) -> RealField:
@@ -184,14 +198,19 @@ def rhs(omega: RealField, sign: int = 1) -> RealField:
     The product is taken on the grid without spectral truncation: Z11 has
     order zero, so no derivative loss feeds aliasing. The product vanishes
     exactly wherever w does, so the flow keeps the support of the data, as
-    the equation w = w0 exp(int Z11 w dt) does.
+    the equation w = w0 exp(int Z11 w dt) does. So Z11 is applied on the
+    periodic bounding box of the support, embedded as the restricted
+    operator is; full support makes the box the grid.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return RealField(omega.grid, _rhs_values(omega.grid, omega.values, sign))
+    index, symbol = _box(omega)
+    out = np.zeros_like(omega.values)
+    out[index] = _rhs_values(symbol, omega.values[index], sign)
+    return RealField(omega.grid, out)
 
 
-def _rk_attempt(grid: Grid, y: np.ndarray, dt: float,
+def _rk_attempt(symbol: np.ndarray, y: np.ndarray, dt: float,
                 sign: int) -> tuple[np.ndarray, np.ndarray]:
     """One raw Cash-Karp attempt: fifth-order update and embedded error field.
 
@@ -200,11 +219,11 @@ def _rk_attempt(grid: Grid, y: np.ndarray, dt: float,
     rejections.
     """
     k = np.empty((6,) + y.shape)
-    k[0] = _rhs_values(grid, y, sign)
+    k[0] = _rhs_values(symbol, y, sign)
     for i in range(1, 6):
         a = np.asarray(_RK_A[i])
         yi = y + dt * np.tensordot(a, k[:i], axes=1)
-        k[i] = _rhs_values(grid, yi, sign)
+        k[i] = _rhs_values(symbol, yi, sign)
     y_new = y + dt * np.tensordot(_RK_B5, k, axes=1)
     err = dt * np.tensordot(_RK_E, k, axes=1)
     return y_new, err
@@ -215,45 +234,48 @@ def rk_step(omega: RealField, dt: float, sign: int = 1) -> tuple[RealField, np.n
 
     Returns the fifth-order update and the pointwise difference between the
     embedded orders (the raw local error field). Used directly for
-    convergence-order measurements.
+    convergence-order measurements. Stages run on the box of :func:`rhs`.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    y_new, err = _rk_attempt(omega.grid, omega.values, dt, sign)
+    index, symbol = _box(omega)
+    y_new, err = np.zeros((2,) + omega.values.shape)
+    y_new[index], err[index] = _rk_attempt(symbol, omega.values[index], dt, sign)
     return RealField(omega.grid, y_new), err
-
-
-def _scaled_error(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
-                  rtol: float, atol: float) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
 def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
     """Advance one accepted step, shrinking dt until the local error passes.
 
     The scaled error combines atol and rtol per cell; a step is accepted
-    when the root-mean-square scaled error is at most 1. Rejections shrink
-    dt by the standard fifth-order factor; if that would push dt below
-    dt_min the step underflows, which downstream is read as approach to
-    blow-up rather than failure.
+    when its root mean square over all n^2 grid cells is at most 1.
+    Rejections shrink dt by the standard fifth-order factor; if that would
+    push dt below dt_min the step underflows, which downstream is read as
+    approach to blow-up rather than failure. Attempts run on the box of
+    :func:`rhs`.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = omega.grid
-    y = omega.values
+    index, symbol = _box(omega)
+    y = omega.values[index]
     while True:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            y_new, err_field = _rk_attempt(grid, y, dt, config.sign)
-            err = _scaled_error(err_field, y, y_new, config.rtol, config.atol)
+            y_new, err_field = _rk_attempt(symbol, y, dt, config.sign)
+            scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            # err_field is 0 off the support; a 0 counts 0, even at scale 0 (atol = 0)
+            ratio = np.divide(err_field, scale, out=np.zeros_like(y), where=err_field != 0.0)
+            err = float(np.sqrt(np.sum(ratio**2) / grid.n**2))
         if np.isfinite(err) and err <= 1.0 and np.all(np.isfinite(y_new)):
             if err == 0.0:
                 factor = _MAX_GROW
             else:
                 factor = config.safety * err ** (-1.0 / _PROPAGATION_ORDER)
                 factor = min(_MAX_GROW, max(_MIN_SHRINK, factor))
+            values = np.zeros_like(omega.values)
+            values[index] = y_new
             return StepResult(
-                field=RealField(grid, y_new),
+                field=RealField(grid, values),
                 dt_accepted=dt,
                 dt_next=dt * factor,
                 error_estimate=err,
@@ -285,7 +307,6 @@ def evolve(omega0: RealField, config: EvolveConfig,
     a blow-up-type termination the trailing-window fit of 1/sup-norm is
     attempted and its result stored when it succeeds.
     """
-    grid = omega0.grid
     sup0 = sup_norm(omega0)
     if config.blowup_threshold is not None:
         threshold = config.blowup_threshold

@@ -23,14 +23,12 @@ from .spectral import Grid, RealField
 
 __all__ = [
     "FieldFileError",
-    "KIND_NAMES",
     "read_field",
     "read_header",
     "write_field",
     "write_trace_csv",
     "read_trace_csv",
     "atomic_write_bytes",
-    "TRACE_COLUMNS",
 ]
 
 MAGIC = b"VPF1"

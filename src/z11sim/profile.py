@@ -14,7 +14,7 @@ The operator is a gather from one translation-invariant kernel,
 L[i, j] = K[x_i - x_j], with K = Z11 applied to a unit impulse. Its
 action only reads kernel offsets within the mask's bounding box, so it is
 applied matrix-free as a circulant on that box, padded to the smallest
-power of two that holds every offset without wrap-around (the Toeplitz
+5-smooth size that holds every offset without wrap-around (the Toeplitz
 embedding, Chan & Jin 2007). One application costs a forward and an
 inverse FFT of the box, not of the grid. The residual certificate and
 :func:`verify_profile` apply Z11 on the full grid, independently of that
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .shapes import Mask
-from .spectral import Grid, RealField, _real_fft, apply_z11
+from .spectral import Grid, RealField, _box_kernel, _embedding_axis, _real_fft, apply_z11
 
 __all__ = [
     "RestrictedOperator",
@@ -79,34 +79,13 @@ class SingularOperatorError(RuntimeError):
     """The smallest-eigenvalue estimate is at roundoff level."""
 
 
-def _embedding_axis(occupied: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """Box start, embedding size and kernel window along one periodic axis.
-
-    The box is the shortest cyclic interval holding every occupied index,
-    the complement of the widest gap between them. For a box of width b,
-    offsets span -(b-1)..b-1, so a circulant of size p >= 2b - 1 holds them
-    without wrap-around. p is the smallest such power of two, capped at n,
-    where the window is the whole kernel axis. The window lists the kernel
-    indices of circulant offsets 0..p/2 and -(p/2-1)..-1.
-    """
-    n = occupied.size
-    index = np.flatnonzero(occupied)
-    gaps = np.diff(index, append=index[0] + n)
-    widest = int(np.argmax(gaps))
-    width = n - int(gaps[widest]) + 1
-    p = min(n, 1 << (2 * width - 2).bit_length())
-    offsets = np.arange(p)
-    offsets = np.where(offsets <= p // 2, offsets, offsets - p)
-    return int(index[(widest + 1) % index.size]), p, offsets % n
-
-
 @dataclass(frozen=True, eq=False)
 class RestrictedOperator:
     """The masked multiplier operator; acts on fields supported on the mask.
 
-    Construction transforms the kernel once and keeps its window over the
-    mask's bounding box together with the window's symbol; the box size
-    depends on the mask alone.
+    Construction keeps the kernel window over the mask's bounding box
+    together with the window's symbol; the box size depends on the mask
+    alone, and boxes of one size share the window.
     """
 
     grid: Grid
@@ -116,18 +95,9 @@ class RestrictedOperator:
         if self.mask.grid is not self.grid and self.mask.grid != self.grid:
             raise ValueError("mask grid does not match operator grid")
         n = self.grid.n
-        impulse = np.zeros((n, n))
-        impulse[0, 0] = 1.0
-        kernel = _real_fft(impulse, self.grid.m11)
-        start1, p1, rows = _embedding_axis(self.mask.indicator.any(axis=1))
-        start2, p2, cols = _embedding_axis(self.mask.indicator.any(axis=0))
-        window = kernel[np.ix_(rows, cols)]
-        # The window is real and even, so its forward transform is p1 * p2
-        # times its inverse one: the window applied as a multiplier to an
-        # impulse.
-        box_impulse = np.zeros((p1, p2))
-        box_impulse[0, 0] = 1.0
-        symbol = p1 * p2 * _real_fft(box_impulse, window)
+        (start1, p1), (start2, p2) = (_embedding_axis(self.mask.indicator.any(axis=a))
+                                      for a in (1, 0))
+        window, symbol = _box_kernel(n, p1, p2)
         r, c = self.mask.indices
         object.__setattr__(self, "_window", window)
         object.__setattr__(self, "_symbol", symbol)

@@ -38,6 +38,8 @@ INTERNAL = (
     "profile.ProfileReport",
     "evolution.StepResult",
     "fieldio.FieldHeader",
+    "fieldio.KIND_NAMES",
+    "fieldio.TRACE_COLUMNS",
     "diagnostics.multiplier_identity_report",
     "diagnostics.negation_symmetry_error",
     "diagnostics.cone_mass_study",

@@ -33,11 +33,32 @@ from z11sim import (
     verify_profile,
 )
 from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_C, _RK_E
+from z11sim.spectral import _real_fft
+
+from test_profile import _rfft2_shapes
 
 
 @pytest.fixture(scope="module")
 def grid32():
     return Grid(32, 8.0)
+
+
+def _cyclic_distance(n):
+    k = np.arange(n)
+    return np.minimum(k, n - k)
+
+
+# Supports on a 64-grid, by name: a disk about the corner cell, so its box
+# wraps both periodic edges; two blobs half the grid apart along x1, so the
+# box spans the grid on that axis; one cell; every cell.
+SUPPORTS = {
+    "wrapping": lambda: _cyclic_distance(64)[:, None] ** 2
+    + _cyclic_distance(64)[None, :] ** 2 <= 25,
+    "far_blobs": lambda: np.isin(np.arange(64), [4, 5, 6, 39, 40, 41])[:, None]
+    & np.isin(np.arange(64), [10, 11, 12])[None, :],
+    "single_cell": lambda: np.arange(64 * 64).reshape(64, 64) == 7 * 64 + 50,
+    "full": lambda: np.ones((64, 64), dtype=bool),
+}
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +182,22 @@ class TestRhs:
         assert np.all(out[f.values == 0.0] == 0.0)
         assert np.any(out[f.values != 0.0] != 0.0)
 
+    @pytest.mark.parametrize("support", sorted(SUPPORTS))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_box_matches_full_grid(self, support, sign):
+        """Z11 runs on the periodic bounding box of the support, so on the
+        support it agrees with the full-grid multiplier to roundoff; a full
+        support is the grid itself, transformed exactly as before."""
+        grid = Grid(64, 16.0)
+        values = np.random.default_rng(74).standard_normal((64, 64)) * SUPPORTS[support]()
+        expected = sign * _real_fft(values, grid.m11) * values
+        got = rhs(RealField(grid, values), sign=sign).values
+        if support == "full":
+            np.testing.assert_array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+            assert np.all(got[values == 0.0] == 0.0)
+
 
 class TestRkStep:
     def test_rejects_nonpositive_dt(self, grid32):
@@ -235,6 +272,21 @@ class TestStep:
             step(wild, 1e-3, cfg)
         assert excinfo.value.dt_required < excinfo.value.dt_min == 9e-4
 
+    @pytest.mark.parametrize("center, box", [
+        ((0.0, 0.0), (36, 36)),
+        ((0.1, 0.1), (32, 32)),
+    ])
+    def test_attempts_transform_the_support_box(self, monkeypatch, center, box):
+        """A step of the n = 64 bump transforms only the embedding of its
+        support's box: 17 cells wide when the bump sits on a lattice point,
+        so 36 (5-smooth, >= 33), and 16 cells off it, so 32."""
+        grid = Grid(64, 16.0)
+        w0 = gaussian_bump(grid, center=center, width=0.5, cutoff=2.0)
+        # the first step of a box size also builds its cached symbol
+        step(w0, 1e-3, EvolveConfig())
+        shapes = _rfft2_shapes(monkeypatch, lambda: step(w0, 1e-3, EvolveConfig()))
+        assert shapes == [box] * 6
+
 
 class TestEvolve:
     def test_zero_field_reaches_horizon(self, grid32):
@@ -303,6 +355,18 @@ class TestEvolve:
         assert trace.terminated == "step_underflow"
         assert len(trace) == 1
         assert trace.blowup_time_estimate is None
+
+    def test_zero_atol_on_compact_data(self):
+        """With atol = 0, cells off the support have zero error and zero
+        scale; they count 0, so the run blows up as it does with a small
+        atol instead of underflowing at t = 0."""
+        grid = Grid(64, 16.0)
+        w0 = gaussian_bump(grid, width=0.5, cutoff=2.0)
+        exact, loose = (evolve(w0, EvolveConfig(t_max=20.0, record_every=1, atol=atol))
+                        for atol in (0.0, 1e-10))
+        assert exact.terminated == loose.terminated == "threshold"
+        assert exact.blowup_time_estimate == pytest.approx(loose.blowup_time_estimate,
+                                                           rel=1e-6)
 
     def test_negation_mirror_is_bitwise(self, grid32):
         """Flipping the sign of the data and the sign of the dynamics
@@ -462,3 +526,20 @@ class TestExactInvariants:
         assert trace.sup_norm[-1] >= 1e3
         assert checked == list(trace.times)
         assert np.all(trace.support_cells == np.count_nonzero(~outside))
+
+    # (37, 45) moves the box across the x1 edge; (37, 29) across both
+    @pytest.mark.parametrize("shift", [(37, 45), (37, 29)])
+    def test_translation_by_whole_cells_is_bitwise(self, shift):
+        """Rolling the data by whole cells rolls the whole run: the box
+        moves with the support, so every attempt sees the same box values
+        and takes the same step, down to the last bit."""
+        grid = Grid(64, 16.0)
+        w0 = gaussian_bump(grid, width=0.5, cutoff=2.0)
+        cfg = EvolveConfig(t_max=20.0, record_every=1)
+        states, rolled_states = [], []
+        trace = evolve(w0, cfg, on_record=lambda t, f: states.append(f.values))
+        rolled = evolve(RealField(grid, np.roll(w0.values, shift, axis=(0, 1))), cfg,
+                        on_record=lambda t, f: rolled_states.append(f.values))
+        assert rolled.terminated == trace.terminated == "threshold"
+        np.testing.assert_array_equal(rolled.times, trace.times)
+        np.testing.assert_array_equal(rolled_states[-1], np.roll(states[-1], shift, axis=(0, 1)))
