@@ -111,6 +111,8 @@ def _cmd_evolve(cfg: RunConfig) -> list[str]:
         "box_length": cfg.box_length,
         "terminated": trace.terminated,
         "records": len(trace),
+        "accepted_steps": trace.accepted_steps,
+        "rejected_steps": trace.rejected_steps,
         "final_time": float(trace.times[-1]),
         "final_sup_norm": float(trace.sup_norm[-1]),
         "final_integral": float(trace.integral[-1]),
@@ -152,6 +154,8 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
         "delta_over_h2": solution.delta_estimate / grid.h**2,
         "cell_count": mask.cell_count,
         "terminated": trace.terminated,
+        "accepted_steps": trace.accepted_steps,
+        "rejected_steps": trace.rejected_steps,
         "max_deviation": max(deviations),
         "final_deviation": deviations[-1],
         "fitted_t_blowup": fitted_t,

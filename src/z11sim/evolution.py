@@ -68,14 +68,16 @@ _SUPPORT_CUTOFF = 1e-12
 
 class StepUnderflowError(RuntimeError):
     """Error control demanded a step below dt_min; downstream this is read
-    as the solution outrunning the integrator, i.e. approach to blow-up."""
+    as the solution outrunning the integrator, i.e. approach to blow-up.
+    rejected_attempts counts the step's attempts, all of them rejected."""
 
-    def __init__(self, dt_required: float, dt_min: float):
+    def __init__(self, dt_required: float, dt_min: float, rejected_attempts: int):
         super().__init__(
             f"step control requires dt = {dt_required:g} below dt_min = {dt_min:g}"
         )
         self.dt_required = dt_required
         self.dt_min = dt_min
+        self.rejected_attempts = rejected_attempts
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,9 @@ class EvolutionTrace:
     |w| > 1e-12 sup|w|, an effective-support diagnostic. The recorded
     states themselves are not kept; evolve streams them to its on_record
     hook. blowup_time_estimate and fit_quality are populated on blow-up-type
-    termination when the trailing-window fit succeeds.
+    termination when the trailing-window fit succeeds. accepted_steps and
+    rejected_steps count the run's accepted steps and the attempts its
+    step controller rejected on the way.
     """
 
     times: np.ndarray
@@ -142,6 +146,8 @@ class EvolutionTrace:
     terminated: str
     blowup_time_estimate: float | None = None
     fit_quality: float | None = None
+    accepted_steps: int = 0
+    rejected_steps: int = 0
 
     def __post_init__(self) -> None:
         if self.terminated not in TERMINATION_REASONS:
@@ -168,12 +174,14 @@ class EvolutionTrace:
 @dataclass(frozen=True, eq=False)
 class StepResult:
     """One accepted adaptive step: the new state, the step actually taken,
-    the proposal for the next step, and the scaled local error estimate."""
+    the proposal for the next step, the scaled local error estimate, and
+    the number of attempts rejected before this one."""
 
     field: RealField
     dt_accepted: float
     dt_next: float
     error_estimate: float
+    rejected_attempts: int
 
 
 def _rhs_values(symbol: np.ndarray, values: np.ndarray, sign: int) -> np.ndarray:
@@ -251,14 +259,17 @@ def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
     when its root mean square over all n^2 grid cells is at most 1.
     Rejections shrink dt by the standard fifth-order factor; if that would
     push dt below dt_min the step underflows, which downstream is read as
-    approach to blow-up rather than failure. Attempts run on the box of
-    :func:`rhs`.
+    approach to blow-up rather than failure. The result's dt_next is the
+    standard proposal safety * err^(-1/5), clamped to [1/5, 5] times the
+    accepted step; it uses this step's error alone (evolve may shorten it).
+    Attempts run on the box of :func:`rhs`.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = omega.grid
     index, symbol = _box(omega)
     y = omega.values[index]
+    rejected = 0
     while True:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             y_new, err_field = _rk_attempt(symbol, y, dt, config.sign)
@@ -279,14 +290,16 @@ def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
                 dt_accepted=dt,
                 dt_next=dt * factor,
                 error_estimate=err,
+                rejected_attempts=rejected,
             )
         if np.isfinite(err):
             factor = max(_MIN_SHRINK, config.safety * err ** (-1.0 / _PROPAGATION_ORDER))
         else:
             factor = _MIN_SHRINK
         dt = dt * min(factor, 0.9)
+        rejected += 1
         if dt < config.dt_min:
-            raise StepUnderflowError(dt, config.dt_min)
+            raise StepUnderflowError(dt, config.dt_min, rejected)
 
 
 def _support_count(values: np.ndarray, sup: float) -> int:
@@ -300,12 +313,20 @@ def evolve(omega0: RealField, config: EvolveConfig,
     """Integrate from omega0, recording every record_every accepted steps.
 
     Terminates at the horizon t_max, at the blow-up threshold, or at step
-    underflow. The initial and final states are always recorded. Each
-    record also calls on_record(t, field) with the recorded time and
-    state, once per trace row and in order; evolve keeps no state beyond
-    the current one, so a caller that needs fields keeps them itself. On
-    a blow-up-type termination the trailing-window fit of 1/sup-norm is
-    attempted and its result stored when it succeeds.
+    underflow. After every accepted step but the first, the next step is
+    the smaller of step's proposal dt_next and Gustafsson's predictive
+    proposal dt_next * (dt_n / dt_{n-1}) * (err_{n-1} / err_n)^(1/5), as in
+    RADAU5: near blow-up the error constant grows from step to step, so the
+    standard proposal alone overshoots and is rejected. The prediction
+    needs both error estimates positive, and a step clipped to the horizon
+    never serves as dt_n or dt_{n-1}.
+
+    The initial and final states are always recorded. Each record also
+    calls on_record(t, field) with the recorded time and state, once per
+    trace row and in order; evolve keeps no state beyond the current one,
+    so a caller that needs fields keeps them itself. On a blow-up-type
+    termination the trailing-window fit of 1/sup-norm is attempted and its
+    result stored when it succeeds.
     """
     sup0 = sup_norm(omega0)
     if config.blowup_threshold is not None:
@@ -338,20 +359,31 @@ def evolve(omega0: RealField, config: EvolveConfig,
     t = 0.0
     dt = config.dt_initial
     n_steps = 0
+    n_rejected = 0
+    previous: StepResult | None = None
     horizon_slack = 1e-12 * config.t_max
     while True:
         if config.t_max - t <= horizon_slack:
             terminated = "horizon"
             break
+        clipped = config.t_max - t < dt
         try:
             result = step(omega, min(dt, config.t_max - t), config)
-        except StepUnderflowError:
+        except StepUnderflowError as exc:
+            n_rejected += exc.rejected_attempts
             terminated = "step_underflow"
             break
         omega = result.field
         t += result.dt_accepted
         dt = result.dt_next
+        if (previous is not None and not clipped
+                and previous.error_estimate > 0.0 and result.error_estimate > 0.0):
+            dt *= min(1.0, result.dt_accepted / previous.dt_accepted
+                      * (previous.error_estimate / result.error_estimate)
+                      ** (1.0 / _PROPAGATION_ORDER))
+        previous = None if clipped else result
         n_steps += 1
+        n_rejected += result.rejected_attempts
         sup = sup_norm(omega)
         if sup >= threshold:
             terminated = "threshold"
@@ -369,6 +401,8 @@ def evolve(omega0: RealField, config: EvolveConfig,
         qform=np.array(qforms),
         support_cells=np.array(supports),
         terminated=terminated,
+        accepted_steps=n_steps,
+        rejected_steps=n_rejected,
     )
     if terminated in ("threshold", "step_underflow"):
         try:

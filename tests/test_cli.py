@@ -128,6 +128,9 @@ class TestEvolveCommand:
         trace = read_trace_csv(outdir / "trace.csv")
         assert len(trace["t"]) == record["records"]
         assert trace["sup_norm"][-1] >= threshold
+        # record_every = 1 records the initial state and every accepted step
+        assert record["accepted_steps"] == record["records"] - 1
+        assert record["rejected_steps"] == 0
 
     def test_snapshots(self, tmp_path, capsys):
         """Each request selects the first record at or after it, or the
@@ -232,6 +235,9 @@ class TestVerifyCommand:
         assert record["delta_over_h2"] == record["delta_estimate"] / h**2
 
         trace = read_trace_csv(outdir / "trace.csv")
+        # verify-self-similar defaults to record_every = 1
+        assert record["accepted_steps"] == len(trace["t"]) - 1
+        assert record["rejected_steps"] == 0
         deviation_lines = (outdir / "deviation.csv").read_text().splitlines()
         assert deviation_lines[0] == "t,deviation"
         assert len(deviation_lines) - 1 == len(trace["t"])

@@ -32,7 +32,8 @@ from z11sim import (
     sup_norm,
     verify_profile,
 )
-from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_C, _RK_E
+import z11sim.evolution as evolution
+from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_C, _RK_E, StepResult
 from z11sim.spectral import _real_fft
 
 from test_profile import _rfft2_shapes
@@ -250,6 +251,7 @@ class TestStep:
         assert result.error_estimate == 0.0
         assert result.dt_accepted == 1e-3
         assert result.dt_next == pytest.approx(5e-3)
+        assert result.rejected_attempts == 0
 
     def test_accepted_step_meets_tolerance(self, grid32):
         cfg = EvolveConfig(rtol=1e-8, atol=1e-10)
@@ -262,6 +264,7 @@ class TestStep:
         result = step(gaussian_bump(grid32, width=0.8, amplitude=3.0), 0.5, cfg)
         assert result.dt_accepted < 0.5
         assert result.error_estimate <= 1.0
+        assert result.rejected_attempts >= 1
 
     def test_underflow_when_floor_too_high(self, grid32):
         """Violent data rejects the first attempt; with dt_min close to the
@@ -271,6 +274,7 @@ class TestStep:
         with pytest.raises(StepUnderflowError, match="below dt_min") as excinfo:
             step(wild, 1e-3, cfg)
         assert excinfo.value.dt_required < excinfo.value.dt_min == 9e-4
+        assert excinfo.value.rejected_attempts >= 1
 
     @pytest.mark.parametrize("center, box", [
         ((0.0, 0.0), (36, 36)),
@@ -355,6 +359,8 @@ class TestEvolve:
         assert trace.terminated == "step_underflow"
         assert len(trace) == 1
         assert trace.blowup_time_estimate is None
+        assert trace.accepted_steps == 0
+        assert trace.rejected_steps >= 1
 
     def test_zero_atol_on_compact_data(self):
         """With atol = 0, cells off the support have zero error and zero
@@ -398,6 +404,96 @@ class TestEvolve:
         assert trace.terminated == "horizon"
         assert len(devs) == len(trace)
         assert max(devs) <= 1e-5
+
+
+def _config_bump(n=64):
+    """The bump of configs/evolve_bump.ini at grid size n."""
+    return gaussian_bump(Grid(n, 16.0), width=0.5, amplitude=1.0, cutoff=2.0)
+
+
+def _spy_on_step(monkeypatch):
+    """Wrap the step evolve calls; return the list of (dt asked, result)."""
+    calls = []
+    real_step = evolution.step
+
+    def spy(omega, dt, config):
+        result = real_step(omega, dt, config)
+        calls.append((dt, result))
+        return result
+
+    monkeypatch.setattr(evolution, "step", spy)
+    return calls
+
+
+class TestStepControl:
+    """evolve shortens step's proposal by Gustafsson's prediction, so the
+    steepening approach to blow-up no longer rejects about every step."""
+
+    def test_config_bump_runs_without_rejections(self):
+        trace = evolve(_config_bump(), EvolveConfig(t_max=20.0, record_every=1))
+        assert trace.terminated == "threshold"
+        assert trace.accepted_steps == len(trace) - 1
+        assert trace.rejected_steps == 0
+
+    def test_proposal_never_exceeds_step_dt_next(self, monkeypatch):
+        """Each step evolve asks for is at most the previous step's own
+        proposal; it equals it after the first step, and the prediction
+        shortens it on most later steps of a blow-up run."""
+        calls = _spy_on_step(monkeypatch)
+        trace = evolve(_config_bump(), EvolveConfig(t_max=20.0, record_every=1))
+        assert len(calls) == trace.accepted_steps
+        asked = [dt for dt, _ in calls[1:]]
+        proposed = [result.dt_next for _, result in calls[:-1]]
+        assert all(a <= p for a, p in zip(asked, proposed))
+        assert asked[0] == proposed[0]
+        assert sum(a < p for a, p in zip(asked, proposed)) >= len(asked) // 2
+
+    def test_fitted_time_matches_tight_tolerance(self):
+        """The default tolerances fit T within 1e-4 of a run at
+        rtol = 1e-11, far below the n = 64 grid error of about 3e-2."""
+        w0 = _config_bump()
+        default, tight = (evolve(w0, EvolveConfig(t_max=20.0, record_every=1, **tol))
+                          for tol in ({}, {"rtol": 1e-11, "atol": 1e-13}))
+        assert default.terminated == tight.terminated == "threshold"
+        assert abs(default.blowup_time_estimate - tight.blowup_time_estimate) <= 1e-4
+
+    def test_horizon_clip_is_the_last_step(self, monkeypatch):
+        """With t_max in the middle of the run only the last step is
+        clipped to the horizon, so no clipped step length reaches a later
+        proposal."""
+        calls = _spy_on_step(monkeypatch)
+        t_max = 1.0
+        trace = evolve(_config_bump(), EvolveConfig(t_max=t_max, record_every=1))
+        assert trace.terminated == "horizon"
+        t = 0.0
+        clipped = []
+        for dt, result in calls:
+            clipped.append(dt == t_max - t)
+            t += result.dt_accepted
+        assert clipped == [False] * (len(calls) - 1) + [True]
+
+    def test_clipped_step_feeds_no_prediction(self, monkeypatch, grid32):
+        """A clipped step that ends short of the horizon, as rejections
+        would leave it, hands on step's own proposal unshortened. A stub
+        step keeps the error at 0.5 and proposes the step it took, and
+        takes a tenth of the fourth, the first clipped step: a prediction
+        from that step would shrink the next one thirtyfold."""
+        cfg = EvolveConfig(dt_initial=0.3, t_max=1.0)
+        asked, taken = [], []
+
+        def stub(omega, dt, config):
+            dt_taken = dt / 10 if len(taken) == 3 else dt
+            asked.append(dt)
+            taken.append(dt_taken)
+            return StepResult(field=omega, dt_accepted=dt_taken, dt_next=dt_taken,
+                              error_estimate=0.5, rejected_attempts=0)
+
+        monkeypatch.setattr(evolution, "step", stub)
+        trace = evolve(RealField(grid32, np.zeros((32, 32))), cfg)
+        assert trace.terminated == "horizon"
+        assert asked[:3] == [0.3] * 3
+        assert asked[3] == cfg.t_max - sum(taken[:3])
+        assert asked[4] == taken[3]
 
 
 class TestBlowupFit:
