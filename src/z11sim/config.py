@@ -264,7 +264,7 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=os.path.basename(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         # configparser messages carry [line N] markers for syntax errors

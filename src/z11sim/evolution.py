@@ -189,14 +189,15 @@ def _rhs_values(symbol: np.ndarray, values: np.ndarray, sign: int) -> np.ndarray
 
 
 def _box(omega: RealField) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Grid index and symbol of the box embedding omega's support, where the
-    box circulant is exact; the zero field runs on the grid."""
+    """Grid index of the bounding box of omega's support and the symbol of
+    the circulant embedding that box, where the box circulant is exact;
+    the zero field runs on the grid."""
     support = omega.values != 0.0
     n = omega.grid.n
     if not support.any():
         return np.ix_(np.arange(n), np.arange(n)), omega.grid.m11
-    (start1, p1), (start2, p2) = (_embedding_axis(support.any(axis=a)) for a in (1, 0))
-    index = np.ix_((start1 + np.arange(p1)) % n, (start2 + np.arange(p2)) % n)
+    (start1, b1, p1), (start2, b2, p2) = (_embedding_axis(support.any(axis=a)) for a in (1, 0))
+    index = np.ix_((start1 + np.arange(b1)) % n, (start2 + np.arange(b2)) % n)
     return index, _box_kernel(n, p1, p2)[1]
 
 
@@ -206,9 +207,10 @@ def rhs(omega: RealField, sign: int = 1) -> RealField:
     The product is taken on the grid without spectral truncation: Z11 has
     order zero, so no derivative loss feeds aliasing. The product vanishes
     exactly wherever w does, so the flow keeps the support of the data, as
-    the equation w = w0 exp(int Z11 w dt) does. So Z11 is applied on the
-    periodic bounding box of the support, embedded as the restricted
-    operator is; full support makes the box the grid.
+    the equation w = w0 exp(int Z11 w dt) does. So the product is taken on
+    the periodic bounding box of the support, with Z11 applied through the
+    box's circulant embedding as the restricted operator is; full support
+    makes the box the grid.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -242,7 +244,8 @@ def rk_step(omega: RealField, dt: float, sign: int = 1) -> tuple[RealField, np.n
 
     Returns the fifth-order update and the pointwise difference between the
     embedded orders (the raw local error field). Used directly for
-    convergence-order measurements. Stages run on the box of :func:`rhs`.
+    convergence-order measurements. Stages and sums run on the support box
+    of :func:`rhs`; the error field is zero off it.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -262,7 +265,8 @@ def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
     approach to blow-up rather than failure. The result's dt_next is the
     standard proposal safety * err^(-1/5), clamped to [1/5, 5] times the
     accepted step; it uses this step's error alone (evolve may shorten it).
-    Attempts run on the box of :func:`rhs`.
+    Attempts and the error norm run on the support box of :func:`rhs`:
+    every nonzero error lies there, and the box's sum is divided by n^2.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")

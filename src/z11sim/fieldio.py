@@ -164,8 +164,9 @@ def write_trace_csv(path: str | os.PathLike, trace: EvolutionTrace) -> None:
 
 
 def read_trace_csv(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """Read a trace CSV back as column arrays keyed by column name."""
-    with open(os.fspath(path), "r", encoding="ascii") as handle:
+    """Read a trace CSV back as column arrays keyed by column name. A
+    non-ASCII byte reads as U+FFFD, which no column name or number holds."""
+    with open(os.fspath(path), "r", encoding="ascii", errors="replace") as handle:
         header = handle.readline().strip()
         names = tuple(header.split(","))
         if names != TRACE_COLUMNS:

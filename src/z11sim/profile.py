@@ -13,10 +13,12 @@ the solve residual.
 The operator is a gather from one translation-invariant kernel,
 L[i, j] = K[x_i - x_j], with K = Z11 applied to a unit impulse. Its
 action only reads kernel offsets within the mask's bounding box, so it is
-applied matrix-free as a circulant on that box, padded to the smallest
-5-smooth size that holds every offset without wrap-around (the Toeplitz
-embedding, Chan & Jin 2007). One application costs a forward and an
-inverse FFT of the box, not of the grid. The residual certificate and
+applied matrix-free on that box as a circulant of the smallest 5-smooth
+size that holds every offset without wrap-around (the Toeplitz embedding,
+Chan & Jin 2007). One application scatters into the box and costs a
+forward and an inverse FFT of the embedding, not of the grid; the padding
+from the box to the embedding happens inside the transform, which skips
+the rows it knows to be zero. The residual certificate and
 :func:`verify_profile` apply Z11 on the full grid, independently of that
 embedding. A dense matrix assembly is provided as an oracle for small
 masks.
@@ -95,17 +97,18 @@ class RestrictedOperator:
         if self.mask.grid is not self.grid and self.mask.grid != self.grid:
             raise ValueError("mask grid does not match operator grid")
         n = self.grid.n
-        (start1, p1), (start2, p2) = (_embedding_axis(self.mask.indicator.any(axis=a))
-                                      for a in (1, 0))
+        (start1, b1, p1), (start2, b2, p2) = (
+            _embedding_axis(self.mask.indicator.any(axis=a)) for a in (1, 0))
         window, symbol = _box_kernel(n, p1, p2)
         r, c = self.mask.indices
         object.__setattr__(self, "_window", window)
         object.__setattr__(self, "_symbol", symbol)
+        object.__setattr__(self, "_box_shape", (b1, b2))
         object.__setattr__(self, "_box_index", ((r - start1) % n, (c - start2) % n))
 
     def apply_packed(self, x: np.ndarray) -> np.ndarray:
         """Operator action on a member-cell vector of length cell_count."""
-        box = np.zeros(self._symbol.shape)
+        box = np.zeros(self._box_shape)
         box[self._box_index] = x
         return _real_fft(box, self._symbol)[self._box_index]
 

@@ -113,20 +113,34 @@ class RealField:
         object.__setattr__(self, "values", v)
 
 
-def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarray:
+def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None,
+              half_plane: bool = False) -> np.ndarray:
     """The one transform site: real-input FFTs over the half plane k2 >= 0.
 
-    ``values`` is an n1 x n2 array, periodic on both axes. With ``symbol``,
-    a full-plane n1 x n2 multiplier even under k -> -k, returns the
-    multiplier applied to ``values`` in physical space. Without it, returns
-    the power |c(k)|^2 of the coefficients normalized so that c(0) is the
-    field mean, on the full-plane FFT labels.
+    With ``symbol``, a full-plane p1 x p2 multiplier even under k -> -k,
+    returns the multiplier applied to ``values`` in physical space:
+    ``values``, a b1 x b2 block with b <= p, is zero-padded to the periodic
+    p1 x p2 array inside the per-axis transforms, and the b1 x b2 block of
+    the result is returned. These are the per-axis transforms numpy's
+    rfft2 and irfft2 run, so the block is bitwise that of the padded
+    transform, without the padding rows (FFT pruning, Markel 1971).
+
+    Without ``symbol``, ``values`` is an n1 x n2 periodic array, and the
+    result is the power |c(k)|^2 of the coefficients normalized so that
+    c(0) is the field mean: on the full-plane FFT labels, or with
+    ``half_plane`` on the half plane k2 >= 0 alone (n1 x (n2//2 + 1)).
     """
-    n1, n2 = values.shape
     if symbol is not None:
-        return np.fft.irfft2(symbol[:, : n2 // 2 + 1] * np.fft.rfft2(values), s=values.shape)
+        b1, b2 = values.shape
+        p1, p2 = symbol.shape
+        coeff = np.fft.fft(np.fft.rfft(values, n=p2, axis=1), n=p1, axis=0)
+        coeff *= symbol[:, : p2 // 2 + 1]
+        return np.fft.irfft(np.fft.ifft(coeff, axis=0)[:b1], n=p2, axis=1)[:, :b2]
+    n1, n2 = values.shape
     coeff = np.fft.rfft2(values, norm="forward")
     half = coeff.real**2 + coeff.imag**2
+    if half_plane:
+        return half
     # c(-k) is the conjugate of c(k), so the columns k2 < 0 are the half
     # plane mirrored through the origin. Mirroring, rather than weighting
     # columns by two, keeps each power on its own (k1, k2) label: the row
@@ -137,18 +151,18 @@ def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarra
     return full
 
 
-def _embedding_axis(occupied: np.ndarray) -> tuple[int, int]:
-    """Box start and embedding size along one periodic axis: the box is the
-    shortest cyclic interval holding every occupied index, after the widest
-    gap (a full axis starts at 0). Offsets up to width b - 1 fit without
-    wrap-around in a circulant of size p >= 2b - 1; p is the smallest such
-    5-smooth integer (one dividing a power of 30), capped at n."""
+def _embedding_axis(occupied: np.ndarray) -> tuple[int, int, int]:
+    """Box start, box width b and embedding size p along one periodic axis:
+    the box is the shortest cyclic interval holding every occupied index,
+    after the widest gap (a full axis starts at 0). Offsets up to b - 1 fit
+    without wrap-around in a circulant of size p >= 2b - 1; p is the
+    smallest such 5-smooth integer (one dividing a power of 30), capped at n."""
     n = occupied.size
     index = np.flatnonzero(occupied)
     gaps = np.diff(index, prepend=index[-1] - n)
     widest = int(np.argmax(gaps))
-    m = 2 * (n - int(gaps[widest])) + 1
-    return int(index[widest]), next((k for k in range(m, n) if pow(30, k, k) == 0), n)
+    b = n - int(gaps[widest]) + 1
+    return int(index[widest]), b, next((k for k in range(2 * b - 1, n) if pow(30, k, k) == 0), n)
 
 
 @functools.lru_cache(maxsize=8)
@@ -215,8 +229,14 @@ def quadratic_form(f: RealField) -> float:
     Scaled so it equals the physical inner product of ``apply_z11(f)`` with
     ``f``. Nonnegative termwise; it vanishes exactly when the spectrum is
     supported on the lam1 = 0 axis (zero mode included).
+
+    The sum runs over the half plane k2 >= 0, with the columns
+    0 < k2 < n/2 counted twice for their mirrors through the origin; that
+    is exact because the multiplier is even.
     """
-    return float(f.grid.box_length**2 * np.sum(f.grid.m11 * _real_fft(f.values)))
+    n = f.grid.n
+    terms = f.grid.m11[:, : n // 2 + 1] * _real_fft(f.values, half_plane=True)
+    return float(f.grid.box_length**2 * (terms.sum() + terms[:, 1: n // 2].sum()))
 
 
 def cone_mass_ratio(f: RealField, k: float) -> float:

@@ -364,6 +364,18 @@ class TestErrorContract:
         saved = json.loads((tmp_path / "solveout" / "error.json").read_text())
         assert saved == record
 
+    def test_undecodable_config(self, tmp_path, capsys):
+        """A config that is not UTF-8 ends in one JSON error record, not a
+        traceback."""
+        ini = tmp_path / "binary.ini"
+        ini.write_bytes(b"[run]\ncommand = evolve\n# \xff\n")
+        code, out, err = run_cli(capsys, ini)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, tmp_path / "absent.ini")
         assert code == 1

@@ -36,7 +36,7 @@ import z11sim.evolution as evolution
 from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_C, _RK_E, StepResult
 from z11sim.spectral import _real_fft
 
-from test_profile import _rfft2_shapes
+from test_profile import _transform_shapes
 
 
 @pytest.fixture(scope="module")
@@ -277,18 +277,19 @@ class TestStep:
         assert excinfo.value.rejected_attempts >= 1
 
     @pytest.mark.parametrize("center, box", [
-        ((0.0, 0.0), (36, 36)),
-        ((0.1, 0.1), (32, 32)),
+        ((0.0, 0.0), ((17, 17), (36, 36))),
+        ((0.1, 0.1), ((16, 16), (32, 32))),
     ])
     def test_attempts_transform_the_support_box(self, monkeypatch, center, box):
-        """A step of the n = 64 bump transforms only the embedding of its
-        support's box: 17 cells wide when the bump sits on a lattice point,
-        so 36 (5-smooth, >= 33), and 16 cells off it, so 32."""
+        """A step of the n = 64 bump transforms only its support's box,
+        padded inside the transform to the box's embedding: 17 cells wide
+        when the bump sits on a lattice point, so 36 (5-smooth, >= 33), and
+        16 cells off it, so 32."""
         grid = Grid(64, 16.0)
         w0 = gaussian_bump(grid, center=center, width=0.5, cutoff=2.0)
         # the first step of a box size also builds its cached symbol
         step(w0, 1e-3, EvolveConfig())
-        shapes = _rfft2_shapes(monkeypatch, lambda: step(w0, 1e-3, EvolveConfig()))
+        shapes = _transform_shapes(monkeypatch, lambda: step(w0, 1e-3, EvolveConfig()))
         assert shapes == [box] * 6
 
 

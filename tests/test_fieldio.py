@@ -229,6 +229,10 @@ _TRACE_HEADER = b"t,sup_norm,integral,l2_norm,qform\n"
                  id="mask-empty"),
     pytest.param(read_trace_csv, _TRACE_HEADER + b"0.0,1.0,x,1.0,1.0\n",
                  "'x' is not a number", id="trace-non-numeric"),
+    pytest.param(read_trace_csv, _TRACE_HEADER + b"0.0,1.0,1.0\xb5,1.0,1.0\n",
+                 "is not a number", id="trace-non-ascii-cell"),
+    pytest.param(read_trace_csv, b"t,sup_norm,int\xe9gral,l2_norm,qform\n0.0,1.0,1.0,1.0,1.0\n",
+                 "unexpected trace columns", id="trace-non-ascii-header"),
 ])
 def test_invalid_values_raise_typed_error(reader, raw, match, tmp_path):
     """Values that the writers never produce make a malformed file, not a

@@ -106,51 +106,64 @@ def _wide_scatter(grid):
     return ind
 
 
-def _rfft2_shapes(monkeypatch, call):
-    """Shapes of the real transforms that call() runs."""
+def _transform_shapes(monkeypatch, call):
+    """(data shape, padded size) of each forward transform that call()
+    runs: the rows are transformed first, padded to the rfft length, and
+    the columns after, padded to the fft length."""
     shapes = []
-    rfft2 = np.fft.rfft2
+    rfft, fft = np.fft.rfft, np.fft.fft
 
-    def recording(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return rfft2(a, *args, **kwargs)
+    def recording_rfft(a, n=None, axis=-1, *args, **kwargs):
+        assert axis == 1
+        shapes.append([a.shape, n])
+        return rfft(a, n, axis, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfft2", recording)
+    def recording_fft(a, n=None, axis=-1, *args, **kwargs):
+        assert axis == 0
+        shapes[-1][1] = (n, shapes[-1][1])
+        return fft(a, n, axis, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    monkeypatch.setattr(np.fft, "fft", recording_fft)
     call()
     monkeypatch.undo()
-    return shapes
+    return [tuple(pair) for pair in shapes]
 
 
 class TestEmbeddedApply:
     """The box-embedded application against the full-grid multiplier."""
 
     @pytest.mark.parametrize("build, box", [
-        (_corner_disk, (36, 36)),
-        (_strip, (5, 40)),
-        (_single_cell, (1, 1)),
-        (_two_disks, (24, 15)),
-        (_wide_scatter, (128, 128)),
+        (_corner_disk, ((17, 17), (36, 36))),
+        (_strip, ((3, 20), (5, 40))),
+        (_single_cell, ((1, 1), (1, 1))),
+        (_two_disks, ((12, 8), (24, 15))),
+        (_wide_scatter, ((80, 80), (128, 128))),
     ])
     def test_matches_full_grid(self, monkeypatch, build, box):
+        """One transform of the mask's bounding box (the data), padded
+        inside the transform to the circulant embedding."""
         grid = Grid(128, 16.0)
         mask = Mask(grid, build(grid))
         op = RestrictedOperator(grid, mask)
         x = np.random.default_rng(66).standard_normal(mask.cell_count)
         full = mask.pack(apply_z11(RealField(grid, mask.unpack(x))).values)
         np.testing.assert_allclose(op.apply_packed(x), full, rtol=0, atol=1e-13)
-        assert _rfft2_shapes(monkeypatch, lambda: op.apply_packed(x)) == [box]
+        assert _transform_shapes(monkeypatch, lambda: op.apply_packed(x)) == [box]
 
     def test_transform_size_independent_of_grid(self, monkeypatch):
-        """At fixed h the unit disk embeds in the same 64 x 64 box whatever
-        the box length, so an application costs the same at any n. The
-        centre sits off the lattice so the disk spans 32 cells per axis."""
+        """At fixed h the unit disk has the same 32 x 32 bounding box, padded
+        to the same 64 x 64 embedding, whatever the box length, so an
+        application costs the same at any n. The centre sits off the
+        lattice so the disk spans 32 cells per axis."""
         shapes = []
         for box_length, n in ((8.0, 128), (16.0, 256)):
             grid = Grid(n, box_length)
             mask = rasterize(Disk((0.01, 0.02), 1.0), grid)
             op = RestrictedOperator(grid, mask)
-            shapes += _rfft2_shapes(monkeypatch, lambda: op.apply_packed(np.ones(mask.cell_count)))
-        assert shapes == [(64, 64), (64, 64)]
+            shapes += _transform_shapes(monkeypatch,
+                                        lambda: op.apply_packed(np.ones(mask.cell_count)))
+        assert shapes == [((32, 32), (64, 64))] * 2
 
 
 class TestDenseMatrix:

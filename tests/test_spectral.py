@@ -22,7 +22,7 @@ from z11sim import (
     quadratic_form,
     sup_norm,
 )
-from z11sim.spectral import _real_fft
+from z11sim.spectral import _box_kernel, _embedding_axis, _real_fft
 
 
 def dft_multiplier_oracle(values: np.ndarray) -> np.ndarray:
@@ -149,6 +149,35 @@ class TestTransforms:
                                        rtol=1e-12, atol=1e-18)
 
 
+    @pytest.mark.parametrize("rows, cols, box, embedding", [
+        ([7], [50], (1, 1), (1, 1)),
+        (range(10, 13), range(20, 40), (3, 20), (5, 40)),
+        ([62, 63, 0, 1, 2], [60, 61, 62, 63, 0, 1, 2, 3, 4, 5], (5, 10), (9, 20)),
+        (range(5, 45), range(3, 50), (40, 47), (64, 64)),
+        (range(64), range(64), (64, 64), (64, 64)),
+    ], ids=["one-cell", "rectangle", "wrapping", "p-equals-n", "full-grid"])
+    def test_padding_inside_the_transform_is_bitwise(self, rows, cols, box, embedding):
+        """A support's box transformed with its embedding's symbol is the
+        block of the zero-padded box's transform, bit for bit, and so of
+        numpy's two-dimensional real transforms of the padded box."""
+        n = 64
+        occupied = np.zeros((n, n), dtype=bool)
+        occupied[np.ix_(rows, cols)] = True
+        (s1, b1, p1), (s2, b2, p2) = (_embedding_axis(occupied.any(axis=a)) for a in (1, 0))
+        assert ((b1, b2), (p1, p2)) == (box, embedding)
+        symbol = _box_kernel(n, p1, p2)[1]
+        index = np.ix_((s1 + np.arange(b1)) % n, (s2 + np.arange(b2)) % n)
+        assert occupied[index].sum() == occupied.sum()
+        values = np.random.default_rng(15).standard_normal((n, n))[index]
+        padded = np.zeros((p1, p2))
+        padded[:b1, :b2] = values
+        got = _real_fft(values, symbol)
+        assert got.shape == (b1, b2)
+        np.testing.assert_array_equal(got, _real_fft(padded, symbol)[:b1, :b2])
+        full = np.fft.irfft2(symbol[:, : p2 // 2 + 1] * np.fft.rfft2(padded), s=(p1, p2))
+        np.testing.assert_array_equal(got, full[:b1, :b2])
+
+
 class TestMultiplierOperators:
     def test_matches_direct_dft_oracle(self):
         """apply_z11 against the definitional transform, no shared code."""
@@ -243,6 +272,27 @@ class TestQuadraticForm:
         _, x2 = g.coords()
         f = RealField(g, np.sin(3 * x2))
         assert quadratic_form(f) == 0.0
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_matches_full_plane_oracle(self, n):
+        """The half-plane sum, interior columns counted twice, against the
+        full complex transform, on a field with energy on the Nyquist row
+        and column, whose coefficients are their own mirrors."""
+        g = Grid(n, 5.0)
+        i = np.arange(n)
+        nyquist = (-1.0) ** i
+        values = (np.random.default_rng(34).standard_normal((n, n))
+                  + 3.0 * np.outer(nyquist, np.cos(6 * np.pi * i / n))
+                  + 2.0 * np.outer(np.sin(2 * np.pi * i / n), nyquist)
+                  + np.outer(nyquist, nyquist))
+        k = np.fft.fftfreq(n, 1.0 / n)
+        ksq = k[:, None] ** 2 + k[None, :] ** 2
+        symbol = np.divide(k[:, None] ** 2, ksq, out=np.zeros((n, n)), where=ksq > 0)
+        coeff = np.fft.fft2(values) / n**2
+        expected = g.box_length**2 * np.sum(symbol * np.abs(coeff) ** 2)
+        qf = quadratic_form(RealField(g, values))
+        np.testing.assert_allclose(qf, expected, rtol=1e-13)
+        assert qf >= 0.0
 
     def test_scaling(self):
         g = Grid(32, 8.0)
