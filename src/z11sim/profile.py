@@ -48,8 +48,8 @@ __all__ = [
 
 DENSE_CELL_LIMIT = 4096
 
-# Seed for the Lanczos start vector and restarts: fixed so repeated runs
-# are bit-identical.
+# Seed of the small Gaussian perturbation of the Lanczos start vector and
+# of ARPACK's restart generator: fixed so repeated runs are bit-identical.
 _LANCZOS_SEED = 0x5EED
 # Largest Krylov basis the coercivity estimate keeps between restarts.
 _KRYLOV_DIM = 40
@@ -240,15 +240,32 @@ def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
 
 
 def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
-    """Estimate the smallest eigenvalue of the restricted operator.
+    """Estimate the smallest eigenvalue of the restricted operator to
+    relative accuracy tol.
 
     ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
     on the masked subspace, with a Krylov basis of at most _KRYLOV_DIM
-    vectors, a fixed start vector and a fixed restart generator, so
-    repeated runs are bit-identical. It stops when the Ritz residual is at
-    most 0.1 * tol times the Ritz value; if that does not happen within
-    ARPACK's restart cap it raises ``ArpackNoConvergence``. A one-cell
-    mask is its own eigenvalue.
+    vectors. It stops when the Ritz residual is at most tol times the
+    Ritz value, which puts the Ritz value within that relative distance of
+    an eigenvalue. The residual's square over the spectral gap would allow
+    a looser residual only for an isolated lowest eigenvalue; here the two
+    lowest are often within a percent of each other. If ARPACK does not
+    converge within its restart cap it raises ``ArpackNoConvergence``. A
+    one-cell mask is its own eigenvalue.
+
+    The low eigenvectors are the x2-Nyquist oscillation ``(-1)^j2`` times
+    a smooth envelope. The start vector is that pattern times
+    ``(i1 + 1) (i2 + 1)`` in the mask's box coordinates, whose even and
+    odd parts under each reflection of the box have comparable weight: on
+    a mask of two weakly coupled lobes the lowest envelope can be odd
+    across the centre line, and a start without an odd part would let
+    Lanczos stop on the even mode above it. A seeded Gaussian of a tenth
+    the envelope's mean is added, so that no mode is missing from the
+    start (a bilinear envelope is nearly orthogonal to, for instance, the
+    combination (1, -2, 1) of three equal lobes in a row); the seed also
+    drives ARPACK's restarts, so repeated runs are bit-identical. Box
+    coordinates make the start, and so the estimate, invariant under
+    whole-cell translations of the mask.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -256,11 +273,13 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
     if m == 1:
         theta = float(dense_L_matrix(op)[0, 0])
     else:
-        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
+        r, c = op._box_index
+        envelope = (r + 1.0) * (c + 1.0)
+        v0 = np.where(c % 2 == 0, envelope, -envelope)
+        v0 += 0.1 * envelope.mean() * np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
         operator = LinearOperator((m, m), matvec=op.apply_packed, dtype=float)
         theta = float(eigsh(operator, k=1, which="SA", v0=v0, ncv=min(_KRYLOV_DIM, m),
-                            tol=0.1 * tol, return_eigenvectors=False,
-                            rng=_LANCZOS_SEED)[0])
+                            tol=tol, return_eigenvectors=False, rng=_LANCZOS_SEED)[0])
     if theta <= 10 * np.finfo(float).eps:
         raise SingularOperatorError(
             f"operator numerically singular (smallest-eigenvalue estimate {theta})"

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from z11sim import (
+    Annulus,
     ConvergenceError,
     CurvatureBreakdownError,
     Disk,
+    Ellipse,
     Grid,
     Mask,
     ProfileSolution,
@@ -230,6 +232,41 @@ def _tiny_operator(cells: int) -> RestrictedOperator:
     return RestrictedOperator(grid, Mask(grid, ind))
 
 
+def _cell_block(grid, w1, w2):
+    """The w1/h x w2/h block of cells at the origin. Its cells tile a
+    w1 x w2 rectangle, so every x1-chord is exactly w1 long."""
+    k1, k2 = round(w1 / (2 * grid.h)), round(w2 / (2 * grid.h))
+    ind = np.zeros((grid.n, grid.n), dtype=bool)
+    ind[grid.n // 2 - k1:grid.n // 2 + k1, grid.n // 2 - k2:grid.n // 2 + k2] = True
+    return Mask(grid, ind)
+
+
+def _one_column(grid):
+    """16 cells of one column: the x2-parity pattern is constant on it."""
+    ind = np.zeros((grid.n, grid.n), dtype=bool)
+    ind[grid.n // 2 - 8:grid.n // 2 + 8, grid.n // 2] = True
+    return Mask(grid, ind)
+
+
+def _count_coercivity_applies(monkeypatch, op):
+    """(estimate, number of operator applies it took)."""
+    applies = 0
+    apply_packed = RestrictedOperator.apply_packed
+
+    def counting(self, x):
+        nonlocal applies
+        applies += 1
+        return apply_packed(self, x)
+
+    monkeypatch.setattr(RestrictedOperator, "apply_packed", counting)
+    return estimate_coercivity(op, tol=1e-6), applies
+
+
+def _relative_error_to_dense(op):
+    dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
+    return abs(estimate_coercivity(op, tol=1e-6) - dense_min) / dense_min
+
+
 class TestCoercivity:
     def test_matches_dense_smallest_eigenvalue(self, disk_setup):
         _, _, op = disk_setup
@@ -251,19 +288,61 @@ class TestCoercivity:
         restarts at least once, still matches the dense spectrum."""
         grid = Grid(64, 8.0)
         op = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
-        applies = 0
-        apply_packed = RestrictedOperator.apply_packed
-
-        def counting(self, x):
-            nonlocal applies
-            applies += 1
-            return apply_packed(self, x)
-
-        monkeypatch.setattr(RestrictedOperator, "apply_packed", counting)
-        estimate = estimate_coercivity(op, tol=1e-6)
+        estimate, applies = _count_coercivity_applies(monkeypatch, op)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
         assert applies > _KRYLOV_DIM
         assert abs(estimate - dense_min) / dense_min <= 1e-6
+
+    @pytest.mark.parametrize("build", [
+        lambda g: rasterize(Ellipse((0.0, 0.0), (0.5, 1.0)), g),
+        lambda g: rasterize(Ellipse((0.0, 0.0), (1.5, 1.0)), g),
+        lambda g: _cell_block(g, 1.0, 2.0),
+        lambda g: _cell_block(g, 2.0, 1.0),
+        lambda g: rasterize(Annulus((0.0, 0.0), 0.5, 1.0), g),
+        _one_column,
+    ], ids=["ellipse-0.5x1", "ellipse-1.5x1", "rectangle-1x2", "rectangle-2x1",
+            "annulus", "one-column"])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_tol_bounds_relative_error(self, build, n):
+        grid = Grid(n, 16.0)
+        assert _relative_error_to_dense(RestrictedOperator(grid, build(grid))) <= 1e-6
+
+    @pytest.mark.parametrize("grid, build, odd_axis", [
+        (Grid(128, 16.0), lambda g: rasterize(Annulus((0.0, 0.0), 0.5, 1.0), g), 1),
+        (Grid(128, 12.0),
+         lambda g: rasterize(ShapeUnion((Disk((-0.9, 0.0), 0.6), Disk((0.9, 0.0), 0.6))), g), 0),
+    ], ids=["annulus-odd-in-x2", "two-disks-odd-in-x1"])
+    def test_lowest_mode_odd_across_the_mask(self, grid, build, odd_axis):
+        """On these symmetric two-lobe masks the lowest eigenvector is the
+        parity pattern times an envelope that is odd under reflection
+        across the mask's centre line, with the even mode less than 1 %
+        above it. A start vector without an odd envelope part would settle
+        on the even mode."""
+        op = RestrictedOperator(grid, build(grid))
+        eigenvalues, vectors = np.linalg.eigh(dense_L_matrix(op))
+        assert (eigenvalues[1] - eigenvalues[0]) / eigenvalues[0] < 1e-2
+        envelope = op.mask.unpack(vectors[:, 0] * np.where(op.mask.indices[1] % 2 == 0, 1, -1))
+        mirrored = np.roll(np.flip(envelope, axis=odd_axis), 1, axis=odd_axis)
+        np.testing.assert_allclose(mirrored, -envelope, atol=1e-10)
+        assert _relative_error_to_dense(op) <= 1e-6
+
+    def test_translation_invariant(self):
+        """The start vector lives in the mask's box coordinates, so a
+        whole-cell shift of the mask leaves the estimate bitwise equal."""
+        grid = Grid(64, 8.0)
+        mask = rasterize(ShapeUnion((Disk((-0.4, 0.15), 0.3), Disk((0.45, -0.25), 0.35))), grid)
+        shifted = Mask(grid, np.roll(mask.indicator, (3, 5), axis=(0, 1)))
+        assert (estimate_coercivity(RestrictedOperator(grid, shifted))
+                == estimate_coercivity(RestrictedOperator(grid, mask)))
+
+    def test_apply_count_on_benchmark_disk(self, monkeypatch):
+        """The centred unit disk at n = 512 takes 1481 applies. A Gaussian
+        start takes 1661 and a residual bound of 0.1 * tol 1641, so either
+        regression fails this bound."""
+        grid = Grid(512, 16.0)
+        op = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
+        _, applies = _count_coercivity_applies(monkeypatch, op)
+        assert applies <= 1560
 
     def test_one_cell_is_lattice_mean(self):
         """A one-cell mask is its own eigenvalue, the closed form of
@@ -306,6 +385,37 @@ class TestCoercivity:
     def test_deterministic(self, disk_setup):
         _, _, op = disk_setup
         assert estimate_coercivity(op) == estimate_coercivity(op)
+
+
+class TestGridScaleLaw:
+    """The conjecture delta/h^2 -> 1/l^2, l the longest x1-chord of the set.
+
+    Multiplying by the x2-parity pattern shifts k2 to Nyquist, where the
+    symbol k1^2/|k|^2 is about (h/pi)^2 times that of -d11; the bottom of
+    L then tends to (h/pi)^2 times the lowest Dirichlet eigenvalue of -d11
+    on the longest chord, (pi/l)^2. The dense spectrum is the oracle.
+    Measured errors of delta/h^2 at n = 64/128/256 on box 16: 0.258 /
+    0.142 / 0.075 (1 x 2 block), 0.054 / 0.023 / 0.0097 (2 x 1 block) and
+    0.056 / 0.041 / 0.025 (unit disk).
+    """
+
+    @staticmethod
+    def _errors(build, chord):
+        errors = []
+        for n in (64, 128, 256):
+            grid = Grid(n, 16.0)
+            delta = np.linalg.eigvalsh(dense_L_matrix(RestrictedOperator(grid, build(grid))))[0]
+            errors.append(abs(delta / grid.h**2 - 1.0 / chord**2))
+        return np.array(errors)
+
+    @pytest.mark.parametrize("widths", [(1.0, 2.0), (2.0, 1.0)], ids=["1x2", "2x1"])
+    def test_rectangles_converge_at_first_order(self, widths):
+        errors = self._errors(lambda g: _cell_block(g, *widths), chord=widths[0])
+        assert np.all(errors[:-1] / errors[1:] >= 1.5)
+
+    def test_disk_error_shrinks(self):
+        errors = self._errors(lambda g: rasterize(Disk((0.0, 0.0), 1.0), g), chord=2.0)
+        assert np.all(np.diff(errors) < 0)
 
 
 class TestSolveProfile:
