@@ -24,10 +24,7 @@ from .spectral import (
     _box_kernel,
     _embedding_axis,
     _real_fft,
-    field_integral,
     l2_norm,
-    quadratic_form,
-    sup_norm,
 )
 
 __all__ = [
@@ -87,7 +84,8 @@ class EvolveConfig:
     blowup_threshold is the sup-norm level declaring blow-up; leave it None
     to use 1e6 times the initial sup-norm (computed when evolve starts).
     sign multiplies the right-hand side, giving the negated companion model
-    w_t = -(Z11 w) w for the reversal test.
+    w_t = -(Z11 w) w for the reversal test. t_max, dt_initial, rtol and
+    atol must be finite; an infinite blowup_threshold sets no threshold.
     """
 
     dt_initial: float = 1e-3
@@ -101,6 +99,9 @@ class EvolveConfig:
     sign: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("t_max", "dt_initial", "rtol", "atol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.dt_min <= self.dt_initial:
             raise ValueError(
                 f"need 0 < dt_min <= dt_initial, got dt_min={self.dt_min}, "
@@ -128,8 +129,11 @@ class EvolveConfig:
 class EvolutionTrace:
     """Recorded run history.
 
-    All arrays share one length. support_cells counts cells with
-    |w| > 1e-12 sup|w|, an effective-support diagnostic. The recorded
+    All arrays share one length. integral and l2_norm are h^2-weighted
+    sums, and qform is the mass production h^2 sum (Z11 w) w, the rate at
+    which the integral grows (it equals spectral.quadratic_form to
+    roundoff). support_cells counts cells with |w| > 1e-12 sup|w|, an
+    effective-support diagnostic. The recorded
     states themselves are not kept; evolve streams them to its on_record
     hook. blowup_time_estimate and fit_quality are populated on blow-up-type
     termination when the trailing-window fit succeeds. accepted_steps and
@@ -331,8 +335,18 @@ def evolve(omega0: RealField, config: EvolveConfig,
     so a caller that needs fields keeps them itself. On a blow-up-type
     termination the trailing-window fit of 1/sup-norm is attempted and its
     result stored when it succeeds.
+
+    The flow keeps the support of omega0, so every record, and the
+    threshold test after every step, runs on the bounding box of that
+    support, found once: the sums gather the box alone (every cell off it
+    is 0), and qform applies Z11 through the box's circulant embedding,
+    as :func:`rhs` does, in place of a full-grid power spectrum. That
+    circulant is exact for every field supported in the box, so a cell
+    that underflows to 0 on the way changes nothing.
     """
-    sup0 = sup_norm(omega0)
+    index, symbol = _box(omega0)
+    h2 = omega0.grid.h**2
+    sup0 = float(np.max(np.abs(omega0.values[index])))
     if config.blowup_threshold is not None:
         threshold = config.blowup_threshold
     elif sup0 > 0.0:
@@ -348,13 +362,14 @@ def evolve(omega0: RealField, config: EvolveConfig,
     supports: list[int] = []
 
     def record(field: RealField, t: float) -> None:
+        y = field.values[index]
+        s = float(np.max(np.abs(y)))
         times.append(t)
-        s = sup_norm(field)
         sups.append(s)
-        integrals.append(field_integral(field))
-        l2s.append(l2_norm(field))
-        qforms.append(quadratic_form(field))
-        supports.append(_support_count(field.values, s))
+        integrals.append(float(h2 * np.sum(y)))
+        l2s.append(float(np.sqrt(h2 * np.sum(y**2))))
+        qforms.append(float(h2 * np.sum(_real_fft(y, symbol) * y)))
+        supports.append(_support_count(y, s))
         if on_record is not None:
             on_record(t, field)
 
@@ -388,8 +403,7 @@ def evolve(omega0: RealField, config: EvolveConfig,
         previous = None if clipped else result
         n_steps += 1
         n_rejected += result.rejected_attempts
-        sup = sup_norm(omega)
-        if sup >= threshold:
+        if np.max(np.abs(omega.values[index])) >= threshold:
             terminated = "threshold"
             break
         if n_steps % config.record_every == 0 and config.t_max - t > horizon_slack:

@@ -263,6 +263,11 @@ class TestLoadEvolve:
         with pytest.raises(ConfigError, match="record_every"):
             load_run_config(write_config(tmp_path, text))
 
+    def test_infinite_horizon_rejected(self, tmp_path):
+        text = EVOLVE_BASE + "\n[evolve]\nt_max = inf\n"
+        with pytest.raises(ConfigError, match=r"^\[evolve\] t_max must be finite"):
+            load_run_config(write_config(tmp_path, text))
+
     def test_removed_dealias_key_rejected(self, tmp_path):
         text = EVOLVE_BASE + "\n[evolve]\ndealias = false\n"
         with pytest.raises(ConfigError,

@@ -86,12 +86,22 @@ class TestEvolveConfig:
         {"record_every": 0},
         {"rtol": 0.0},
         {"atol": -1e-12},
+        {"t_max": float("inf")},
+        {"t_max": float("nan")},
+        {"dt_initial": float("inf")},
+        {"rtol": float("inf")},
+        {"rtol": float("nan")},
+        {"atol": float("inf")},
+        {"atol": float("nan")},
         {"sign": 0},
         {"sign": 2},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             EvolveConfig(**kwargs)
+
+    def test_infinite_threshold_means_none(self):
+        assert EvolveConfig(blowup_threshold=float("inf")).blowup_threshold == float("inf")
 
 
 class TestTrace:
@@ -495,6 +505,95 @@ class TestStepControl:
         assert asked[:3] == [0.3] * 3
         assert asked[3] == cfg.t_max - sum(taken[:3])
         assert asked[4] == taken[3]
+
+
+class TestBoxRecords:
+    """evolve takes its records on the box of the initial support; the
+    full-grid diagnostics of spectral are the oracle."""
+
+    @pytest.mark.parametrize("n, shift, amplitude", [
+        (64, (0, 0), 1.0),
+        (64, (32, 32), 1.0),
+        (64, (0, 0), -1.0),
+        (128, (64, 10), 1.0),
+    ])
+    def test_records_match_the_full_grid(self, n, shift, amplitude):
+        """Every record matches the full-grid diagnostics of its state: the
+        sup-norm bitwise, the rest to roundoff. (32, 32) and (64, 10) make
+        the box wrap periodic edges; negative data runs with sign -1."""
+        w0 = _config_bump(n)
+        w0 = RealField(w0.grid, amplitude * np.roll(w0.values, shift, axis=(0, 1)))
+        cfg = EvolveConfig(t_max=20.0, record_every=1, sign=int(amplitude))
+        oracle = []
+        trace = evolve(w0, cfg, on_record=lambda t, f: oracle.append(
+            (sup_norm(f), field_integral(f), l2_norm(f), quadratic_form(f))))
+        assert trace.terminated == "threshold"
+        sups, integrals, l2s, qforms = np.array(oracle).T
+        np.testing.assert_array_equal(trace.sup_norm, sups)
+        np.testing.assert_allclose(trace.integral, integrals, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.l2_norm, l2s, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.qform, qforms, rtol=1e-12, atol=0)
+
+    def test_run_never_transforms_the_grid(self, monkeypatch):
+        """A whole run of the compact n = 64 bump transforms only its
+        17 x 17 box, padded to 36 x 36: no stage and no record takes an
+        n x n transform."""
+        w0 = _config_bump()
+        cfg = EvolveConfig(t_max=20.0)
+        # the first run of a box size also builds its cached symbol
+        evolve(w0, cfg)
+        grid_transforms = []
+        rfft2 = np.fft.rfft2
+
+        def run():
+            def recording_rfft2(a, *args, **kwargs):
+                grid_transforms.append(a.shape)
+                return rfft2(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, "rfft2", recording_rfft2)
+            evolve(w0, cfg)
+
+        shapes = _transform_shapes(monkeypatch, run)
+        assert grid_transforms == []
+        assert shapes and set(shapes) == {((17, 17), (36, 36))}
+
+
+class TestFlowLaws:
+    """Laws of the continuous flow that the discrete run keeps."""
+
+    def test_doubling_the_data_halves_time_bitwise(self):
+        """w0 -> 2 w0 is w(x, t) -> 2 w(x, 2t). With the time scales halved
+        and atol doubled every operation scales by a power of two, so the
+        run is the same run, to the last bit."""
+        w0 = _config_bump()
+        cfg = EvolveConfig(t_max=20.0, record_every=1)
+        base = evolve(w0, cfg)
+        doubled = evolve(RealField(w0.grid, 2.0 * w0.values), EvolveConfig(
+            t_max=cfg.t_max / 2, dt_initial=cfg.dt_initial / 2, dt_min=cfg.dt_min / 2,
+            atol=2 * cfg.atol, record_every=1))
+        assert doubled.terminated == base.terminated == "threshold"
+        np.testing.assert_array_equal(doubled.times, base.times / 2)
+        for column in ("sup_norm", "integral", "l2_norm"):
+            np.testing.assert_array_equal(getattr(doubled, column), 2 * getattr(base, column))
+        np.testing.assert_array_equal(doubled.qform, 4 * base.qform)
+        assert (doubled.accepted_steps, doubled.rejected_steps) == (
+            base.accepted_steps, base.rejected_steps)
+        assert doubled.blowup_time_estimate == base.blowup_time_estimate / 2
+
+    def test_mass_grows_at_the_quadratic_form(self):
+        """d/dt int w = qform: each recorded step's gain in mass matches
+        the trapezoid rule on qform, to the quadrature error of the step.
+        The largest relative residual reads 1.78e-2 at the default
+        tolerances and 1.36e-3 at rtol 1e-11, 13x smaller."""
+        residuals = []
+        for tol in ({}, {"rtol": 1e-11, "atol": 1e-13}):
+            trace = evolve(_config_bump(), EvolveConfig(t_max=20.0, record_every=1, **tol))
+            gain = np.diff(trace.integral)
+            trapezoid = np.diff(trace.times) * (trace.qform[1:] + trace.qform[:-1]) / 2
+            residuals.append(np.max(np.abs(gain - trapezoid) / np.abs(gain)))
+        assert residuals[0] <= 2e-2
+        assert residuals[1] <= 1.5e-3
+        assert residuals[0] >= 8 * residuals[1]
 
 
 class TestBlowupFit:
