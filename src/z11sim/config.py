@@ -15,7 +15,8 @@ The shape grammar accepted under [shape] spec is
              | diff(shape, shape)
 
 with numbers in any float syntax and whitespace ignored. rect takes the
-lower corner and the two side lengths.
+lower corner and the two side lengths. union and diff nest at most 64
+levels deep (_MAX_DEPTH).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import dataclasses
 import math
 import os
 import re
-from dataclasses import dataclass
+from collections import deque
+from functools import partial
 
 from .evolution import EvolveConfig
 from .shapes import (
@@ -46,22 +48,12 @@ __all__ = [
 
 COMMANDS = ("solve-profile", "evolve", "verify-self-similar", "diagnostics")
 
-_ALLOWED_KEYS = {
-    "run": {"command", "seed", "output_dir", "snapshot_times"},
-    "grid": {"n", "box_length"},
-    "shape": {"spec"},
-    "solver": {"tol", "max_iter"},
-    "evolve": {field.name for field in dataclasses.fields(EvolveConfig)},
-    "initial": {"kind", "path", "scale", "center", "width", "amplitude", "cutoff"},
-    "verify": {"t_blowup", "t_final"},
-}
-
 
 class ConfigError(ValueError):
     """Invalid run configuration file."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class InitialSpec:
     """Initial condition for an evolve run: a stored field scaled by a
     constant, or a synthesized truncated Gaussian bump."""
@@ -75,7 +67,7 @@ class InitialSpec:
     cutoff: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description; paths are absolute."""
 
@@ -98,163 +90,120 @@ class RunConfig:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_]+)"
-    r"|(?P<punct>[(),]))"
+    r"|(?P<punct>[(),])"
+    r"|(?P<bad>\S))"
 )
 
-
-def _tokenize_shape(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ConfigError(
-                f"shape spec: unexpected character {text[pos:].strip()[0]!r} "
-                f"at position {pos}"
-            )
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind)))
-        pos = match.end()
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _ShapeParser:
-    """Recursive-descent parser over the token list."""
-
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str, value: str | None = None) -> str:
-        got_kind, got_value = self.tokens[self.pos]
-        if got_kind != kind or (value is not None and got_value != value):
-            expected = value if value is not None else kind
-            raise ConfigError(
-                f"shape spec: expected {expected!r}, got {got_value or got_kind!r}"
-            )
-        self.pos += 1
-        return got_value
-
-    def number(self) -> float:
-        return float(self.take("num"))
-
-    def numbers(self, count: int) -> list[float]:
-        values = [self.number()]
-        for _ in range(count - 1):
-            self.take("punct", ",")
-            values.append(self.number())
-        return values
-
-    def shape(self) -> ShapeSpec:
-        name = self.take("name")
-        self.take("punct", "(")
-        match name:
-            case "disk":
-                cx, cy, r = self.numbers(3)
-                result: ShapeSpec = Disk(center=(cx, cy), radius=r)
-            case "ellipse":
-                cx, cy, a1, a2 = self.numbers(4)
-                result = Ellipse(center=(cx, cy), semi_axes=(a1, a2))
-            case "rect":
-                x0, y0, w1, w2 = self.numbers(4)
-                result = Rectangle(corner=(x0, y0), widths=(w1, w2))
-            case "annulus":
-                cx, cy, ri, ro = self.numbers(4)
-                result = Annulus(center=(cx, cy), inner_radius=ri, outer_radius=ro)
-            case "union":
-                parts = [self.shape()]
-                while self.peek() == ("punct", ","):
-                    self.take("punct", ",")
-                    parts.append(self.shape())
-                if len(parts) < 2:
-                    raise ConfigError("shape spec: union needs at least two parts")
-                result = ShapeUnion(parts=tuple(parts))
-            case "diff":
-                base = self.shape()
-                self.take("punct", ",")
-                cut = self.shape()
-                result = ShapeDifference(base=base, cut=cut)
-            case _:
-                raise ConfigError(f"shape spec: unknown shape {name!r}")
-        self.take("punct", ")")
-        return result
+# name -> (argument count, None for two or more; constructor)
+_SHAPES = {
+    "disk": (3, lambda cx, cy, r: Disk((cx, cy), r)),
+    "ellipse": (4, lambda cx, cy, a1, a2: Ellipse((cx, cy), (a1, a2))),
+    "rect": (4, lambda x0, y0, w1, w2: Rectangle((x0, y0), (w1, w2))),
+    "annulus": (4, lambda cx, cy, ri, ro: Annulus((cx, cy), ri, ro)),
+    "union": (None, lambda *parts: ShapeUnion(parts)),
+    "diff": (2, ShapeDifference),
+}
+_MAX_DEPTH = 64
 
 
 def parse_shape(text: str) -> ShapeSpec:
     """Parse the textual shape grammar into a shape description."""
-    parser = _ShapeParser(_tokenize_shape(text))
-    try:
-        result = parser.shape()
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"shape spec: {exc}") from exc
-    parser.take("end")
+    tokens = deque()
+    for match in _TOKEN_RE.finditer(text):
+        kind, value = match.lastgroup, match[match.lastgroup]
+        if kind == "bad":
+            raise ConfigError(
+                f"shape spec: unexpected character {value!r} at position {match.start()}"
+            )
+        tokens.append((value if kind == "punct" else kind, value))
+    tokens.append(("end", ""))
+
+    def take(kind: str) -> str:
+        got_kind, got_value = tokens[0]
+        if got_kind != kind:
+            raise ConfigError(f"shape spec: expected {kind!r}, got {got_value or got_kind!r}")
+        return tokens.popleft()[1]
+
+    def shape(depth: int) -> ShapeSpec:
+        if depth > _MAX_DEPTH:
+            raise ConfigError(f"shape spec: nested deeper than {_MAX_DEPTH} levels")
+        name = take("name")
+        take("(")
+        if name not in _SHAPES:
+            raise ConfigError(f"shape spec: unknown shape {name!r}")
+        arity, build = _SHAPES[name]
+        nested = name in ("union", "diff")
+        args = [shape(depth + 1) if nested else float(take("num"))]
+        while len(args) < (arity or 0) or (arity is None and tokens[0][0] == ","):
+            take(",")
+            args.append(shape(depth + 1) if nested else float(take("num")))
+        if len(args) < 2:
+            raise ConfigError("shape spec: union needs at least two parts")
+        try:
+            result = build(*args)
+        except ValueError as exc:
+            raise ConfigError(f"shape spec: {exc}") from exc
+        take(")")
+        return result
+
+    result = shape(0)
+    take("end")
     return result
 
 
+def _number(text: str, convert=float, kind: str = "number"):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"invalid {kind} {text!r}") from None
+
+
+_integer = partial(_number, convert=int, kind="integer")
+
+
+def _optional_number(text: str) -> float | None:
+    return None if text == "" else _number(text)
+
+
+def _numbers(text: str, count: int | None = None) -> tuple[float, ...]:
+    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    if count is not None and len(parts) != count:
+        raise ValueError(f"expected {count} numbers, got {len(parts)}")
+    return tuple(map(_number, parts))
+
+
+# section -> key -> converter of the stripped text, whose ValueError _value
+# reports. An [evolve] field's default picks its converter: None an
+# optional number, an int an integer, anything else a number.
+_SCHEMA = {
+    "run": {"command": str, "seed": _integer, "output_dir": str,
+            "snapshot_times": _numbers},
+    "grid": {"n": _integer, "box_length": _number},
+    "shape": {"spec": str},
+    "solver": {"tol": _number, "max_iter": _integer},
+    "evolve": {
+        field.name: _optional_number if field.default is None
+        else _integer if isinstance(field.default, int) else _number
+        for field in dataclasses.fields(EvolveConfig)
+    },
+    "initial": {"kind": str, "path": str, "scale": _number,
+                "center": partial(_numbers, count=2), "width": _number,
+                "amplitude": _number, "cutoff": _optional_number},
+    "verify": {"t_blowup": _number, "t_final": _number},
+}
 _REQUIRED = object()
 
 
-class _SectionReader:
-    """Typed access to one section with required/default handling."""
-
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        self.parser = parser
-        self.section = section
-
-    def present(self) -> bool:
-        return self.parser.has_section(self.section)
-
-    def raw(self, key: str, default=_REQUIRED) -> str:
-        if self.present() and self.parser.has_option(self.section, key):
-            return self.parser.get(self.section, key).strip()
+def _value(parser: configparser.ConfigParser, section: str, key: str, default=_REQUIRED):
+    """The converted value of a key, or default when the key is absent."""
+    if not parser.has_option(section, key):
         if default is _REQUIRED:
-            raise ConfigError(f"[{self.section}] missing required key {key!r}")
+            raise ConfigError(f"[{section}] missing required key {key!r}")
         return default
-
-    def _convert(self, key: str, text: str, kind: str, convert):
-        try:
-            return convert(text)
-        except ValueError as exc:
-            raise ConfigError(
-                f"[{self.section}] key {key!r}: invalid {kind} {text!r}"
-            ) from exc
-
-    def integer(self, key: str, default=_REQUIRED) -> int:
-        text = self.raw(key, default)
-        if not isinstance(text, str):
-            return text
-        return self._convert(key, text, "integer", int)
-
-    def real(self, key: str, default=_REQUIRED) -> float:
-        text = self.raw(key, default)
-        if not isinstance(text, str):
-            return text
-        return self._convert(key, text, "number", float)
-
-    def real_or_none(self, key: str) -> float | None:
-        text = self.raw(key, None)
-        if text is None or text == "":
-            return None
-        return self._convert(key, text, "number", float)
-
-    def real_tuple(self, key: str, count: int | None, default=_REQUIRED):
-        text = self.raw(key, default)
-        if not isinstance(text, str):
-            return text
-        parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-        if count is not None and len(parts) != count:
-            raise ConfigError(
-                f"[{self.section}] key {key!r}: expected {count} numbers, got {len(parts)}"
-            )
-        return tuple(self._convert(key, p, "number", float) for p in parts)
+    try:
+        return _SCHEMA[section][key](parser.get(section, key).strip())
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] key {key!r}: {exc}") from exc
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
@@ -270,59 +219,48 @@ def _read_ini(path: str) -> configparser.ConfigParser:
         # configparser messages carry [line N] markers for syntax errors
         raise ConfigError(f"config parse error: {exc}") from exc
     for section in parser.sections():
-        allowed = _ALLOWED_KEYS.get(section)
-        if allowed is None:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser.options(section):
-            if key not in allowed:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     return parser
 
 
-def _read_initial(reader: _SectionReader) -> InitialSpec:
-    kind = reader.raw("kind")
+def _read_initial(parser: configparser.ConfigParser, base_dir: str) -> InitialSpec:
+    kind = _value(parser, "initial", "kind")
     match kind:
         case "file":
-            path = reader.raw("path")
+            path = os.path.join(base_dir, _value(parser, "initial", "path"))
             for forbidden in ("center", "width", "amplitude", "cutoff"):
-                if reader.raw(forbidden, None) is not None:
+                if parser.has_option("initial", forbidden):
                     raise ConfigError(
                         f"[initial] key {forbidden!r} does not apply to kind 'file'"
                     )
-            return InitialSpec(kind="file", path=path, scale=reader.real("scale", 1.0))
+            initial = InitialSpec(kind="file", path=path,
+                                  scale=_value(parser, "initial", "scale", 1.0))
         case "bump":
-            if reader.raw("path", None) is not None:
+            if parser.has_option("initial", "path"):
                 raise ConfigError("[initial] key 'path' does not apply to kind 'bump'")
-            width = reader.real("width")
+            width = _value(parser, "initial", "width")
             if width <= 0.0:
                 raise ConfigError(f"[initial] width must be positive, got {width}")
-            return InitialSpec(
+            initial = InitialSpec(
                 kind="bump",
-                scale=reader.real("scale", 1.0),
-                center=reader.real_tuple("center", 2, (0.0, 0.0)),
+                scale=_value(parser, "initial", "scale", 1.0),
+                center=_value(parser, "initial", "center", (0.0, 0.0)),
                 width=width,
-                amplitude=reader.real("amplitude", 1.0),
-                cutoff=reader.real_or_none("cutoff"),
+                amplitude=_value(parser, "initial", "amplitude", 1.0),
+                cutoff=_value(parser, "initial", "cutoff", None),
             )
         case _:
             raise ConfigError(f"[initial] kind must be 'file' or 'bump', got {kind!r}")
-
-
-def _read_evolve(reader: _SectionReader) -> EvolveConfig:
-    """Read every EvolveConfig field; its default picks the parser: None
-    reads an optional number, an int an integer, anything else a number."""
-    values = {}
-    for field in dataclasses.fields(EvolveConfig):
-        if field.default is None:
-            values[field.name] = reader.real_or_none(field.name)
-        elif isinstance(field.default, int):
-            values[field.name] = reader.integer(field.name, field.default)
-        else:
-            values[field.name] = reader.real(field.name, field.default)
-    try:
-        return EvolveConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"[evolve] {exc}") from exc
+    for key in ("scale", "center", "width", "amplitude", "cutoff"):
+        value = getattr(initial, key)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if value is not None and not all(map(math.isfinite, numbers)):
+            raise ConfigError(f"[initial] {key} must be finite, got {value}")
+    return initial
 
 
 def load_run_config(path: str | os.PathLike) -> RunConfig:
@@ -336,62 +274,56 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
     base_dir = os.path.dirname(os.path.abspath(path))
     parser = _read_ini(path)
 
-    run = _SectionReader(parser, "run")
-    if not run.present():
+    if not parser.has_section("run"):
         raise ConfigError("missing section [run]")
-    command = run.raw("command")
+    command = _value(parser, "run", "command")
     if command not in COMMANDS:
         raise ConfigError(
             f"[run] command must be one of {', '.join(COMMANDS)}; got {command!r}"
         )
-    seed = run.integer("seed", 0)
+    seed = _value(parser, "run", "seed", 0)
     if seed < 0:
         raise ConfigError(f"[run] seed must be nonnegative, got {seed}")
-    output_dir = os.path.join(base_dir, run.raw("output_dir", "out"))
-    snapshot_times = run.real_tuple("snapshot_times", None, ())
+    output_dir = os.path.join(base_dir, _value(parser, "run", "output_dir", "out"))
+    snapshot_times = _value(parser, "run", "snapshot_times", ())
     for requested in snapshot_times:
         if not (math.isfinite(requested) and requested >= 0.0):
             raise ConfigError(
                 f"[run] snapshot_times must be finite and nonnegative, got {requested}"
             )
 
-    grid = _SectionReader(parser, "grid")
-    if not grid.present():
+    if not parser.has_section("grid"):
         raise ConfigError("missing section [grid]")
-    grid_n = grid.integer("n")
-    box_length = grid.real("box_length")
+    grid_n = _value(parser, "grid", "n")
+    box_length = _value(parser, "grid", "box_length")
 
-    shape_reader = _SectionReader(parser, "shape")
     needs_shape = command in ("solve-profile", "verify-self-similar")
-    shape_text = shape_reader.raw("spec") if needs_shape else shape_reader.raw("spec", None)
+    shape_text = _value(parser, "shape", "spec", _REQUIRED if needs_shape else None)
     shape = parse_shape(shape_text) if shape_text is not None else None
 
-    solver = _SectionReader(parser, "solver")
-    solver_tol = solver.real("tol", 1e-8)
-    solver_max_iter = solver.integer("max_iter", 10_000)
+    solver_tol = _value(parser, "solver", "tol", 1e-8)
+    solver_max_iter = _value(parser, "solver", "max_iter", 10_000)
 
-    evolve_reader = _SectionReader(parser, "evolve")
     evolve_cfg = None
     if command in ("evolve", "verify-self-similar"):
-        evolve_cfg = _read_evolve(evolve_reader)
-    if command == "verify-self-similar" and evolve_reader.raw("record_every", None) is None:
-        # records default to every step so the trailing-window fit has
-        # enough samples
-        evolve_cfg = dataclasses.replace(evolve_cfg, record_every=1)
+        values = {field.name: _value(parser, "evolve", field.name, field.default)
+                  for field in dataclasses.fields(EvolveConfig)}
+        if command == "verify-self-similar" and not parser.has_option("evolve", "record_every"):
+            # records default to every step, for the trailing-window fit
+            values["record_every"] = 1
+        try:
+            evolve_cfg = EvolveConfig(**values)
+        except ValueError as exc:
+            raise ConfigError(f"[evolve] {exc}") from exc
 
     initial = None
     if command == "evolve":
-        initial_reader = _SectionReader(parser, "initial")
-        if not initial_reader.present():
+        if not parser.has_section("initial"):
             raise ConfigError("missing section [initial] for command 'evolve'")
-        initial = _read_initial(initial_reader)
-        if initial.kind == "file" and initial.path is not None:
-            resolved = os.path.join(base_dir, initial.path)
-            initial = InitialSpec(kind="file", path=resolved, scale=initial.scale)
+        initial = _read_initial(parser, base_dir)
 
-    verify = _SectionReader(parser, "verify")
-    verify_t_blowup = verify.real("t_blowup", 1.0)
-    verify_t_final = verify.real("t_final", 0.9 * verify_t_blowup)
+    verify_t_blowup = _value(parser, "verify", "t_blowup", 1.0)
+    verify_t_final = _value(parser, "verify", "t_final", 0.9 * verify_t_blowup)
     if command == "verify-self-similar":
         if verify_t_blowup <= 0.0:
             raise ConfigError(f"[verify] t_blowup must be positive, got {verify_t_blowup}")

@@ -491,11 +491,15 @@ def gaussian_bump(grid: Grid, center: tuple[float, float] = (0.0, 0.0),
 
     With cutoff set, the field is exactly zero outside the disk of that
     radius about the center, giving compactly supported initial data.
+    center, width and cutoff must be finite.
     """
     if width <= 0.0:
         raise ValueError(f"width must be positive, got {width}")
     if cutoff is not None and cutoff <= 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
+    for name, value in (("center", center), ("width", width), ("cutoff", cutoff)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
     x1, x2 = grid.coords()
     r2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
     values = amplitude * np.exp(-r2 / (2.0 * width**2))

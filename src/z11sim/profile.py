@@ -53,6 +53,8 @@ DENSE_CELL_LIMIT = 4096
 _LANCZOS_SEED = 0x5EED
 # Largest Krylov basis the coercivity estimate keeps between restarts.
 _KRYLOV_DIM = 40
+# CG replaces its recurrence residual by the true b - A x this often.
+_CG_REFRESH_EVERY = 25
 
 
 class ConvergenceError(RuntimeError):
@@ -151,8 +153,8 @@ class ProfileSolution:
             raise ValueError(f"delta_estimate must lie in (0, 1], got {self.delta_estimate}")
 
 
-def _cg(op: RestrictedOperator, b: np.ndarray, tol: float, max_iter: int,
-        refresh_every: int = 25) -> tuple[np.ndarray, int, list[float]]:
+def _cg(op: RestrictedOperator, b: np.ndarray, tol: float,
+        max_iter: int) -> tuple[np.ndarray, int, list[float]]:
     """CG on the packed subspace with periodic true-residual refreshes.
 
     Convergence is only declared once the freshly recomputed residual
@@ -173,7 +175,7 @@ def _cg(op: RestrictedOperator, b: np.ndarray, tol: float, max_iter: int,
         x += alpha * p
         r -= alpha * ap
         refreshed = False
-        if it % refresh_every == 0 or np.linalg.norm(r) <= tol * bnorm:
+        if it % _CG_REFRESH_EVERY == 0 or np.linalg.norm(r) <= tol * bnorm:
             r = b - op.apply_packed(x)
             refreshed = True
         rel = float(np.linalg.norm(r) / bnorm)

@@ -376,6 +376,21 @@ class TestErrorContract:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
 
+    def test_deeply_nested_shape(self, tmp_path, capsys):
+        """A shape nested far past the cap ends in one JSON ConfigError
+        record, not a RecursionError traceback."""
+        spec = "union(" * 2000 + "disk(0, 0, 0.5)" + ", disk(0, 0, 0.5))" * 2000
+        ini = tmp_path / "deep.ini"
+        ini.write_text(solve_ini().replace("disk(0, 0, 0.5)", spec))
+        code, out, err = run_cli(capsys, ini)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError"
+        assert "nested deeper than 64" in record["message"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, tmp_path / "absent.ini")
         assert code == 1

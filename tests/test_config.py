@@ -1,7 +1,9 @@
 """Run-configuration parsing tests: the shape grammar, the INI schema with
 its strict unknown-key policy, and per-command defaults."""
 
+import math
 import os
+import random
 import textwrap
 
 import pytest
@@ -18,6 +20,7 @@ from z11sim import (
     load_run_config,
     parse_shape,
 )
+from z11sim.config import _SCHEMA, COMMANDS, RunConfig
 
 
 class TestShapeGrammar:
@@ -83,6 +86,26 @@ class TestShapeGrammar:
             parse_shape("disk(0, 0, -1)")
         with pytest.raises(ConfigError, match="inner"):
             parse_shape("annulus(0, 0, 1.0, 0.5)")
+
+    @staticmethod
+    def _nested(depth):
+        return "union(" * depth + "disk(0, 0, 1)" + ", disk(1, 1, 1))" * depth
+
+    def test_nesting_at_cap_parses(self):
+        shape = parse_shape(self._nested(64))
+        for _ in range(64):
+            shape = shape.parts[0]
+        assert shape == Disk(center=(0.0, 0.0), radius=1.0)
+
+    @pytest.mark.parametrize("depth", [65, 2000])
+    def test_nesting_past_cap_rejected(self, depth):
+        with pytest.raises(ConfigError, match="nested deeper than 64 levels"):
+            parse_shape(self._nested(depth))
+
+    def test_deep_diff_rejected(self):
+        spec = "diff(" * 2000 + "disk(0, 0, 1)" + ", disk(5, 5, 1))" * 2000
+        with pytest.raises(ConfigError, match="nested deeper than 64 levels"):
+            parse_shape(spec)
 
     def test_union_needs_two_parts(self):
         with pytest.raises(ConfigError, match="at least two parts"):
@@ -268,6 +291,30 @@ class TestLoadEvolve:
         with pytest.raises(ConfigError, match=r"^\[evolve\] t_max must be finite"):
             load_run_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("line, key", [
+        ("cutoff = nan", "cutoff"),
+        ("cutoff = inf", "cutoff"),
+        ("center = inf, 0", "center"),
+        ("center = 0, nan", "center"),
+        ("width = inf", "width"),
+        ("width = nan", "width"),
+        ("amplitude = -inf", "amplitude"),
+        ("scale = nan", "scale"),
+    ])
+    def test_non_finite_bump_numbers_rejected(self, tmp_path, line, key):
+        """These used to evolve an all-zero or constant field to the
+        horizon and exit 0."""
+        text = EVOLVE_BASE.replace("width = 0.5",
+                                   line if key == "width" else "width = 0.5\n" + line)
+        with pytest.raises(ConfigError, match=rf"^\[initial\] {key} must be finite"):
+            load_run_config(write_config(tmp_path, text))
+
+    def test_non_finite_file_scale_rejected(self, tmp_path):
+        text = EVOLVE_BASE.replace("kind = bump\nwidth = 0.5",
+                                   "kind = file\npath = q.vpf\nscale = inf")
+        with pytest.raises(ConfigError, match=r"^\[initial\] scale must be finite"):
+            load_run_config(write_config(tmp_path, text))
+
     def test_removed_dealias_key_rejected(self, tmp_path):
         text = EVOLVE_BASE + "\n[evolve]\ndealias = false\n"
         with pytest.raises(ConfigError,
@@ -385,3 +432,112 @@ class TestSchemaErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_run_config(tmp_path / "absent.ini")
+
+
+SHAPE_TYPES = (Annulus, Disk, Ellipse, Rectangle, ShapeDifference, ShapeUnion)
+SHAPE_NUMBERS = ["0", "1", "-1", "0.5", ".5", "+2", "1e-1", "1e999", "-0", "1."]
+SHAPE_NOISE = ["blob", "nan", "inf", "e", "(", ")", ",", "", " ", "\t", "@", "!", "[", "é"]
+
+
+def _shape_tokens(rng, depth=0):
+    """A grammar-shaped token list, valid in syntax if not always in its
+    numbers."""
+    if depth < 8 and rng.random() < 0.3:
+        name = rng.choice(["union", "diff"])
+        count = 2 if name == "diff" else rng.choice([1, 2, 3])
+        parts = [_shape_tokens(rng, depth + 1) for _ in range(count)]
+        args = [token for part in parts for token in [","] + part][1:]
+    else:
+        name = rng.choice(["disk", "ellipse", "rect", "annulus"])
+        count = 3 if name == "disk" else 4
+        args = [token for _ in range(count)
+                for token in [",", rng.choice(SHAPE_NUMBERS)]][1:]
+    return [name, "("] + args + [")"]
+
+
+def _corrupt(rng, tokens, pool):
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        index = rng.randrange(len(tokens) + 1)
+        action = rng.random()
+        if action < 0.4 and index < len(tokens):
+            del tokens[index]
+        elif action < 0.8:
+            tokens.insert(index, rng.choice(pool))
+        elif index < len(tokens):
+            tokens[index] = rng.choice(pool)
+    return tokens
+
+
+class TestParserFuzz:
+    """Seeded random inputs end in a result or a ConfigError, nothing else."""
+
+    def test_shape_token_strings(self):
+        rng = random.Random(20261018)
+        pool = SHAPE_NUMBERS + SHAPE_NOISE + ["disk", "union", "diff", "rect"]
+        disk = ["disk", "(", "0", ",", "0", ",", "1", ")"]
+        parsed = 0
+        for _ in range(8000):
+            if rng.random() < 0.2:
+                tokens = [rng.choice(pool) for _ in range(rng.randint(0, 20))]
+            elif rng.random() < 0.05:  # around the nesting cap
+                depth = rng.randint(60, 70)
+                tokens = (["diff", "("] * depth + _shape_tokens(rng)
+                          + ([","] + disk + [")"]) * depth)
+            else:
+                tokens = _corrupt(rng, _shape_tokens(rng), pool)
+            text = rng.choice(["", " "]).join(tokens)
+            try:
+                shape = parse_shape(text)
+            except ConfigError:
+                continue
+            assert isinstance(shape, SHAPE_TYPES)
+            parsed += 1
+        assert 800 < parsed < 7000
+
+    def test_ini_texts(self, tmp_path):
+        rng = random.Random(7)
+        edge = ["nan", "inf", "-inf", "", "1,,2", "abc", "0", "-1", "0.5, 0.5"]
+        plausible = {"command": list(COMMANDS), "seed": ["0", "3"],
+                     "spec": ["disk(0, 0, 1)", "union(disk(0,0,1), rect(0,0,1,1))"],
+                     "n": ["64"], "box_length": ["8"], "center": ["0.5, -0.5"],
+                     "path": ["q.vpf"], "output_dir": ["out"], "sign": ["-1"],
+                     "snapshot_times": ["0.5, 1"], "blowup_threshold": ["", "1e3"],
+                     "dt_min": ["1e-9"], "record_every": ["2"], "max_iter": ["50"]}
+        required = {"command", "n", "box_length", "kind", "width", "path", "spec"}
+        other_kind = {"bump": {"path"}, "file": {"center", "width", "amplitude", "cutoff"}}
+        path = tmp_path / "fuzz.ini"
+        loaded = evolving = 0
+        for _ in range(1000):
+            kind = rng.choice(["bump", "file"])
+            plausible["kind"] = [kind]
+            sections = [s for s in _SCHEMA if s in ("run", "grid") or rng.random() < 0.6]
+            if rng.random() < 0.03:
+                sections.append(rng.choice(["extras", "DEFAULT", "run"]))
+            lines = []
+            for section in sections:
+                lines.append(f"[{section}]")
+                for key in _SCHEMA.get(section, {"foo": None}):
+                    keep = 0.97 if key in required else 0.5
+                    if key in other_kind[kind] and section == "initial":
+                        keep = 0.03
+                    if rng.random() > keep:
+                        continue
+                    good = plausible.get(key, ["1", "0.5", "2"])
+                    value = rng.choice(edge if rng.random() < 0.1 else good)
+                    lines.append(f"{key} = {value}")
+                if rng.random() < 0.02:
+                    lines.append(rng.choice(["dealias = true", "no assignment"]))
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                cfg = load_run_config(path)
+            except ConfigError:
+                continue
+            assert isinstance(cfg, RunConfig)
+            loaded += 1
+            if cfg.initial is not None:
+                numbers = [cfg.initial.scale, *cfg.initial.center, cfg.initial.amplitude]
+                numbers += [x for x in (cfg.initial.width, cfg.initial.cutoff) if x is not None]
+                assert all(map(math.isfinite, numbers))
+                evolving += 1
+        assert 100 < loaded < 900
+        assert evolving > 15

@@ -693,6 +693,20 @@ class TestGaussianBump:
         with pytest.raises(ValueError, match="cutoff"):
             gaussian_bump(grid32, width=1.0, cutoff=-1.0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"center": (np.inf, 0.0)}, "center"),
+        ({"center": (0.0, np.nan)}, "center"),
+        ({"width": np.inf}, "width"),
+        ({"width": np.nan}, "width"),
+        ({"cutoff": np.nan}, "cutoff"),
+        ({"cutoff": np.inf}, "cutoff"),
+    ])
+    def test_non_finite_rejected(self, grid32, kwargs, name):
+        """A NaN cutoff used to give an all-zero field, an infinite center
+        likewise, and an infinite width a constant one."""
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gaussian_bump(grid32, **{"width": 1.0, **kwargs})
+
 
 class TestExactInvariants:
     """The equation is a pointwise ODE, w(x, t) = w0(x) exp(int Z11 w dt),
