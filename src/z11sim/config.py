@@ -124,6 +124,12 @@ def parse_shape(text: str) -> ShapeSpec:
             raise ConfigError(f"shape spec: expected {kind!r}, got {got_value or got_kind!r}")
         return tokens.popleft()[1]
 
+    def number() -> float:
+        value = float(take("num"))
+        if not math.isfinite(value):
+            raise ConfigError(f"shape spec: number {value} is not finite")
+        return value
+
     def shape(depth: int) -> ShapeSpec:
         if depth > _MAX_DEPTH:
             raise ConfigError(f"shape spec: nested deeper than {_MAX_DEPTH} levels")
@@ -133,10 +139,10 @@ def parse_shape(text: str) -> ShapeSpec:
             raise ConfigError(f"shape spec: unknown shape {name!r}")
         arity, build = _SHAPES[name]
         nested = name in ("union", "diff")
-        args = [shape(depth + 1) if nested else float(take("num"))]
+        args = [shape(depth + 1) if nested else number()]
         while len(args) < (arity or 0) or (arity is None and tokens[0][0] == ","):
             take(",")
-            args.append(shape(depth + 1) if nested else float(take("num")))
+            args.append(shape(depth + 1) if nested else number())
         if len(args) < 2:
             raise ConfigError("shape spec: union needs at least two parts")
         try:
@@ -218,6 +224,10 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     except configparser.Error as exc:
         # configparser messages carry [line N] markers for syntax errors
         raise ConfigError(f"config parse error: {exc}") from exc
+    if parser.defaults():
+        # configparser repeats [DEFAULT] keys in every section
+        keys = ", ".join(map(repr, parser.defaults()))
+        raise ConfigError(f"section [DEFAULT] is not allowed (it sets {keys})")
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
@@ -245,13 +255,16 @@ def _read_initial(parser: configparser.ConfigParser, base_dir: str) -> InitialSp
             width = _value(parser, "initial", "width")
             if width <= 0.0:
                 raise ConfigError(f"[initial] width must be positive, got {width}")
+            cutoff = _value(parser, "initial", "cutoff", None)
+            if cutoff is not None and cutoff <= 0.0:
+                raise ConfigError(f"[initial] cutoff must be positive, got {cutoff}")
             initial = InitialSpec(
                 kind="bump",
                 scale=_value(parser, "initial", "scale", 1.0),
                 center=_value(parser, "initial", "center", (0.0, 0.0)),
                 width=width,
                 amplitude=_value(parser, "initial", "amplitude", 1.0),
-                cutoff=_value(parser, "initial", "cutoff", None),
+                cutoff=cutoff,
             )
         case _:
             raise ConfigError(f"[initial] kind must be 'file' or 'bump', got {kind!r}")

@@ -26,10 +26,11 @@ masks.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+import numpy.random  # noqa: F401  (numpy 2 loads it lazily: load it here, not inside a run)
 
 from .shapes import Mask
 from .spectral import Grid, RealField, _box_kernel, _embedding_axis, _real_fft, apply_z11
@@ -49,19 +50,32 @@ __all__ = [
 DENSE_CELL_LIMIT = 4096
 
 # Seed of the small Gaussian perturbation of the Lanczos start vector and
-# of ARPACK's restart generator: fixed so repeated runs are bit-identical.
+# of the vectors that continue it after a breakdown: fixed so repeated runs
+# are bit-identical.
 _LANCZOS_SEED = 0x5EED
-# Largest Krylov basis the coercivity estimate keeps between restarts.
+# Largest Krylov basis the coercivity estimate builds between restarts.
 _KRYLOV_DIM = 40
+# Lanczos restarts allowed per mask cell (ARPACK's default cap).
+_RESTARTS_PER_CELL = 10
+# A second Gram-Schmidt pass runs when the first leaves less than this
+# fraction of the vector's norm (the DGKS test, with ARPACK's constant).
+_DGKS_ETA = 0.717
+# Columns per block of the restart's 20 x 40 by 40 x m basis product. numpy's
+# bundled OpenBLAS starts threads for a product of more than 4 * 65536
+# multiply-adds; on a 2-core host each wake-up cost about 4 ms, or the
+# second core kept spinning, doubling the CPU time of a solve.
+_RESTART_COLUMNS = 256
 # CG replaces its recurrence residual by the true b - A x this often.
 _CG_REFRESH_EVERY = 25
 
 
 class ConvergenceError(RuntimeError):
-    """Conjugate gradient failed to reach the tolerance within max_iter.
+    """An iterative method failed to reach its tolerance within its cap.
 
     Carries the best iterate (``best``, a RealField extended by zero off
-    the mask) and the relative residual history.
+    the mask) and the relative residual history: CG's last iterate and its
+    residual per iteration, or the lowest Ritz vector of the coercivity
+    estimate and its Ritz residual, relative to the Ritz value, per restart.
     """
 
     def __init__(self, message: str, best: RealField, residual_history: list[float]):
@@ -245,15 +259,15 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
     """Estimate the smallest eigenvalue of the restricted operator to
     relative accuracy tol.
 
-    ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
-    on the masked subspace, with a Krylov basis of at most _KRYLOV_DIM
-    vectors. It stops when the Ritz residual is at most tol times the
-    Ritz value, which puts the Ritz value within that relative distance of
-    an eigenvalue. The residual's square over the spectral gap would allow
-    a looser residual only for an isolated lowest eigenvalue; here the two
-    lowest are often within a percent of each other. If ARPACK does not
-    converge within its restart cap it raises ``ArpackNoConvergence``. A
-    one-cell mask is its own eigenvalue.
+    Thick-restart Lanczos (:func:`_lanczos_smallest`) on the masked
+    subspace, with a Krylov basis of at most _KRYLOV_DIM vectors. It stops
+    when the Ritz residual is at most tol times the Ritz value, which puts
+    the Ritz value within that relative distance of an eigenvalue. The
+    residual's square over the spectral gap would allow a looser residual
+    only for an isolated lowest eigenvalue; here the two lowest are often
+    within a percent of each other. If it does not converge within
+    _RESTARTS_PER_CELL restarts per mask cell it raises ConvergenceError
+    with the lowest Ritz vector. A one-cell mask is its own eigenvalue.
 
     The low eigenvectors are the x2-Nyquist oscillation ``(-1)^j2`` times
     a smooth envelope. The start vector is that pattern times
@@ -264,10 +278,10 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
     Lanczos stop on the even mode above it. A seeded Gaussian of a tenth
     the envelope's mean is added, so that no mode is missing from the
     start (a bilinear envelope is nearly orthogonal to, for instance, the
-    combination (1, -2, 1) of three equal lobes in a row); the seed also
-    drives ARPACK's restarts, so repeated runs are bit-identical. Box
-    coordinates make the start, and so the estimate, invariant under
-    whole-cell translations of the mask.
+    combination (1, -2, 1) of three equal lobes in a row); the same seeded
+    generator continues the basis after a breakdown, so repeated runs are
+    bit-identical. Box coordinates make the start, and so the estimate,
+    invariant under whole-cell translations of the mask.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -278,15 +292,89 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
         r, c = op._box_index
         envelope = (r + 1.0) * (c + 1.0)
         v0 = np.where(c % 2 == 0, envelope, -envelope)
-        v0 += 0.1 * envelope.mean() * np.random.default_rng(_LANCZOS_SEED).standard_normal(m)
-        operator = LinearOperator((m, m), matvec=op.apply_packed, dtype=float)
-        theta = float(eigsh(operator, k=1, which="SA", v0=v0, ncv=min(_KRYLOV_DIM, m),
-                            tol=tol, return_eigenvectors=False, rng=_LANCZOS_SEED)[0])
+        rng = np.random.default_rng(_LANCZOS_SEED)
+        v0 += 0.1 * envelope.mean() * rng.standard_normal(m)
+        try:
+            theta = _lanczos_smallest(op.apply_packed, v0, tol, rng,
+                                      max_restarts=_RESTARTS_PER_CELL * m)
+        except ConvergenceError as exc:
+            exc.best = RealField(op.grid, op.mask.unpack(exc.best))
+            raise
     if theta <= 10 * np.finfo(float).eps:
         raise SingularOperatorError(
             f"operator numerically singular (smallest-eigenvalue estimate {theta})"
         )
     return theta
+
+
+def _lanczos_smallest(apply: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, tol: float,
+                      rng: np.random.Generator, max_restarts: int) -> float:
+    """Smallest eigenvalue of the positive semidefinite operator ``apply``
+    on R^m.
+
+    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+    2000), which gives the iterates of ARPACK's implicit restart with
+    exact shifts. Each cycle fills a basis of k = min(_KRYLOV_DIM, m)
+    vectors, fully reorthogonalized, and restarts on the k // 2 lowest
+    Ritz vectors. A cycle converges when the lowest Ritz residual is at
+    most tol times the Ritz value (ARPACK's test, with its eps^(2/3) floor),
+    or when the basis spans all m cells. If A v leaves nothing new after
+    the reorthogonalization, the basis continues from a random vector
+    orthogonal to it, as ARPACK's ``dgetv0`` does. After max_restarts
+    cycles it raises ConvergenceError with the packed lowest Ritz vector,
+    which the restart has made the first basis vector.
+    """
+    m = v0.size
+    k = min(_KRYLOV_DIM, m)
+    keep = k // 2
+    basis = np.empty((k + 1, m))
+    basis[0] = v0 / np.linalg.norm(v0)
+    t = np.zeros((k, k))
+    first, history = 0, []
+    for _ in range(max_restarts):
+        for j in range(first, k):
+            v = basis[:j + 1]
+            w = apply(basis[j])
+            norm = np.sqrt(w @ w)
+            h = v @ w
+            w -= h @ v
+            beta = np.sqrt(w @ w)
+            if beta < _DGKS_ETA * norm:
+                correction = v @ w
+                w -= correction @ v
+                h += correction
+                beta, norm = np.sqrt(w @ w), beta
+                if beta < _DGKS_ETA * norm:  # w lies in the basis' span to roundoff
+                    beta = 0.0
+            t[:j + 1, j] = t[j, :j + 1] = h
+            if beta == 0.0 and j + 1 < k:
+                w = rng.standard_normal(m)
+                for _ in range(2):
+                    w -= (v @ w) @ v
+                basis[j + 1] = w / np.sqrt(w @ w)
+            elif beta > 0.0:
+                np.divide(w, beta, out=basis[j + 1])
+        # t is positive semidefinite, so its SVD is its eigendecomposition.
+        # The SVD starts no OpenBLAS threads; eigh (LAPACK's divide and
+        # conquer above order 25) does, as does the restart's product
+        # unless it runs in column blocks (_RESTART_COLUMNS).
+        s, theta, _ = np.linalg.svd(t)
+        theta, s = theta[::-1], s[:, ::-1]
+        residual = abs(beta * s[-1, 0])
+        history.append(float(residual / abs(theta[0])))
+        if k == m or residual <= tol * max(np.finfo(float).eps ** (2 / 3), abs(theta[0])):
+            return float(theta[0])
+        ritz = s[:, :keep].T
+        for c in range(0, m, _RESTART_COLUMNS):
+            basis[:keep, c:c + _RESTART_COLUMNS] = ritz @ basis[:k, c:c + _RESTART_COLUMNS]
+        basis[keep] = basis[k]
+        t[:keep, :keep] = np.diag(theta[:keep])
+        first = keep
+    raise ConvergenceError(
+        f"Lanczos did not reach tolerance {tol:g} in {max_restarts} restarts "
+        f"(last relative Ritz residual {history[-1]:g})",
+        basis[0].copy(), history,
+    )
 
 
 @dataclass(frozen=True)

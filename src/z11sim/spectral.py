@@ -20,6 +20,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy 2 loads it lazily: load it here, not inside a run)
 
 __all__ = [
     "Grid",

@@ -4,11 +4,14 @@ error contract on stderr, and byte-level determinism of reruns."""
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import z11sim
 from z11sim import (
     Mask,
     RealField,
@@ -391,6 +394,23 @@ class TestErrorContract:
         assert record["error"] == "ConfigError"
         assert "nested deeper than 64" in record["message"]
 
+    @pytest.mark.parametrize("text, message", [
+        (solve_ini().replace("disk(0, 0, 0.5)", "disk(1e999, 0, 1)"), "is not finite"),
+        ("[DEFAULT]\nseed = 3\n\n" + solve_ini(), "[DEFAULT] is not allowed"),
+        ("[run]\ncommand = evolve\noutput_dir = solveout\n\n[grid]\nn = 32\nbox_length = 8.0\n"
+         "\n[initial]\nkind = bump\nwidth = 0.5\ncutoff = -1\n", "cutoff must be positive"),
+    ], ids=["overflowing-shape-number", "default-section", "negative-cutoff"])
+    def test_config_error_before_any_output(self, tmp_path, capsys, text, message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        code, out, err = run_cli(capsys, ini)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err.strip())
+        assert record["error"] == "ConfigError"
+        assert message in record["message"]
+        assert sorted(os.listdir(tmp_path)) == ["bad.ini"]
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, tmp_path / "absent.ini")
         assert code == 1
@@ -400,3 +420,34 @@ class TestErrorContract:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestImports:
+    def test_main_loads_no_scipy_and_no_lazy_numpy_module(self, tmp_path):
+        """In a fresh interpreter, z11sim.cli loads every numpy submodule
+        the commands use, so neither a solve (which estimates coercivity)
+        nor an evolve imports anything inside main, and nothing loads
+        scipy."""
+        (tmp_path / "solve.ini").write_text(solve_ini())
+        (tmp_path / "evolve.ini").write_text(
+            "[run]\ncommand = evolve\noutput_dir = evolveout\n\n"
+            "[grid]\nn = 32\nbox_length = 8.0\n\n"
+            "[initial]\nkind = bump\nwidth = 0.5\ncutoff = 2.0\n\n"
+            "[evolve]\nt_max = 20.0\n")
+        code = (
+            "import sys\n"
+            "from z11sim.cli import main\n"
+            "before = set(sys.modules)\n"
+            "for config in sys.argv[1:]:\n"
+            "    assert main([config]) == 0\n"
+            "print(sorted(name for name in set(sys.modules) - before\n"
+            "             if name.startswith(('numpy.fft', 'numpy.random'))))\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(z11sim.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "solve.ini"), str(tmp_path / "evolve.ini")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert result.stdout.splitlines()[-2:] == ["[]", "False"]
+        assert (tmp_path / "solveout" / "solve.json").exists()
+        assert (tmp_path / "evolveout" / "evolve.json").exists()

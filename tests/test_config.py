@@ -87,6 +87,13 @@ class TestShapeGrammar:
         with pytest.raises(ConfigError, match="inner"):
             parse_shape("annulus(0, 0, 1.0, 0.5)")
 
+    @pytest.mark.parametrize("text", ["disk(1e999, 0, 1)", "rect(-1e999, 0, 1e999, 1)",
+                                      "union(disk(0, 0, 1), disk(0, 0, 1e999))"])
+    def test_overflowing_number_rejected(self, text):
+        """1e999 overflows to inf; it used to load and fail in rasterize."""
+        with pytest.raises(ConfigError, match=r"^shape spec: number -?inf is not finite$"):
+            parse_shape(text)
+
     @staticmethod
     def _nested(depth):
         return "union(" * depth + "disk(0, 0, 1)" + ", disk(1, 1, 1))" * depth
@@ -276,6 +283,12 @@ class TestLoadEvolve:
         with pytest.raises(ConfigError, match="does not apply to kind 'file'"):
             load_run_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("cutoff", ["-1", "0"])
+    def test_nonpositive_cutoff_rejected(self, tmp_path, cutoff):
+        text = EVOLVE_BASE + f"cutoff = {cutoff}\n"
+        with pytest.raises(ConfigError, match=r"^\[initial\] cutoff must be positive"):
+            load_run_config(write_config(tmp_path, text))
+
     def test_unknown_initial_kind(self, tmp_path):
         text = EVOLVE_BASE.replace("kind = bump", "kind = blob")
         with pytest.raises(ConfigError, match="kind must be 'file' or 'bump'"):
@@ -424,6 +437,14 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match=r"unknown key 'resolution' in section \[grid\]"):
             load_run_config(write_config(tmp_path, text))
 
+    def test_default_section_rejected(self, tmp_path):
+        """configparser repeats [DEFAULT] keys in every section; the error
+        used to blame the first section, as an unknown key there."""
+        text = "[DEFAULT]\nseed = 3\n\n" + SOLVE_MINIMAL
+        with pytest.raises(ConfigError,
+                           match=r"^section \[DEFAULT\] is not allowed \(it sets 'seed'\)$"):
+            load_run_config(write_config(tmp_path, text))
+
     def test_syntax_error_carries_line(self, tmp_path):
         text = "[run]\ncommand = diagnostics\nthis is not an assignment\n"
         with pytest.raises(ConfigError, match=r"line"):
@@ -435,8 +456,10 @@ class TestSchemaErrors:
 
 
 SHAPE_TYPES = (Annulus, Disk, Ellipse, Rectangle, ShapeDifference, ShapeUnion)
-SHAPE_NUMBERS = ["0", "1", "-1", "0.5", ".5", "+2", "1e-1", "1e999", "-0", "1."]
-SHAPE_NOISE = ["blob", "nan", "inf", "e", "(", ")", ",", "", " ", "\t", "@", "!", "[", "é"]
+SHAPE_NUMBERS = ["0", "1", "-1", "0.5", ".5", "+2", "1e-1", "1e+2", "-0", "1."]
+# 1e999 overflows to inf, which the grammar rejects
+SHAPE_NOISE = ["blob", "nan", "inf", "1e999", "e", "(", ")", ",", "", " ", "\t", "@", "!", "[",
+               "é"]
 
 
 def _shape_tokens(rng, depth=0):

@@ -32,7 +32,8 @@ from z11sim import (
     sup_norm,
     verify_profile,
 )
-from z11sim.profile import _KRYLOV_DIM, _cg
+from z11sim import profile
+from z11sim.profile import _KRYLOV_DIM, _cg, _lanczos_smallest
 
 from test_spectral import dft_multiplier_oracle
 
@@ -284,7 +285,7 @@ class TestCoercivity:
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
     def test_restarts_past_krylov_dim(self, monkeypatch):
-        """A run needing more applies than the Krylov basis holds, so ARPACK
+        """A run needing more applies than the Krylov basis holds, so Lanczos
         restarts at least once, still matches the dense spectrum."""
         grid = Grid(64, 8.0)
         op = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
@@ -336,13 +337,13 @@ class TestCoercivity:
                 == estimate_coercivity(RestrictedOperator(grid, mask)))
 
     def test_apply_count_on_benchmark_disk(self, monkeypatch):
-        """The centred unit disk at n = 512 takes 1481 applies. A Gaussian
-        start takes 1661 and a residual bound of 0.1 * tol 1641, so either
-        regression fails this bound."""
+        """The centred unit disk at n = 512 takes 1400 applies (ARPACK took
+        1481). A Gaussian start takes 1580 and a residual bound of 0.1 * tol
+        1560, so either regression fails this bound."""
         grid = Grid(512, 16.0)
         op = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
         _, applies = _count_coercivity_applies(monkeypatch, op)
-        assert applies <= 1560
+        assert applies <= 1480
 
     def test_one_cell_is_lattice_mean(self):
         """A one-cell mask is its own eigenvalue, the closed form of
@@ -385,6 +386,57 @@ class TestCoercivity:
     def test_deterministic(self, disk_setup):
         _, _, op = disk_setup
         assert estimate_coercivity(op) == estimate_coercivity(op)
+
+    def test_restart_cap_raises_with_ritz_vector(self, monkeypatch):
+        """Past the restart cap the estimate raises ConvergenceError with
+        the lowest Ritz vector on the grid and one relative Ritz residual
+        per restart; the disk needs more than one restart."""
+        grid = Grid(64, 8.0)
+        mask = rasterize(Disk((0.0, 0.0), 1.0), grid)
+        lanczos = profile._lanczos_smallest
+        monkeypatch.setattr(profile, "_lanczos_smallest",
+                            lambda *args, max_restarts: lanczos(*args, max_restarts=1))
+        with pytest.raises(ConvergenceError, match="in 1 restarts") as excinfo:
+            estimate_coercivity(RestrictedOperator(grid, mask))
+        best = excinfo.value.best
+        assert isinstance(best, RealField)
+        assert np.all(best.values[~mask.indicator] == 0.0)
+        np.testing.assert_allclose(np.linalg.norm(best.values), 1.0, rtol=1e-12)
+        (residual,) = excinfo.value.residual_history
+        assert residual > 1e-6
+
+
+class TestLanczos:
+    """The private Lanczos routine on an explicit diagonal operator, whose
+    eigenvectors are the unit vectors."""
+
+    DIAGONAL = np.linspace(0.5, 1.0, 200)
+
+    def _smallest(self, v0, tol=1e-10, max_restarts=2000):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        theta = _lanczos_smallest(lambda x: self.DIAGONAL * x, v0, tol, rng, max_restarts)
+        return theta, rng.bit_generator.state != state
+
+    def test_smallest_eigenvalue(self):
+        theta, _ = self._smallest(np.ones(self.DIAGONAL.size))
+        assert abs(theta - 0.5) <= 1e-10 * 0.5
+
+    def test_breakdown_at_first_step_continues(self):
+        """An eigenvector start spans an invariant subspace at once; the
+        basis continues from a random vector and still finds the minimum."""
+        v0 = np.zeros(self.DIAGONAL.size)
+        v0[100] = 1.0
+        theta, drew_random = self._smallest(v0)
+        assert drew_random
+        assert abs(theta - 0.5) <= 1e-10 * 0.5
+
+    def test_cap_of_one_restart_raises(self):
+        with pytest.raises(ConvergenceError, match="in 1 restarts") as excinfo:
+            self._smallest(np.ones(self.DIAGONAL.size), max_restarts=1)
+        best = excinfo.value.best
+        assert best.shape == self.DIAGONAL.shape
+        assert len(excinfo.value.residual_history) == 1
 
 
 class TestGridScaleLaw:
