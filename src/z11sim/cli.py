@@ -17,11 +17,17 @@ import sys
 
 from .config import ConfigError, RunConfig, load_run_config
 from .diagnostics import run_diagnostics
-from .evolution import estimate_blowup_time, evolve, gaussian_bump, self_similar_deviation
+from .evolution import (
+    EvolutionTrace,
+    estimate_blowup_time,
+    evolve,
+    gaussian_bump,
+    self_similar_deviation,
+)
 from .fieldio import _write_csv, atomic_write_bytes, read_field, write_field, write_trace_csv
-from .profile import RestrictedOperator, solve_profile, verify_profile
+from .profile import ProfileSolution, RestrictedOperator, solve_profile, verify_profile
 from .shapes import Mask, mask_area, rasterize
-from .spectral import Grid, RealField
+from .spectral import RealField
 
 __all__ = ["main"]
 
@@ -33,39 +39,49 @@ def _write_json(path: str, obj) -> None:
     atomic_write_bytes(path, _json_bytes(obj))
 
 
-def _solve(cfg: RunConfig, grid: Grid):
-    mask = rasterize(cfg.shape, grid)
-    operator = RestrictedOperator(grid, mask)
-    solution = solve_profile(operator, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    return mask, solution
+def _summary(cfg: RunConfig, solution: ProfileSolution | None = None,
+             trace: EvolutionTrace | None = None, **keys) -> dict:
+    """A command's JSON summary: the keys every command shares, the
+    solve's and the evolution's when the command ran them, then ``keys``."""
+    summary = {"command": cfg.command, "grid_n": cfg.grid.n, "box_length": cfg.grid.box_length}
+    if solution is not None:
+        summary.update(
+            shape=cfg.shape_text,
+            residual_l2=solution.residual_l2,
+            iterations=solution.iterations,
+            delta_estimate=solution.delta_estimate,
+            delta_over_h2=solution.delta_estimate / cfg.grid.h**2,
+            cell_count=solution.mask.cell_count,
+        )
+    if trace is not None:
+        summary.update(terminated=trace.terminated, accepted_steps=trace.accepted_steps,
+                       rejected_steps=trace.rejected_steps)
+    return summary | keys
+
+
+def _solve(cfg: RunConfig) -> ProfileSolution:
+    operator = RestrictedOperator(rasterize(cfg.shape, cfg.grid))
+    return solve_profile(operator, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
 
 
 def _cmd_solve_profile(cfg: RunConfig) -> list[str]:
-    grid = Grid(cfg.grid_n, cfg.box_length)
-    mask, solution = _solve(cfg, grid)
+    solution = _solve(cfg)
+    mask = solution.mask
     report = verify_profile(solution)
     write_field(os.path.join(cfg.output_dir, "profile.vpf"), solution.q, kind="profile")
     write_field(os.path.join(cfg.output_dir, "mask.vpf"), mask)
-    _write_json(os.path.join(cfg.output_dir, "solve.json"), {
-        "command": cfg.command,
-        "grid_n": cfg.grid_n,
-        "box_length": cfg.box_length,
-        "shape": cfg.shape_text,
-        "tol": cfg.solver_tol,
-        "max_iter": cfg.solver_max_iter,
-        "residual_l2": solution.residual_l2,
-        "iterations": solution.iterations,
-        "delta_estimate": solution.delta_estimate,
-        "delta_over_h2": solution.delta_estimate / grid.h**2,
-        "cell_count": mask.cell_count,
-        "mask_area": mask_area(mask),
-        "verification": dataclasses.asdict(report),
-    })
+    _write_json(os.path.join(cfg.output_dir, "solve.json"), _summary(
+        cfg, solution,
+        tol=cfg.solver_tol,
+        max_iter=cfg.solver_max_iter,
+        mask_area=mask_area(mask),
+        verification=dataclasses.asdict(report),
+    ))
     return ["profile.vpf", "mask.vpf", "solve.json"]
 
 
-def _initial_field(cfg: RunConfig, grid: Grid) -> RealField:
-    spec = cfg.initial
+def _initial_field(cfg: RunConfig) -> RealField:
+    spec, grid = cfg.initial, cfg.grid
     if spec.kind == "file":
         loaded = read_field(spec.path)
         if isinstance(loaded, Mask):
@@ -84,8 +100,7 @@ def _initial_field(cfg: RunConfig, grid: Grid) -> RealField:
 
 
 def _cmd_evolve(cfg: RunConfig) -> list[str]:
-    grid = Grid(cfg.grid_n, cfg.box_length)
-    omega0 = _initial_field(cfg, grid)
+    omega0 = _initial_field(cfg)
     # one (time, state) candidate per requested time, replaced while its
     # time is below the request: the first record at or after the request,
     # or the last record when the run ends earlier
@@ -105,30 +120,24 @@ def _cmd_evolve(cfg: RunConfig) -> list[str]:
         write_field(os.path.join(cfg.output_dir, name), state)
         snapshots.append({"requested": float(requested), "time": t, "file": name})
         artifacts.append(name)
-    _write_json(os.path.join(cfg.output_dir, "evolve.json"), {
-        "command": cfg.command,
-        "grid_n": cfg.grid_n,
-        "box_length": cfg.box_length,
-        "terminated": trace.terminated,
-        "records": len(trace),
-        "accepted_steps": trace.accepted_steps,
-        "rejected_steps": trace.rejected_steps,
-        "final_time": float(trace.times[-1]),
-        "final_sup_norm": float(trace.sup_norm[-1]),
-        "final_integral": float(trace.integral[-1]),
-        "final_support_cells": int(trace.support_cells[-1]),
-        "blowup_time_estimate": trace.blowup_time_estimate,
-        "fit_quality": trace.fit_quality,
-        "snapshots": snapshots,
-    })
+    _write_json(os.path.join(cfg.output_dir, "evolve.json"), _summary(
+        cfg, trace=trace,
+        records=len(trace),
+        final_time=float(trace.times[-1]),
+        final_sup_norm=float(trace.sup_norm[-1]),
+        final_integral=float(trace.integral[-1]),
+        final_support_cells=int(trace.support_cells[-1]),
+        blowup_time_estimate=trace.blowup_time_estimate,
+        fit_quality=trace.fit_quality,
+        snapshots=snapshots,
+    ))
     return artifacts
 
 
 def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
-    grid = Grid(cfg.grid_n, cfg.box_length)
-    mask, solution = _solve(cfg, grid)
+    solution = _solve(cfg)
     t_blowup = cfg.verify_t_blowup
-    omega0 = RealField(grid, solution.q.values / t_blowup)
+    omega0 = RealField(cfg.grid, solution.q.values / t_blowup)
     evolve_cfg = dataclasses.replace(cfg.evolve, t_max=cfg.verify_t_final)
     deviations: list[float] = []
 
@@ -141,32 +150,20 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     write_trace_csv(os.path.join(cfg.output_dir, "trace.csv"), trace)
     _write_csv(os.path.join(cfg.output_dir, "deviation.csv"), ("t", "deviation"),
                zip(trace.times, deviations))
-    _write_json(os.path.join(cfg.output_dir, "verify.json"), {
-        "command": cfg.command,
-        "grid_n": cfg.grid_n,
-        "box_length": cfg.box_length,
-        "shape": cfg.shape_text,
-        "t_blowup": t_blowup,
-        "t_final": cfg.verify_t_final,
-        "residual_l2": solution.residual_l2,
-        "iterations": solution.iterations,
-        "delta_estimate": solution.delta_estimate,
-        "delta_over_h2": solution.delta_estimate / grid.h**2,
-        "cell_count": mask.cell_count,
-        "terminated": trace.terminated,
-        "accepted_steps": trace.accepted_steps,
-        "rejected_steps": trace.rejected_steps,
-        "max_deviation": max(deviations),
-        "final_deviation": deviations[-1],
-        "fitted_t_blowup": fitted_t,
-        "fit_quality": fit_quality,
-    })
+    _write_json(os.path.join(cfg.output_dir, "verify.json"), _summary(
+        cfg, solution, trace,
+        t_blowup=t_blowup,
+        t_final=cfg.verify_t_final,
+        max_deviation=max(deviations),
+        final_deviation=deviations[-1],
+        fitted_t_blowup=fitted_t,
+        fit_quality=fit_quality,
+    ))
     return ["trace.csv", "deviation.csv", "verify.json"]
 
 
 def _cmd_diagnostics(cfg: RunConfig) -> list[str]:
-    grid = Grid(cfg.grid_n, cfg.box_length)
-    result = run_diagnostics(grid, cfg.seed)
+    result = run_diagnostics(cfg.grid, cfg.seed)
     _write_json(os.path.join(cfg.output_dir, "diagnostics.json"), result["summary"])
     trials = result["cone_trials"]
     _write_csv(

@@ -30,6 +30,7 @@ from collections import deque
 from functools import partial
 
 from .evolution import EvolveConfig
+from .profile import _check_solver_settings
 from .shapes import (
     Annulus,
     Disk,
@@ -39,6 +40,7 @@ from .shapes import (
     ShapeSpec,
     ShapeUnion,
 )
+from .spectral import Grid
 
 __all__ = [
     "ConfigError",
@@ -74,8 +76,7 @@ class RunConfig:
     command: str
     seed: int
     output_dir: str
-    grid_n: int
-    box_length: float
+    grid: Grid
     shape: ShapeSpec | None
     shape_text: str | None
     solver_tol: float
@@ -212,6 +213,15 @@ def _value(parser: configparser.ConfigParser, section: str, key: str, default=_R
         raise ConfigError(f"[{section}] key {key!r}: {exc}") from exc
 
 
+def _checked(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError reported as a ConfigError of
+    the section."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def _read_ini(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
@@ -307,8 +317,8 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
 
     if not parser.has_section("grid"):
         raise ConfigError("missing section [grid]")
-    grid_n = _value(parser, "grid", "n")
-    box_length = _value(parser, "grid", "box_length")
+    grid = _checked("grid", Grid, _value(parser, "grid", "n"),
+                    _value(parser, "grid", "box_length"))
 
     needs_shape = command in ("solve-profile", "verify-self-similar")
     shape_text = _value(parser, "shape", "spec", _REQUIRED if needs_shape else None)
@@ -316,6 +326,7 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
 
     solver_tol = _value(parser, "solver", "tol", 1e-8)
     solver_max_iter = _value(parser, "solver", "max_iter", 10_000)
+    _checked("solver", _check_solver_settings, solver_tol, solver_max_iter)
 
     evolve_cfg = None
     if command in ("evolve", "verify-self-similar"):
@@ -324,10 +335,7 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
         if command == "verify-self-similar" and not parser.has_option("evolve", "record_every"):
             # records default to every step, for the trailing-window fit
             values["record_every"] = 1
-        try:
-            evolve_cfg = EvolveConfig(**values)
-        except ValueError as exc:
-            raise ConfigError(f"[evolve] {exc}") from exc
+        evolve_cfg = _checked("evolve", EvolveConfig, **values)
 
     initial = None
     if command == "evolve":
@@ -349,8 +357,7 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
         command=command,
         seed=seed,
         output_dir=output_dir,
-        grid_n=grid_n,
-        box_length=box_length,
+        grid=grid,
         shape=shape,
         shape_text=shape_text,
         solver_tol=solver_tol,

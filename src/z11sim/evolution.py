@@ -205,6 +205,15 @@ def _box(omega: RealField) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     return index, _box_kernel(n, p1, p2)[1]
 
 
+def _scatter(omega: RealField, index: tuple[np.ndarray, np.ndarray],
+             box: np.ndarray) -> np.ndarray:
+    """A grid array holding ``box`` at omega's support box ``index``, 0
+    elsewhere."""
+    values = np.zeros_like(omega.values)
+    values[index] = box
+    return values
+
+
 def rhs(omega: RealField, sign: int = 1) -> RealField:
     """Right-hand side (Z11 w) w, pointwise in space.
 
@@ -219,9 +228,8 @@ def rhs(omega: RealField, sign: int = 1) -> RealField:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     index, symbol = _box(omega)
-    out = np.zeros_like(omega.values)
-    out[index] = _rhs_values(symbol, omega.values[index], sign)
-    return RealField(omega.grid, out)
+    product = _rhs_values(symbol, omega.values[index], sign)
+    return RealField(omega.grid, _scatter(omega, index, product))
 
 
 def _rk_attempt(symbol: np.ndarray, y: np.ndarray, dt: float,
@@ -254,23 +262,24 @@ def rk_step(omega: RealField, dt: float, sign: int = 1) -> tuple[RealField, np.n
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     index, symbol = _box(omega)
-    y_new, err = np.zeros((2,) + omega.values.shape)
-    y_new[index], err[index] = _rk_attempt(symbol, omega.values[index], dt, sign)
-    return RealField(omega.grid, y_new), err
+    y_new, err = _rk_attempt(symbol, omega.values[index], dt, sign)
+    return RealField(omega.grid, _scatter(omega, index, y_new)), _scatter(omega, index, err)
 
 
 def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
     """Advance one accepted step, shrinking dt until the local error passes.
 
     The scaled error combines atol and rtol per cell; a step is accepted
-    when its root mean square over all n^2 grid cells is at most 1.
-    Rejections shrink dt by the standard fifth-order factor; if that would
-    push dt below dt_min the step underflows, which downstream is read as
-    approach to blow-up rather than failure. The result's dt_next is the
-    standard proposal safety * err^(-1/5), clamped to [1/5, 5] times the
-    accepted step; it uses this step's error alone (evolve may shorten it).
-    Attempts and the error norm run on the support box of :func:`rhs`:
-    every nonzero error lies there, and the box's sum is divided by n^2.
+    when its root mean square over all n^2 grid cells is at most 1 and
+    the update is finite. Each attempt's step factor is the standard
+    fifth-order proposal safety * err^(-1/5), clamped to [1/5, 5]; an error
+    of 0 gives 5 and a non-finite error 1/5. An accepted step proposes
+    dt_next = factor * dt from this step's error alone (evolve may shorten
+    it). A rejection retries with dt times the factor, capped at 0.9; if
+    that would push dt below dt_min the step underflows, which downstream
+    is read as approach to blow-up rather than failure. Attempts and the
+    error norm run on the support box of :func:`rhs`: every nonzero error
+    lies there, and the box's sum is divided by n^2.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -285,35 +294,25 @@ def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
             # err_field is 0 off the support; a 0 counts 0, even at scale 0 (atol = 0)
             ratio = np.divide(err_field, scale, out=np.zeros_like(y), where=err_field != 0.0)
             err = float(np.sqrt(np.sum(ratio**2) / grid.n**2))
-        if np.isfinite(err) and err <= 1.0 and np.all(np.isfinite(y_new)):
-            if err == 0.0:
-                factor = _MAX_GROW
-            else:
-                factor = config.safety * err ** (-1.0 / _PROPAGATION_ORDER)
-                factor = min(_MAX_GROW, max(_MIN_SHRINK, factor))
-            values = np.zeros_like(omega.values)
-            values[index] = y_new
+        if err == 0.0:
+            factor = _MAX_GROW
+        elif np.isfinite(err):
+            factor = config.safety * err ** (-1.0 / _PROPAGATION_ORDER)
+            factor = min(_MAX_GROW, max(_MIN_SHRINK, factor))
+        else:
+            factor = _MIN_SHRINK
+        if err <= 1.0 and np.all(np.isfinite(y_new)):
             return StepResult(
-                field=RealField(grid, values),
+                field=RealField(grid, _scatter(omega, index, y_new)),
                 dt_accepted=dt,
                 dt_next=dt * factor,
                 error_estimate=err,
                 rejected_attempts=rejected,
             )
-        if np.isfinite(err):
-            factor = max(_MIN_SHRINK, config.safety * err ** (-1.0 / _PROPAGATION_ORDER))
-        else:
-            factor = _MIN_SHRINK
         dt = dt * min(factor, 0.9)
         rejected += 1
         if dt < config.dt_min:
             raise StepUnderflowError(dt, config.dt_min, rejected)
-
-
-def _support_count(values: np.ndarray, sup: float) -> int:
-    if sup == 0.0:
-        return 0
-    return int(np.count_nonzero(np.abs(values) > _SUPPORT_CUTOFF * sup))
 
 
 def evolve(omega0: RealField, config: EvolveConfig,
@@ -354,22 +353,15 @@ def evolve(omega0: RealField, config: EvolveConfig,
     else:
         threshold = float("inf")
 
-    times: list[float] = []
-    sups: list[float] = []
-    integrals: list[float] = []
-    l2s: list[float] = []
-    qforms: list[float] = []
-    supports: list[int] = []
+    # one row per record, in the order of EvolutionTrace's array fields
+    rows: list[tuple[float, float, float, float, float, int]] = []
 
     def record(field: RealField, t: float) -> None:
         y = field.values[index]
         s = float(np.max(np.abs(y)))
-        times.append(t)
-        sups.append(s)
-        integrals.append(float(h2 * np.sum(y)))
-        l2s.append(float(np.sqrt(h2 * np.sum(y**2))))
-        qforms.append(float(h2 * np.sum(_real_fft(y, symbol) * y)))
-        supports.append(_support_count(y, s))
+        rows.append((t, s, float(h2 * np.sum(y)), float(np.sqrt(h2 * np.sum(y**2))),
+                     float(h2 * np.sum(_real_fft(y, symbol) * y)),
+                     int(np.count_nonzero(np.abs(y) > _SUPPORT_CUTOFF * s))))
         if on_record is not None:
             on_record(t, field)
 
@@ -408,16 +400,11 @@ def evolve(omega0: RealField, config: EvolveConfig,
             break
         if n_steps % config.record_every == 0 and config.t_max - t > horizon_slack:
             record(omega, t)
-    if t > times[-1]:
+    if t > rows[-1][0]:
         record(omega, t)
 
     trace = EvolutionTrace(
-        times=np.array(times),
-        sup_norm=np.array(sups),
-        integral=np.array(integrals),
-        l2_norm=np.array(l2s),
-        qform=np.array(qforms),
-        support_cells=np.array(supports),
+        *map(np.array, zip(*rows)),
         terminated=terminated,
         accepted_steps=n_steps,
         rejected_steps=n_rejected,

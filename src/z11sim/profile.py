@@ -101,17 +101,15 @@ class SingularOperatorError(RuntimeError):
 class RestrictedOperator:
     """The masked multiplier operator; acts on fields supported on the mask.
 
-    Construction keeps the kernel window over the mask's bounding box
-    together with the window's symbol; the box size depends on the mask
-    alone, and boxes of one size share the window.
+    The mask fixes the operator, its grid included. Construction keeps the
+    kernel window over the mask's bounding box together with the window's
+    symbol; the box size depends on the mask alone, and boxes of one size
+    share the window.
     """
 
-    grid: Grid
     mask: Mask
 
     def __post_init__(self) -> None:
-        if self.mask.grid is not self.grid and self.mask.grid != self.grid:
-            raise ValueError("mask grid does not match operator grid")
         n = self.grid.n
         (start1, b1, p1), (start2, b2, p2) = (
             _embedding_axis(self.mask.indicator.any(axis=a)) for a in (1, 0))
@@ -121,6 +119,10 @@ class RestrictedOperator:
         object.__setattr__(self, "_symbol", symbol)
         object.__setattr__(self, "_box_shape", (b1, b2))
         object.__setattr__(self, "_box_index", ((r - start1) % n, (c - start2) % n))
+
+    @property
+    def grid(self) -> Grid:
+        return self.mask.grid
 
     def apply_packed(self, x: np.ndarray) -> np.ndarray:
         """Operator action on a member-cell vector of length cell_count."""
@@ -159,7 +161,6 @@ class ProfileSolution:
     residual_l2: float
     iterations: int
     delta_estimate: float
-    grid: Grid
     mask: Mask
 
     def __post_init__(self) -> None:
@@ -212,6 +213,15 @@ def _make_convergence_error(op: RestrictedOperator, x: np.ndarray,
     )
 
 
+def _check_solver_settings(tol: float, max_iter: int) -> None:
+    """The rule for solve_profile's settings, which the run config applies
+    before a run starts."""
+    if not (0.0 < tol < 1e-2):
+        raise ValueError(f"tol must lie in (0, 1e-2), got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
                   max_iter: int = 10_000) -> ProfileSolution:
     """Solve L Q = 1 on the mask by conjugate gradient.
@@ -221,10 +231,7 @@ def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
     expected and reported, not suppressed. The returned residual is
     recomputed with an independent operator application.
     """
-    if not (0.0 < tol < 1e-2):
-        raise ValueError(f"tol must lie in (0, 1e-2), got {tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_solver_settings(tol, max_iter)
     mask = op.mask
     n = op.grid.n
     if mask.cell_count == n * n:
@@ -252,7 +259,7 @@ def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
 
     delta = estimate_coercivity(op, tol=1e-6)
     return ProfileSolution(q=q, residual_l2=residual, iterations=iterations,
-                           delta_estimate=delta, grid=op.grid, mask=mask)
+                           delta_estimate=delta, mask=mask)
 
 
 def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
@@ -267,7 +274,10 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
     only for an isolated lowest eigenvalue; here the two lowest are often
     within a percent of each other. If it does not converge within
     _RESTARTS_PER_CELL restarts per mask cell it raises ConvergenceError
-    with the lowest Ritz vector. A one-cell mask is its own eigenvalue.
+    with the lowest Ritz vector. A basis that spans all m cells ends the
+    first cycle on the eigenvalue itself, to roundoff; on a one-cell mask
+    that is the operator's single entry bitwise, since a 1 x 1 embedding
+    transforms as the identity.
 
     The low eigenvectors are the x2-Nyquist oscillation ``(-1)^j2`` times
     a smooth envelope. The start vector is that pattern times
@@ -286,20 +296,17 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     m = op.mask.cell_count
-    if m == 1:
-        theta = float(dense_L_matrix(op)[0, 0])
-    else:
-        r, c = op._box_index
-        envelope = (r + 1.0) * (c + 1.0)
-        v0 = np.where(c % 2 == 0, envelope, -envelope)
-        rng = np.random.default_rng(_LANCZOS_SEED)
-        v0 += 0.1 * envelope.mean() * rng.standard_normal(m)
-        try:
-            theta = _lanczos_smallest(op.apply_packed, v0, tol, rng,
-                                      max_restarts=_RESTARTS_PER_CELL * m)
-        except ConvergenceError as exc:
-            exc.best = RealField(op.grid, op.mask.unpack(exc.best))
-            raise
+    r, c = op._box_index
+    envelope = (r + 1.0) * (c + 1.0)
+    v0 = np.where(c % 2 == 0, envelope, -envelope)
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    v0 += 0.1 * envelope.mean() * rng.standard_normal(m)
+    try:
+        theta = _lanczos_smallest(op.apply_packed, v0, tol, rng,
+                                  max_restarts=_RESTARTS_PER_CELL * m)
+    except ConvergenceError as exc:
+        exc.best = RealField(op.grid, op.mask.unpack(exc.best))
+        raise
     if theta <= 10 * np.finfo(float).eps:
         raise SingularOperatorError(
             f"operator numerically singular (smallest-eigenvalue estimate {theta})"
@@ -400,8 +407,7 @@ class ProfileReport:
 def verify_profile(sol: ProfileSolution) -> ProfileReport:
     """Check the profile equation directly on the solved field."""
     mask = sol.mask
-    grid = sol.grid
-    h2 = grid.h**2
+    h2 = mask.grid.h**2
     z = apply_z11(sol.q)
     dev = z.values[mask.indicator] - 1.0
     on_max = float(np.max(np.abs(dev)))

@@ -88,8 +88,9 @@ class Grid:
 
         ksq1 = _wavenumbers(n).astype(float) ** 2
         ksq = ksq1[:, None] + ksq1[None, :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m11 = np.where(ksq > 0, ksq1[:, None] / ksq, 0.0)
+        # |k|^2 vanishes at k = 0 alone, where k1^2 = 0 makes m11 = 0 / 1 = 0
+        ksq[0, 0] = 1.0
+        m11 = ksq1[:, None] / ksq
         object.__setattr__(self, "m11", m11)
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
@@ -114,8 +115,7 @@ class RealField:
         object.__setattr__(self, "values", v)
 
 
-def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None,
-              half_plane: bool = False) -> np.ndarray:
+def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarray:
     """The one transform site: real-input FFTs over the half plane k2 >= 0.
 
     With ``symbol``, a full-plane p1 x p2 multiplier even under k -> -k,
@@ -128,8 +128,7 @@ def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None,
 
     Without ``symbol``, ``values`` is an n1 x n2 periodic array, and the
     result is the power |c(k)|^2 of the coefficients normalized so that
-    c(0) is the field mean: on the full-plane FFT labels, or with
-    ``half_plane`` on the half plane k2 >= 0 alone (n1 x (n2//2 + 1)).
+    c(0) is the field mean, on the full-plane FFT labels.
     """
     if symbol is not None:
         b1, b2 = values.shape
@@ -140,8 +139,6 @@ def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None,
     n1, n2 = values.shape
     coeff = np.fft.rfft2(values, norm="forward")
     half = coeff.real**2 + coeff.imag**2
-    if half_plane:
-        return half
     # c(-k) is the conjugate of c(k), so the columns k2 < 0 are the half
     # plane mirrored through the origin. Mirroring, rather than weighting
     # columns by two, keeps each power on its own (k1, k2) label: the row
@@ -230,14 +227,8 @@ def quadratic_form(f: RealField) -> float:
     Scaled so it equals the physical inner product of ``apply_z11(f)`` with
     ``f``. Nonnegative termwise; it vanishes exactly when the spectrum is
     supported on the lam1 = 0 axis (zero mode included).
-
-    The sum runs over the half plane k2 >= 0, with the columns
-    0 < k2 < n/2 counted twice for their mirrors through the origin; that
-    is exact because the multiplier is even.
     """
-    n = f.grid.n
-    terms = f.grid.m11[:, : n // 2 + 1] * _real_fft(f.values, half_plane=True)
-    return float(f.grid.box_length**2 * (terms.sum() + terms[:, 1: n // 2].sum()))
+    return float(f.grid.box_length**2 * np.sum(f.grid.m11 * _real_fft(f.values)))
 
 
 def cone_mass_ratio(f: RealField, k: float) -> float:

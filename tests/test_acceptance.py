@@ -48,7 +48,7 @@ def profile128():
     """Shared disk profile at production scale: r = 1, box 16, n = 128."""
     grid = Grid(128, 16.0)
     mask = rasterize(Disk((0.0, 0.0), 1.0), grid)
-    operator = RestrictedOperator(grid, mask)
+    operator = RestrictedOperator(mask)
     t0 = time.perf_counter()
     solution = solve_profile(operator, tol=1e-8)
     return grid, mask, solution, time.perf_counter() - t0
@@ -81,7 +81,7 @@ def test_criterion_2_operator_oracle():
     t0 = time.perf_counter()
     grid = Grid(32, 8.0)
     mask = rasterize(Disk((0.0, 0.0), 1.0), grid)
-    operator = RestrictedOperator(grid, mask)
+    operator = RestrictedOperator(mask)
     dense = dense_L_matrix(operator)
 
     symmetry = float(np.max(np.abs(dense - dense.T)))
@@ -102,7 +102,7 @@ def test_criterion_2_operator_oracle():
 def test_criterion_3_coercivity():
     t0 = time.perf_counter()
     grid = Grid(32, 8.0)
-    operator = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
+    operator = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
     dense_min = float(np.linalg.eigvalsh(dense_L_matrix(operator))[0])
     lanczos = estimate_coercivity(operator, tol=1e-6)
     rel = abs(lanczos - dense_min) / dense_min
@@ -111,7 +111,7 @@ def test_criterion_3_coercivity():
     deltas = []
     for box, n in ((8.0, 32), (16.0, 64), (32.0, 128)):
         g = Grid(n, box)
-        op = RestrictedOperator(g, rasterize(Disk((0.0, 0.0), 1.0), g))
+        op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), g))
         deltas.append(estimate_coercivity(op, tol=1e-6))
     drift = (max(deltas) - min(deltas)) / min(deltas)
     elapsed = time.perf_counter() - t0
@@ -202,7 +202,7 @@ def test_criterion_7_cone_mass_probe():
 def test_criterion_8_integrator_order():
     t0 = time.perf_counter()
     grid = Grid(64, 16.0)
-    operator = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
+    operator = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
     solution = solve_profile(operator, tol=1e-10)
 
     def run_fixed(field, dt, steps):

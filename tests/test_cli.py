@@ -23,6 +23,25 @@ from z11sim import (
 from z11sim.cli import main
 
 
+# The top-level keys of each command's JSON summary, pinned so that the
+# builder the commands share can neither drop nor add one.
+RUN_KEYS = {"command", "grid_n", "box_length"}
+SOLVE_RESULT_KEYS = {"shape", "residual_l2", "iterations", "delta_estimate", "delta_over_h2",
+                     "cell_count"}
+EVOLVE_RESULT_KEYS = {"terminated", "accepted_steps", "rejected_steps"}
+SUMMARY_KEYS = {
+    "solve.json": RUN_KEYS | SOLVE_RESULT_KEYS | {"tol", "max_iter", "mask_area", "verification"},
+    "evolve.json": RUN_KEYS | EVOLVE_RESULT_KEYS | {
+        "records", "final_time", "final_sup_norm", "final_integral", "final_support_cells",
+        "blowup_time_estimate", "fit_quality", "snapshots"},
+    "verify.json": RUN_KEYS | SOLVE_RESULT_KEYS | EVOLVE_RESULT_KEYS | {
+        "t_blowup", "t_final", "max_deviation", "final_deviation", "fitted_t_blowup",
+        "fit_quality"},
+    "diagnostics.json": {"grid_n", "box_length", "seed", "multiplier_identities",
+                         "negation_symmetry_error", "cone_mass"},
+}
+
+
 def run_cli(capsys, config_path):
     code = main([str(config_path)])
     captured = capsys.readouterr()
@@ -65,6 +84,7 @@ class TestSolveProfileCommand:
         assert np.all(profile.values[~mask.indicator] == 0.0)
 
         record = json.loads((outdir / "solve.json").read_text())
+        assert set(record) == SUMMARY_KEYS["solve.json"]
         assert record["residual_l2"] <= 1e-9
         assert record["cell_count"] == int(mask.indicator.sum())
         assert 0.0 < record["delta_estimate"] <= 1.0
@@ -125,6 +145,7 @@ class TestEvolveCommand:
         assert code == 0
         outdir = tmp_path / "evolveout"
         record = json.loads((outdir / "evolve.json").read_text())
+        assert set(record) == SUMMARY_KEYS["evolve.json"]
         assert record["terminated"] == "threshold"
         assert abs(record["blowup_time_estimate"] - 1.0) <= 0.02
         assert record["fit_quality"] >= 0.99
@@ -230,6 +251,7 @@ class TestVerifyCommand:
         assert code == 0
         outdir = tmp_path / "verifyout"
         record = json.loads((outdir / "verify.json").read_text())
+        assert set(record) == SUMMARY_KEYS["verify.json"]
         assert record["terminated"] == "horizon"
         assert record["max_deviation"] <= 1e-6
         assert abs(record["fitted_t_blowup"] - 1.0) <= 0.02
@@ -332,6 +354,7 @@ class TestDiagnosticsCommand:
         assert code == 0
         outdir = tmp_path / "diagout"
         summary = json.loads((outdir / "diagnostics.json").read_text())
+        assert set(summary) == SUMMARY_KEYS["diagnostics.json"]
         assert summary["seed"] == 5
         assert max(summary["multiplier_identities"].values()) <= 1e-12
         assert summary["negation_symmetry_error"] == 0.0
@@ -399,7 +422,13 @@ class TestErrorContract:
         ("[DEFAULT]\nseed = 3\n\n" + solve_ini(), "[DEFAULT] is not allowed"),
         ("[run]\ncommand = evolve\noutput_dir = solveout\n\n[grid]\nn = 32\nbox_length = 8.0\n"
          "\n[initial]\nkind = bump\nwidth = 0.5\ncutoff = -1\n", "cutoff must be positive"),
-    ], ids=["overflowing-shape-number", "default-section", "negative-cutoff"])
+        (solve_ini().replace("n = 32", "n = 100"), "[grid] n must be a power of two"),
+        (solve_ini().replace("box_length = 8.0", "box_length = -16"),
+         "[grid] box_length must be positive"),
+        (solve_ini(tol="0.5"), "[solver] tol must lie in (0, 1e-2)"),
+        (solve_ini() + "max_iter = 0\n", "[solver] max_iter must be at least 1"),
+    ], ids=["overflowing-shape-number", "default-section", "negative-cutoff", "grid-n",
+            "negative-box-length", "solver-tol", "solver-max-iter"])
     def test_config_error_before_any_output(self, tmp_path, capsys, text, message):
         ini = tmp_path / "bad.ini"
         ini.write_text(text)

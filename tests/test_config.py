@@ -143,8 +143,8 @@ class TestLoadSolveProfile:
         cfg = load_run_config(write_config(tmp_path, SOLVE_MINIMAL))
         assert cfg.command == "solve-profile"
         assert cfg.seed == 0
-        assert cfg.grid_n == 128
-        assert cfg.box_length == 16.0
+        assert cfg.grid.n == 128
+        assert cfg.grid.box_length == 16.0
         assert cfg.shape == Disk((0.0, 0.0), 1.0)
         assert cfg.shape_text == "disk(0, 0, 1)"
         assert cfg.solver_tol == 1e-8
@@ -175,7 +175,7 @@ class TestLoadSolveProfile:
     def test_inline_comments_stripped(self, tmp_path):
         text = SOLVE_MINIMAL.replace("n = 128", "n = 128  # cells per side")
         cfg = load_run_config(write_config(tmp_path, text))
-        assert cfg.grid_n == 128
+        assert cfg.grid.n == 128
 
 
 EVOLVE_BASE = textwrap.dedent("""\

@@ -64,7 +64,7 @@ SUPPORTS = {
 
 @pytest.fixture(scope="module")
 def profile32(grid32):
-    op = RestrictedOperator(grid32, rasterize(Disk((0.0, 0.0), 0.5), grid32))
+    op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 0.5), grid32))
     return solve_profile(op, tol=1e-10)
 
 
@@ -275,6 +275,21 @@ class TestStep:
         assert result.dt_accepted < 0.5
         assert result.error_estimate <= 1.0
         assert result.rejected_attempts >= 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_error_shrinks_by_a_fifth(self, monkeypatch, grid32, bad):
+        """An attempt whose error estimate is not finite is rejected and
+        retried at a fifth of its step, below the 0.9 cap on rejections."""
+        errors = iter([bad, 1e-12])
+
+        def attempt(symbol, y, dt, sign):
+            return y.copy(), np.full_like(y, next(errors))
+
+        monkeypatch.setattr(evolution, "_rk_attempt", attempt)
+        dt = 1e-3
+        result = step(gaussian_bump(grid32, width=0.8), dt, EvolveConfig())
+        assert result.rejected_attempts == 1
+        assert result.dt_accepted == 0.2 * dt
 
     def test_underflow_when_floor_too_high(self, grid32):
         """Violent data rejects the first attempt; with dt_min close to the

@@ -42,7 +42,7 @@ from test_spectral import dft_multiplier_oracle
 def disk_setup():
     grid = Grid(32, 8.0)
     mask = rasterize(Disk((0.0, 0.0), 1.0), grid)
-    return grid, mask, RestrictedOperator(grid, mask)
+    return grid, mask, RestrictedOperator(mask)
 
 
 class TestApplyL:
@@ -52,17 +52,10 @@ class TestApplyL:
     def test_matches_direct_dft_oracle(self):
         grid = Grid(16, 4.0)
         mask = rasterize(Disk((0.0, 0.0), 0.5), grid)
-        op = RestrictedOperator(grid, mask)
+        op = RestrictedOperator(mask)
         x = np.random.default_rng(61).standard_normal(mask.cell_count)
         expected = mask.pack(dft_multiplier_oracle(mask.unpack(x)))
         np.testing.assert_allclose(op.apply_packed(x), expected, atol=1e-13)
-
-    def test_operator_grid_mask_consistency(self):
-        g1 = Grid(32, 8.0)
-        g2 = Grid(32, 16.0)
-        mask = rasterize(Disk((0.0, 0.0), 1.0), g1)
-        with pytest.raises(ValueError, match="mask grid"):
-            RestrictedOperator(g2, mask)
 
     def test_translation_equivariance(self, disk_setup):
         """Rolling the mask and the input rolls the output: the multiplier
@@ -73,7 +66,7 @@ class TestApplyL:
 
         shift = (5, -3)
         rolled_mask = Mask(grid, np.roll(mask.indicator, shift, axis=(0, 1)))
-        rolled_op = RestrictedOperator(grid, rolled_mask)
+        rolled_op = RestrictedOperator(rolled_mask)
         rolled_x = rolled_mask.pack(np.roll(mask.unpack(x), shift, axis=(0, 1)))
         rolled_out = rolled_mask.unpack(rolled_op.apply_packed(rolled_x))
         np.testing.assert_allclose(rolled_out, np.roll(out, shift, axis=(0, 1)), atol=1e-13)
@@ -148,7 +141,7 @@ class TestEmbeddedApply:
         inside the transform to the circulant embedding."""
         grid = Grid(128, 16.0)
         mask = Mask(grid, build(grid))
-        op = RestrictedOperator(grid, mask)
+        op = RestrictedOperator(mask)
         x = np.random.default_rng(66).standard_normal(mask.cell_count)
         full = mask.pack(apply_z11(RealField(grid, mask.unpack(x))).values)
         np.testing.assert_allclose(op.apply_packed(x), full, rtol=0, atol=1e-13)
@@ -163,7 +156,7 @@ class TestEmbeddedApply:
         for box_length, n in ((8.0, 128), (16.0, 256)):
             grid = Grid(n, box_length)
             mask = rasterize(Disk((0.01, 0.02), 1.0), grid)
-            op = RestrictedOperator(grid, mask)
+            op = RestrictedOperator(mask)
             shapes += _transform_shapes(monkeypatch,
                                         lambda: op.apply_packed(np.ones(mask.cell_count)))
         assert shapes == [((32, 32), (64, 64))] * 2
@@ -177,7 +170,7 @@ class TestDenseMatrix:
         grid = Grid(32, 8.0)
         ind = np.zeros((32, 32), dtype=bool)
         ind[4, 20] = True
-        op = RestrictedOperator(grid, Mask(grid, ind))
+        op = RestrictedOperator(Mask(grid, ind))
         dense = dense_L_matrix(op)
         assert dense.shape == (1, 1)
         np.testing.assert_allclose(dense[0, 0], (32**2 - 1) / (2 * 32**2), atol=1e-13)
@@ -186,7 +179,7 @@ class TestDenseMatrix:
         """Dense matrix against entrywise DFT-oracle assembly."""
         grid = Grid(16, 4.0)
         mask = rasterize(Disk((0.0, 0.0), 0.5), grid)
-        op = RestrictedOperator(grid, mask)
+        op = RestrictedOperator(mask)
         dense = dense_L_matrix(op)
 
         m = mask.cell_count
@@ -218,7 +211,7 @@ class TestDenseMatrix:
         grid = Grid(128, 16.0)
         ind = np.zeros((128, 128), dtype=bool)
         ind[:65, :65] = True  # 4225 cells
-        op = RestrictedOperator(grid, Mask(grid, ind))
+        op = RestrictedOperator(Mask(grid, ind))
         with pytest.raises(ValueError, match="dense assembly refused"):
             dense_L_matrix(op)
 
@@ -230,7 +223,7 @@ def _tiny_operator(cells: int) -> RestrictedOperator:
     ind = np.zeros((32, 32), dtype=bool)
     rows, cols = np.divmod(np.arange(cells), 8)
     ind[4 + rows, 20 + cols] = True
-    return RestrictedOperator(grid, Mask(grid, ind))
+    return RestrictedOperator(Mask(grid, ind))
 
 
 def _cell_block(grid, w1, w2):
@@ -279,7 +272,7 @@ class TestCoercivity:
         grid = Grid(32, 8.0)
         shape = ShapeUnion((Disk((-0.4, 0.15), 0.3), Disk((0.45, -0.25), 0.35)))
         mask = rasterize(shape, grid)
-        op = RestrictedOperator(grid, mask)
+        op = RestrictedOperator(mask)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
         estimate = estimate_coercivity(op, tol=1e-6)
         assert abs(estimate - dense_min) / dense_min <= 1e-6
@@ -288,7 +281,7 @@ class TestCoercivity:
         """A run needing more applies than the Krylov basis holds, so Lanczos
         restarts at least once, still matches the dense spectrum."""
         grid = Grid(64, 8.0)
-        op = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
+        op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
         estimate, applies = _count_coercivity_applies(monkeypatch, op)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
         assert applies > _KRYLOV_DIM
@@ -306,7 +299,7 @@ class TestCoercivity:
     @pytest.mark.parametrize("n", [64, 128])
     def test_tol_bounds_relative_error(self, build, n):
         grid = Grid(n, 16.0)
-        assert _relative_error_to_dense(RestrictedOperator(grid, build(grid))) <= 1e-6
+        assert _relative_error_to_dense(RestrictedOperator(build(grid))) <= 1e-6
 
     @pytest.mark.parametrize("grid, build, odd_axis", [
         (Grid(128, 16.0), lambda g: rasterize(Annulus((0.0, 0.0), 0.5, 1.0), g), 1),
@@ -319,7 +312,7 @@ class TestCoercivity:
         across the mask's centre line, with the even mode less than 1 %
         above it. A start vector without an odd envelope part would settle
         on the even mode."""
-        op = RestrictedOperator(grid, build(grid))
+        op = RestrictedOperator(build(grid))
         eigenvalues, vectors = np.linalg.eigh(dense_L_matrix(op))
         assert (eigenvalues[1] - eigenvalues[0]) / eigenvalues[0] < 1e-2
         envelope = op.mask.unpack(vectors[:, 0] * np.where(op.mask.indices[1] % 2 == 0, 1, -1))
@@ -333,23 +326,25 @@ class TestCoercivity:
         grid = Grid(64, 8.0)
         mask = rasterize(ShapeUnion((Disk((-0.4, 0.15), 0.3), Disk((0.45, -0.25), 0.35))), grid)
         shifted = Mask(grid, np.roll(mask.indicator, (3, 5), axis=(0, 1)))
-        assert (estimate_coercivity(RestrictedOperator(grid, shifted))
-                == estimate_coercivity(RestrictedOperator(grid, mask)))
+        assert (estimate_coercivity(RestrictedOperator(shifted))
+                == estimate_coercivity(RestrictedOperator(mask)))
 
     def test_apply_count_on_benchmark_disk(self, monkeypatch):
         """The centred unit disk at n = 512 takes 1400 applies (ARPACK took
         1481). A Gaussian start takes 1580 and a residual bound of 0.1 * tol
         1560, so either regression fails this bound."""
         grid = Grid(512, 16.0)
-        op = RestrictedOperator(grid, rasterize(Disk((0.0, 0.0), 1.0), grid))
+        op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
         _, applies = _count_coercivity_applies(monkeypatch, op)
         assert applies <= 1480
 
     def test_one_cell_is_lattice_mean(self):
-        """A one-cell mask is its own eigenvalue, the closed form of
-        TestDenseMatrix.test_single_cell_closed_form."""
+        """On a one-cell mask Lanczos returns the operator's single entry
+        exactly: its 1 x 1 embedding transforms as the identity. That entry
+        has the closed form of TestDenseMatrix.test_single_cell_closed_form."""
         op = _tiny_operator(1)
         assert op.mask.cell_count == 1
+        assert estimate_coercivity(op) == dense_L_matrix(op)[0, 0]
         np.testing.assert_allclose(estimate_coercivity(op), (32**2 - 1) / (2 * 32**2),
                                    rtol=0, atol=1e-13)
 
@@ -379,7 +374,7 @@ class TestCoercivity:
         grid = Grid(32, 8.0)
         ind = np.zeros((32, 32), dtype=bool)
         ind[:, 5] = True
-        op = RestrictedOperator(grid, Mask(grid, ind))
+        op = RestrictedOperator(Mask(grid, ind))
         with pytest.raises(SingularOperatorError, match="numerically singular"):
             estimate_coercivity(op)
 
@@ -397,7 +392,7 @@ class TestCoercivity:
         monkeypatch.setattr(profile, "_lanczos_smallest",
                             lambda *args, max_restarts: lanczos(*args, max_restarts=1))
         with pytest.raises(ConvergenceError, match="in 1 restarts") as excinfo:
-            estimate_coercivity(RestrictedOperator(grid, mask))
+            estimate_coercivity(RestrictedOperator(mask))
         best = excinfo.value.best
         assert isinstance(best, RealField)
         assert np.all(best.values[~mask.indicator] == 0.0)
@@ -456,7 +451,7 @@ class TestGridScaleLaw:
         errors = []
         for n in (64, 128, 256):
             grid = Grid(n, 16.0)
-            delta = np.linalg.eigvalsh(dense_L_matrix(RestrictedOperator(grid, build(grid))))[0]
+            delta = np.linalg.eigvalsh(dense_L_matrix(RestrictedOperator(build(grid))))[0]
             errors.append(abs(delta / grid.h**2 - 1.0 / chord**2))
         return np.array(errors)
 
@@ -501,7 +496,7 @@ class TestSolveProfile:
     def test_asymmetric_mask_certificate(self):
         grid = Grid(32, 8.0)
         shape = ShapeUnion((Disk((-0.4, 0.15), 0.3), Disk((0.45, -0.25), 0.35)))
-        op = RestrictedOperator(grid, rasterize(shape, grid))
+        op = RestrictedOperator(rasterize(shape, grid))
         sol = solve_profile(op, tol=1e-9)
         assert sol.residual_l2 <= 1e-9
         assert sol.iterations >= 1
@@ -513,7 +508,7 @@ class TestSolveProfile:
 
     def test_rejects_full_grid(self):
         grid = Grid(32, 8.0)
-        op = RestrictedOperator(grid, Mask(grid, np.ones((32, 32), dtype=bool)))
+        op = RestrictedOperator(Mask(grid, np.ones((32, 32), dtype=bool)))
         with pytest.raises(ValueError, match="full-grid mask"):
             solve_profile(op)
 
@@ -521,7 +516,7 @@ class TestSolveProfile:
         grid = Grid(32, 8.0)
         ind = np.zeros((32, 32), dtype=bool)
         ind[4, 4] = ind[4, 28] = True  # spread wider than box_length/4
-        op = RestrictedOperator(grid, Mask(grid, ind))
+        op = RestrictedOperator(Mask(grid, ind))
         with pytest.raises(ValueError, match="exceeds box_length/4"):
             solve_profile(op)
 
@@ -547,7 +542,7 @@ class TestSolveProfile:
         err = excinfo.value
         np.testing.assert_allclose(err.residual_history[-1], 1 - 1 / 1.001, rtol=1e-4)
         sol = ProfileSolution(q=err.best, residual_l2=err.residual_history[-1],
-                              iterations=1, delta_estimate=0.5, grid=grid, mask=mask)
+                              iterations=1, delta_estimate=0.5, mask=mask)
         np.testing.assert_allclose(verify_profile(sol).on_mask_max_dev, 1 - 1 / 1.001,
                                    rtol=1e-4)
 
@@ -564,7 +559,7 @@ class TestSolveProfile:
         sol = solve_profile(op, tol=1e-8)
         with pytest.raises(ValueError, match="delta_estimate"):
             ProfileSolution(q=sol.q, residual_l2=sol.residual_l2, iterations=1,
-                            delta_estimate=0.0, grid=grid, mask=mask)
+                            delta_estimate=0.0, mask=mask)
 
 
 class TestVerifyProfile:

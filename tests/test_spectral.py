@@ -275,9 +275,9 @@ class TestQuadraticForm:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_matches_full_plane_oracle(self, n):
-        """The half-plane sum, interior columns counted twice, against the
-        full complex transform, on a field with energy on the Nyquist row
-        and column, whose coefficients are their own mirrors."""
+        """The multiplier summed against the mirrored full-plane power,
+        against the full complex transform, on a field with energy on the
+        Nyquist row and column, whose coefficients are their own mirrors."""
         g = Grid(n, 5.0)
         i = np.arange(n)
         nyquist = (-1.0) ** i
