@@ -202,7 +202,7 @@ def _box(omega: RealField) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         return np.ix_(np.arange(n), np.arange(n)), omega.grid.m11
     (start1, b1, p1), (start2, b2, p2) = (_embedding_axis(support.any(axis=a)) for a in (1, 0))
     index = np.ix_((start1 + np.arange(b1)) % n, (start2 + np.arange(b2)) % n)
-    return index, _box_kernel(n, p1, p2)[1]
+    return index, _box_kernel(omega.grid, p1, p2)[1]
 
 
 def _scatter(omega: RealField, index: tuple[np.ndarray, np.ndarray],

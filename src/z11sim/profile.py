@@ -26,7 +26,9 @@ masks.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import copy
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,18 +55,14 @@ DENSE_CELL_LIMIT = 4096
 # of the vectors that continue it after a breakdown: fixed so repeated runs
 # are bit-identical.
 _LANCZOS_SEED = 0x5EED
-# Largest Krylov basis the coercivity estimate builds between restarts.
-_KRYLOV_DIM = 40
-# Lanczos restarts allowed per mask cell (ARPACK's default cap).
-_RESTARTS_PER_CELL = 10
-# A second Gram-Schmidt pass runs when the first leaves less than this
-# fraction of the vector's norm (the DGKS test, with ARPACK's constant).
-_DGKS_ETA = 0.717
-# Columns per block of the restart's 20 x 40 by 40 x m basis product. numpy's
-# bundled OpenBLAS starts threads for a product of more than 4 * 65536
-# multiply-adds; on a 2-core host each wake-up cost about 4 ms, or the
-# second core kept spinning, doubling the CPU time of a solve.
-_RESTART_COLUMNS = 256
+# Masks of at most this many cells take the direct route to the coercivity:
+# the smallest singular value of the dense operator.
+_DIRECT_CELLS = 40
+# Lanczos steps between two computations of the lowest Ritz pair, each a
+# few O(j) sweeps over the j x j tridiagonal.
+_CHECK_EVERY = 25
+# Lanczos steps allowed per mask cell.
+_STEPS_PER_CELL = 10
 # CG replaces its recurrence residual by the true b - A x this often.
 _CG_REFRESH_EVERY = 25
 
@@ -75,7 +73,7 @@ class ConvergenceError(RuntimeError):
     Carries the best iterate (``best``, a RealField extended by zero off
     the mask) and the relative residual history: CG's last iterate and its
     residual per iteration, or the lowest Ritz vector of the coercivity
-    estimate and its Ritz residual, relative to the Ritz value, per restart.
+    estimate and its Ritz residual, relative to the Ritz value, per check.
     """
 
     def __init__(self, message: str, best: RealField, residual_history: list[float]):
@@ -113,7 +111,7 @@ class RestrictedOperator:
         n = self.grid.n
         (start1, b1, p1), (start2, b2, p2) = (
             _embedding_axis(self.mask.indicator.any(axis=a)) for a in (1, 0))
-        window, symbol = _box_kernel(n, p1, p2)
+        window, symbol = _box_kernel(self.grid, p1, p2)
         r, c = self.mask.indices
         object.__setattr__(self, "_window", window)
         object.__setattr__(self, "_symbol", symbol)
@@ -266,18 +264,18 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
     """Estimate the smallest eigenvalue of the restricted operator to
     relative accuracy tol.
 
-    Thick-restart Lanczos (:func:`_lanczos_smallest`) on the masked
-    subspace, with a Krylov basis of at most _KRYLOV_DIM vectors. It stops
-    when the Ritz residual is at most tol times the Ritz value, which puts
-    the Ritz value within that relative distance of an eigenvalue. The
-    residual's square over the spectral gap would allow a looser residual
-    only for an isolated lowest eigenvalue; here the two lowest are often
-    within a percent of each other. If it does not converge within
-    _RESTARTS_PER_CELL restarts per mask cell it raises ConvergenceError
-    with the lowest Ritz vector. A basis that spans all m cells ends the
-    first cycle on the eigenvalue itself, to roundoff; on a one-cell mask
-    that is the operator's single entry bitwise, since a 1 x 1 embedding
-    transforms as the identity.
+    A mask of at most _DIRECT_CELLS cells takes the direct route: the
+    operator is positive semidefinite, so the smallest singular value of
+    :func:`dense_L_matrix` is the eigenvalue, exact to roundoff (on a
+    one-cell mask the operator's single entry, bitwise). Larger masks run
+    the plain Lanczos recurrence (:func:`_lanczos_smallest`) on the masked
+    subspace. It stops when the Ritz residual is at most tol times the
+    Ritz value, which puts the Ritz value within that relative distance of
+    an eigenvalue. The residual's square over the spectral gap would allow
+    a looser residual only for an isolated lowest eigenvalue; here the two
+    lowest are often within a percent of each other. If it does not
+    converge within _STEPS_PER_CELL steps per mask cell it raises
+    ConvergenceError with the lowest Ritz vector.
 
     The low eigenvectors are the x2-Nyquist oscillation ``(-1)^j2`` times
     a smooth envelope. The start vector is that pattern times
@@ -289,24 +287,27 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
     the envelope's mean is added, so that no mode is missing from the
     start (a bilinear envelope is nearly orthogonal to, for instance, the
     combination (1, -2, 1) of three equal lobes in a row); the same seeded
-    generator continues the basis after a breakdown, so repeated runs are
-    bit-identical. Box coordinates make the start, and so the estimate,
-    invariant under whole-cell translations of the mask.
+    generator continues the recurrence after a breakdown, so repeated runs
+    are bit-identical. Box coordinates make the start, and so the
+    estimate, invariant under whole-cell translations of the mask.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     m = op.mask.cell_count
-    r, c = op._box_index
-    envelope = (r + 1.0) * (c + 1.0)
-    v0 = np.where(c % 2 == 0, envelope, -envelope)
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v0 += 0.1 * envelope.mean() * rng.standard_normal(m)
-    try:
-        theta = _lanczos_smallest(op.apply_packed, v0, tol, rng,
-                                  max_restarts=_RESTARTS_PER_CELL * m)
-    except ConvergenceError as exc:
-        exc.best = RealField(op.grid, op.mask.unpack(exc.best))
-        raise
+    if m <= _DIRECT_CELLS:
+        theta = float(np.linalg.svd(dense_L_matrix(op), compute_uv=False)[-1])
+    else:
+        r, c = op._box_index
+        envelope = (r + 1.0) * (c + 1.0)
+        v0 = np.where(c % 2 == 0, envelope, -envelope)
+        rng = np.random.default_rng(_LANCZOS_SEED)
+        v0 += 0.1 * envelope.mean() * rng.standard_normal(m)
+        try:
+            theta = _lanczos_smallest(op.apply_packed, v0, tol, rng,
+                                      max_steps=_STEPS_PER_CELL * m)
+        except ConvergenceError as exc:
+            exc.best = RealField(op.grid, op.mask.unpack(exc.best))
+            raise
     if theta <= 10 * np.finfo(float).eps:
         raise SingularOperatorError(
             f"operator numerically singular (smallest-eigenvalue estimate {theta})"
@@ -315,73 +316,172 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
 
 
 def _lanczos_smallest(apply: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, tol: float,
-                      rng: np.random.Generator, max_restarts: int) -> float:
+                      rng: np.random.Generator, max_steps: int) -> float:
     """Smallest eigenvalue of the positive semidefinite operator ``apply``
     on R^m.
 
-    Thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
-    2000), which gives the iterates of ARPACK's implicit restart with
-    exact shifts. Each cycle fills a basis of k = min(_KRYLOV_DIM, m)
-    vectors, fully reorthogonalized, and restarts on the k // 2 lowest
-    Ritz vectors. A cycle converges when the lowest Ritz residual is at
-    most tol times the Ritz value (ARPACK's test, with its eps^(2/3) floor),
-    or when the basis spans all m cells. If A v leaves nothing new after
-    the reorthogonalization, the basis continues from a random vector
-    orthogonal to it, as ARPACK's ``dgetv0`` does. After max_restarts
-    cycles it raises ConvergenceError with the packed lowest Ritz vector,
-    which the restart has made the first basis vector.
+    The plain three-term Lanczos recurrence (Paige, Linear Algebra Appl.
+    34, 1980; Cullum & Willoughby, *Lanczos Algorithms for Large Symmetric
+    Eigenvalue Computations*, 1985): it keeps no basis and never restarts,
+    so a step costs one apply, two dot products and two axpys. Every
+    _CHECK_EVERY steps, and at the cap, it takes the lowest eigenvalue
+    theta of the tridiagonal T_j built so far and the last entry s of its
+    unit eigenvector (:func:`_lowest_ritz_pair`), and stops when the Ritz
+    residual |beta_j s| is at most tol times theta (ARPACK's test, with its
+    eps^(2/3) floor). In floating point the Lanczos vectors lose
+    orthogonality as a Ritz value converges; that only repeats converged
+    Ritz values in T_j and never puts one below the spectrum (Paige), so
+    the test stays valid. After max_steps steps it raises ConvergenceError
+    with the packed unit Ritz vector, rebuilt by running the same
+    recurrence again from a copy of ``rng``.
     """
-    m = v0.size
-    k = min(_KRYLOV_DIM, m)
-    keep = k // 2
-    basis = np.empty((k + 1, m))
-    basis[0] = v0 / np.linalg.norm(v0)
-    t = np.zeros((k, k))
-    first, history = 0, []
-    for _ in range(max_restarts):
-        for j in range(first, k):
-            v = basis[:j + 1]
-            w = apply(basis[j])
-            norm = np.sqrt(w @ w)
-            h = v @ w
-            w -= h @ v
-            beta = np.sqrt(w @ w)
-            if beta < _DGKS_ETA * norm:
-                correction = v @ w
-                w -= correction @ v
-                h += correction
-                beta, norm = np.sqrt(w @ w), beta
-                if beta < _DGKS_ETA * norm:  # w lies in the basis' span to roundoff
-                    beta = 0.0
-            t[:j + 1, j] = t[j, :j + 1] = h
-            if beta == 0.0 and j + 1 < k:
-                w = rng.standard_normal(m)
-                for _ in range(2):
-                    w -= (v @ w) @ v
-                basis[j + 1] = w / np.sqrt(w @ w)
-            elif beta > 0.0:
-                np.divide(w, beta, out=basis[j + 1])
-        # t is positive semidefinite, so its SVD is its eigendecomposition.
-        # The SVD starts no OpenBLAS threads; eigh (LAPACK's divide and
-        # conquer above order 25) does, as does the restart's product
-        # unless it runs in column blocks (_RESTART_COLUMNS).
-        s, theta, _ = np.linalg.svd(t)
-        theta, s = theta[::-1], s[:, ::-1]
-        residual = abs(beta * s[-1, 0])
-        history.append(float(residual / abs(theta[0])))
-        if k == m or residual <= tol * max(np.finfo(float).eps ** (2 / 3), abs(theta[0])):
-            return float(theta[0])
-        ritz = s[:, :keep].T
-        for c in range(0, m, _RESTART_COLUMNS):
-            basis[:keep, c:c + _RESTART_COLUMNS] = ritz @ basis[:k, c:c + _RESTART_COLUMNS]
-        basis[keep] = basis[k]
-        t[:keep, :keep] = np.diag(theta[:keep])
-        first = keep
+    replay = copy.deepcopy(rng)
+    alphas: list[float] = []
+    betas: list[float] = []
+    ritz: list[float] = []
+    history: list[float] = []
+    lower, previous = 0.0, None
+    floor = np.finfo(float).eps ** (2 / 3)
+    steps = _lanczos_recurrence(apply, v0, rng)
+    for j in range(1, max_steps + 1):
+        _, alpha, beta = next(steps)
+        alphas.append(alpha)
+        if j % _CHECK_EVERY == 0 or j == max_steps:
+            theta, ritz = _lowest_ritz_pair(alphas, betas, lower, ritz)
+            residual = abs(beta * ritz[-1])
+            history.append(residual / abs(theta))
+            if residual <= tol * max(floor, abs(theta)):
+                return theta
+            # Ritz values fall at a steady rate between checks: the next
+            # one lies above this, less twice the last fall.
+            if previous is not None:
+                lower = theta - 2.0 * (previous - theta)
+            previous = theta
+        betas.append(beta)
+    best = np.zeros(v0.size)
+    for x, (v, _, _) in zip(ritz, _lanczos_recurrence(apply, v0, replay)):
+        best += x * v
     raise ConvergenceError(
-        f"Lanczos did not reach tolerance {tol:g} in {max_restarts} restarts "
+        f"Lanczos did not reach tolerance {tol:g} in {max_steps} steps "
         f"(last relative Ritz residual {history[-1]:g})",
-        basis[0].copy(), history,
+        best / np.linalg.norm(best), history,
     )
+
+
+def _lanczos_recurrence(apply: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
+                        rng: np.random.Generator) -> Iterator[tuple[np.ndarray, float, float]]:
+    """Each Lanczos vector v_j in turn, with the diagonal entry alpha_j and
+    the off-diagonal entry beta_j it adds to T. If A v leaves nothing new
+    (a breakdown), beta_j is 0 and the recurrence continues from a vector
+    of ``rng``, orthogonal to v_j, as ARPACK's ``dgetv0`` does."""
+    eps = np.finfo(float).eps
+    v = v0 / np.linalg.norm(v0)
+    v_prev, beta = v, 0.0
+    while True:
+        w = apply(v)
+        w -= beta * v_prev
+        alpha = float(v @ w)
+        w -= alpha * v
+        beta = math.sqrt(w @ w)
+        if beta <= eps * alpha:
+            beta = 0.0
+            w = rng.standard_normal(v.size)
+            w -= (v @ w) * v
+            w /= np.linalg.norm(w)
+        else:
+            w /= beta
+        yield v, alpha, beta
+        v_prev, v = v, w
+
+
+def _lowest_ritz_pair(alphas: list[float], betas: list[float], lower: float,
+                      start: list[float]) -> tuple[float, list[float]]:
+    """Lowest eigenvalue theta of the symmetric tridiagonal T with diagonal
+    ``alphas`` and off-diagonal ``betas``, and its unit eigenvector, in a
+    few O(j) sweeps of plain Python, which start no threads.
+
+    det(T - sigma I) has only real roots, so Laguerre's iteration on it
+    rises monotonically and cubically to theta from any sigma below the
+    spectrum. It starts a margin below ``lower`` when the Sturm test of
+    :func:`_ritz_sweep` puts that below the spectrum, and at the Gershgorin
+    bound otherwise. Each step stops the margin, 8 rounding units of T,
+    short of the point it aims at: rounding then cannot carry a sweep past
+    theta, and the last factorization lies so close below theta that one
+    inverse iteration on it, from ``start`` (the last check's eigenvector,
+    padded with zeros) or from all ones, gives the eigenvector. Should a
+    sweep still fail, the step is bisected.
+    """
+    j = len(alphas)
+    diagonal = np.asarray(alphas)
+    radius = np.zeros(j)
+    radius[1:] = np.abs(betas)
+    radius[:-1] += radius[1:]
+    margin = 8.0 * float(np.finfo(float).eps) * float(np.max(np.abs(diagonal) + radius))
+    rhs = start + [0.0] * (j - len(start)) if start else [1.0] * j
+    lower -= margin
+    out = _ritz_sweep(alphas, betas, lower, rhs)
+    if out is None:
+        # The margin makes T - sigma I strictly diagonally dominant below
+        # the Gershgorin bound, so every pivot is positive there.
+        lower = float(np.min(diagonal - radius)) - margin
+        out = _ritz_sweep(alphas, betas, lower, rhs)
+    upper = math.inf
+    while True:
+        g, h, ratios, ys = out
+        step = j / (g + math.sqrt(max((j - 1) * (j * h - g * g), 0.0)))
+        if not (step > 2.0 * margin and upper - lower > 2.0 * margin):
+            break
+        sigma = min(lower + step - margin, 0.5 * (lower + upper))
+        trial = _ritz_sweep(alphas, betas, sigma, rhs)
+        if trial is None:
+            upper = sigma
+        else:
+            lower, out = sigma, trial
+    # The backward half of the solve: L^T x = ys.
+    x = ys[-1]
+    vector = [x]
+    for r, y in zip(reversed(ratios), reversed(ys[:-1])):
+        x = y - r * x
+        vector.append(x)
+    unit = np.array(vector[::-1])
+    return min(lower + step, upper), (unit / np.linalg.norm(unit)).tolist()
+
+
+def _ritz_sweep(alphas: list[float], betas: list[float], sigma: float,
+                rhs: list[float]) -> tuple[float, float, list[float], list[float]] | None:
+    """One pass of the factorization T - sigma I = L D L^T.
+
+    None unless every pivot d_i is positive, which holds exactly when sigma
+    lies below T's spectrum (Sturm). Otherwise (g, h, ratios, ys): g and h
+    are the sums of 1/(lambda - sigma) and 1/(lambda - sigma)^2 over T's
+    eigenvalues, from the pivots and their first two derivatives in sigma;
+    ratios[i] = betas[i] / d_i, the subdiagonal of L; and ys = D^-1 L^-1
+    rhs, the forward half of the solve of (T - sigma I) x = rhs.
+    """
+    d = alphas[0] - sigma
+    if not d > 0.0:
+        return None
+    p, q = 1.0, 0.0  # -d' and -d'', the pivot's derivatives, negated
+    g = 1.0 / d
+    h = g * g
+    z = rhs[0]
+    ratios: list[float] = []
+    ys = [z / d]
+    for a, b, c in zip(alphas[1:], betas, rhs[1:]):
+        r = b / d
+        rr = r * r
+        q = rr * (q + 2.0 * p * p / d)
+        p = rr * p + 1.0
+        z = c - r * z
+        d = a - sigma - b * r
+        if not d > 0.0:
+            return None
+        t = p / d
+        g += t
+        h += t * t + q / d
+        ratios.append(r)
+        ys.append(z / d)
+    return g, h, ratios, ys
 
 
 @dataclass(frozen=True)

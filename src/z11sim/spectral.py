@@ -164,14 +164,15 @@ def _embedding_axis(occupied: np.ndarray) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=8)
-def _box_kernel(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
+def _box_kernel(grid: Grid, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
     """Window of Z11's kernel (Z11 of a unit impulse) at the circulant
-    offsets 0..p/2, -(p/2-1)..-1 of a p1 x p2 box, and the symbol of that
-    circulant (the Toeplitz embedding, Chan & Jin 2007). The window is real
-    and even, so the symbol is p1 p2 times its inverse transform. A box
-    spanning the grid is the grid, with Z11's (box-length free) symbol.
+    offsets 0..p/2, -(p/2-1)..-1 of a p1 x p2 box on ``grid``, and the
+    symbol of that circulant (the Toeplitz embedding, Chan & Jin 2007). The
+    window is real and even, so the symbol is p1 p2 times its inverse
+    transform. A box spanning the grid is the grid, with the grid's own
+    (box-length free) Z11 symbol.
     """
-    m11 = Grid(n, 1.0).m11
+    n, m11 = grid.n, grid.m11
     impulse = np.zeros((n, n))
     impulse[0, 0] = 1.0
     kernel = _real_fft(impulse, m11)

@@ -21,6 +21,7 @@ from z11sim import (
     sup_norm,
 )
 from z11sim.cli import main
+from z11sim.spectral import _box_kernel
 
 
 # The top-level keys of each command's JSON summary, pinned so that the
@@ -92,6 +93,23 @@ class TestSolveProfileCommand:
         assert record["delta_over_h2"] == record["delta_estimate"] / h**2
         assert record["verification"]["off_mask_exact_zero"] is True
         assert record["shape"] == "disk(0, 0, 0.5)"
+
+    def test_builds_one_grid(self, tmp_path, capsys, monkeypatch):
+        """The run's grid holds the only multiplier mesh: the operator's box
+        kernel reads it rather than building a grid of its own."""
+        built = []
+        post_init = z11sim.Grid.__post_init__
+
+        def counting(self):
+            built.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(z11sim.Grid, "__post_init__", counting)
+        _box_kernel.cache_clear()
+        ini = tmp_path / "solve.ini"
+        ini.write_text(solve_ini())
+        assert run_cli(capsys, ini)[0] == 0
+        assert built == [32]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         for name, outdir in (("a.ini", "out_a"), ("b.ini", "out_b")):

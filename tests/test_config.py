@@ -525,7 +525,8 @@ class TestParserFuzz:
                      "n": ["64"], "box_length": ["8"], "center": ["0.5, -0.5"],
                      "path": ["q.vpf"], "output_dir": ["out"], "sign": ["-1"],
                      "snapshot_times": ["0.5, 1"], "blowup_threshold": ["", "1e3"],
-                     "dt_min": ["1e-9"], "record_every": ["2"], "max_iter": ["50"]}
+                     "dt_min": ["1e-9"], "record_every": ["2"], "max_iter": ["50"],
+                     "tol": ["1e-8"]}
         required = {"command", "n", "box_length", "kind", "width", "path", "spec"}
         other_kind = {"bump": {"path"}, "file": {"center", "width", "amplitude", "cutoff"}}
         path = tmp_path / "fuzz.ini"

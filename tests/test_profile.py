@@ -33,7 +33,8 @@ from z11sim import (
     verify_profile,
 )
 from z11sim import profile
-from z11sim.profile import _KRYLOV_DIM, _cg, _lanczos_smallest
+from z11sim.profile import (_CHECK_EVERY, _DIRECT_CELLS, _cg, _lanczos_smallest,
+                            _lowest_ritz_pair)
 
 from test_spectral import dft_multiplier_oracle
 
@@ -256,6 +257,22 @@ def _count_coercivity_applies(monkeypatch, op):
     return estimate_coercivity(op, tol=1e-6), applies
 
 
+def _two_disks(axis):
+    """Two disks of radius 0.6, centres 1.8 apart along x1 (axis 0) or x2."""
+    centre = np.array([0.9, 0.0]) if axis == 0 else np.array([0.0, 0.9])
+    return lambda g: rasterize(ShapeUnion((Disk(tuple(-centre), 0.6), Disk(tuple(centre), 0.6))), g)
+
+
+_TOL_MASKS = {
+    "ellipse-0.5x1": lambda g: rasterize(Ellipse((0.0, 0.0), (0.5, 1.0)), g),
+    "ellipse-1.5x1": lambda g: rasterize(Ellipse((0.0, 0.0), (1.5, 1.0)), g),
+    "rectangle-1x2": lambda g: _cell_block(g, 1.0, 2.0),
+    "rectangle-2x1": lambda g: _cell_block(g, 2.0, 1.0),
+    "annulus": lambda g: rasterize(Annulus((0.0, 0.0), 0.5, 1.0), g),
+    "one-column": _one_column,
+}
+
+
 def _relative_error_to_dense(op):
     dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
     return abs(estimate_coercivity(op, tol=1e-6) - dense_min) / dense_min
@@ -277,47 +294,52 @@ class TestCoercivity:
         estimate = estimate_coercivity(op, tol=1e-6)
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
-    def test_restarts_past_krylov_dim(self, monkeypatch):
-        """A run needing more applies than the Krylov basis holds, so Lanczos
-        restarts at least once, still matches the dense spectrum."""
+    def test_recurrence_past_first_check(self, monkeypatch):
+        """A mask too large for the direct route, on which the recurrence
+        runs past its first check, still matches the dense spectrum."""
         grid = Grid(64, 8.0)
         op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
         estimate, applies = _count_coercivity_applies(monkeypatch, op)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
-        assert applies > _KRYLOV_DIM
+        assert op.mask.cell_count > _DIRECT_CELLS
+        assert applies > _CHECK_EVERY
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
-    @pytest.mark.parametrize("build", [
-        lambda g: rasterize(Ellipse((0.0, 0.0), (0.5, 1.0)), g),
-        lambda g: rasterize(Ellipse((0.0, 0.0), (1.5, 1.0)), g),
-        lambda g: _cell_block(g, 1.0, 2.0),
-        lambda g: _cell_block(g, 2.0, 1.0),
-        lambda g: rasterize(Annulus((0.0, 0.0), 0.5, 1.0), g),
-        _one_column,
-    ], ids=["ellipse-0.5x1", "ellipse-1.5x1", "rectangle-1x2", "rectangle-2x1",
-            "annulus", "one-column"])
-    @pytest.mark.parametrize("n", [64, 128])
-    def test_tol_bounds_relative_error(self, build, n):
+    @pytest.mark.parametrize("n, build", [
+        pytest.param(n, build, id=f"{n}-{name}")
+        for name, build in _TOL_MASKS.items() for n in (64, 128)
+    ] + [
+        pytest.param(256, build, id=f"256-{name}")
+        for name, build in (("annulus", _TOL_MASKS["annulus"]),
+                            ("two-disks-x1", _two_disks(0)), ("two-disks-x2", _two_disks(1)))
+    ])
+    def test_tol_bounds_relative_error(self, n, build):
         grid = Grid(n, 16.0)
         assert _relative_error_to_dense(RestrictedOperator(build(grid))) <= 1e-6
 
-    @pytest.mark.parametrize("grid, build, odd_axis", [
-        (Grid(128, 16.0), lambda g: rasterize(Annulus((0.0, 0.0), 0.5, 1.0), g), 1),
-        (Grid(128, 12.0),
-         lambda g: rasterize(ShapeUnion((Disk((-0.9, 0.0), 0.6), Disk((0.9, 0.0), 0.6))), g), 0),
-    ], ids=["annulus-odd-in-x2", "two-disks-odd-in-x1"])
-    def test_lowest_mode_odd_across_the_mask(self, grid, build, odd_axis):
+    @pytest.mark.parametrize("grid, build, axis, parity", [
+        (Grid(128, 16.0), _TOL_MASKS["annulus"], 1, -1),
+        (Grid(128, 12.0), _two_disks(0), 0, -1),
+        (Grid(256, 16.0), _TOL_MASKS["annulus"], 1, 1),
+        (Grid(256, 12.0), _two_disks(0), 0, -1),
+        (Grid(128, 12.0), _two_disks(1), 1, 1),
+        (Grid(256, 12.0), _two_disks(1), 1, 1),
+    ], ids=["annulus-odd-in-x2", "two-disks-odd-in-x1", "annulus-even-in-x2-n256",
+            "two-disks-odd-in-x1-n256", "two-disks-even-in-x2", "two-disks-even-in-x2-n256"])
+    def test_lowest_mode_odd_across_the_mask(self, grid, build, axis, parity):
         """On these symmetric two-lobe masks the lowest eigenvector is the
-        parity pattern times an envelope that is odd under reflection
-        across the mask's centre line, with the even mode less than 1 %
-        above it. A start vector without an odd envelope part would settle
-        on the even mode."""
+        parity pattern times an envelope that is odd (parity -1) or even
+        (+1) under reflection across the mask's centre line, with the mode
+        of the other parity less than 1 % above it. Where the lowest is
+        odd, a start vector without an odd envelope part would settle on
+        the even mode. The annulus' lowest envelope is odd at n = 128 and
+        even at n = 256; the lobes side by side along x2 have an even one."""
         op = RestrictedOperator(build(grid))
         eigenvalues, vectors = np.linalg.eigh(dense_L_matrix(op))
         assert (eigenvalues[1] - eigenvalues[0]) / eigenvalues[0] < 1e-2
         envelope = op.mask.unpack(vectors[:, 0] * np.where(op.mask.indices[1] % 2 == 0, 1, -1))
-        mirrored = np.roll(np.flip(envelope, axis=odd_axis), 1, axis=odd_axis)
-        np.testing.assert_allclose(mirrored, -envelope, atol=1e-10)
+        mirrored = np.roll(np.flip(envelope, axis=axis), 1, axis=axis)
+        np.testing.assert_allclose(mirrored, parity * envelope, atol=1e-10)
         assert _relative_error_to_dense(op) <= 1e-6
 
     def test_translation_invariant(self):
@@ -330,34 +352,35 @@ class TestCoercivity:
                 == estimate_coercivity(RestrictedOperator(mask)))
 
     def test_apply_count_on_benchmark_disk(self, monkeypatch):
-        """The centred unit disk at n = 512 takes 1400 applies (ARPACK took
-        1481). A Gaussian start takes 1580 and a residual bound of 0.1 * tol
-        1560, so either regression fails this bound."""
+        """The centred unit disk at n = 512 takes 1100 applies. A Gaussian
+        start takes 1200 and a residual bound of 0.1 * tol 1200, so either
+        regression fails this bound."""
         grid = Grid(512, 16.0)
         op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
         _, applies = _count_coercivity_applies(monkeypatch, op)
-        assert applies <= 1480
+        assert applies <= 1150
 
     def test_one_cell_is_lattice_mean(self):
-        """On a one-cell mask Lanczos returns the operator's single entry
-        exactly: its 1 x 1 embedding transforms as the identity. That entry
-        has the closed form of TestDenseMatrix.test_single_cell_closed_form."""
+        """On a one-cell mask the direct route returns the operator's single
+        entry exactly: the singular value of a positive 1 x 1 matrix is its
+        entry. That entry has the closed form of
+        TestDenseMatrix.test_single_cell_closed_form."""
         op = _tiny_operator(1)
         assert op.mask.cell_count == 1
         assert estimate_coercivity(op) == dense_L_matrix(op)[0, 0]
         np.testing.assert_allclose(estimate_coercivity(op), (32**2 - 1) / (2 * 32**2),
                                    rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("cells", [2, _KRYLOV_DIM])
+    @pytest.mark.parametrize("cells", [2, _DIRECT_CELLS])
     def test_krylov_space_spans_tiny_mask(self, cells):
-        """With no more cells than the Krylov basis holds, the basis spans
-        the whole subspace and the estimate is exact to roundoff."""
+        """With no more cells than the direct route takes, the estimate is
+        the dense operator's smallest singular value, exact to roundoff."""
         op = _tiny_operator(cells)
         assert op.mask.cell_count == cells
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
         assert abs(estimate_coercivity(op) - dense_min) / dense_min <= 1e-12
 
-    @pytest.mark.parametrize("cells", [1, 2, _KRYLOV_DIM])
+    @pytest.mark.parametrize("cells", [1, 2, _DIRECT_CELLS])
     def test_tiny_mask_deterministic(self, cells):
         op = _tiny_operator(cells)
         assert estimate_coercivity(op) == estimate_coercivity(op)
@@ -382,16 +405,16 @@ class TestCoercivity:
         _, _, op = disk_setup
         assert estimate_coercivity(op) == estimate_coercivity(op)
 
-    def test_restart_cap_raises_with_ritz_vector(self, monkeypatch):
-        """Past the restart cap the estimate raises ConvergenceError with
-        the lowest Ritz vector on the grid and one relative Ritz residual
-        per restart; the disk needs more than one restart."""
+    def test_step_cap_raises_with_ritz_vector(self, monkeypatch):
+        """Past the step cap the estimate raises ConvergenceError with the
+        lowest Ritz vector on the grid and one relative Ritz residual per
+        check; the disk needs more than one check."""
         grid = Grid(64, 8.0)
         mask = rasterize(Disk((0.0, 0.0), 1.0), grid)
         lanczos = profile._lanczos_smallest
         monkeypatch.setattr(profile, "_lanczos_smallest",
-                            lambda *args, max_restarts: lanczos(*args, max_restarts=1))
-        with pytest.raises(ConvergenceError, match="in 1 restarts") as excinfo:
+                            lambda *args, max_steps: lanczos(*args, max_steps=_CHECK_EVERY))
+        with pytest.raises(ConvergenceError, match=f"in {_CHECK_EVERY} steps") as excinfo:
             estimate_coercivity(RestrictedOperator(mask))
         best = excinfo.value.best
         assert isinstance(best, RealField)
@@ -407,10 +430,10 @@ class TestLanczos:
 
     DIAGONAL = np.linspace(0.5, 1.0, 200)
 
-    def _smallest(self, v0, tol=1e-10, max_restarts=2000):
+    def _smallest(self, v0, tol=1e-10, max_steps=2000):
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        theta = _lanczos_smallest(lambda x: self.DIAGONAL * x, v0, tol, rng, max_restarts)
+        theta = _lanczos_smallest(lambda x: self.DIAGONAL * x, v0, tol, rng, max_steps)
         return theta, rng.bit_generator.state != state
 
     def test_smallest_eigenvalue(self):
@@ -419,20 +442,115 @@ class TestLanczos:
 
     def test_breakdown_at_first_step_continues(self):
         """An eigenvector start spans an invariant subspace at once; the
-        basis continues from a random vector and still finds the minimum."""
+        recurrence continues from a random vector and still finds the
+        minimum."""
         v0 = np.zeros(self.DIAGONAL.size)
         v0[100] = 1.0
         theta, drew_random = self._smallest(v0)
         assert drew_random
         assert abs(theta - 0.5) <= 1e-10 * 0.5
 
-    def test_cap_of_one_restart_raises(self):
-        with pytest.raises(ConvergenceError, match="in 1 restarts") as excinfo:
-            self._smallest(np.ones(self.DIAGONAL.size), max_restarts=1)
+    def test_cap_of_one_check_raises(self):
+        with pytest.raises(ConvergenceError, match=f"in {_CHECK_EVERY} steps") as excinfo:
+            self._smallest(np.ones(self.DIAGONAL.size), max_steps=_CHECK_EVERY)
         best = excinfo.value.best
         assert best.shape == self.DIAGONAL.shape
         assert len(excinfo.value.residual_history) == 1
 
+
+
+def _tridiagonal(alphas, betas):
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
+def _tridiagonal_with_spectrum(spectrum, seed, steps=None):
+    """Diagonal and off-diagonal of a tridiagonal with the given spectrum:
+    Lanczos with full reorthogonalization on diag(spectrum) from a seeded
+    start, run to the full dimension (or for ``steps`` steps, which leaves
+    Ritz values that have not converged)."""
+    j = steps or spectrum.size
+    v = np.random.default_rng(seed).standard_normal(spectrum.size)
+    basis = np.zeros((j, spectrum.size))
+    alphas, betas = [], []
+    for i in range(j):
+        basis[i] = v / np.linalg.norm(v)
+        w = spectrum * basis[i]
+        alphas.append(basis[i] @ w)
+        for _ in range(2):
+            w -= basis[:i + 1].T @ (basis[:i + 1] @ w)
+        betas.append(np.linalg.norm(w))
+        v = w
+    return np.array(alphas), np.array(betas[:-1])
+
+
+def _random_tridiagonal(j, split=False):
+    rng = np.random.default_rng(j)
+    alphas, betas = rng.standard_normal(j), rng.standard_normal(j - 1)
+    if split:  # a block diagonal T, as a Lanczos breakdown leaves it
+        betas[::7] = 0.0
+    return alphas, betas
+
+
+def _graded_tridiagonal(j):
+    """Diagonal from 1 down to 1e-8, off-diagonal 0.4 of the neighbours'
+    geometric mean: positive definite, lowest eigenvalue near 1e-8."""
+    alphas = 10.0 ** (-8.0 * np.arange(j) / j)
+    return alphas, 0.4 * np.sqrt(alphas[:-1] * alphas[1:])
+
+
+class TestLowestRitzPair:
+    """The O(j) tridiagonal routine of the Lanczos checks against dense
+    ``eigh``: theta to a few rounding units of T, and a unit eigenvector
+    whose residual is at the margin's level."""
+
+    @pytest.mark.parametrize("alphas, betas", [
+        pytest.param(*_random_tridiagonal(j), id=f"random-{j}") for j in (1, 2, 5, 60, 700, 2000)
+    ] + [
+        pytest.param(*_random_tridiagonal(j, split=True), id=f"split-{j}") for j in (60, 2000)
+    ] + [
+        pytest.param(*_graded_tridiagonal(j), id=f"graded-{j}") for j in (50, 2000)
+    ] + [
+        pytest.param(*_tridiagonal_with_spectrum(
+            np.concatenate([[0.1, 0.1 + 1e-10], np.linspace(0.2, 1.0, 198)]), 1),
+            id="pair-1e-10-apart"),
+        pytest.param(*_tridiagonal_with_spectrum(
+            np.concatenate([0.3 + 1e-10 * np.arange(4), np.linspace(0.5, 1.0, 96)]), 2),
+            id="four-1e-10-apart"),
+        pytest.param(*_tridiagonal_with_spectrum(np.logspace(-8, 0, 300), 3), id="log-spectrum"),
+    ])
+    @pytest.mark.parametrize("below", [True, False], ids=["lower-below", "lower-above"])
+    def test_matches_dense_eigh(self, alphas, betas, below):
+        """``lower`` below the spectrum is a warm start; above it, the
+        routine falls back to the Gershgorin bound."""
+        t = _tridiagonal(alphas, betas)
+        eigenvalues = np.linalg.eigvalsh(t)
+        scale = np.abs(eigenvalues).max()
+        lower = eigenvalues[0] - 0.5 if below else eigenvalues[0] + 0.5
+        theta, vector = _lowest_ritz_pair(list(alphas), list(betas), float(lower), [])
+        assert abs(theta - eigenvalues[0]) <= 1e-14 * scale
+        x = np.array(vector)
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        assert np.linalg.norm(t @ x - theta * x) <= 1e-10 * scale
+
+    def test_last_entry_matches_eigh(self):
+        """s, the last entry of the eigenvector, is what the Lanczos test
+        reads: it matches eigh's on a T whose lowest Ritz value has not
+        converged, so that s is not small."""
+        alphas, betas = _tridiagonal_with_spectrum(np.linspace(0.1, 1.0, 2000), 4, steps=60)
+        _, vectors = np.linalg.eigh(_tridiagonal(alphas, betas))
+        _, vector = _lowest_ritz_pair(list(alphas), list(betas), 0.0, [])
+        assert abs(vectors[-1, 0]) > 1e-3
+        np.testing.assert_allclose(abs(vector[-1]), abs(vectors[-1, 0]), rtol=1e-10)
+
+    def test_start_vector_gives_the_same_pair(self):
+        """A warm start (the previous check's eigenvector, shorter than T)
+        changes neither theta nor, up to sign, the eigenvector."""
+        alphas, betas = _random_tridiagonal(300)
+        cold = _lowest_ritz_pair(list(alphas), list(betas), -10.0, [])
+        start = _lowest_ritz_pair(list(alphas[:250]), list(betas[:249]), -10.0, [])[1]
+        warm = _lowest_ritz_pair(list(alphas), list(betas), -10.0, start)
+        assert abs(warm[0] - cold[0]) <= 1e-14 * np.abs(alphas).max()
+        np.testing.assert_allclose(np.abs(warm[1]), np.abs(cold[1]), atol=1e-10)
 
 class TestGridScaleLaw:
     """The conjecture delta/h^2 -> 1/l^2, l the longest x1-chord of the set.

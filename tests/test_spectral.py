@@ -165,7 +165,7 @@ class TestTransforms:
         occupied[np.ix_(rows, cols)] = True
         (s1, b1, p1), (s2, b2, p2) = (_embedding_axis(occupied.any(axis=a)) for a in (1, 0))
         assert ((b1, b2), (p1, p2)) == (box, embedding)
-        symbol = _box_kernel(n, p1, p2)[1]
+        symbol = _box_kernel(Grid(n, 8.0), p1, p2)[1]
         index = np.ix_((s1 + np.arange(b1)) % n, (s2 + np.arange(b2)) % n)
         assert occupied[index].sum() == occupied.sum()
         values = np.random.default_rng(15).standard_normal((n, n))[index]
