@@ -177,11 +177,14 @@ class EvolutionTrace:
 
 @dataclass(frozen=True, eq=False)
 class StepResult:
-    """One accepted adaptive step: the new state, the step actually taken,
-    the proposal for the next step, the scaled local error estimate, and
-    the number of attempts rejected before this one."""
+    """One accepted adaptive step of a state on its support box: the new
+    state's box values and its right-hand side (the first stage of the
+    step after it, on the same box), the step actually taken, the
+    proposal for the next step, the scaled local error estimate, and the
+    number of attempts rejected before this one."""
 
-    field: RealField
+    values: np.ndarray
+    rate: np.ndarray
     dt_accepted: float
     dt_next: float
     error_estimate: float
@@ -205,11 +208,11 @@ def _box(omega: RealField) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     return index, _box_kernel(omega.grid, p1, p2)[1]
 
 
-def _scatter(omega: RealField, index: tuple[np.ndarray, np.ndarray],
+def _scatter(grid: Grid, index: tuple[np.ndarray, np.ndarray],
              box: np.ndarray) -> np.ndarray:
-    """A grid array holding ``box`` at omega's support box ``index``, 0
+    """A grid array holding ``box`` at the support box ``index``, 0
     elsewhere."""
-    values = np.zeros_like(omega.values)
+    values = np.zeros((grid.n, grid.n))
     values[index] = box
     return values
 
@@ -229,19 +232,20 @@ def rhs(omega: RealField, sign: int = 1) -> RealField:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     index, symbol = _box(omega)
     product = _rhs_values(symbol, omega.values[index], sign)
-    return RealField(omega.grid, _scatter(omega, index, product))
+    return RealField(omega.grid, _scatter(omega.grid, index, product))
 
 
-def _rk_attempt(symbol: np.ndarray, y: np.ndarray, dt: float,
+def _rk_attempt(symbol: np.ndarray, y: np.ndarray, k0: np.ndarray, dt: float,
                 sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """One raw Cash-Karp attempt: fifth-order update and embedded error field.
+    """One raw Cash-Karp attempt from y and its right-hand side k0 (the
+    first stage): fifth-order update and embedded error field.
 
     Works on bare arrays so that overflowing trial stages propagate as
     non-finite values instead of raising; the caller turns those into step
     rejections.
     """
     k = np.empty((6,) + y.shape)
-    k[0] = _rhs_values(symbol, y, sign)
+    k[0] = k0
     for i in range(1, 6):
         a = np.asarray(_RK_A[i])
         yi = y + dt * np.tensordot(a, k[:i], axes=1)
@@ -262,12 +266,24 @@ def rk_step(omega: RealField, dt: float, sign: int = 1) -> tuple[RealField, np.n
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     index, symbol = _box(omega)
-    y_new, err = _rk_attempt(symbol, omega.values[index], dt, sign)
-    return RealField(omega.grid, _scatter(omega, index, y_new)), _scatter(omega, index, err)
+    y = omega.values[index]
+    y_new, err = _rk_attempt(symbol, y, _rhs_values(symbol, y, sign), dt, sign)
+    return (RealField(omega.grid, _scatter(omega.grid, index, y_new)),
+            _scatter(omega.grid, index, err))
 
 
-def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
-    """Advance one accepted step, shrinking dt until the local error passes.
+def step(y: np.ndarray, rate: np.ndarray, dt: float, config: EvolveConfig,
+         symbol: np.ndarray, n: int) -> StepResult:
+    """Advance a state on its support box by one accepted step, shrinking
+    dt until the local error passes.
+
+    The state lives on the bounding box of its support: ``y`` holds the
+    box's values (every cell off it is 0 and stays 0, since the flow keeps
+    the support), ``rate`` is y's right-hand side (Z11 y) y times
+    config.sign on the box, ``symbol`` is the box's circulant symbol as
+    :func:`rhs` builds it, and ``n`` is the grid's points per axis. Every
+    attempt starts from ``rate``, and the result carries the new state's
+    right-hand side, so the first stage of the next step is computed once.
 
     The scaled error combines atol and rtol per cell; a step is accepted
     when its root mean square over all n^2 grid cells is at most 1 and
@@ -277,23 +293,19 @@ def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
     dt_next = factor * dt from this step's error alone (evolve may shorten
     it). A rejection retries with dt times the factor, capped at 0.9; if
     that would push dt below dt_min the step underflows, which downstream
-    is read as approach to blow-up rather than failure. Attempts and the
-    error norm run on the support box of :func:`rhs`: every nonzero error
-    lies there, and the box's sum is divided by n^2.
+    is read as approach to blow-up rather than failure. Every nonzero
+    error lies on the box, so the box's sum is divided by n^2.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    grid = omega.grid
-    index, symbol = _box(omega)
-    y = omega.values[index]
     rejected = 0
     while True:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            y_new, err_field = _rk_attempt(symbol, y, dt, config.sign)
+            y_new, err_field = _rk_attempt(symbol, y, rate, dt, config.sign)
             scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
             # err_field is 0 off the support; a 0 counts 0, even at scale 0 (atol = 0)
             ratio = np.divide(err_field, scale, out=np.zeros_like(y), where=err_field != 0.0)
-            err = float(np.sqrt(np.sum(ratio**2) / grid.n**2))
+            err = float(np.sqrt(np.sum(ratio**2) / n**2))
         if err == 0.0:
             factor = _MAX_GROW
         elif np.isfinite(err):
@@ -303,7 +315,8 @@ def step(omega: RealField, dt: float, config: EvolveConfig) -> StepResult:
             factor = _MIN_SHRINK
         if err <= 1.0 and np.all(np.isfinite(y_new)):
             return StepResult(
-                field=RealField(grid, _scatter(omega, index, y_new)),
+                values=y_new,
+                rate=_rhs_values(symbol, y_new, config.sign),
                 dt_accepted=dt,
                 dt_next=dt * factor,
                 error_estimate=err,
@@ -335,17 +348,23 @@ def evolve(omega0: RealField, config: EvolveConfig,
     termination the trailing-window fit of 1/sup-norm is attempted and its
     result stored when it succeeds.
 
-    The flow keeps the support of omega0, so every record, and the
-    threshold test after every step, runs on the bounding box of that
-    support, found once: the sums gather the box alone (every cell off it
-    is 0), and qform applies Z11 through the box's circulant embedding,
-    as :func:`rhs` does, in place of a full-grid power spectrum. That
-    circulant is exact for every field supported in the box, so a cell
-    that underflows to 0 on the way changes nothing.
+    The flow keeps the support of omega0, so the run's state lives on the
+    bounding box of that support, found once: each accepted step
+    (:func:`step`) works on the box alone, and a grid-sized field is built
+    only to hand a record to on_record. Every record, and the threshold
+    test after every step, reads the box: the sums gather it alone (every
+    cell off it is 0), and qform is h^2 sum sign * rate, where rate is the
+    state's right-hand side sign (Z11 w) w, which the step after the state
+    starts from (sign^2 = 1, so this is bitwise h^2 sum (Z11 w) w). Z11
+    acts through the box's circulant embedding, as :func:`rhs` applies it;
+    that circulant is exact for every field supported in the box, so a
+    cell that underflows to 0 on the way changes nothing.
     """
+    grid = omega0.grid
     index, symbol = _box(omega0)
-    h2 = omega0.grid.h**2
-    sup0 = float(np.max(np.abs(omega0.values[index])))
+    h2 = grid.h**2
+    y = omega0.values[index]
+    sup0 = float(np.max(np.abs(y)))
     if config.blowup_threshold is not None:
         threshold = config.blowup_threshold
     elif sup0 > 0.0:
@@ -356,17 +375,17 @@ def evolve(omega0: RealField, config: EvolveConfig,
     # one row per record, in the order of EvolutionTrace's array fields
     rows: list[tuple[float, float, float, float, float, int]] = []
 
-    def record(field: RealField, t: float) -> None:
-        y = field.values[index]
+    def record(t: float, y: np.ndarray, rate: np.ndarray,
+               state: RealField | None = None) -> None:
         s = float(np.max(np.abs(y)))
         rows.append((t, s, float(h2 * np.sum(y)), float(np.sqrt(h2 * np.sum(y**2))),
-                     float(h2 * np.sum(_real_fft(y, symbol) * y)),
+                     float(config.sign * h2 * np.sum(rate)),
                      int(np.count_nonzero(np.abs(y) > _SUPPORT_CUTOFF * s))))
         if on_record is not None:
-            on_record(t, field)
+            on_record(t, RealField(grid, _scatter(grid, index, y)) if state is None else state)
 
-    record(omega0, 0.0)
-    omega = omega0
+    rate = _rhs_values(symbol, y, config.sign)
+    record(0.0, y, rate, omega0)
     t = 0.0
     dt = config.dt_initial
     n_steps = 0
@@ -379,12 +398,12 @@ def evolve(omega0: RealField, config: EvolveConfig,
             break
         clipped = config.t_max - t < dt
         try:
-            result = step(omega, min(dt, config.t_max - t), config)
+            result = step(y, rate, min(dt, config.t_max - t), config, symbol, grid.n)
         except StepUnderflowError as exc:
             n_rejected += exc.rejected_attempts
             terminated = "step_underflow"
             break
-        omega = result.field
+        y, rate = result.values, result.rate
         t += result.dt_accepted
         dt = result.dt_next
         if (previous is not None and not clipped
@@ -395,13 +414,13 @@ def evolve(omega0: RealField, config: EvolveConfig,
         previous = None if clipped else result
         n_steps += 1
         n_rejected += result.rejected_attempts
-        if np.max(np.abs(omega.values[index])) >= threshold:
+        if np.max(np.abs(y)) >= threshold:
             terminated = "threshold"
             break
         if n_steps % config.record_every == 0 and config.t_max - t > horizon_slack:
-            record(omega, t)
+            record(t, y, rate)
     if t > rows[-1][0]:
-        record(omega, t)
+        record(t, y, rate)
 
     trace = EvolutionTrace(
         *map(np.array, zip(*rows)),

@@ -18,8 +18,10 @@ from z11sim import (
     read_field,
     read_header,
     read_trace_csv,
+    self_similar_deviation,
     sup_norm,
 )
+import z11sim.cli as cli
 from z11sim.cli import main
 from z11sim.spectral import _box_kernel
 
@@ -284,6 +286,39 @@ class TestVerifyCommand:
         deviation_lines = (outdir / "deviation.csv").read_text().splitlines()
         assert deviation_lines[0] == "t,deviation"
         assert len(deviation_lines) - 1 == len(trace["t"])
+
+    def test_cell_deviations_match_the_full_grid(self, tmp_path, capsys, monkeypatch):
+        """deviation.csv, summed over the mask's cells, matches the
+        full-grid self_similar_deviation of every recorded state."""
+        shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "verify_disk.ini")
+        with open(shipped) as handle:
+            text = handle.read()
+        ini = tmp_path / "verify.ini"
+        ini.write_text(text.replace("n = 128", "n = 64"))
+        solutions, states = [], []
+        solve, evolve = cli._solve, cli.evolve
+
+        def keep_solution(cfg):
+            solutions.append(solve(cfg))
+            return solutions[-1]
+
+        def keep_states(omega0, config, on_record):
+            def record(t, state):
+                states.append((t, state))
+                on_record(t, state)
+            return evolve(omega0, config, on_record=record)
+
+        monkeypatch.setattr(cli, "_solve", keep_solution)
+        monkeypatch.setattr(cli, "evolve", keep_states)
+        code, _, _ = run_cli(capsys, ini)
+        assert code == 0
+        rows = (tmp_path / "out-verify-disk" / "deviation.csv").read_text().splitlines()[1:]
+        written = np.array([[float(x) for x in row.split(",")] for row in rows])
+        (solution,) = solutions
+        oracle = [self_similar_deviation(state, solution.q, 1.0, t) for t, state in states]
+        assert len(written) == len(states) > 10
+        np.testing.assert_array_equal(written[:, 0], [t for t, _ in states])
+        np.testing.assert_allclose(written[:, 1], oracle, rtol=1e-12, atol=0)
 
     def test_failed_fit_leaves_no_csvs(self, tmp_path, capsys):
         """The shipped verify config at n = 64 and rtol = 1e-7 records too

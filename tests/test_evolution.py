@@ -6,6 +6,8 @@ quadratic form) and the solved profile's defect. Stepper order is measured
 by step halving against a fine reference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -249,15 +251,23 @@ class TestRkStep:
         assert np.all(orders <= 6.0)
 
 
+def _box_step(omega, dt, config):
+    """One step of omega on its support box, from its right-hand side, as
+    evolve takes it."""
+    index, symbol = evolution._box(omega)
+    rate = rhs(omega, config.sign).values[index]
+    return step(omega.values[index], rate, dt, config, symbol, omega.grid.n)
+
+
 class TestStep:
     def test_rejects_nonpositive_dt(self, grid32):
         cfg = EvolveConfig()
         with pytest.raises(ValueError, match="dt must be positive"):
-            step(gaussian_bump(grid32, width=0.8), -0.1, cfg)
+            _box_step(gaussian_bump(grid32, width=0.8), -0.1, cfg)
 
     def test_zero_field_grows_step_maximally(self, grid32):
         cfg = EvolveConfig()
-        result = step(RealField(grid32, np.zeros((32, 32))), 1e-3, cfg)
+        result = _box_step(RealField(grid32, np.zeros((32, 32))), 1e-3, cfg)
         assert result.error_estimate == 0.0
         assert result.dt_accepted == 1e-3
         assert result.dt_next == pytest.approx(5e-3)
@@ -265,13 +275,13 @@ class TestStep:
 
     def test_accepted_step_meets_tolerance(self, grid32):
         cfg = EvolveConfig(rtol=1e-8, atol=1e-10)
-        result = step(gaussian_bump(grid32, width=0.8), 1e-2, cfg)
+        result = _box_step(gaussian_bump(grid32, width=0.8), 1e-2, cfg)
         assert result.error_estimate <= 1.0
-        assert np.all(np.isfinite(result.field.values))
+        assert np.all(np.isfinite(result.values))
 
     def test_rejection_shrinks_before_accepting(self, grid32):
         cfg = EvolveConfig(rtol=1e-12, atol=1e-14, dt_min=1e-12)
-        result = step(gaussian_bump(grid32, width=0.8, amplitude=3.0), 0.5, cfg)
+        result = _box_step(gaussian_bump(grid32, width=0.8, amplitude=3.0), 0.5, cfg)
         assert result.dt_accepted < 0.5
         assert result.error_estimate <= 1.0
         assert result.rejected_attempts >= 1
@@ -282,12 +292,12 @@ class TestStep:
         retried at a fifth of its step, below the 0.9 cap on rejections."""
         errors = iter([bad, 1e-12])
 
-        def attempt(symbol, y, dt, sign):
+        def attempt(symbol, y, k0, dt, sign):
             return y.copy(), np.full_like(y, next(errors))
 
         monkeypatch.setattr(evolution, "_rk_attempt", attempt)
         dt = 1e-3
-        result = step(gaussian_bump(grid32, width=0.8), dt, EvolveConfig())
+        result = _box_step(gaussian_bump(grid32, width=0.8), dt, EvolveConfig())
         assert result.rejected_attempts == 1
         assert result.dt_accepted == 0.2 * dt
 
@@ -297,7 +307,7 @@ class TestStep:
         cfg = EvolveConfig(dt_initial=1e-3, dt_min=9e-4, rtol=1e-10, atol=1e-12)
         wild = gaussian_bump(grid32, width=0.5, amplitude=1e8)
         with pytest.raises(StepUnderflowError, match="below dt_min") as excinfo:
-            step(wild, 1e-3, cfg)
+            _box_step(wild, 1e-3, cfg)
         assert excinfo.value.dt_required < excinfo.value.dt_min == 9e-4
         assert excinfo.value.rejected_attempts >= 1
 
@@ -309,12 +319,17 @@ class TestStep:
         """A step of the n = 64 bump transforms only its support's box,
         padded inside the transform to the box's embedding: 17 cells wide
         when the bump sits on a lattice point, so 36 (5-smooth, >= 33), and
-        16 cells off it, so 32."""
+        16 cells off it, so 32. Five transforms make the stages after the
+        first, and one the new state's right-hand side, the first stage of
+        the next step."""
         grid = Grid(64, 16.0)
         w0 = gaussian_bump(grid, center=center, width=0.5, cutoff=2.0)
-        # the first step of a box size also builds its cached symbol
-        step(w0, 1e-3, EvolveConfig())
-        shapes = _transform_shapes(monkeypatch, lambda: step(w0, 1e-3, EvolveConfig()))
+        cfg = EvolveConfig()
+        index, symbol = evolution._box(w0)
+        y = w0.values[index]
+        rate = rhs(w0).values[index]
+        shapes = _transform_shapes(
+            monkeypatch, lambda: step(y, rate, 1e-3, cfg, symbol, grid.n))
         assert shapes == [box] * 6
 
 
@@ -442,8 +457,8 @@ def _spy_on_step(monkeypatch):
     calls = []
     real_step = evolution.step
 
-    def spy(omega, dt, config):
-        result = real_step(omega, dt, config)
+    def spy(y, rate, dt, config, symbol, n):
+        result = real_step(y, rate, dt, config, symbol, n)
         calls.append((dt, result))
         return result
 
@@ -507,11 +522,11 @@ class TestStepControl:
         cfg = EvolveConfig(dt_initial=0.3, t_max=1.0)
         asked, taken = [], []
 
-        def stub(omega, dt, config):
+        def stub(y, rate, dt, config, symbol, n):
             dt_taken = dt / 10 if len(taken) == 3 else dt
             asked.append(dt)
             taken.append(dt_taken)
-            return StepResult(field=omega, dt_accepted=dt_taken, dt_next=dt_taken,
+            return StepResult(values=y, rate=rate, dt_accepted=dt_taken, dt_next=dt_taken,
                               error_estimate=0.5, rejected_attempts=0)
 
         monkeypatch.setattr(evolution, "step", stub)
@@ -520,6 +535,57 @@ class TestStepControl:
         assert asked[:3] == [0.3] * 3
         assert asked[3] == cfg.t_max - sum(taken[:3])
         assert asked[4] == taken[3]
+
+
+class TestSteppingContract:
+    """evolve advances through the module-level step, once per accepted
+    step, and keeps its state on the support box between steps."""
+
+    @pytest.mark.parametrize("t_max, record_every, terminated", [
+        (20.0, 1, "threshold"),
+        (1.0, 3, "horizon"),
+    ])
+    def test_calls_step_once_per_accepted_step(self, monkeypatch, t_max, record_every,
+                                               terminated):
+        calls = _spy_on_step(monkeypatch)
+        trace = evolve(_config_bump(), EvolveConfig(t_max=t_max, record_every=record_every))
+        assert trace.terminated == terminated
+        assert len(calls) == trace.accepted_steps > 0
+
+    def test_no_grid_sized_allocation_per_step(self, monkeypatch):
+        """Nothing from one step of a compact bump at n = 256 to the next,
+        the step included, allocates n^2 doubles: the state lives on the
+        33 x 33 support box (the symbol of its circulant is built before
+        the first step), and without on_record no record builds a field.
+        A step peaks at about 170 kB here, against 512 kB for n^2
+        doubles."""
+        n = 256
+        w0 = gaussian_bump(Grid(n, 32.0), width=0.5, cutoff=2.0)
+        peaks, start = [], [0]
+        real_step = evolution.step
+
+        def close_interval():
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - start[0])
+            tracemalloc.reset_peak()
+            start[0] = current
+
+        def measured_step(*args):
+            close_interval()
+            return real_step(*args)
+
+        monkeypatch.setattr(evolution, "step", measured_step)
+        tracemalloc.start()
+        try:
+            trace = evolve(w0, EvolveConfig(t_max=20.0, record_every=1))
+            close_interval()
+        finally:
+            tracemalloc.stop()
+        assert trace.terminated == "threshold"
+        # peaks[0] is the set-up before the first step; each later entry
+        # covers one step and what evolve does after it
+        assert len(peaks) == trace.accepted_steps + 1 > 10
+        assert max(peaks[1:]) < n * n * 8
 
 
 class TestBoxRecords:
