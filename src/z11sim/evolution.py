@@ -235,6 +235,18 @@ def rhs(omega: RealField, sign: int = 1) -> RealField:
     return RealField(omega.grid, _scatter(omega.grid, index, product))
 
 
+def _stage_sum(coefficients: tuple[float, ...] | np.ndarray,
+               stages: list[np.ndarray]) -> np.ndarray:
+    """sum_i c_i k_i over the nonzero coefficients, paired with the stages
+    so far, in plain numpy arithmetic: a BLAS product such as
+    np.tensordot would start threads for a box this small."""
+    terms = (c * k for c, k in zip(coefficients, stages) if c != 0.0)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
 def _rk_attempt(symbol: np.ndarray, y: np.ndarray, k0: np.ndarray, dt: float,
                 sign: int) -> tuple[np.ndarray, np.ndarray]:
     """One raw Cash-Karp attempt from y and its right-hand side k0 (the
@@ -244,15 +256,10 @@ def _rk_attempt(symbol: np.ndarray, y: np.ndarray, k0: np.ndarray, dt: float,
     non-finite values instead of raising; the caller turns those into step
     rejections.
     """
-    k = np.empty((6,) + y.shape)
-    k[0] = k0
+    k = [k0]
     for i in range(1, 6):
-        a = np.asarray(_RK_A[i])
-        yi = y + dt * np.tensordot(a, k[:i], axes=1)
-        k[i] = _rhs_values(symbol, yi, sign)
-    y_new = y + dt * np.tensordot(_RK_B5, k, axes=1)
-    err = dt * np.tensordot(_RK_E, k, axes=1)
-    return y_new, err
+        k.append(_rhs_values(symbol, y + dt * _stage_sum(_RK_A[i], k), sign))
+    return y + dt * _stage_sum(_RK_B5, k), dt * _stage_sum(_RK_E, k)
 
 
 def rk_step(omega: RealField, dt: float, sign: int = 1) -> tuple[RealField, np.ndarray]:
