@@ -142,8 +142,8 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     evolve_cfg = dataclasses.replace(cfg.evolve, t_max=cfg.verify_t_final)
     deviations: list[float] = []
     # Q and every state are exactly 0 off the mask (the flow keeps the
-    # support), so evolution.self_similar_deviation's sums run over the
-    # mask's cells alone
+    # support), so the sums of evolution.self_similar_deviation need only
+    # the mask's cells
     cells = np.flatnonzero(solution.mask.indicator)
     q_cells = solution.q.values.ravel()[cells]
     h2 = cfg.grid.h**2

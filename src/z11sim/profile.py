@@ -403,13 +403,15 @@ def _lowest_ritz_pair(alphas: list[float], betas: list[float], lower: float,
     det(T - sigma I) has only real roots, so Laguerre's iteration on it
     rises monotonically and cubically to theta from any sigma below the
     spectrum. It starts a margin below ``lower`` when the Sturm test of
-    :func:`_ritz_sweep` puts that below the spectrum, and at the Gershgorin
-    bound otherwise. Each step stops the margin, 8 rounding units of T,
-    short of the point it aims at: rounding then cannot carry a sweep past
-    theta, and the last factorization lies so close below theta that one
-    inverse iteration on it, from ``start`` (the last check's eigenvector,
-    padded with zeros) or from all ones, gives the eigenvector. Should a
-    sweep still fail, the step is bisected.
+    :func:`_ritz_sweep` puts that below the spectrum, else a margin below
+    0 (T comes from a positive semidefinite operator), and at the
+    Gershgorin bound when both fail. Each step stops the margin, 8
+    rounding units of T, short of the point it aims at: rounding then
+    cannot carry a sweep past theta, and the last factorization lies so
+    close below theta that one inverse iteration on it, from ``start``
+    (the last check's eigenvector, padded with zeros) or from all ones,
+    gives the eigenvector. Should a sweep still fail, the step is
+    bisected.
     """
     j = len(alphas)
     diagonal = np.asarray(alphas)
@@ -418,13 +420,16 @@ def _lowest_ritz_pair(alphas: list[float], betas: list[float], lower: float,
     radius[:-1] += radius[1:]
     margin = 8.0 * float(np.finfo(float).eps) * float(np.max(np.abs(diagonal) + radius))
     rhs = start + [0.0] * (j - len(start)) if start else [1.0] * j
-    lower -= margin
-    out = _ritz_sweep(alphas, betas, lower, rhs)
-    if out is None:
-        # The margin makes T - sigma I strictly diagonally dominant below
-        # the Gershgorin bound, so every pivot is positive there.
-        lower = float(np.min(diagonal - radius)) - margin
+    # Past a failed warm guess, 0: T of a positive semidefinite operator
+    # has no eigenvalue below 0 beyond roundoff. Last the Gershgorin bound,
+    # below which the margin makes T - sigma I strictly diagonally
+    # dominant, so every pivot is positive there.
+    guesses = (lower, 0.0) if lower > 0.0 else (lower,)
+    for guess in guesses + (float(np.min(diagonal - radius)),):
+        lower = guess - margin
         out = _ritz_sweep(alphas, betas, lower, rhs)
+        if out is not None:
+            break
     upper = math.inf
     while True:
         g, h, ratios, ys = out

@@ -342,6 +342,25 @@ class TestCoercivity:
         np.testing.assert_allclose(mirrored, parity * envelope, atol=1e-10)
         assert _relative_error_to_dense(op) <= 1e-6
 
+    def test_failed_warm_guess_restarts_from_zero(self, monkeypatch):
+        """On two lobes side by side along x1 a lower Ritz value emerges
+        between checks and falls past the warm guess. Laguerre then
+        restarts below 0, which lies below the spectrum of the positive
+        semidefinite operator, not at the Gershgorin bound far below it:
+        77 sweeps of the tridiagonal in the whole estimate (98 from the
+        Gershgorin bound), and delta still matches dense eigvalsh."""
+        sweeps = []
+        ritz_sweep = profile._ritz_sweep
+
+        def counting_sweep(*args):
+            sweeps.append(args)
+            return ritz_sweep(*args)
+
+        monkeypatch.setattr(profile, "_ritz_sweep", counting_sweep)
+        op = RestrictedOperator(_two_disks(0)(Grid(256, 12.0)))
+        assert _relative_error_to_dense(op) <= 1e-6
+        assert len(sweeps) <= 80
+
     def test_translation_invariant(self):
         """The start vector lives in the mask's box coordinates, so a
         whole-cell shift of the mask leaves the estimate bitwise equal."""
