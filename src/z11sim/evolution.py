@@ -238,8 +238,8 @@ def rhs(omega: RealField, sign: int = 1) -> RealField:
 def _stage_sum(coefficients: tuple[float, ...] | np.ndarray,
                stages: list[np.ndarray]) -> np.ndarray:
     """sum_i c_i k_i over the nonzero coefficients, paired with the stages
-    so far, in plain numpy arithmetic: a BLAS product such as
-    np.tensordot would start threads for a box this small."""
+    so far, in plain numpy arithmetic, which starts no threads (the BLAS
+    product of np.tensordot may)."""
     terms = (c * k for c, k in zip(coefficients, stages) if c != 0.0)
     total = next(terms)
     for term in terms:
