@@ -5,118 +5,28 @@ The package constructs the singular self-similar profile Q by solving the
 restricted multiplier equation Z11 Q = 1 on a bounded set with conjugate
 gradient, verifies the profile identity (Z11 Q) Q = Q, and integrates the
 model in time to observe self-similar and generic finite-time blow-up.
+
+The package republishes each module's ``__all__``, which is the one list
+of that module's public names.
 """
 
-from .config import (
-    ConfigError,
-    load_run_config,
-    parse_shape,
-)
-from .diagnostics import run_diagnostics
-from .evolution import (
-    EvolutionTrace,
-    EvolveConfig,
-    StepUnderflowError,
-    estimate_blowup_time,
-    evolve,
-    gaussian_bump,
-    rhs,
-    rk_step,
-    self_similar_deviation,
-    step,
-)
-from .fieldio import (
-    FieldFileError,
-    read_field,
-    read_header,
-    read_trace_csv,
-    write_field,
-    write_trace_csv,
-)
-from .profile import (
-    ConvergenceError,
-    CurvatureBreakdownError,
-    ProfileSolution,
-    RestrictedOperator,
-    SingularOperatorError,
-    dense_L_matrix,
-    estimate_coercivity,
-    solve_profile,
-    verify_profile,
-)
-from .shapes import (
-    Annulus,
-    Disk,
-    Ellipse,
-    Mask,
-    Rectangle,
-    ShapeDifference,
-    ShapeUnion,
-    mask_area,
-    rasterize,
-)
-from .spectral import (
-    Grid,
-    RealField,
-    apply_z11,
-    apply_z22,
-    cone_mass_ratio,
-    field_integral,
-    inner,
-    l2_norm,
-    quadratic_form,
-    sup_norm,
-)
+from . import config, diagnostics, evolution, fieldio, profile, shapes, spectral
+from .config import *  # noqa: F403
+from .diagnostics import *  # noqa: F403
+from .evolution import *  # noqa: F403
+from .fieldio import *  # noqa: F403
+from .profile import *  # noqa: F403
+from .shapes import *  # noqa: F403
+from .spectral import *  # noqa: F403
+
+# Public in fieldio only so that the benchmark's tracer can wrap it.
+del atomic_write_bytes  # noqa: F821
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annulus",
-    "ConfigError",
-    "ConvergenceError",
-    "CurvatureBreakdownError",
-    "Disk",
-    "Ellipse",
-    "EvolutionTrace",
-    "EvolveConfig",
-    "FieldFileError",
-    "Grid",
-    "Mask",
-    "ProfileSolution",
-    "RealField",
-    "Rectangle",
-    "RestrictedOperator",
-    "ShapeDifference",
-    "ShapeUnion",
-    "SingularOperatorError",
-    "StepUnderflowError",
-    "apply_z11",
-    "apply_z22",
-    "cone_mass_ratio",
-    "dense_L_matrix",
-    "estimate_blowup_time",
-    "estimate_coercivity",
-    "evolve",
-    "field_integral",
-    "gaussian_bump",
-    "inner",
-    "l2_norm",
-    "load_run_config",
-    "mask_area",
-    "parse_shape",
-    "quadratic_form",
-    "rasterize",
-    "read_field",
-    "read_header",
-    "read_trace_csv",
-    "rhs",
-    "rk_step",
-    "run_diagnostics",
-    "self_similar_deviation",
-    "solve_profile",
-    "step",
-    "sup_norm",
-    "verify_profile",
-    "write_field",
-    "write_trace_csv",
+    name
+    for module in (config, diagnostics, evolution, fieldio, profile, shapes, spectral)
+    for name in module.__all__
+    if name != "atomic_write_bytes"
 ]

@@ -29,7 +29,7 @@ import re
 from collections import deque
 from functools import partial
 
-from .evolution import EvolveConfig
+from .evolution import EvolveConfig, _check_bump
 from .profile import _check_solver_settings
 from .shapes import (
     Annulus,
@@ -263,11 +263,7 @@ def _read_initial(parser: configparser.ConfigParser, base_dir: str) -> InitialSp
             if parser.has_option("initial", "path"):
                 raise ConfigError("[initial] key 'path' does not apply to kind 'bump'")
             width = _value(parser, "initial", "width")
-            if width <= 0.0:
-                raise ConfigError(f"[initial] width must be positive, got {width}")
             cutoff = _value(parser, "initial", "cutoff", None)
-            if cutoff is not None and cutoff <= 0.0:
-                raise ConfigError(f"[initial] cutoff must be positive, got {cutoff}")
             initial = InitialSpec(
                 kind="bump",
                 scale=_value(parser, "initial", "scale", 1.0),
@@ -276,12 +272,12 @@ def _read_initial(parser: configparser.ConfigParser, base_dir: str) -> InitialSp
                 amplitude=_value(parser, "initial", "amplitude", 1.0),
                 cutoff=cutoff,
             )
+            _checked("initial", _check_bump, initial.center, initial.width, initial.cutoff)
         case _:
             raise ConfigError(f"[initial] kind must be 'file' or 'bump', got {kind!r}")
-    for key in ("scale", "center", "width", "amplitude", "cutoff"):
+    for key in ("scale", "amplitude"):
         value = getattr(initial, key)
-        numbers = value if isinstance(value, tuple) else (value,)
-        if value is not None and not all(map(math.isfinite, numbers)):
+        if not math.isfinite(value):
             raise ConfigError(f"[initial] {key} must be finite, got {value}")
     return initial
 

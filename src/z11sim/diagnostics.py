@@ -22,6 +22,11 @@ from .spectral import (
 
 __all__ = ["run_diagnostics"]
 
+# The cone-mass study: random bumps per run, and the k of its frequency
+# cone 1/k < lam1/lam2 < k.
+_CONE_TRIALS = 100
+_CONE_K = 2.0
+
 
 def multiplier_identity_report(grid: Grid, rng: np.random.Generator) -> dict:
     """Max errors of the defining multiplier identities on one grid.
@@ -84,9 +89,9 @@ def negation_symmetry_error(grid: Grid, rng: np.random.Generator) -> float:
     return worst
 
 
-def cone_mass_study(grid: Grid, rng: np.random.Generator, trials: int = 100,
-                    k: float = 2.0) -> list[dict]:
-    """Cone-mass ratios for random compactly supported bumps.
+def cone_mass_study(grid: Grid, rng: np.random.Generator) -> list[dict]:
+    """Cone-mass ratios at k = _CONE_K for _CONE_TRIALS random compactly
+    supported bumps.
 
     Bumps are truncated Gaussians with random center and width, all
     supported inside the disk of radius box_length/8 about the origin.
@@ -95,7 +100,7 @@ def cone_mass_study(grid: Grid, rng: np.random.Generator, trials: int = 100,
     """
     support_radius = grid.box_length / 8.0
     records = []
-    for trial in range(trials):
+    for trial in range(_CONE_TRIALS):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         distance = support_radius * 0.5 * np.sqrt(rng.uniform())
         center = (distance * np.cos(angle), distance * np.sin(angle))
@@ -108,17 +113,17 @@ def cone_mass_study(grid: Grid, rng: np.random.Generator, trials: int = 100,
             "center_x": float(center[0]),
             "center_y": float(center[1]),
             "width": float(width),
-            "ratio": cone_mass_ratio(bump, k),
+            "ratio": cone_mass_ratio(bump, _CONE_K),
         })
     return records
 
 
-def run_diagnostics(grid: Grid, seed: int, trials: int = 100, k: float = 2.0) -> dict:
+def run_diagnostics(grid: Grid, seed: int) -> dict:
     """Run the full suite and collect a serializable summary."""
     rng = np.random.default_rng(seed)
     identities = multiplier_identity_report(grid, rng)
     symmetry = negation_symmetry_error(grid, rng)
-    cone = cone_mass_study(grid, rng, trials=trials, k=k)
+    cone = cone_mass_study(grid, rng)
     ratios = np.array([record["ratio"] for record in cone])
     summary = {
         "grid_n": grid.n,
@@ -127,8 +132,8 @@ def run_diagnostics(grid: Grid, seed: int, trials: int = 100, k: float = 2.0) ->
         "multiplier_identities": identities,
         "negation_symmetry_error": symmetry,
         "cone_mass": {
-            "k": k,
-            "trials": trials,
+            "k": _CONE_K,
+            "trials": _CONE_TRIALS,
             "min": float(ratios.min()),
             "max": float(ratios.max()),
             "mean": float(ratios.mean()),

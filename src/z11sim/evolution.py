@@ -61,6 +61,8 @@ _PROPAGATION_ORDER = 5
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.2
 _SUPPORT_CUTOFF = 1e-12
+# The blow-up fit uses the last fifth of a trace's time span.
+_FIT_WINDOW = 0.2
 
 
 class StepUnderflowError(RuntimeError):
@@ -447,22 +449,19 @@ def evolve(omega0: RealField, config: EvolveConfig,
     return trace
 
 
-def estimate_blowup_time(trace: EvolutionTrace,
-                         fit_window: float = 0.2) -> tuple[float, float]:
+def estimate_blowup_time(trace: EvolutionTrace) -> tuple[float, float]:
     """Extrapolate the blow-up time from the trailing part of a trace.
 
     For the separable singular solution 1/sup-norm decays linearly to zero
     at t = T, so a least-squares line through 1/sup_norm over the final
-    fit_window fraction of the time span is extrapolated to its root.
-    Returns the root and the coefficient of determination of the fit.
+    _FIT_WINDOW fraction (a fifth) of the time span is extrapolated to its
+    root. Returns the root and the coefficient of determination of the fit.
     """
-    if not 0.0 < fit_window <= 1.0:
-        raise ValueError(f"fit_window must lie in (0, 1], got {fit_window}")
     times = np.asarray(trace.times, dtype=float)
     sups = np.asarray(trace.sup_norm, dtype=float)
     if len(times) < 2:
         raise ValueError("trace too short for a blow-up fit")
-    t_lo = times[-1] - fit_window * (times[-1] - times[0])
+    t_lo = times[-1] - _FIT_WINDOW * (times[-1] - times[0])
     window = times >= t_lo
     t_w = times[window]
     s_w = sups[window]
@@ -497,6 +496,18 @@ def self_similar_deviation(omega_t: RealField, q: RealField, T: float, t: float)
     return l2_norm(diff) / denom
 
 
+def _check_bump(center: tuple[float, float], width: float, cutoff: float | None) -> None:
+    """Reject a bump :func:`gaussian_bump` cannot build: width and cutoff
+    must be positive, and center, width and cutoff finite."""
+    if width <= 0.0:
+        raise ValueError(f"width must be positive, got {width}")
+    if cutoff is not None and cutoff <= 0.0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    for name, value in (("center", center), ("width", width), ("cutoff", cutoff)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def gaussian_bump(grid: Grid, center: tuple[float, float] = (0.0, 0.0),
                   width: float = 1.0, amplitude: float = 1.0,
                   cutoff: float | None = None) -> RealField:
@@ -506,13 +517,7 @@ def gaussian_bump(grid: Grid, center: tuple[float, float] = (0.0, 0.0),
     radius about the center, giving compactly supported initial data.
     center, width and cutoff must be finite.
     """
-    if width <= 0.0:
-        raise ValueError(f"width must be positive, got {width}")
-    if cutoff is not None and cutoff <= 0.0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    for name, value in (("center", center), ("width", width), ("cutoff", cutoff)):
-        if value is not None and not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _check_bump(center, width, cutoff)
     x1, x2 = grid.coords()
     r2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
     values = amplitude * np.exp(-r2 / (2.0 * width**2))

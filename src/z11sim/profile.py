@@ -63,6 +63,8 @@ _DIRECT_CELLS = 40
 _CHECK_EVERY = 25
 # Lanczos steps allowed per mask cell.
 _STEPS_PER_CELL = 10
+# Bound on the relative error of the coercivity estimate.
+_COERCIVITY_TOL = 1e-6
 # CG replaces its recurrence residual by the true b - A x this often.
 _CG_REFRESH_EVERY = 25
 
@@ -255,25 +257,26 @@ def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
     if residual > tol:
         raise _make_convergence_error(op, x, history + [residual], tol, max_iter)
 
-    delta = estimate_coercivity(op, tol=1e-6)
+    delta = estimate_coercivity(op)
     return ProfileSolution(q=q, residual_l2=residual, iterations=iterations,
                            delta_estimate=delta, mask=mask)
 
 
-def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
+def estimate_coercivity(op: RestrictedOperator) -> float:
     """Estimate the smallest eigenvalue of the restricted operator to
-    relative accuracy tol.
+    relative accuracy _COERCIVITY_TOL (1e-6).
 
     A mask of at most _DIRECT_CELLS cells takes the direct route: the
     operator is positive semidefinite, so the smallest singular value of
     :func:`dense_L_matrix` is the eigenvalue, exact to roundoff (on a
     one-cell mask the operator's single entry, bitwise). Larger masks run
     the plain Lanczos recurrence (:func:`_lanczos_smallest`) on the masked
-    subspace. It stops when the Ritz residual is at most tol times the
-    Ritz value, which puts the Ritz value within that relative distance of
-    an eigenvalue. The residual's square over the spectral gap would allow
-    a looser residual only for an isolated lowest eigenvalue; here the two
-    lowest are often within a percent of each other. If it does not
+    subspace. It stops when the Ritz residual is at most _COERCIVITY_TOL
+    times the Ritz value, which puts the Ritz value within that relative
+    distance of an eigenvalue. The residual's square over the spectral
+    gap would allow a looser residual only for an isolated lowest
+    eigenvalue; here the two lowest are often within a percent of each
+    other. If it does not
     converge within _STEPS_PER_CELL steps per mask cell it raises
     ConvergenceError with the lowest Ritz vector.
 
@@ -291,8 +294,6 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
     are bit-identical. Box coordinates make the start, and so the
     estimate, invariant under whole-cell translations of the mask.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     m = op.mask.cell_count
     if m <= _DIRECT_CELLS:
         theta = float(np.linalg.svd(dense_L_matrix(op), compute_uv=False)[-1])
@@ -303,7 +304,7 @@ def estimate_coercivity(op: RestrictedOperator, tol: float = 1e-6) -> float:
         rng = np.random.default_rng(_LANCZOS_SEED)
         v0 += 0.1 * envelope.mean() * rng.standard_normal(m)
         try:
-            theta = _lanczos_smallest(op.apply_packed, v0, tol, rng,
+            theta = _lanczos_smallest(op.apply_packed, v0, _COERCIVITY_TOL, rng,
                                       max_steps=_STEPS_PER_CELL * m)
         except ConvergenceError as exc:
             exc.best = RealField(op.grid, op.mask.unpack(exc.best))

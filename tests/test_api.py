@@ -7,6 +7,8 @@ any error."""
 
 import importlib
 import inspect
+import pkgutil
+from collections import Counter
 
 import pytest
 
@@ -69,6 +71,25 @@ def test_every_exported_name_resolves_once():
 
 def test_exports_are_pinned():
     assert set(z11sim.__all__) == EXPORTED
+
+
+def test_every_exported_name_has_one_home():
+    """The package republishes its modules' ``__all__`` by wildcard
+    imports, so a name listed in two modules would silently shadow one of
+    its definitions."""
+    homes = Counter(
+        name
+        for info in pkgutil.iter_modules(z11sim.__path__)
+        for name in importlib.import_module(f"z11sim.{info.name}").__all__
+    )
+    assert {name: homes[name] for name in z11sim.__all__} == dict.fromkeys(z11sim.__all__, 1)
+
+
+def test_atomic_write_bytes_stays_in_fieldio():
+    """Public in its module, so that the benchmark's tracer wraps it, but
+    not part of the package's API."""
+    assert "atomic_write_bytes" in importlib.import_module("z11sim.fieldio").__all__
+    assert not hasattr(z11sim, "atomic_write_bytes")
 
 
 @pytest.mark.parametrize("name", ["apply_L", "make_grid"])

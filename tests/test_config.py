@@ -14,9 +14,11 @@ from z11sim import (
     Disk,
     Ellipse,
     EvolveConfig,
+    Grid,
     Rectangle,
     ShapeDifference,
     ShapeUnion,
+    gaussian_bump,
     load_run_config,
     parse_shape,
 )
@@ -321,6 +323,27 @@ class TestLoadEvolve:
                                    line if key == "width" else "width = 0.5\n" + line)
         with pytest.raises(ConfigError, match=rf"^\[initial\] {key} must be finite"):
             load_run_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("line, bump, message", [
+        ("width = -1", {"width": -1.0}, "width must be positive, got -1.0"),
+        ("width = 0", {"width": 0.0}, "width must be positive, got 0.0"),
+        ("width = nan", {"width": float("nan")}, "width must be finite, got nan"),
+        ("width = 0.5\ncutoff = -1", {"width": 0.5, "cutoff": -1.0},
+         "cutoff must be positive, got -1.0"),
+        ("width = 0.5\ncutoff = inf", {"width": 0.5, "cutoff": float("inf")},
+         "cutoff must be finite, got inf"),
+        ("width = 0.5\ncenter = 0, nan", {"width": 0.5, "center": (0.0, float("nan"))},
+         "center must be finite, got (0.0, nan)"),
+    ])
+    def test_bump_faults_are_gaussian_bumps(self, tmp_path, line, bump, message):
+        """The loader reports a bad bump in gaussian_bump's own words."""
+        text = EVOLVE_BASE.replace("width = 0.5", line)
+        with pytest.raises(ValueError) as direct:
+            gaussian_bump(Grid(16, 1.0), **bump)
+        with pytest.raises(ConfigError) as loaded:
+            load_run_config(write_config(tmp_path, text))
+        assert str(direct.value) == message
+        assert str(loaded.value) == f"[initial] {message}"
 
     def test_non_finite_file_scale_rejected(self, tmp_path):
         text = EVOLVE_BASE.replace("kind = bump\nwidth = 0.5",

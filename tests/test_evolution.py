@@ -689,7 +689,7 @@ class TestBlowupFit:
     def test_exact_hyperbolic_growth(self):
         times = np.linspace(0.0, 0.9, 101)
         trace = self._trace(times, 1.0 / (1.0 - times))
-        t_est, quality = estimate_blowup_time(trace, fit_window=0.2)
+        t_est, quality = estimate_blowup_time(trace)
         assert t_est == pytest.approx(1.0, abs=1e-9)
         assert quality >= 1.0 - 1e-12
 
@@ -697,7 +697,7 @@ class TestBlowupFit:
         """A line fitted only through the tail ignores early curvature."""
         times = np.linspace(0.0, 0.9, 201)
         sups = 1.0 / (1.0 - times) + 5.0 * np.exp(-10.0 * times)
-        t_est, _ = estimate_blowup_time(self._trace(times, sups), fit_window=0.1)
+        t_est, _ = estimate_blowup_time(self._trace(times, sups))
         assert t_est == pytest.approx(1.0, abs=1e-3)
 
     def test_flat_trace_has_no_trend(self):
@@ -718,12 +718,6 @@ class TestBlowupFit:
     def test_short_trace(self):
         with pytest.raises(ValueError, match="too short"):
             estimate_blowup_time(self._trace([0.0], [1.0]))
-
-    def test_window_domain(self):
-        trace = self._trace(np.linspace(0.0, 0.9, 31), np.ones(31))
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError, match="fit_window"):
-                estimate_blowup_time(trace, fit_window=bad)
 
 
 class TestSelfSimilarDeviation:

@@ -254,7 +254,7 @@ def _count_coercivity_applies(monkeypatch, op):
         return apply_packed(self, x)
 
     monkeypatch.setattr(RestrictedOperator, "apply_packed", counting)
-    return estimate_coercivity(op, tol=1e-6), applies
+    return estimate_coercivity(op), applies
 
 
 def _two_disks(axis):
@@ -275,14 +275,14 @@ _TOL_MASKS = {
 
 def _relative_error_to_dense(op):
     dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
-    return abs(estimate_coercivity(op, tol=1e-6) - dense_min) / dense_min
+    return abs(estimate_coercivity(op) - dense_min) / dense_min
 
 
 class TestCoercivity:
     def test_matches_dense_smallest_eigenvalue(self, disk_setup):
         _, _, op = disk_setup
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
-        estimate = estimate_coercivity(op, tol=1e-6)
+        estimate = estimate_coercivity(op)
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
     def test_on_asymmetric_mask(self):
@@ -291,7 +291,7 @@ class TestCoercivity:
         mask = rasterize(shape, grid)
         op = RestrictedOperator(mask)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
-        estimate = estimate_coercivity(op, tol=1e-6)
+        estimate = estimate_coercivity(op)
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
     def test_recurrence_past_first_check(self, monkeypatch):
@@ -403,12 +403,6 @@ class TestCoercivity:
     def test_tiny_mask_deterministic(self, cells):
         op = _tiny_operator(cells)
         assert estimate_coercivity(op) == estimate_coercivity(op)
-
-    def test_tol_validation(self, disk_setup):
-        with pytest.raises(ValueError, match="tol"):
-            estimate_coercivity(disk_setup[2], tol=0.0)
-        with pytest.raises(ValueError, match="tol"):
-            estimate_coercivity(disk_setup[2], tol=1.0)
 
     def test_complete_line_is_singular(self):
         """A mask containing a full line of constant x2 supports a field
