@@ -144,13 +144,12 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     # Q and every state are exactly 0 off the mask (the flow keeps the
     # support), so the sums of evolution.self_similar_deviation need only
     # the mask's cells
-    cells = np.flatnonzero(solution.mask.indicator)
-    q_cells = solution.q.values.ravel()[cells]
+    q_cells = solution.mask.pack(solution.q.values)
     h2 = cfg.grid.h**2
 
     def track_deviation(t: float, state: RealField) -> None:
         target = q_cells / (t_blowup - t)
-        diff = state.values.ravel()[cells] - target
+        diff = solution.mask.pack(state.values) - target
         deviations.append(float(np.sqrt(h2 * np.sum(diff**2)))
                           / float(np.sqrt(h2 * np.sum(target**2))))
 

@@ -18,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    RealField,
-    _box_kernel,
-    _embedding_axis,
-    _real_fft,
-    l2_norm,
-)
+from .profile import RestrictedOperator
+from .shapes import Mask
+from .spectral import Grid, RealField, _real_fft, l2_norm
 
 __all__ = [
     "EvolveConfig",
@@ -123,8 +118,7 @@ class EvolveConfig:
             raise ValueError(f"rtol must be positive, got {self.rtol}")
         if self.atol < 0.0:
             raise ValueError(f"atol must be nonnegative, got {self.atol}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        _check_sign(self.sign)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,30 +187,26 @@ class StepResult:
     rejected_attempts: int
 
 
+def _check_sign(sign: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+
+
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
 def _rhs_values(symbol: np.ndarray, values: np.ndarray, sign: int) -> np.ndarray:
     return sign * _real_fft(values, symbol) * values
 
 
-def _box(omega: RealField) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Grid index of the bounding box of omega's support and the symbol of
-    the circulant embedding that box, where the box circulant is exact;
-    the zero field runs on the grid."""
+def _support_operator(omega: RealField) -> RestrictedOperator:
+    """The restricted operator of omega's support, on whose box the flow
+    of omega steps; the zero field takes the full-grid mask, whose box is
+    the grid."""
     support = omega.values != 0.0
-    n = omega.grid.n
-    if not support.any():
-        return np.ix_(np.arange(n), np.arange(n)), omega.grid.m11
-    (start1, b1, p1), (start2, b2, p2) = (_embedding_axis(support.any(axis=a)) for a in (1, 0))
-    index = np.ix_((start1 + np.arange(b1)) % n, (start2 + np.arange(b2)) % n)
-    return index, _box_kernel(omega.grid, p1, p2)[1]
-
-
-def _scatter(grid: Grid, index: tuple[np.ndarray, np.ndarray],
-             box: np.ndarray) -> np.ndarray:
-    """A grid array holding ``box`` at the support box ``index``, 0
-    elsewhere."""
-    values = np.zeros((grid.n, grid.n))
-    values[index] = box
-    return values
+    return RestrictedOperator(Mask(omega.grid, support if support.any() else ~support))
 
 
 def rhs(omega: RealField, sign: int = 1) -> RealField:
@@ -225,16 +215,16 @@ def rhs(omega: RealField, sign: int = 1) -> RealField:
     The product is taken on the grid without spectral truncation: Z11 has
     order zero, so no derivative loss feeds aliasing. The product vanishes
     exactly wherever w does, so the flow keeps the support of the data, as
-    the equation w = w0 exp(int Z11 w dt) does. So the product is taken on
-    the periodic bounding box of the support, with Z11 applied through the
-    box's circulant embedding as the restricted operator is; full support
-    makes the box the grid.
+    the equation w = w0 exp(int Z11 w dt) does; on the support, (Z11 w) w
+    is (L w) w with L the restricted operator of the support. So the
+    product is taken on that operator's box, the periodic bounding box of
+    the support, with Z11 applied through the box's circulant embedding;
+    full support makes the box the grid.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    index, symbol = _box(omega)
-    product = _rhs_values(symbol, omega.values[index], sign)
-    return RealField(omega.grid, _scatter(omega.grid, index, product))
+    _check_sign(sign)
+    op = _support_operator(omega)
+    product = _rhs_values(op._symbol, omega.values[op._box], sign)
+    return RealField(omega.grid, op.mask.unpack(product[op._box_index]))
 
 
 def _stage_sum(coefficients: tuple[float, ...] | np.ndarray,
@@ -270,29 +260,31 @@ def rk_step(omega: RealField, dt: float, sign: int = 1) -> tuple[RealField, np.n
     Returns the fifth-order update and the pointwise difference between the
     embedded orders (the raw local error field). Used directly for
     convergence-order measurements. Stages and sums run on the support box
-    of :func:`rhs`; the error field is zero off it.
+    of :func:`rhs`; the error field is zero off the support. dt must be
+    positive and finite, and sign +1 or -1.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    index, symbol = _box(omega)
-    y = omega.values[index]
-    y_new, err = _rk_attempt(symbol, y, _rhs_values(symbol, y, sign), dt, sign)
-    return (RealField(omega.grid, _scatter(omega.grid, index, y_new)),
-            _scatter(omega.grid, index, err))
+    _check_dt(dt)
+    _check_sign(sign)
+    op = _support_operator(omega)
+    y = omega.values[op._box]
+    y_new, err = _rk_attempt(op._symbol, y, _rhs_values(op._symbol, y, sign), dt, sign)
+    return (RealField(omega.grid, op.mask.unpack(y_new[op._box_index])),
+            op.mask.unpack(err[op._box_index]))
 
 
-def step(y: np.ndarray, rate: np.ndarray, dt: float, config: EvolveConfig,
-         symbol: np.ndarray, n: int) -> StepResult:
+def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
+         config: EvolveConfig) -> StepResult:
     """Advance a state on its support box by one accepted step, shrinking
     dt until the local error passes.
 
-    The state lives on the bounding box of its support: ``y`` holds the
-    box's values (every cell off it is 0 and stays 0, since the flow keeps
-    the support), ``rate`` is y's right-hand side (Z11 y) y times
-    config.sign on the box, ``symbol`` is the box's circulant symbol as
-    :func:`rhs` builds it, and ``n`` is the grid's points per axis. Every
-    attempt starts from ``rate``, and the result carries the new state's
-    right-hand side, so the first stage of the next step is computed once.
+    ``op`` is the restricted operator of the state's support, and the
+    state lives on that operator's box: ``y`` holds the box's values
+    (every cell off the support is 0 and stays 0, since the flow keeps
+    the support), and ``rate`` is y's right-hand side (Z11 y) y times
+    config.sign on the box, as :func:`rhs` builds it. Every attempt starts
+    from ``rate``, and the result carries the new state's right-hand side,
+    so the first stage of the next step is computed once. dt must be
+    positive and finite.
 
     The scaled error combines atol and rtol per cell; a step is accepted
     when its root mean square over all n^2 grid cells is at most 1 and
@@ -305,8 +297,8 @@ def step(y: np.ndarray, rate: np.ndarray, dt: float, config: EvolveConfig,
     is read as approach to blow-up rather than failure. Every nonzero
     error lies on the box, so the box's sum is divided by n^2.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
+    symbol, n = op._symbol, op.grid.n
     rejected = 0
     while True:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -358,9 +350,9 @@ def evolve(omega0: RealField, config: EvolveConfig,
     result stored when it succeeds.
 
     The flow keeps the support of omega0, so the run's state lives on the
-    bounding box of that support, found once: each accepted step
-    (:func:`step`) works on the box alone, and a grid-sized field is built
-    only to hand a record to on_record. Every record, and the threshold
+    box of the support's restricted operator, built once: each accepted
+    step (:func:`step`) works on the box alone, and a grid-sized field is
+    built only to hand a record to on_record. Every record, and the threshold
     test after every step, reads the box: the sums gather it alone (every
     cell off it is 0), and qform is h^2 sum sign * rate, where rate is the
     state's right-hand side sign (Z11 w) w, which the step after the state
@@ -370,9 +362,9 @@ def evolve(omega0: RealField, config: EvolveConfig,
     cell that underflows to 0 on the way changes nothing.
     """
     grid = omega0.grid
-    index, symbol = _box(omega0)
+    op = _support_operator(omega0)
     h2 = grid.h**2
-    y = omega0.values[index]
+    y = omega0.values[op._box]
     sup0 = float(np.max(np.abs(y)))
     if config.blowup_threshold is not None:
         threshold = config.blowup_threshold
@@ -391,9 +383,10 @@ def evolve(omega0: RealField, config: EvolveConfig,
                      float(config.sign * h2 * np.sum(rate)),
                      int(np.count_nonzero(np.abs(y) > _SUPPORT_CUTOFF * s))))
         if on_record is not None:
-            on_record(t, RealField(grid, _scatter(grid, index, y)) if state is None else state)
+            on_record(t, RealField(grid, op.mask.unpack(y[op._box_index]))
+                      if state is None else state)
 
-    rate = _rhs_values(symbol, y, config.sign)
+    rate = _rhs_values(op._symbol, y, config.sign)
     record(0.0, y, rate, omega0)
     t = 0.0
     dt = config.dt_initial
@@ -407,7 +400,7 @@ def evolve(omega0: RealField, config: EvolveConfig,
             break
         clipped = config.t_max - t < dt
         try:
-            result = step(y, rate, min(dt, config.t_max - t), config, symbol, grid.n)
+            result = step(op, y, rate, min(dt, config.t_max - t), config)
         except StepUnderflowError as exc:
             n_rejected += exc.rejected_attempts
             terminated = "step_underflow"

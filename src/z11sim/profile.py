@@ -22,11 +22,17 @@ the rows it knows to be zero. The residual certificate and
 :func:`verify_profile` apply Z11 on the full grid, independently of that
 embedding. A dense matrix assembly is provided as an oracle for small
 masks.
+
+The flow w_t = (Z11 w) w keeps the support of w, where (Z11 w) w is
+(L w) w for the restricted operator L of that support, so the evolution
+steps on the box of that operator: this module alone decides a support's
+box and its circulant.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -35,7 +41,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily: load it here, not inside a run)
 
 from .shapes import Mask
-from .spectral import Grid, RealField, _box_kernel, _embedding_axis, _real_fft, apply_z11
+from .spectral import Grid, RealField, _real_fft, apply_z11
 
 __all__ = [
     "RestrictedOperator",
@@ -97,14 +103,54 @@ class SingularOperatorError(RuntimeError):
     """The smallest-eigenvalue estimate is at roundoff level."""
 
 
+def _embedding_axis(occupied: np.ndarray) -> tuple[int, int, int]:
+    """Box start, box width b and embedding size p along one periodic axis:
+    the box is the shortest cyclic interval holding every occupied index,
+    after the widest gap (a full axis starts at 0). Offsets up to b - 1 fit
+    without wrap-around in a circulant of size p >= 2b - 1; p is the
+    smallest such 5-smooth integer (one dividing a power of 30), capped at n."""
+    n = occupied.size
+    index = np.flatnonzero(occupied)
+    gaps = np.diff(index, prepend=index[-1] - n)
+    widest = int(np.argmax(gaps))
+    b = n - int(gaps[widest]) + 1
+    return int(index[widest]), b, next((k for k in range(2 * b - 1, n) if pow(30, k, k) == 0), n)
+
+
+@functools.lru_cache(maxsize=8)
+def _box_kernel(grid: Grid, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window of Z11's kernel (Z11 of a unit impulse) at the circulant
+    offsets 0..p/2, -(p/2-1)..-1 of a p1 x p2 box on ``grid``, and the
+    symbol of that circulant (the Toeplitz embedding, Chan & Jin 2007). The
+    window is real and even, so the symbol is p1 p2 times its inverse
+    transform. A box spanning the grid is the grid, with the grid's own
+    (box-length free) Z11 symbol.
+    """
+    n, m11 = grid.n, grid.m11
+    impulse = np.zeros((n, n))
+    impulse[0, 0] = 1.0
+    kernel = _real_fft(impulse, m11)
+    rows, cols = (np.where(o <= p // 2, o, o - p) % n for p in (p1, p2) for o in [np.arange(p)])
+    window = kernel[np.ix_(rows, cols)]
+    if p1 == p2 == n:
+        return window, m11
+    box_impulse = np.zeros((p1, p2))
+    box_impulse[0, 0] = 1.0
+    return window, p1 * p2 * _real_fft(box_impulse, window)
+
+
 @dataclass(frozen=True, eq=False)
 class RestrictedOperator:
     """The masked multiplier operator; acts on fields supported on the mask.
 
-    The mask fixes the operator, its grid included. Construction keeps the
-    kernel window over the mask's bounding box together with the window's
-    symbol; the box size depends on the mask alone, and boxes of one size
-    share the window.
+    The mask fixes the operator, its grid included. Construction decides
+    the mask's periodic bounding box once: ``_box`` indexes it on the grid,
+    ``_box_index`` holds the box position of each member cell, in the
+    mask's row-major order, and ``_window`` and ``_symbol`` are the kernel
+    window over the box and the symbol of its circulant embedding. The box
+    size depends on the mask alone, and boxes of one size share the window.
+    A full-grid mask's box is the grid, with the symbol ``grid.m11``. The
+    evolution steps a state supported on the mask on this same box.
     """
 
     mask: Mask
@@ -117,6 +163,8 @@ class RestrictedOperator:
         r, c = self.mask.indices
         object.__setattr__(self, "_window", window)
         object.__setattr__(self, "_symbol", symbol)
+        object.__setattr__(self, "_box", np.ix_((start1 + np.arange(b1)) % n,
+                                                (start2 + np.arange(b2)) % n))
         object.__setattr__(self, "_box_shape", (b1, b2))
         object.__setattr__(self, "_box_index", ((r - start1) % n, (c - start2) % n))
 

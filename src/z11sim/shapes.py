@@ -139,9 +139,9 @@ class Mask:
     """Rasterized indicator of a bounded set on a grid.
 
     ``cell_count`` and ``diameter`` (max distance between member cell
-    centers) are derived. A mask always has at least one cell; the solver
-    additionally requires diameter <= box_length / 4 at solve time so the
-    periodic box dominates the set.
+    centers, worked out on first use) are derived. A mask always has at
+    least one cell; the solver additionally requires diameter <=
+    box_length / 4 at solve time so the periodic box dominates the set.
     """
 
     grid: Grid
@@ -156,7 +156,11 @@ class Mask:
             raise ValueError("mask must contain at least one cell")
         object.__setattr__(self, "indicator", ind)
         object.__setattr__(self, "cell_count", count)
-        object.__setattr__(self, "diameter", _row_extent_diameter(self.grid.x, ind))
+
+    @cached_property
+    def diameter(self) -> float:
+        """Largest distance between member cell centers."""
+        return _row_extent_diameter(self.grid.x, self.indicator)
 
     @cached_property
     def indices(self) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ its whole-plane counterpart differ.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,42 +146,6 @@ def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarra
     full[:, : n2 // 2 + 1] = half
     full[:, n2 // 2 + 1:] = half[-np.arange(n1) % n1, (n2 - 1) // 2: 0: -1]
     return full
-
-
-def _embedding_axis(occupied: np.ndarray) -> tuple[int, int, int]:
-    """Box start, box width b and embedding size p along one periodic axis:
-    the box is the shortest cyclic interval holding every occupied index,
-    after the widest gap (a full axis starts at 0). Offsets up to b - 1 fit
-    without wrap-around in a circulant of size p >= 2b - 1; p is the
-    smallest such 5-smooth integer (one dividing a power of 30), capped at n."""
-    n = occupied.size
-    index = np.flatnonzero(occupied)
-    gaps = np.diff(index, prepend=index[-1] - n)
-    widest = int(np.argmax(gaps))
-    b = n - int(gaps[widest]) + 1
-    return int(index[widest]), b, next((k for k in range(2 * b - 1, n) if pow(30, k, k) == 0), n)
-
-
-@functools.lru_cache(maxsize=8)
-def _box_kernel(grid: Grid, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window of Z11's kernel (Z11 of a unit impulse) at the circulant
-    offsets 0..p/2, -(p/2-1)..-1 of a p1 x p2 box on ``grid``, and the
-    symbol of that circulant (the Toeplitz embedding, Chan & Jin 2007). The
-    window is real and even, so the symbol is p1 p2 times its inverse
-    transform. A box spanning the grid is the grid, with the grid's own
-    (box-length free) Z11 symbol.
-    """
-    n, m11 = grid.n, grid.m11
-    impulse = np.zeros((n, n))
-    impulse[0, 0] = 1.0
-    kernel = _real_fft(impulse, m11)
-    rows, cols = (np.where(o <= p // 2, o, o - p) % n for p in (p1, p2) for o in [np.arange(p)])
-    window = kernel[np.ix_(rows, cols)]
-    if p1 == p2 == n:
-        return window, m11
-    box_impulse = np.zeros((p1, p2))
-    box_impulse[0, 0] = 1.0
-    return window, p1 * p2 * _real_fft(box_impulse, window)
 
 
 def apply_z11(f: RealField) -> RealField:

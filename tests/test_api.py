@@ -5,6 +5,7 @@ wraps only functions listed in a module's ``__all__`` and defined in that
 module, so pruning one of these would zero its per-layer metric without
 any error."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -83,6 +84,30 @@ def test_every_exported_name_has_one_home():
         for name in importlib.import_module(f"z11sim.{info.name}").__all__
     )
     assert {name: homes[name] for name in z11sim.__all__} == dict.fromkeys(z11sim.__all__, 1)
+
+
+def test_support_box_is_decided_in_profile_only():
+    """A support's box and its circulant are worked out by
+    ``profile._embedding_axis`` and ``profile._box_kernel``: no other
+    module defines or names them, so the evolution cannot grow a box of its
+    own beside the restricted operator's."""
+    box_names = {"_embedding_axis", "_box_kernel"}
+    named = {}
+    for info in pkgutil.iter_modules(z11sim.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"z11sim.{info.name}")))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        if names & box_names:
+            named[info.name] = names & box_names
+    assert named == {"profile": box_names}
 
 
 def test_atomic_write_bytes_stays_in_fieldio():

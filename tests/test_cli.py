@@ -23,7 +23,7 @@ from z11sim import (
 )
 import z11sim.cli as cli
 from z11sim.cli import main
-from z11sim.spectral import _box_kernel
+from z11sim.profile import _box_kernel
 
 
 # The top-level keys of each command's JSON summary, pinned so that the

@@ -218,6 +218,18 @@ class TestRkStep:
         with pytest.raises(ValueError, match="dt must be positive"):
             rk_step(f, 0.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, grid32, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            rk_step(gaussian_bump(grid32, width=0.8), dt)
+
+    @pytest.mark.parametrize("sign", [3, 0, -2])
+    def test_sign_validation(self, grid32, sign):
+        """rk_step takes the signs rhs takes, so sign = 3 cannot triple the
+        increment."""
+        with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+            rk_step(gaussian_bump(grid32, width=0.8), 1e-3, sign=sign)
+
     def test_zero_field_fixed_point(self, grid32):
         f = RealField(grid32, np.zeros((32, 32)))
         out, err = rk_step(f, 0.1)
@@ -252,11 +264,11 @@ class TestRkStep:
 
 
 def _box_step(omega, dt, config):
-    """One step of omega on its support box, from its right-hand side, as
-    evolve takes it."""
-    index, symbol = evolution._box(omega)
-    rate = rhs(omega, config.sign).values[index]
-    return step(omega.values[index], rate, dt, config, symbol, omega.grid.n)
+    """One step of omega on the box of its support's restricted operator,
+    from its right-hand side, as evolve takes it."""
+    op = evolution._support_operator(omega)
+    rate = rhs(omega, config.sign).values[op._box]
+    return step(op, omega.values[op._box], rate, dt, config)
 
 
 class TestStep:
@@ -264,6 +276,13 @@ class TestStep:
         cfg = EvolveConfig()
         with pytest.raises(ValueError, match="dt must be positive"):
             _box_step(gaussian_bump(grid32, width=0.8), -0.1, cfg)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, grid32, dt):
+        """A NaN step would never fall below dt_min, and an infinite one
+        would only be shrunk toward it: both are refused up front."""
+        with pytest.raises(ValueError, match="dt must be positive"):
+            _box_step(gaussian_bump(grid32, width=0.8), dt, EvolveConfig())
 
     def test_zero_field_grows_step_maximally(self, grid32):
         cfg = EvolveConfig()
@@ -325,11 +344,10 @@ class TestStep:
         grid = Grid(64, 16.0)
         w0 = gaussian_bump(grid, center=center, width=0.5, cutoff=2.0)
         cfg = EvolveConfig()
-        index, symbol = evolution._box(w0)
-        y = w0.values[index]
-        rate = rhs(w0).values[index]
-        shapes = _transform_shapes(
-            monkeypatch, lambda: step(y, rate, 1e-3, cfg, symbol, grid.n))
+        op = evolution._support_operator(w0)
+        y = w0.values[op._box]
+        rate = rhs(w0).values[op._box]
+        shapes = _transform_shapes(monkeypatch, lambda: step(op, y, rate, 1e-3, cfg))
         assert shapes == [box] * 6
 
 
@@ -457,8 +475,8 @@ def _spy_on_step(monkeypatch):
     calls = []
     real_step = evolution.step
 
-    def spy(y, rate, dt, config, symbol, n):
-        result = real_step(y, rate, dt, config, symbol, n)
+    def spy(op, y, rate, dt, config):
+        result = real_step(op, y, rate, dt, config)
         calls.append((dt, result))
         return result
 
@@ -522,7 +540,7 @@ class TestStepControl:
         cfg = EvolveConfig(dt_initial=0.3, t_max=1.0)
         asked, taken = [], []
 
-        def stub(y, rate, dt, config, symbol, n):
+        def stub(op, y, rate, dt, config):
             dt_taken = dt / 10 if len(taken) == 3 else dt
             asked.append(dt)
             taken.append(dt_taken)
@@ -586,6 +604,50 @@ class TestSteppingContract:
         # covers one step and what evolve does after it
         assert len(peaks) == trace.accepted_steps + 1 > 10
         assert max(peaks[1:]) < n * n * 8
+
+
+def _step_operators(monkeypatch, omega0, config):
+    """The operator of each step that evolve(omega0, config) takes."""
+    ops = []
+    real_step = evolution.step
+
+    def spy(op, *args):
+        ops.append(op)
+        return real_step(op, *args)
+
+    monkeypatch.setattr(evolution, "step", spy)
+    evolve(omega0, config)
+    return ops
+
+
+class TestSharedBox:
+    """The flow steps on the restricted operator of its support, so one
+    operator decides the box and the circulant of both the profile solve
+    and the evolution."""
+
+    def test_profile_runs_on_its_solve_operator(self, monkeypatch, profile32):
+        """Q/T evolves on the box of the operator that solved Q: the same
+        box, the same cells in it, and the same cached symbol."""
+        w0 = RealField(profile32.q.grid, profile32.q.values / 2.0)
+        ops = _step_operators(monkeypatch, w0, EvolveConfig(t_max=0.1))
+        solved = RestrictedOperator(profile32.mask)
+        assert len(ops) > 1 and all(op is ops[0] for op in ops)
+        np.testing.assert_array_equal(ops[0].mask.indicator, profile32.mask.indicator)
+        for got, want in zip(ops[0]._box + ops[0]._box_index,
+                             solved._box + solved._box_index):
+            np.testing.assert_array_equal(got, want)
+        assert ops[0]._symbol is solved._symbol
+
+    @pytest.mark.parametrize("data", ["zero", "full"])
+    def test_grid_support_runs_on_the_grid_symbol(self, monkeypatch, grid32, data):
+        """The zero field takes the full-grid mask, as a field with no zero
+        does: the box is the grid and the symbol is grid.m11 itself."""
+        values = np.zeros((32, 32)) if data == "zero" else (
+            0.1 + np.random.default_rng(76).random((32, 32)))
+        ops = _step_operators(monkeypatch, RealField(grid32, values), EvolveConfig(t_max=0.01))
+        assert ops[0].mask.cell_count == 32 * 32
+        assert ops[0]._box_shape == (32, 32)
+        assert ops[0]._symbol is grid32.m11
 
 
 class TestBoxRecords:

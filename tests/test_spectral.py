@@ -12,7 +12,9 @@ import pytest
 
 from z11sim import (
     Grid,
+    Mask,
     RealField,
+    RestrictedOperator,
     apply_z11,
     apply_z22,
     cone_mass_ratio,
@@ -22,7 +24,7 @@ from z11sim import (
     quadratic_form,
     sup_norm,
 )
-from z11sim.spectral import _box_kernel, _embedding_axis, _real_fft
+from z11sim.spectral import _real_fft
 
 
 def dft_multiplier_oracle(values: np.ndarray) -> np.ndarray:
@@ -159,16 +161,17 @@ class TestTransforms:
     def test_padding_inside_the_transform_is_bitwise(self, rows, cols, box, embedding):
         """A support's box transformed with its embedding's symbol is the
         block of the zero-padded box's transform, bit for bit, and so of
-        numpy's two-dimensional real transforms of the padded box."""
+        numpy's two-dimensional real transforms of the padded box. The box
+        and the symbol are those of the support's restricted operator."""
         n = 64
         occupied = np.zeros((n, n), dtype=bool)
         occupied[np.ix_(rows, cols)] = True
-        (s1, b1, p1), (s2, b2, p2) = (_embedding_axis(occupied.any(axis=a)) for a in (1, 0))
+        op = RestrictedOperator(Mask(Grid(n, 8.0), occupied))
+        symbol = op._symbol
+        (b1, b2), (p1, p2) = op._box_shape, symbol.shape
         assert ((b1, b2), (p1, p2)) == (box, embedding)
-        symbol = _box_kernel(Grid(n, 8.0), p1, p2)[1]
-        index = np.ix_((s1 + np.arange(b1)) % n, (s2 + np.arange(b2)) % n)
-        assert occupied[index].sum() == occupied.sum()
-        values = np.random.default_rng(15).standard_normal((n, n))[index]
+        assert occupied[op._box].sum() == occupied.sum()
+        values = np.random.default_rng(15).standard_normal((n, n))[op._box]
         padded = np.zeros((p1, p2))
         padded[:b1, :b2] = values
         got = _real_fft(values, symbol)
