@@ -18,10 +18,13 @@ size that holds every offset without wrap-around (the Toeplitz embedding,
 Chan & Jin 2007). One application scatters into the box and costs a
 forward and an inverse FFT of the embedding, not of the grid; the padding
 from the box to the embedding happens inside the transform, which skips
-the rows it knows to be zero. The residual certificate and
-:func:`verify_profile` apply Z11 on the full grid, independently of that
-embedding. A dense matrix assembly is provided as an oracle for small
-masks.
+the rows it knows to be zero. The inverse of that circulant's symbol,
+floored, is the operator's preconditioner (Strang 1986; T. Chan 1988), and
+costs the same: conjugate gradient and the single-vector LOBPCG estimate
+of the smallest eigenvalue both use it. The residual certificate and
+:func:`verify_profile` apply Z11 on the full grid, independently of the
+embedding and of the preconditioner. A dense matrix assembly is provided
+as an oracle for small masks.
 
 The flow w_t = (Z11 w) w keeps the support of w, where (Z11 w) w is
 (L w) w for the restricted operator L of that support, so the evolution
@@ -31,10 +34,9 @@ box and its circulant.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,20 +59,28 @@ __all__ = [
 
 DENSE_CELL_LIMIT = 4096
 
-# Seed of the small Gaussian perturbation of the Lanczos start vector and
-# of the vectors that continue it after a breakdown: fixed so repeated runs
-# are bit-identical.
-_LANCZOS_SEED = 0x5EED
+# Seed of the small Gaussian perturbation of the coercivity start vector:
+# fixed so repeated runs are bit-identical.
+_START_SEED = 0x5EED
 # Masks of at most this many cells take the direct route to the coercivity:
 # the smallest singular value of the dense operator.
 _DIRECT_CELLS = 40
-# Lanczos steps between two computations of the lowest Ritz pair, each a
-# few O(j) sweeps over the j x j tridiagonal.
-_CHECK_EVERY = 25
-# Lanczos steps allowed per mask cell.
+# LOBPCG iterations allowed per mask cell.
 _STEPS_PER_CELL = 10
 # Bound on the relative error of the coercivity estimate.
 _COERCIVITY_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
+# An eigenvalue estimate at or below this is reported as singular.
+_SINGULAR_BOUND = 10 * _EPS
+# LOBPCG leaves its last step out of the Rayleigh-Ritz step when
+# orthogonalization shrinks it below this fraction of its length.
+_DROP_BELOW = 1e-4
+# Cap on the Jacobi sweeps of the Rayleigh-Ritz step; about three reach
+# roundoff.
+_JACOBI_SWEEPS = 10
+# Floor of the circulant's symbol in the preconditioner: the symbol
+# vanishes on pure x2-waves, whose preconditioned weight it caps at 1e3.
+_SYMBOL_FLOOR = 1e-3
 # CG replaces its recurrence residual by the true b - A x this often.
 _CG_REFRESH_EVERY = 25
 
@@ -80,8 +90,8 @@ class ConvergenceError(RuntimeError):
 
     Carries the best iterate (``best``, a RealField extended by zero off
     the mask) and the relative residual history: CG's last iterate and its
-    residual per iteration, or the lowest Ritz vector of the coercivity
-    estimate and its Ritz residual, relative to the Ritz value, per check.
+    residual per iteration, or the coercivity estimate's last unit iterate
+    and its residual, relative to its Rayleigh quotient, per iteration.
     """
 
     def __init__(self, message: str, best: RealField, residual_history: list[float]):
@@ -174,9 +184,25 @@ class RestrictedOperator:
 
     def apply_packed(self, x: np.ndarray) -> np.ndarray:
         """Operator action on a member-cell vector of length cell_count."""
+        return self._circulant(x, self._symbol)
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """The circulant preconditioner (Strang 1986; T. Chan 1988) on a
+        member-cell vector: the inverse of the embedding's symbol, floored
+        at _SYMBOL_FLOOR, between the scatter and gather of an apply. It is
+        symmetric positive definite and costs one apply."""
+        return self._circulant(r, self._inverse_symbol)
+
+    @functools.cached_property
+    def _inverse_symbol(self) -> np.ndarray:
+        """Built on the first preconditioner call, so the evolution, which
+        never preconditions, never builds it."""
+        return 1.0 / np.maximum(self._symbol, _SYMBOL_FLOOR)
+
+    def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         box = np.zeros(self._box_shape)
         box[self._box_index] = x
-        return _real_fft(box, self._symbol)[self._box_index]
+        return _real_fft(box, symbol)[self._box_index]
 
 
 def dense_L_matrix(op: RestrictedOperator) -> np.ndarray:
@@ -218,7 +244,8 @@ class ProfileSolution:
 
 def _cg(op: RestrictedOperator, b: np.ndarray, tol: float,
         max_iter: int) -> tuple[np.ndarray, int, list[float]]:
-    """CG on the packed subspace with periodic true-residual refreshes.
+    """CG on the packed subspace, preconditioned by ``op.precondition``,
+    with periodic true-residual refreshes.
 
     Convergence is only declared once the freshly recomputed residual
     b - A x (not the CG recurrence) meets the tolerance.
@@ -226,8 +253,8 @@ def _cg(op: RestrictedOperator, b: np.ndarray, tol: float,
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
+    p = op.precondition(r)
+    rs = float(r @ p)
     history: list[float] = []
     for it in range(1, max_iter + 1):
         ap = op.apply_packed(p)
@@ -245,8 +272,9 @@ def _cg(op: RestrictedOperator, b: np.ndarray, tol: float,
         history.append(rel)
         if refreshed and rel <= tol:
             return x, it, history
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
+        z = op.precondition(r)
+        rs_new = float(r @ z)
+        p = z + (rs_new / rs) * p
         rs = rs_new
     raise _make_convergence_error(op, x, history, tol, max_iter)
 
@@ -272,12 +300,14 @@ def _check_solver_settings(tol: float, max_iter: int) -> None:
 
 def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
                   max_iter: int = 10_000) -> ProfileSolution:
-    """Solve L Q = 1 on the mask by conjugate gradient.
+    """Solve L Q = 1 on the mask by conjugate gradient, preconditioned by
+    the operator's circulant.
 
     The right-hand side is the exact indicator value 1 on mask cells, with
     no boundary smoothing; oscillation of Q near the mask boundary is
     expected and reported, not suppressed. The returned residual is
-    recomputed with an independent operator application.
+    recomputed with an independent operator application on the full grid,
+    which neither the embedding nor the preconditioner enters.
     """
     _check_solver_settings(tol, max_iter)
     mask = op.mask
@@ -318,28 +348,28 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     operator is positive semidefinite, so the smallest singular value of
     :func:`dense_L_matrix` is the eigenvalue, exact to roundoff (on a
     one-cell mask the operator's single entry, bitwise). Larger masks run
-    the plain Lanczos recurrence (:func:`_lanczos_smallest`) on the masked
-    subspace. It stops when the Ritz residual is at most _COERCIVITY_TOL
-    times the Ritz value, which puts the Ritz value within that relative
-    distance of an eigenvalue. The residual's square over the spectral
-    gap would allow a looser residual only for an isolated lowest
+    single-vector LOBPCG (:func:`_lobpcg_smallest`) on the masked
+    subspace, preconditioned by the operator's circulant
+    (:meth:`RestrictedOperator.precondition`). It stops when the residual
+    ||L x - theta x|| of the unit iterate x is at most _COERCIVITY_TOL
+    times its Rayleigh quotient theta, which puts theta within that
+    relative distance of an eigenvalue. The residual's square over the
+    spectral gap would allow a looser residual only for an isolated lowest
     eigenvalue; here the two lowest are often within a percent of each
-    other. If it does not
-    converge within _STEPS_PER_CELL steps per mask cell it raises
-    ConvergenceError with the lowest Ritz vector.
+    other. If it does not converge within _STEPS_PER_CELL iterations per
+    mask cell it raises ConvergenceError with the last iterate.
 
     The low eigenvectors are the x2-Nyquist oscillation ``(-1)^j2`` times
     a smooth envelope. The start vector is that pattern times
     ``(i1 + 1) (i2 + 1)`` in the mask's box coordinates, whose even and
     odd parts under each reflection of the box have comparable weight: on
     a mask of two weakly coupled lobes the lowest envelope can be odd
-    across the centre line, and a start without an odd part would let
-    Lanczos stop on the even mode above it. A seeded Gaussian of a tenth
+    across the centre line, and a start without an odd part would let the
+    iteration stop on the even mode above it. A seeded Gaussian of a tenth
     the envelope's mean is added, so that no mode is missing from the
     start (a bilinear envelope is nearly orthogonal to, for instance, the
-    combination (1, -2, 1) of three equal lobes in a row); the same seeded
-    generator continues the recurrence after a breakdown, so repeated runs
-    are bit-identical. Box coordinates make the start, and so the
+    combination (1, -2, 1) of three equal lobes in a row), and repeated
+    runs are bit-identical. Box coordinates make the start, and so the
     estimate, invariant under whole-cell translations of the mask.
     """
     m = op.mask.cell_count
@@ -348,194 +378,127 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     else:
         r, c = op._box_index
         envelope = (r + 1.0) * (c + 1.0)
-        v0 = np.where(c % 2 == 0, envelope, -envelope)
-        rng = np.random.default_rng(_LANCZOS_SEED)
-        v0 += 0.1 * envelope.mean() * rng.standard_normal(m)
+        x0 = np.where(c % 2 == 0, envelope, -envelope)
+        x0 += 0.1 * envelope.mean() * np.random.default_rng(_START_SEED).standard_normal(m)
         try:
-            theta = _lanczos_smallest(op.apply_packed, v0, _COERCIVITY_TOL, rng,
-                                      max_steps=_STEPS_PER_CELL * m)
+            theta = _lobpcg_smallest(op.apply_packed, op.precondition, x0, _COERCIVITY_TOL,
+                                     max_iter=_STEPS_PER_CELL * m)
         except ConvergenceError as exc:
             exc.best = RealField(op.grid, op.mask.unpack(exc.best))
             raise
-    if theta <= 10 * np.finfo(float).eps:
+    if theta <= _SINGULAR_BOUND:
         raise SingularOperatorError(
             f"operator numerically singular (smallest-eigenvalue estimate {theta})"
         )
     return theta
 
 
-def _lanczos_smallest(apply: Callable[[np.ndarray], np.ndarray], v0: np.ndarray, tol: float,
-                      rng: np.random.Generator, max_steps: int) -> float:
+def _lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray],
+                     precondition: Callable[[np.ndarray], np.ndarray],
+                     x: np.ndarray, tol: float, max_iter: int) -> float:
     """Smallest eigenvalue of the positive semidefinite operator ``apply``
-    on R^m.
+    on R^m, by single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
+    2001) from the start ``x``.
 
-    The plain three-term Lanczos recurrence (Paige, Linear Algebra Appl.
-    34, 1980; Cullum & Willoughby, *Lanczos Algorithms for Large Symmetric
-    Eigenvalue Computations*, 1985): it keeps no basis and never restarts,
-    so a step costs one apply, two dot products and two axpys. Every
-    _CHECK_EVERY steps, and at the cap, it takes the lowest eigenvalue
-    theta of the tridiagonal T_j built so far and the last entry s of its
-    unit eigenvector (:func:`_lowest_ritz_pair`), and stops when the Ritz
-    residual |beta_j s| is at most tol times theta (ARPACK's test, with its
-    eps^(2/3) floor). In floating point the Lanczos vectors lose
-    orthogonality as a Ritz value converges; that only repeats converged
-    Ritz values in T_j and never puts one below the spectrum (Paige), so
-    the test stays valid. After max_steps steps it raises ConvergenceError
-    with the packed unit Ritz vector, rebuilt by running the same
-    recurrence again from a copy of ``rng``.
+    Each iteration checks the residual r = A x - theta x of the unit
+    iterate x, theta its Rayleigh quotient, and stops when ||r|| is at
+    most tol times theta (ARPACK's test, with its eps^(2/3) floor), or
+    when theta, an upper bound of the smallest eigenvalue, is at roundoff
+    level. Otherwise the Rayleigh-Ritz step on [x, w, p], w the
+    preconditioned residual and p the last step, orthonormalized with 1-D
+    dot products, gives the next x as the lowest Ritz vector and the next
+    p as that vector's part outside x. An iteration applies ``apply`` to
+    w only: A x and A p follow by the same combinations as x and p. After
+    max_iter iterations it raises ConvergenceError with the packed unit x
+    and the relative residual ||r|| / theta of each iteration.
     """
-    replay = copy.deepcopy(rng)
-    alphas: list[float] = []
-    betas: list[float] = []
-    ritz: list[float] = []
+    floor = _EPS ** (2 / 3)
+    x = x / math.sqrt(x @ x)
+    ax = apply(x)
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
     history: list[float] = []
-    lower, previous = 0.0, None
-    floor = np.finfo(float).eps ** (2 / 3)
-    steps = _lanczos_recurrence(apply, v0, rng)
-    for j in range(1, max_steps + 1):
-        _, alpha, beta = next(steps)
-        alphas.append(alpha)
-        if j % _CHECK_EVERY == 0 or j == max_steps:
-            theta, ritz = _lowest_ritz_pair(alphas, betas, lower, ritz)
-            residual = abs(beta * ritz[-1])
-            history.append(residual / abs(theta))
-            if residual <= tol * max(floor, abs(theta)):
-                return theta
-            # Ritz values fall at a steady rate between checks: the next
-            # one lies above this, less twice the last fall.
-            if previous is not None:
-                lower = theta - 2.0 * (previous - theta)
-            previous = theta
-        betas.append(beta)
-    best = np.zeros(v0.size)
-    for x, (v, _, _) in zip(ritz, _lanczos_recurrence(apply, v0, replay)):
-        best += x * v
+    for it in range(1, max_iter + 1):
+        theta = float(x @ ax)
+        r = ax - theta * x
+        residual = math.sqrt(r @ r)
+        history.append(residual / abs(theta))
+        if residual <= tol * max(floor, abs(theta)) or theta <= _SINGULAR_BOUND:
+            return theta
+        if it == max_iter:
+            break
+        w = precondition(r)
+        basis = [(x, ax)]
+        for v, av in [(w, apply(w))] + steps:
+            basis += _orthonormalize(v, av, basis)
+        k = len(basis)
+        gram = [[float(basis[min(i, j)][0] @ basis[max(i, j)][1]) for j in range(k)]
+                for i in range(k)]
+        _, c = _lowest_ritz_pair(gram)
+        p = sum((ci * u for ci, (u, _) in zip(c[1:], basis[1:])), np.zeros_like(x))
+        ap = sum((ci * au for ci, (_, au) in zip(c[1:], basis[1:])), np.zeros_like(x))
+        steps = [(p, ap)]
+        x, ax = c[0] * x + p, c[0] * ax + ap
+        scale = math.sqrt(x @ x)
+        x, ax = x / scale, ax / scale
     raise ConvergenceError(
-        f"Lanczos did not reach tolerance {tol:g} in {max_steps} steps "
-        f"(last relative Ritz residual {history[-1]:g})",
-        best / np.linalg.norm(best), history,
+        f"LOBPCG did not reach tolerance {tol:g} in {max_iter} iterations "
+        f"(last relative residual {history[-1]:g})",
+        x, history,
     )
 
 
-def _lanczos_recurrence(apply: Callable[[np.ndarray], np.ndarray], v0: np.ndarray,
-                        rng: np.random.Generator) -> Iterator[tuple[np.ndarray, float, float]]:
-    """Each Lanczos vector v_j in turn, with the diagonal entry alpha_j and
-    the off-diagonal entry beta_j it adds to T. If A v leaves nothing new
-    (a breakdown), beta_j is 0 and the recurrence continues from a vector
-    of ``rng``, orthogonal to v_j, as ARPACK's ``dgetv0`` does."""
-    eps = np.finfo(float).eps
-    v = v0 / np.linalg.norm(v0)
-    v_prev, beta = v, 0.0
-    while True:
-        w = apply(v)
-        w -= beta * v_prev
-        alpha = float(v @ w)
-        w -= alpha * v
-        beta = math.sqrt(w @ w)
-        if beta <= eps * alpha:
-            beta = 0.0
-            w = rng.standard_normal(v.size)
-            w -= (v @ w) * v
-            w /= np.linalg.norm(w)
-        else:
-            w /= beta
-        yield v, alpha, beta
-        v_prev, v = v, w
-
-
-def _lowest_ritz_pair(alphas: list[float], betas: list[float], lower: float,
-                      start: list[float]) -> tuple[float, list[float]]:
-    """Lowest eigenvalue theta of the symmetric tridiagonal T with diagonal
-    ``alphas`` and off-diagonal ``betas``, and its unit eigenvector, in a
-    few O(j) sweeps of plain Python, which start no threads.
-
-    det(T - sigma I) has only real roots, so Laguerre's iteration on it
-    rises monotonically and cubically to theta from any sigma below the
-    spectrum. It starts a margin below ``lower`` when the Sturm test of
-    :func:`_ritz_sweep` puts that below the spectrum, else a margin below
-    0 (T comes from a positive semidefinite operator), and at the
-    Gershgorin bound when both fail. Each step stops the margin, 8
-    rounding units of T, short of the point it aims at: rounding then
-    cannot carry a sweep past theta, and the last factorization lies so
-    close below theta that one inverse iteration on it, from ``start``
-    (the last check's eigenvector, padded with zeros) or from all ones,
-    gives the eigenvector. Should a sweep still fail, the step is
-    bisected.
-    """
-    j = len(alphas)
-    diagonal = np.asarray(alphas)
-    radius = np.zeros(j)
-    radius[1:] = np.abs(betas)
-    radius[:-1] += radius[1:]
-    margin = 8.0 * float(np.finfo(float).eps) * float(np.max(np.abs(diagonal) + radius))
-    rhs = start + [0.0] * (j - len(start)) if start else [1.0] * j
-    # Past a failed warm guess, 0: T of a positive semidefinite operator
-    # has no eigenvalue below 0 beyond roundoff. Last the Gershgorin bound,
-    # below which the margin makes T - sigma I strictly diagonally
-    # dominant, so every pivot is positive there.
-    guesses = (lower, 0.0) if lower > 0.0 else (lower,)
-    for guess in guesses + (float(np.min(diagonal - radius)),):
-        lower = guess - margin
-        out = _ritz_sweep(alphas, betas, lower, rhs)
-        if out is not None:
+def _orthonormalize(v: np.ndarray, av: np.ndarray,
+                    basis: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """[(v, A v)] with v less its components along the orthonormal vectors
+    of ``basis``, at unit length, and A v updated from their images by the
+    same combination. The projection is taken again if it halved v, and
+    twice is enough (Giraud et al., Numer. Math. 101, 2005). Empty when v
+    shrank below _DROP_BELOW of its length: the images carry rounding
+    errors of the original length, which the scaling would magnify."""
+    length = scale = math.sqrt(v @ v)
+    for _ in range(2):
+        before = scale
+        for u, au in basis:
+            c = float(u @ v)
+            v, av = v - c * u, av - c * au
+        scale = math.sqrt(v @ v)
+        if scale > 0.5 * before:
             break
-    upper = math.inf
-    while True:
-        g, h, ratios, ys = out
-        step = j / (g + math.sqrt(max((j - 1) * (j * h - g * g), 0.0)))
-        if not (step > 2.0 * margin and upper - lower > 2.0 * margin):
+    return [(v / scale, av / scale)] if scale > _DROP_BELOW * length else []
+
+
+def _lowest_ritz_pair(gram: list[list[float]]) -> tuple[float, list[float]]:
+    """Lowest eigenvalue of the small symmetric matrix ``gram`` and its
+    unit eigenvector, by cyclic Jacobi rotations in plain Python (Golub &
+    Van Loan, Matrix Computations, section 8.5), which call no LAPACK
+    routine and start no threads. The sweeps stop once every off-diagonal
+    entry lies within a rounding unit of the geometric mean of its two
+    diagonal entries, which for a positive semidefinite matrix fixes even
+    a small eigenvalue to a few rounding units of itself (Demmel &
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1992)."""
+    k = len(gram)
+    a = [row[:] for row in gram]
+    v = [[float(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p, q in [(p, q) for p in range(k) for q in range(p + 1, k)]:
+            if abs(a[p][q]) <= _EPS * math.sqrt(abs(a[p][p] * a[q][q])):
+                continue
+            rotated = True
+            tau = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            for m in (a, v):
+                for row in m:
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            a[p], a[q] = ([c * y - s * z for y, z in zip(a[p], a[q])],
+                          [s * y + c * z for y, z in zip(a[p], a[q])])
+            a[p][q] = a[q][p] = 0.0
+        if not rotated:
             break
-        sigma = min(lower + step - margin, 0.5 * (lower + upper))
-        trial = _ritz_sweep(alphas, betas, sigma, rhs)
-        if trial is None:
-            upper = sigma
-        else:
-            lower, out = sigma, trial
-    # The backward half of the solve: L^T x = ys.
-    x = ys[-1]
-    vector = [x]
-    for r, y in zip(reversed(ratios), reversed(ys[:-1])):
-        x = y - r * x
-        vector.append(x)
-    unit = np.array(vector[::-1])
-    return min(lower + step, upper), (unit / np.linalg.norm(unit)).tolist()
-
-
-def _ritz_sweep(alphas: list[float], betas: list[float], sigma: float,
-                rhs: list[float]) -> tuple[float, float, list[float], list[float]] | None:
-    """One pass of the factorization T - sigma I = L D L^T.
-
-    None unless every pivot d_i is positive, which holds exactly when sigma
-    lies below T's spectrum (Sturm). Otherwise (g, h, ratios, ys): g and h
-    are the sums of 1/(lambda - sigma) and 1/(lambda - sigma)^2 over T's
-    eigenvalues, from the pivots and their first two derivatives in sigma;
-    ratios[i] = betas[i] / d_i, the subdiagonal of L; and ys = D^-1 L^-1
-    rhs, the forward half of the solve of (T - sigma I) x = rhs.
-    """
-    d = alphas[0] - sigma
-    if not d > 0.0:
-        return None
-    p, q = 1.0, 0.0  # -d' and -d'', the pivot's derivatives, negated
-    g = 1.0 / d
-    h = g * g
-    z = rhs[0]
-    ratios: list[float] = []
-    ys = [z / d]
-    for a, b, c in zip(alphas[1:], betas, rhs[1:]):
-        r = b / d
-        rr = r * r
-        q = rr * (q + 2.0 * p * p / d)
-        p = rr * p + 1.0
-        z = c - r * z
-        d = a - sigma - b * r
-        if not d > 0.0:
-            return None
-        t = p / d
-        g += t
-        h += t * t + q / d
-        ratios.append(r)
-        ys.append(z / d)
-    return g, h, ratios, ys
+    i = min(range(k), key=lambda i: a[i][i])
+    return a[i][i], [row[i] for row in v]
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,8 @@ def test_criterion_3_coercivity():
     grid = Grid(32, 8.0)
     operator = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
     dense_min = float(np.linalg.eigvalsh(dense_L_matrix(operator))[0])
-    lanczos = estimate_coercivity(operator)
-    rel = abs(lanczos - dense_min) / dense_min
+    estimate = estimate_coercivity(operator)
+    rel = abs(estimate - dense_min) / dense_min
 
     # unit disk held fixed while the box grows at matched h = 0.25
     deltas = []
@@ -203,7 +203,9 @@ def test_criterion_8_integrator_order():
     t0 = time.perf_counter()
     grid = Grid(64, 16.0)
     operator = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
-    solution = solve_profile(operator, tol=1e-10)
+    # Q/(1 - t) is exact only up to the profile residual, which must lie
+    # below the finest step's error (3e-13).
+    solution = solve_profile(operator, tol=1e-13)
 
     def run_fixed(field, dt, steps):
         for _ in range(steps):
