@@ -400,11 +400,11 @@ def _lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray],
     on R^m, by single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
     2001) from the start ``x``.
 
-    Each iteration checks the residual r = A x - theta x of the unit
-    iterate x, theta its Rayleigh quotient, and stops when ||r|| is at
-    most tol times theta (ARPACK's test, with its eps^(2/3) floor), or
-    when theta, an upper bound of the smallest eigenvalue, is at roundoff
-    level. Otherwise the Rayleigh-Ritz step on [x, w, p], w the
+    Each iteration stops when theta, the Rayleigh quotient of the unit
+    iterate x and an upper bound of the smallest eigenvalue, is at
+    roundoff level, or when the residual r = A x - theta x has ||r|| at
+    most tol times theta (ARPACK's test, with its eps^(2/3) floor).
+    Otherwise the Rayleigh-Ritz step on [x, w, p], w the
     preconditioned residual and p the last step, orthonormalized with 1-D
     dot products, gives the next x as the lowest Ritz vector and the next
     p as that vector's part outside x. An iteration applies ``apply`` to
@@ -419,10 +419,12 @@ def _lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray],
     history: list[float] = []
     for it in range(1, max_iter + 1):
         theta = float(x @ ax)
+        if theta <= _SINGULAR_BOUND:
+            return theta
         r = ax - theta * x
         residual = math.sqrt(r @ r)
-        history.append(residual / abs(theta))
-        if residual <= tol * max(floor, abs(theta)) or theta <= _SINGULAR_BOUND:
+        history.append(residual / theta)
+        if residual <= tol * max(floor, theta):
             return theta
         if it == max_iter:
             break
@@ -430,9 +432,10 @@ def _lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray],
         basis = [(x, ax)]
         for v, av in [(w, apply(w))] + steps:
             basis += _orthonormalize(v, av, basis)
-        k = len(basis)
-        gram = [[float(basis[min(i, j)][0] @ basis[max(i, j)][1]) for j in range(k)]
-                for i in range(k)]
+        gram = [[0.0] * len(basis) for _ in basis]
+        for i, (u, _) in enumerate(basis):
+            for j in range(i, len(basis)):
+                gram[i][j] = gram[j][i] = float(u @ basis[j][1])
         _, c = _lowest_ritz_pair(gram)
         p = sum((ci * u for ci, (u, _) in zip(c[1:], basis[1:])), np.zeros_like(x))
         ap = sum((ci * au for ci, (_, au) in zip(c[1:], basis[1:])), np.zeros_like(x))
@@ -479,22 +482,27 @@ def _lowest_ritz_pair(gram: list[list[float]]) -> tuple[float, list[float]]:
     k = len(gram)
     a = [row[:] for row in gram]
     v = [[float(i == j) for j in range(k)] for i in range(k)]
+    pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
     for _ in range(_JACOBI_SWEEPS):
         rotated = False
-        for p, q in [(p, q) for p in range(k) for q in range(p + 1, k)]:
-            if abs(a[p][q]) <= _EPS * math.sqrt(abs(a[p][p] * a[q][q])):
+        for p, q in pairs:
+            apq = a[p][q]
+            if abs(apq) <= _EPS * math.sqrt(abs(a[p][p] * a[q][q])):
                 continue
             rotated = True
-            tau = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+            tau = (a[q][q] - a[p][p]) / (2.0 * apq)
             t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
             c = 1.0 / math.hypot(1.0, t)
             s = t * c
-            for m in (a, v):
-                for row in m:
-                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
-            a[p], a[q] = ([c * y - s * z for y, z in zip(a[p], a[q])],
-                          [s * y + c * z for y, z in zip(a[p], a[q])])
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
             a[p][q] = a[q][p] = 0.0
+            for r in range(k):
+                if r != p and r != q:
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = c * arp - s * arq
+                    a[r][q] = a[q][r] = s * arp + c * arq
+                v[r][p], v[r][q] = c * v[r][p] - s * v[r][q], s * v[r][p] + c * v[r][q]
         if not rotated:
             break
     i = min(range(k), key=lambda i: a[i][i])

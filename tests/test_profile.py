@@ -547,6 +547,39 @@ class TestLobpcg:
         assert len(excinfo.value.residual_history) == 3
 
 
+class TestOrthonormalize:
+    """The Gram-Schmidt step of LOBPCG's Rayleigh-Ritz basis, which carries
+    each vector's image under the operator by the same combination."""
+
+    DIAGONAL = np.linspace(0.5, 1.0, 50)
+
+    def _basis(self, *vectors):
+        basis = []
+        for v in vectors:
+            basis += profile._orthonormalize(v, self.DIAGONAL * v, basis)
+        return basis
+
+    def test_orthonormal_with_images(self):
+        """A vector within 1e-3 of the basis' span loses almost all its
+        length and is projected twice; the result is still orthogonal to
+        roundoff, and each image is the operator applied to its vector."""
+        rng = np.random.default_rng(7)
+        x, w = rng.standard_normal((2, self.DIAGONAL.size))
+        basis = self._basis(x, w, x + w + 1e-3 * rng.standard_normal(self.DIAGONAL.size))
+        vectors = np.array([v for v, _ in basis])
+        assert len(basis) == 3
+        np.testing.assert_allclose(vectors @ vectors.T, np.eye(3), atol=1e-14)
+        for v, av in basis:
+            np.testing.assert_allclose(av, self.DIAGONAL * v, atol=1e-9)
+
+    def test_drops_a_vector_in_the_span(self):
+        """A vector in the span of the basis, up to roundoff, is left out:
+        scaling its remainder would magnify its image's rounding errors."""
+        rng = np.random.default_rng(8)
+        x, w = rng.standard_normal((2, self.DIAGONAL.size))
+        assert len(self._basis(x, w, 2.0 * x - w)) == 2
+
+
 def _rotated(eigenvalues, seed):
     """A symmetric matrix, as nested lists, with the given eigenvalues and
     seeded random eigenvectors."""
