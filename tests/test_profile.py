@@ -169,10 +169,6 @@ class TestEmbeddedApply:
         assert shapes == [((32, 32), (64, 64))] * 2
 
 
-def _preconditioner_matrix(op):
-    return np.column_stack([op.precondition(e) for e in np.eye(op.mask.cell_count)])
-
-
 class TestPreconditioner:
     """``RestrictedOperator.precondition``: the circulant's inverse symbol,
     floored, between the scatter and gather of an apply."""
@@ -180,7 +176,7 @@ class TestPreconditioner:
     def test_symmetric_positive_definite_and_bounded(self):
         shape = ShapeUnion((Disk((-0.4, 0.15), 0.3), Disk((0.45, -0.25), 0.35)))
         op = RestrictedOperator(rasterize(shape, Grid(64, 8.0)))
-        m = _preconditioner_matrix(op)
+        m = np.column_stack([op.precondition(e) for e in np.eye(op.mask.cell_count)])
         np.testing.assert_allclose(m, m.T, rtol=0, atol=1e-12)
         eigenvalues = np.linalg.eigvalsh(m)
         assert eigenvalues[0] > 0.0
