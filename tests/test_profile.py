@@ -40,7 +40,14 @@ from z11sim import (
     verify_profile,
 )
 from z11sim import profile
-from z11sim.profile import _DIRECT_CELLS, _cg, _lobpcg_smallest, _lowest_ritz_pair
+from z11sim.profile import (
+    _COERCIVITY_TOL,
+    _DIRECT_CELLS,
+    _SINGULAR_BOUND,
+    _cg,
+    _lobpcg_smallest,
+    _lowest_ritz_pair,
+)
 
 from test_spectral import dft_multiplier_oracle
 
@@ -601,11 +608,91 @@ def _rotated(eigenvalues, seed):
     return (q @ np.diag(eigenvalues) @ q.T).tolist()
 
 
+def _tridiagonal(alphas, betas):
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
+def _tridiagonal_with_spectrum(spectrum, seed):
+    """Diagonal and off-diagonal of a tridiagonal with the given spectrum:
+    Lanczos with full reorthogonalization on diag(spectrum) from a seeded
+    start, run to the full dimension."""
+    v = np.random.default_rng(seed).standard_normal(spectrum.size)
+    basis = np.zeros((spectrum.size, spectrum.size))
+    alphas, betas = [], []
+    for i in range(spectrum.size):
+        basis[i] = v / np.linalg.norm(v)
+        w = spectrum * basis[i]
+        alphas.append(basis[i] @ w)
+        for _ in range(2):
+            w -= basis[:i + 1].T @ (basis[:i + 1] @ w)
+        betas.append(np.linalg.norm(w))
+        v = w
+    return np.array(alphas), np.array(betas[:-1])
+
+
+def _random_tridiagonal(j, split=False):
+    rng = np.random.default_rng(j)
+    alphas, betas = rng.standard_normal(j), rng.standard_normal(j - 1)
+    if split:  # a block diagonal T, whose blocks the iteration must all reach
+        betas[::7] = 0.0
+    return alphas, betas
+
+
+def _graded_tridiagonal(j):
+    """Diagonal from 1 down to 1e-8, off-diagonal 0.4 of the neighbours'
+    geometric mean: positive definite, lowest eigenvalue near 1e-8."""
+    alphas = 10.0 ** (-8.0 * np.arange(j) / j)
+    return alphas, 0.4 * np.sqrt(alphas[:-1] * alphas[1:])
+
+
+def _shifted_tridiagonal(alphas, betas, shift):
+    """The action x -> (T - shift) x of the tridiagonal T, matrix-free."""
+    def apply(x):
+        y = (alphas - shift) * x
+        y[:-1] += betas * x[1:]
+        y[1:] += betas * x[:-1]
+        return y
+    return apply
+
+
 class TestLowestRitzPair:
-    """The plain-Python Jacobi routine of LOBPCG's Rayleigh-Ritz step
-    against dense ``eigvalsh``: the lowest eigenvalue and the residual of
-    its unit eigenvector within a few rounding units of the matrix norm,
-    the accuracy LAPACK itself guarantees."""
+    """The lowest Ritz pair against dense ``eigvalsh``: of a symmetric
+    tridiagonal, by LOBPCG, and of LOBPCG's small Rayleigh-Ritz matrix, by
+    the plain-Python Jacobi routine."""
+
+    @pytest.mark.parametrize("alphas, betas", [
+        pytest.param(*_random_tridiagonal(j), id=f"random-{j}") for j in (1, 2, 5, 60, 700, 2000)
+    ] + [
+        pytest.param(*_random_tridiagonal(j, split=True), id=f"split-{j}") for j in (60, 2000)
+    ] + [
+        pytest.param(*_graded_tridiagonal(j), id=f"graded-{j}") for j in (50, 2000)
+    ] + [
+        pytest.param(*_tridiagonal_with_spectrum(
+            np.concatenate([[0.1, 0.1 + 1e-10], np.linspace(0.2, 1.0, 198)]), 1),
+            id="pair-1e-10-apart"),
+        pytest.param(*_tridiagonal_with_spectrum(
+            np.concatenate([0.3 + 1e-10 * np.arange(4), np.linspace(0.5, 1.0, 96)]), 2),
+            id="four-1e-10-apart"),
+        pytest.param(*_tridiagonal_with_spectrum(np.logspace(-8, 0, 300), 3), id="log-spectrum"),
+    ])
+    @pytest.mark.parametrize("below", [True, False], ids=["lower-below", "lower-above"])
+    def test_matches_dense_eigh(self, alphas, betas, below):
+        """LOBPCG on T - lower, unpreconditioned, from a constant start.
+        With ``lower`` 0.5 below the spectrum the operator is positive
+        definite, and theta matches its lowest eigenvalue to the tolerance
+        of the coercivity estimate. With ``lower`` 0.5 above the lowest
+        eigenvalue the operator is indefinite: theta, a Rayleigh quotient
+        and so never below that eigenvalue, falls to the singular bound,
+        where the iteration stops and estimate_coercivity would raise
+        SingularOperatorError."""
+        lowest = np.linalg.eigvalsh(_tridiagonal(alphas, betas))[0]
+        lower = lowest - 0.5 if below else lowest + 0.5
+        theta = _lobpcg_smallest(_shifted_tridiagonal(alphas, betas, lower), lambda r: r,
+                                 np.ones(alphas.size), _COERCIVITY_TOL, 100 * alphas.size)
+        if below:
+            assert abs(theta - (lowest - lower)) <= _COERCIVITY_TOL * theta
+        else:
+            assert lowest - lower - 1e-12 <= theta <= _SINGULAR_BOUND
 
     @pytest.mark.parametrize("gram", [
         pytest.param([[0.3]], id="one"),
@@ -620,7 +707,10 @@ class TestLowestRitzPair:
         pytest.param([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.1]], id="lowest-last"),
         pytest.param(_rotated([0.0, 0.5, 1.0], 7), id="singular"),
     ])
-    def test_matches_dense_eigh(self, gram):
+    def test_small_gram_matches_dense_eigh(self, gram):
+        """The lowest eigenvalue and the residual of its unit eigenvector
+        within a few rounding units of the matrix norm, the accuracy LAPACK
+        itself guarantees."""
         eigenvalues = np.linalg.eigvalsh(np.array(gram))
         theta, vector = _lowest_ritz_pair(gram)
         bound = 8 * np.finfo(float).eps * eigenvalues[-1]
