@@ -19,9 +19,10 @@ Chan & Jin 2007). One application scatters into the box and costs a
 forward and an inverse FFT of the embedding, not of the grid; the padding
 from the box to the embedding happens inside the transform, which skips
 the rows it knows to be zero. The inverse of that circulant's symbol,
-floored, is the operator's preconditioner (Strang 1986; T. Chan 1988), and
-costs the same: conjugate gradient and the single-vector LOBPCG estimate
-of the smallest eigenvalue both use it. The residual certificate and
+floored at the lowest x1-mode of the mask's longest x1-run, is the
+operator's preconditioner (Strang 1986; T. Chan 1988), and costs the
+same: conjugate gradient and the single-vector LOBPCG estimate of the
+smallest eigenvalue both use it. The residual certificate and
 :func:`verify_profile` apply Z11 on the full grid, independently of the
 embedding and of the preconditioner. A dense matrix assembly is provided
 as an oracle for small masks.
@@ -78,9 +79,6 @@ _DROP_BELOW = 1e-4
 # Cap on the Jacobi sweeps of the Rayleigh-Ritz step; about three reach
 # roundoff.
 _JACOBI_SWEEPS = 10
-# Floor of the circulant's symbol in the preconditioner: the symbol
-# vanishes on pure x2-waves, whose preconditioned weight it caps at 1e3.
-_SYMBOL_FLOOR = 1e-3
 # CG replaces its recurrence residual by the true b - A x this often.
 _CG_REFRESH_EVERY = 25
 
@@ -189,23 +187,47 @@ class RestrictedOperator:
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """The circulant preconditioner (Strang 1986; T. Chan 1988) on a
         member-cell vector: the inverse of the embedding's symbol, floored
-        at _SYMBOL_FLOOR, between the scatter and gather of an apply. It is
-        symmetric positive definite and costs one apply."""
+        column by column at the mask's lowest x1-mode, between the scatter
+        and gather of an apply. It is symmetric positive definite and costs
+        one apply."""
         return self._circulant(r, self._inverse_symbol)
 
     @functools.cached_property
     def _inverse_symbol(self) -> np.ndarray:
-        """Built on the first preconditioner call, so the evolution, which
+        """The symbol with each k2 column floored at Z11's symbol
+        k1^2/|k|^2 at k1 = pi/(l h), l the mask's longest x1-run in cells:
+        the lowest x1-wavenumber such a run holds, a Dirichlet half wave.
+        On the p2-point embedding that floor is 1/(1 + (2 l k2/p2)^2). At
+        the x2-Nyquist column it is about 1/l^2, the scale of delta itself
+        (delta/h^2 tends to 1/(l h)^2), and it is never below 1/(1 + l^2).
+
+        Built on the first preconditioner call, so the evolution, which
         never preconditions, never builds it. Inverted in place: a freed
         temporary beside the kept array left the solve command's heap
         holding 2 MB more at its peak in most runs."""
-        inverse = np.maximum(self._symbol, _SYMBOL_FLOOR)
+        k2_over_p2 = np.fft.fftfreq(self._symbol.shape[1])
+        floor = np.reciprocal(1.0 + (2 * _longest_x1_run(self) * k2_over_p2) ** 2)
+        inverse = np.maximum(self._symbol, floor)
         return np.reciprocal(inverse, out=inverse)
 
     def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         box = np.zeros(self._box_shape)
         box[self._box_index] = x
         return _real_fft(box, symbol)[self._box_index]
+
+
+def _longest_x1_run(op: RestrictedOperator) -> int:
+    """The longest run of consecutive member cells along x1, read in the
+    box coordinates of ``op``, so a run across the periodic edge counts
+    once. Each box column is padded with a non-member cell at both ends,
+    so its edges, where neighbours differ, pair up as the start and end of
+    a run. Boolean and int64 operations only: an int8 difference paged in
+    128 kB more of numpy's code, which the solve command's peak RSS showed."""
+    r, c = op._box_index
+    columns = np.zeros((op._box_shape[1], op._box_shape[0] + 2), dtype=bool)
+    columns[c, r + 1] = True
+    edges = np.flatnonzero(columns[:, 1:] != columns[:, :-1])
+    return int(np.max(edges[1::2] - edges[::2]))
 
 
 def dense_L_matrix(op: RestrictedOperator) -> np.ndarray:
