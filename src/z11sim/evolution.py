@@ -53,6 +53,9 @@ _RK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336,
 _RK_E = _RK_B5 - _RK_B4
 
 _PROPAGATION_ORDER = 5
+# A step's proposed factor is _SAFETY * err^(-1/5), clamped to
+# [_MIN_SHRINK, _MAX_GROW].
+_SAFETY = 0.9
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.2
 _SUPPORT_CUTOFF = 1e-12
@@ -87,7 +90,6 @@ class EvolveConfig:
 
     dt_initial: float = 1e-3
     dt_min: float = 1e-12
-    safety: float = 0.9
     t_max: float = 1.0
     blowup_threshold: float | None = None
     record_every: int = 10
@@ -106,8 +108,6 @@ class EvolveConfig:
             )
         if not self.t_max > 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if not 0.0 < self.safety < 1.0:
-            raise ValueError(f"safety must lie in (0, 1), got {self.safety}")
         if self.blowup_threshold is not None and not self.blowup_threshold > 1.0:
             raise ValueError(
                 f"blowup_threshold must exceed 1, got {self.blowup_threshold}"
@@ -219,12 +219,21 @@ def rhs(omega: RealField, sign: int = 1) -> RealField:
     is (L w) w with L the restricted operator of the support. So the
     product is taken on that operator's box, the periodic bounding box of
     the support, with Z11 applied through the box's circulant embedding;
-    full support makes the box the grid.
+    full support makes the box the grid. The box's values are scattered
+    back whole: off the support they are zeros.
     """
     _check_sign(sign)
     op = _support_operator(omega)
     product = _rhs_values(op._symbol, omega.values[op._box], sign)
-    return RealField(omega.grid, op.mask.unpack(product[op._box_index]))
+    return RealField(omega.grid, _on_grid(op, product))
+
+
+def _on_grid(op: RestrictedOperator, values: np.ndarray) -> np.ndarray:
+    """Box values of ``op`` scattered through its box into a grid-sized
+    array, zero off the box."""
+    full = np.zeros((op.grid.n, op.grid.n))
+    full[op._box] = values
+    return full
 
 
 def _stage_sum(coefficients: tuple[float, ...] | np.ndarray,
@@ -268,8 +277,7 @@ def rk_step(omega: RealField, dt: float, sign: int = 1) -> tuple[RealField, np.n
     op = _support_operator(omega)
     y = omega.values[op._box]
     y_new, err = _rk_attempt(op._symbol, y, _rhs_values(op._symbol, y, sign), dt, sign)
-    return (RealField(omega.grid, op.mask.unpack(y_new[op._box_index])),
-            op.mask.unpack(err[op._box_index]))
+    return RealField(omega.grid, _on_grid(op, y_new)), _on_grid(op, err)
 
 
 def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
@@ -289,13 +297,14 @@ def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
     The scaled error combines atol and rtol per cell; a step is accepted
     when its root mean square over all n^2 grid cells is at most 1 and
     the update is finite. Each attempt's step factor is the standard
-    fifth-order proposal safety * err^(-1/5), clamped to [1/5, 5]; an error
-    of 0 gives 5 and a non-finite error 1/5. An accepted step proposes
-    dt_next = factor * dt from this step's error alone (evolve may shorten
-    it). A rejection retries with dt times the factor, capped at 0.9; if
-    that would push dt below dt_min the step underflows, which downstream
-    is read as approach to blow-up rather than failure. Every nonzero
-    error lies on the box, so the box's sum is divided by n^2.
+    fifth-order proposal _SAFETY * err^(-1/5), _SAFETY = 0.9, clamped to
+    [1/5, 5]; an error of 0 gives 5 and a non-finite error 1/5. An
+    accepted step proposes dt_next = factor * dt from this step's error
+    alone (evolve may shorten it). A rejection retries with dt times the
+    factor, capped at 0.9; if that would push dt below dt_min the step
+    underflows, which downstream is read as approach to blow-up rather
+    than failure. Every nonzero error lies on the box, so the box's sum is
+    divided by n^2.
     """
     _check_dt(dt)
     symbol, n = op._symbol, op.grid.n
@@ -310,7 +319,7 @@ def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
         if err == 0.0:
             factor = _MAX_GROW
         elif np.isfinite(err):
-            factor = config.safety * err ** (-1.0 / _PROPAGATION_ORDER)
+            factor = _SAFETY * err ** (-1.0 / _PROPAGATION_ORDER)
             factor = min(_MAX_GROW, max(_MIN_SHRINK, factor))
         else:
             factor = _MIN_SHRINK

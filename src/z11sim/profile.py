@@ -76,9 +76,6 @@ _SINGULAR_BOUND = 10 * _EPS
 # LOBPCG leaves its last step out of the Rayleigh-Ritz step when
 # orthogonalization shrinks it below this fraction of its length.
 _DROP_BELOW = 1e-4
-# Cap on the Jacobi sweeps of the Rayleigh-Ritz step; about three reach
-# roundoff.
-_JACOBI_SWEEPS = 10
 # CG replaces its recurrence residual by the true b - A x this often.
 _CG_REFRESH_EVERY = 25
 
@@ -154,11 +151,12 @@ class RestrictedOperator:
     The mask fixes the operator, its grid included. Construction decides
     the mask's periodic bounding box once: ``_box`` indexes it on the grid,
     ``_box_index`` holds the box position of each member cell, in the
-    mask's row-major order, and ``_window`` and ``_symbol`` are the kernel
-    window over the box and the symbol of its circulant embedding. The box
-    size depends on the mask alone, and boxes of one size share the window.
-    A full-grid mask's box is the grid, with the symbol ``grid.m11``. The
-    evolution steps a state supported on the mask on this same box.
+    mask's row-major order (built on first use), and ``_window`` and
+    ``_symbol`` are the kernel window over the box and the symbol of its
+    circulant embedding. The box size depends on the mask alone, and boxes
+    of one size share the window. A full-grid mask's box is the grid, with
+    the symbol ``grid.m11``. The evolution steps a state supported on the
+    mask on this same box.
     """
 
     mask: Mask
@@ -168,17 +166,24 @@ class RestrictedOperator:
         (start1, b1, p1), (start2, b2, p2) = (
             _embedding_axis(self.mask.indicator.any(axis=a)) for a in (1, 0))
         window, symbol = _box_kernel(self.grid, p1, p2)
-        r, c = self.mask.indices
         object.__setattr__(self, "_window", window)
         object.__setattr__(self, "_symbol", symbol)
         object.__setattr__(self, "_box", np.ix_((start1 + np.arange(b1)) % n,
                                                 (start2 + np.arange(b2)) % n))
         object.__setattr__(self, "_box_shape", (b1, b2))
-        object.__setattr__(self, "_box_index", ((r - start1) % n, (c - start2) % n))
 
     @property
     def grid(self) -> Grid:
         return self.mask.grid
+
+    @functools.cached_property
+    def _box_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Built on first use, so a caller that works on the whole box, as
+        the evolution's right-hand side does, never builds these arrays,
+        which are n^2 long on a full-grid mask."""
+        (rows, cols), n = self._box, self.grid.n
+        r, c = self.mask.indices
+        return (r - rows[0, 0]) % n, (c - cols[0, 0]) % n
 
     def apply_packed(self, x: np.ndarray) -> np.ndarray:
         """Operator action on a member-cell vector of length cell_count."""
@@ -432,7 +437,10 @@ def _lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray],
     Otherwise the Rayleigh-Ritz step on [x, w, p], w the
     preconditioned residual and p the last step, orthonormalized with 1-D
     dot products, gives the next x as the lowest Ritz vector and the next
-    p as that vector's part outside x. An iteration applies ``apply`` to
+    p as that vector's part outside x. Its at most 3 x 3 Gram matrix is
+    built from 1-D dot products too, since OpenBLAS runs a (3, m) @ (m, 3)
+    product on its threads once m is large, and solved by
+    :func:`_lowest_ritz_pair`. An iteration applies ``apply`` to
     w only: A x and A p follow by the same combinations as x and p. After
     max_iter iterations it raises ConvergenceError with the packed unit x
     and the relative residual ||r|| / theta of each iteration.
@@ -495,43 +503,11 @@ def _orthonormalize(v: np.ndarray, av: np.ndarray,
     return [(v / scale, av / scale)] if scale > _DROP_BELOW * length else []
 
 
-def _lowest_ritz_pair(gram: list[list[float]]) -> tuple[float, list[float]]:
+def _lowest_ritz_pair(gram: list[list[float]]) -> tuple[float, np.ndarray]:
     """Lowest eigenvalue of the small symmetric matrix ``gram`` and its
-    unit eigenvector, by cyclic Jacobi rotations in plain Python (Golub &
-    Van Loan, Matrix Computations, section 8.5), which call no LAPACK
-    routine and start no threads. The sweeps stop once every off-diagonal
-    entry lies within a rounding unit of the geometric mean of its two
-    diagonal entries, which for a positive semidefinite matrix fixes even
-    a small eigenvalue to a few rounding units of itself (Demmel &
-    Veselic, SIAM J. Matrix Anal. Appl. 13, 1992)."""
-    k = len(gram)
-    a = [row[:] for row in gram]
-    v = [[float(i == j) for j in range(k)] for i in range(k)]
-    pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p, q in pairs:
-            apq = a[p][q]
-            if abs(apq) <= _EPS * math.sqrt(abs(a[p][p] * a[q][q])):
-                continue
-            rotated = True
-            tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-            c = 1.0 / math.hypot(1.0, t)
-            s = t * c
-            a[p][p] -= t * apq
-            a[q][q] += t * apq
-            a[p][q] = a[q][p] = 0.0
-            for r in range(k):
-                if r != p and r != q:
-                    arp, arq = a[r][p], a[r][q]
-                    a[r][p] = a[p][r] = c * arp - s * arq
-                    a[r][q] = a[q][r] = s * arp + c * arq
-                v[r][p], v[r][q] = c * v[r][p] - s * v[r][q], s * v[r][p] + c * v[r][q]
-        if not rotated:
-            break
-    i = min(range(k), key=lambda i: a[i][i])
-    return a[i][i], [row[i] for row in v]
+    unit eigenvector, by LAPACK's symmetric eigensolver."""
+    eigenvalues, vectors = np.linalg.eigh(gram)
+    return float(eigenvalues[0]), vectors[:, 0]
 
 
 @dataclass(frozen=True)

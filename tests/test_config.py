@@ -212,7 +212,6 @@ class TestLoadEvolve:
             [evolve]
             dt_initial = 1e-4
             dt_min = 1e-10
-            safety = 0.8
             t_max = 5.0
             blowup_threshold = 100.0
             record_every = 2
@@ -222,7 +221,7 @@ class TestLoadEvolve:
             """)
         cfg = load_run_config(write_config(tmp_path, text))
         assert cfg.evolve == EvolveConfig(
-            dt_initial=1e-4, dt_min=1e-10, safety=0.8, t_max=5.0,
+            dt_initial=1e-4, dt_min=1e-10, t_max=5.0,
             blowup_threshold=100.0, record_every=2,
             rtol=1e-9, atol=1e-11, sign=-1)
 

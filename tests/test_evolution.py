@@ -16,6 +16,7 @@ from z11sim import (
     EvolutionTrace,
     EvolveConfig,
     Grid,
+    Mask,
     RealField,
     RestrictedOperator,
     StepUnderflowError,
@@ -81,8 +82,6 @@ class TestEvolveConfig:
         {"dt_min": 1e-2, "dt_initial": 1e-3},
         {"t_max": 0.0},
         {"t_max": -1.0},
-        {"safety": 0.0},
-        {"safety": 1.0},
         {"blowup_threshold": 1.0},
         {"blowup_threshold": 0.5},
         {"record_every": 0},
@@ -210,6 +209,26 @@ class TestRhs:
         else:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
             assert np.all(got[values == 0.0] == 0.0)
+
+    def test_full_support_builds_no_cell_indices(self, monkeypatch):
+        """rhs and rk_step scatter their box back whole, so on a full
+        support they never build the mask's n^2-long cell indices. Their
+        values are those from before ``Mask.indices`` refuses (compared with
+        ==, since a zero off a support may change sign)."""
+        grid = Grid(256, 16.0)
+        f = RealField(grid, np.random.default_rng(75).standard_normal((256, 256)))
+
+        def outputs():
+            out, err = rk_step(f, 1e-3)
+            return rhs(f).values, out.values, err
+
+        def refuse(self):
+            raise AssertionError("cell indices built")
+
+        before = outputs()
+        monkeypatch.setattr(Mask, "indices", property(refuse))
+        for old, new in zip(before, outputs()):
+            assert np.all(old == new)
 
 
 class TestRkStep:

@@ -561,17 +561,29 @@ class TestCoercivity:
         assert len(history) == 25
         assert history[-1] > 1e-6
 
-    def test_calls_no_lapack(self, monkeypatch):
-        """Above the direct route the estimate calls no LAPACK eigen- or
-        singular-value routine, which would start OpenBLAS threads."""
+    def test_lapack_sees_only_the_ritz_matrix(self, monkeypatch):
+        """Above the direct route the estimate's only LAPACK call is one
+        ``eigh`` per Rayleigh-Ritz step, on a matrix of at most 3 x 3; no
+        other eigen- or singular-value routine runs. Each step follows one
+        preconditioner apply, which counts the steps."""
         def refuse(*args, **kwargs):
             raise AssertionError("LAPACK called")
 
-        for name in ("eigh", "eigvalsh", "svd"):
+        shapes = []
+
+        def recording_eigh(a, eigh=np.linalg.eigh):
+            shapes.append(np.shape(a))
+            return eigh(a)
+
+        for name in ("eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), Grid(64, 8.0)))
         assert op.mask.cell_count > _DIRECT_CELLS
-        assert 0.0 < estimate_coercivity(op) < 1.0
+        delta, steps = _count_calls(monkeypatch, lambda: estimate_coercivity(op), "precondition")
+        assert 0.0 < delta < 1.0
+        assert steps > 0 and len(shapes) == steps
+        assert all(len(s) == 2 and s[0] == s[1] <= 3 for s in shapes)
 
 
 class TestLobpcg:
@@ -707,7 +719,7 @@ def _shifted_tridiagonal(alphas, betas, shift):
 class TestLowestRitzPair:
     """The lowest Ritz pair against dense ``eigvalsh``: of a symmetric
     tridiagonal, by LOBPCG, and of LOBPCG's small Rayleigh-Ritz matrix, by
-    the plain-Python Jacobi routine."""
+    ``_lowest_ritz_pair``."""
 
     @pytest.mark.parametrize("alphas, betas", [
         pytest.param(*_random_tridiagonal(j), id=f"random-{j}") for j in (1, 2, 5, 60, 700, 2000)
