@@ -112,7 +112,16 @@ def _cmd_evolve(cfg: RunConfig) -> list[str]:
             if chosen[index] is None or chosen[index][0] < requested:
                 chosen[index] = (t, state)
 
-    trace = evolve(omega0, cfg.evolve, on_record=keep_snapshots)
+    trace = evolve(omega0, cfg.evolve,
+                   on_record=keep_snapshots if cfg.snapshot_times else None)
+    # a run that stopped short of the horizon reports its fitted blow-up
+    # time, or null when the trace shows no fit
+    t_fit = fit_quality = None
+    if trace.terminated != "horizon":
+        try:
+            t_fit, fit_quality = estimate_blowup_time(trace)
+        except ValueError:
+            pass
     artifacts = ["trace.csv", "evolve.json"]
     write_trace_csv(os.path.join(cfg.output_dir, "trace.csv"), trace)
     snapshots = []
@@ -128,8 +137,8 @@ def _cmd_evolve(cfg: RunConfig) -> list[str]:
         final_sup_norm=float(trace.sup_norm[-1]),
         final_integral=float(trace.integral[-1]),
         final_support_cells=int(trace.support_cells[-1]),
-        blowup_time_estimate=trace.blowup_time_estimate,
-        fit_quality=trace.fit_quality,
+        blowup_time_estimate=t_fit,
+        fit_quality=fit_quality,
         snapshots=snapshots,
     ))
     return artifacts

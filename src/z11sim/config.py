@@ -173,7 +173,11 @@ def _optional_number(text: str) -> float | None:
 
 
 def _numbers(text: str, count: int | None = None) -> tuple[float, ...]:
-    parts = [part.strip() for part in text.split(",") if part.strip() != ""]
+    """A comma-separated list of numbers; an empty text is the empty list,
+    and an empty item is an error."""
+    parts = [part.strip() for part in text.split(",")] if text else []
+    if "" in parts:
+        raise ValueError(f"empty item in list {text!r}")
     if count is not None and len(parts) != count:
         raise ValueError(f"expected {count} numbers, got {len(parts)}")
     return tuple(map(_number, parts))

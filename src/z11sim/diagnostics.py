@@ -5,6 +5,8 @@ run is reproducible bit for bit."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .evolution import EvolveConfig, evolve, gaussian_bump
@@ -78,7 +80,7 @@ def negation_symmetry_error(grid: Grid, rng: np.random.Generator) -> float:
     )
     negated = RealField(grid, -bump.values)
     cfg = EvolveConfig(t_max=0.05, rtol=1e-6, atol=1e-9, record_every=1)
-    flipped = EvolveConfig(t_max=0.05, rtol=1e-6, atol=1e-9, record_every=1, sign=-1)
+    flipped = dataclasses.replace(cfg, sign=-1)
     forward: list[RealField] = []
     mirrored: list[RealField] = []
     evolve(negated, cfg, on_record=lambda t, state: forward.append(state))

@@ -3,8 +3,8 @@
 The model has an exact separable singular solution w(x, t) = Q(x)/(T - t)
 built from a profile Q solving the restricted multiplier equation; this
 module integrates the model forward with an embedded adaptive Runge-Kutta
-pair, records the diagnostic trace, and extrapolates the blow-up time from
-the linear decay of 1/sup-norm.
+pair and records the diagnostic trace; a separate fit extrapolates the
+blow-up time from the trace's linear decay of 1/sup-norm.
 
 Blow-up is declared by sup-norm threshold or by step-size underflow,
 whichever occurs first; both are meaningful terminations, not failures.
@@ -12,7 +12,6 @@ whichever occurs first; both are meaningful terminations, not failures.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -131,10 +130,9 @@ class EvolutionTrace:
     roundoff). support_cells counts cells with |w| > 1e-12 sup|w|, an
     effective-support diagnostic. The recorded
     states themselves are not kept; evolve streams them to its on_record
-    hook. blowup_time_estimate and fit_quality are populated on blow-up-type
-    termination when the trailing-window fit succeeds. accepted_steps and
-    rejected_steps count the run's accepted steps and the attempts its
-    step controller rejected on the way.
+    hook. accepted_steps and rejected_steps count the run's accepted steps
+    and the attempts its step controller rejected on the way. The trace
+    holds no blow-up time: :func:`estimate_blowup_time` fits one from it.
     """
 
     times: np.ndarray
@@ -144,8 +142,6 @@ class EvolutionTrace:
     qform: np.ndarray
     support_cells: np.ndarray
     terminated: str
-    blowup_time_estimate: float | None = None
-    fit_quality: float | None = None
     accepted_steps: int = 0
     rejected_steps: int = 0
 
@@ -354,21 +350,25 @@ def evolve(omega0: RealField, config: EvolveConfig,
     The initial and final states are always recorded. Each record also
     calls on_record(t, field) with the recorded time and state, once per
     trace row and in order; evolve keeps no state beyond the current one,
-    so a caller that needs fields keeps them itself. On a blow-up-type
-    termination the trailing-window fit of 1/sup-norm is attempted and its
-    result stored when it succeeds.
+    so a caller that needs fields keeps them itself. Every field handed to
+    on_record, the first one included, is new: the state's box scattered
+    into a grid of zeros, as :func:`rhs` builds its field, so a cell of
+    omega0 outside the box that holds -0.0 reads +0.0 in the first record.
+    evolve fits no blow-up time; :func:`estimate_blowup_time` fits one
+    from the trace.
 
     The flow keeps the support of omega0, so the run's state lives on the
     box of the support's restricted operator, built once: each accepted
     step (:func:`step`) works on the box alone, and a grid-sized field is
-    built only to hand a record to on_record. Every record, and the threshold
-    test after every step, reads the box: the sums gather it alone (every
-    cell off it is 0), and qform is h^2 sum sign * rate, where rate is the
-    state's right-hand side sign (Z11 w) w, which the step after the state
-    starts from (sign^2 = 1, so this is bitwise h^2 sum (Z11 w) w). Z11
-    acts through the box's circulant embedding, as :func:`rhs` applies it;
-    that circulant is exact for every field supported in the box, so a
-    cell that underflows to 0 on the way changes nothing.
+    built only to hand a record to on_record, when one is given. Every
+    record, and the threshold test after every step, reads the box: the
+    sums gather it alone (every cell off it is 0), and qform is h^2 sum
+    sign * rate, where rate is the state's right-hand side sign (Z11 w) w,
+    which the step after the state starts from (sign^2 = 1, so this is
+    bitwise h^2 sum (Z11 w) w). Z11 acts through the box's circulant
+    embedding, as :func:`rhs` applies it; that circulant is exact for
+    every field supported in the box, so a cell that underflows to 0 on
+    the way changes nothing.
     """
     grid = omega0.grid
     op = _support_operator(omega0)
@@ -385,18 +385,16 @@ def evolve(omega0: RealField, config: EvolveConfig,
     # one row per record, in the order of EvolutionTrace's array fields
     rows: list[tuple[float, float, float, float, float, int]] = []
 
-    def record(t: float, y: np.ndarray, rate: np.ndarray,
-               state: RealField | None = None) -> None:
+    def record(t: float, y: np.ndarray, rate: np.ndarray) -> None:
         s = float(np.max(np.abs(y)))
         rows.append((t, s, float(h2 * np.sum(y)), float(np.sqrt(h2 * np.sum(y**2))),
                      float(config.sign * h2 * np.sum(rate)),
                      int(np.count_nonzero(np.abs(y) > _SUPPORT_CUTOFF * s))))
         if on_record is not None:
-            on_record(t, RealField(grid, op.mask.unpack(y[op._box_index]))
-                      if state is None else state)
+            on_record(t, RealField(grid, _on_grid(op, y)))
 
     rate = _rhs_values(op._symbol, y, config.sign)
-    record(0.0, y, rate, omega0)
+    record(0.0, y, rate)
     t = 0.0
     dt = config.dt_initial
     n_steps = 0
@@ -433,22 +431,12 @@ def evolve(omega0: RealField, config: EvolveConfig,
     if t > rows[-1][0]:
         record(t, y, rate)
 
-    trace = EvolutionTrace(
+    return EvolutionTrace(
         *map(np.array, zip(*rows)),
         terminated=terminated,
         accepted_steps=n_steps,
         rejected_steps=n_rejected,
     )
-    if terminated in ("threshold", "step_underflow"):
-        try:
-            t_est, quality = estimate_blowup_time(trace)
-        except ValueError:
-            pass
-        else:
-            trace = dataclasses.replace(
-                trace, blowup_time_estimate=t_est, fit_quality=quality
-            )
-    return trace
 
 
 def estimate_blowup_time(trace: EvolutionTrace) -> tuple[float, float]:

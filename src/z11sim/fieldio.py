@@ -11,6 +11,7 @@ rename, so a failed run never leaves a partial file behind.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -118,21 +119,28 @@ def read_header(path: str | os.PathLike) -> FieldHeader:
 
 
 def read_field(path: str | os.PathLike) -> RealField | Mask:
-    """Read a field file back into a RealField, or a Mask for mask kind."""
+    """Read a field file back into a RealField, or a Mask for mask kind.
+
+    A regular file's payload length is checked against the file's size
+    before the payload is read, so a file of the wrong length is refused
+    without holding its payload, and only the n * n * 8 payload bytes are
+    ever read. A pipe has no size to check, so it is read whole.
+    """
     path = os.fspath(path)
     with open(path, "rb") as handle:
-        raw = handle.read()
-    header = _parse_header(raw, path)
-    expected = header.n * header.n * 8
-    body = raw[_HEADER.size:]
-    if len(body) < expected:
-        raise FieldFileError(
-            f"{path}: payload short ({len(body)} bytes, expected {expected})"
-        )
-    if len(body) > expected:
-        raise FieldFileError(
-            f"{path}: payload long ({len(body)} bytes, expected {expected})"
-        )
+        header = _parse_header(handle.read(_HEADER.size), path)
+        expected = header.n * header.n * 8
+        info = os.fstat(handle.fileno())
+        regular = stat.S_ISREG(info.st_mode)
+        size = info.st_size - _HEADER.size
+        if size == expected or not regular:
+            # a pipe is read whole; a file that shrank since fstat reads short
+            body = handle.read(expected if regular else -1)
+            size = len(body)
+    if size < expected:
+        raise FieldFileError(f"{path}: payload short ({size} bytes, expected {expected})")
+    if size > expected:
+        raise FieldFileError(f"{path}: payload long ({size} bytes, expected {expected})")
     values = np.frombuffer(body, dtype="<f8").reshape(header.n, header.n)
     values = values.astype(np.float64)  # native-endian writable copy
     grid = Grid(header.n, header.box_length)

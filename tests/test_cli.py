@@ -22,6 +22,7 @@ from z11sim import (
     sup_norm,
 )
 import z11sim.cli as cli
+import z11sim.evolution as evolution
 from z11sim.cli import main
 from z11sim.profile import _box_kernel
 
@@ -206,6 +207,37 @@ class TestEvolveCommand:
             field = read_field(outdir / s["file"])
             assert isinstance(field, RealField)
             assert sup_norm(field) == trace["sup_norm"][position]
+
+    def test_horizon_run_reports_no_blowup_time(self, tmp_path, capsys):
+        """A run that reaches the horizon writes null for the blow-up time
+        and its fit quality, though its trace of Q/(1 - t) would fit."""
+        profile = self._solve_first(tmp_path, capsys)
+        threshold = 50.0 * float(np.max(np.abs(profile.values)))
+        ini = tmp_path / "evolve.ini"
+        ini.write_text(self._evolve_ini(threshold).replace("t_max = 5.0", "t_max = 0.5"))
+        assert run_cli(capsys, ini)[0] == 0
+        record = json.loads((tmp_path / "evolveout" / "evolve.json").read_text())
+        assert record["terminated"] == "horizon"
+        assert record["blowup_time_estimate"] is None
+        assert record["fit_quality"] is None
+
+    def test_no_snapshots_build_no_fields(self, tmp_path, capsys, monkeypatch):
+        """With no snapshot time set no record is handed out, so the run
+        builds no grid-sized field in the evolution."""
+        profile = self._solve_first(tmp_path, capsys)
+        threshold = 50.0 * float(np.max(np.abs(profile.values)))
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return RealField(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "RealField", counted)
+        ini = tmp_path / "evolve.ini"
+        ini.write_text(self._evolve_ini(threshold))
+        assert run_cli(capsys, ini)[0] == 0
+        assert json.loads((tmp_path / "evolveout" / "evolve.json").read_text())["records"] > 1
+        assert built == []
 
     def test_initial_grid_mismatch_reported(self, tmp_path, capsys):
         self._solve_first(tmp_path, capsys)

@@ -251,6 +251,20 @@ class TestLoadEvolve:
         cfg = load_run_config(write_config(tmp_path, text))
         assert cfg.snapshot_times == (0.5, 1.0, 2.5)
 
+    def test_empty_snapshot_times_mean_none(self, tmp_path):
+        text = EVOLVE_BASE.replace("seed = 7", "seed = 7\nsnapshot_times =")
+        assert load_run_config(write_config(tmp_path, text)).snapshot_times == ()
+
+    @pytest.mark.parametrize("anchor, key, value", [
+        ("width = 0.5", "center", "1,,2"),
+        ("seed = 7", "snapshot_times", "0.5, 1,"),
+        ("seed = 7", "snapshot_times", ","),
+    ])
+    def test_empty_list_item_rejected(self, tmp_path, anchor, key, value):
+        text = EVOLVE_BASE.replace(anchor, f"{anchor}\n{key} = {value}")
+        with pytest.raises(ConfigError, match=rf"key '{key}': empty item"):
+            load_run_config(write_config(tmp_path, text))
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
     def test_snapshot_times_finite_nonnegative(self, tmp_path, bad):
         text = EVOLVE_BASE.replace("seed = 7",

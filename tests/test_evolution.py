@@ -378,7 +378,6 @@ class TestEvolve:
         assert trace.times[0] == 0.0
         assert trace.times[-1] == pytest.approx(0.5, abs=1e-12)
         assert np.all(trace.sup_norm == 0.0)
-        assert trace.blowup_time_estimate is None
 
     def test_record_stride_and_endpoints(self, grid32):
         """on_record fires once per trace row, in order, with the row's
@@ -404,9 +403,48 @@ class TestEvolve:
         trace = evolve(w0, cfg)
         assert trace.terminated == "threshold"
         assert trace.sup_norm[-1] >= 50.0
-        assert trace.blowup_time_estimate is not None
-        assert trace.blowup_time_estimate > trace.times[-1]
-        assert trace.fit_quality >= 0.99
+        blowup_time_estimate, fit_quality = estimate_blowup_time(trace)
+        assert blowup_time_estimate is not None
+        assert blowup_time_estimate > trace.times[-1]
+        assert fit_quality >= 0.99
+
+    def test_fits_no_blowup_time(self, grid32, monkeypatch):
+        """evolve returns its records and fits nothing: a threshold run
+        finishes with the fit patched to raise."""
+        def refuse(trace):
+            raise AssertionError("blow-up time fitted")
+
+        monkeypatch.setattr(evolution, "estimate_blowup_time", refuse)
+        w0 = gaussian_bump(grid32, width=0.5, amplitude=1.0, cutoff=1.0)
+        trace = evolve(w0, EvolveConfig(dt_initial=1e-3, t_max=30.0,
+                                        blowup_threshold=50.0, record_every=1))
+        assert trace.terminated == "threshold"
+
+    def test_records_need_no_packed_cell_order(self, grid32, monkeypatch):
+        """Each record's field is the support box scattered onto the grid,
+        so on_record gets the same fields (compared with ==) while
+        Mask.unpack and the operator's packed cell order refuse; the first
+        is the data."""
+        w0 = gaussian_bump(grid32, width=0.6, amplitude=1.5, cutoff=1.2)
+        cfg = EvolveConfig(t_max=0.1, record_every=2, rtol=1e-6, atol=1e-8)
+
+        def records():
+            seen = []
+            evolve(w0, cfg, on_record=lambda t, f: seen.append((t, f.values)))
+            return seen
+
+        def refuse(*args):
+            raise AssertionError("packed cell order read")
+
+        before = records()
+        monkeypatch.setattr(Mask, "unpack", refuse)
+        monkeypatch.setattr(RestrictedOperator, "_box_index", property(refuse))
+        after = records()
+        assert len(after) == len(before) > 2
+        assert np.all(after[0][1] == w0.values)
+        for (t_old, old), (t_new, new) in zip(before, after):
+            assert t_new == t_old
+            assert np.all(new == old)
 
     def test_invariants_along_blowup_run(self, grid32):
         """Monotone mass and nonnegative quadratic form, the two structural
@@ -436,7 +474,8 @@ class TestEvolve:
         trace = evolve(wild, cfg)
         assert trace.terminated == "step_underflow"
         assert len(trace) == 1
-        assert trace.blowup_time_estimate is None
+        with pytest.raises(ValueError, match="too short"):
+            estimate_blowup_time(trace)
         assert trace.accepted_steps == 0
         assert trace.rejected_steps >= 1
 
@@ -449,8 +488,8 @@ class TestEvolve:
         exact, loose = (evolve(w0, EvolveConfig(t_max=20.0, record_every=1, atol=atol))
                         for atol in (0.0, 1e-10))
         assert exact.terminated == loose.terminated == "threshold"
-        assert exact.blowup_time_estimate == pytest.approx(loose.blowup_time_estimate,
-                                                           rel=1e-6)
+        assert estimate_blowup_time(exact)[0] == pytest.approx(
+            estimate_blowup_time(loose)[0], rel=1e-6)
 
     def test_negation_mirror_is_bitwise(self, grid32):
         """Flipping the sign of the data and the sign of the dynamics
@@ -533,7 +572,8 @@ class TestStepControl:
         default, tight = (evolve(w0, EvolveConfig(t_max=20.0, record_every=1, **tol))
                           for tol in ({}, {"rtol": 1e-11, "atol": 1e-13}))
         assert default.terminated == tight.terminated == "threshold"
-        assert abs(default.blowup_time_estimate - tight.blowup_time_estimate) <= 1e-4
+        assert abs(estimate_blowup_time(default)[0]
+                   - estimate_blowup_time(tight)[0]) <= 1e-4
 
     def test_horizon_clip_is_the_last_step(self, monkeypatch):
         """With t_max in the middle of the run only the last step is
@@ -740,7 +780,7 @@ class TestFlowLaws:
         np.testing.assert_array_equal(doubled.qform, 4 * base.qform)
         assert (doubled.accepted_steps, doubled.rejected_steps) == (
             base.accepted_steps, base.rejected_steps)
-        assert doubled.blowup_time_estimate == base.blowup_time_estimate / 2
+        assert estimate_blowup_time(doubled)[0] == estimate_blowup_time(base)[0] / 2
 
     def test_mass_grows_at_the_quadratic_form(self):
         """d/dt int w = qform: each recorded step's gain in mass matches

@@ -7,6 +7,7 @@ included.
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,44 @@ class TestReadErrors:
         path.write_bytes(self._valid_bytes(grid) + b"\x00" * 4)
         with pytest.raises(FieldFileError, match="payload long"):
             read_field(path)
+
+    def test_oversized_file_refused_unread(self, grid, tmp_path):
+        """A file 64 MB longer than its header says is refused from its
+        size, without reading the payload into memory."""
+        path = tmp_path / "huge.vpf"
+        path.write_bytes(self._valid_bytes(grid))
+        extra = 64 << 20
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) + extra)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FieldFileError,
+                               match=rf"payload long \({32 * 32 * 8 + extra} bytes, "
+                                     rf"expected {32 * 32 * 8}\)"):
+                read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no path names a pipe")
+    @pytest.mark.parametrize("extra", [0, 4])
+    def test_pipe_read_whole(self, grid, extra):
+        """A pipe has no size to check in advance, so it is read whole: a
+        field streams in, and a long payload is refused with its length."""
+        read_end, write_end = os.pipe()
+        os.write(write_end, self._valid_bytes(grid) + b"\x00" * extra)
+        os.close(write_end)
+        try:
+            path = f"/proc/self/fd/{read_end}"
+            if extra:
+                with pytest.raises(FieldFileError, match=rf"payload long \({32 * 32 * 8 + extra} bytes"):
+                    read_field(path)
+            else:
+                np.testing.assert_array_equal(read_field(path).values,
+                                              np.arange(32.0 * 32).reshape(32, 32))
+        finally:
+            os.close(read_end)
 
     def test_header_short(self, tmp_path):
         path = tmp_path / "stub.vpf"

@@ -5,7 +5,8 @@ an indentation change, and lies outside every docstring (the first
 string statement of a module, class or function, found with ``ast``).
 Blank lines, comment-only lines and docstrings are left out. The script
 also prints each module's physical line count and their total, the
-figure ``wc -l`` gives.
+figure ``wc -l`` gives, and then the number of settable INI values, the
+keys of the package's ``config._SCHEMA``, per section and in total.
 
 Run from the repository root:
 
@@ -15,6 +16,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import sys
 import tokenize
@@ -57,6 +59,12 @@ def main(argv: list[str]) -> int:
         total_lines += physical
         print(f"{path.name:<16}{code:>6}{physical:>8}")
     print(f"{'total':<16}{total_code:>6}{total_lines:>8}")
+    sys.path.insert(0, str(package.resolve().parent))
+    schema = importlib.import_module(f"{package.name}.config")._SCHEMA
+    print(f"\n{'INI section':<16}{'keys':>6}")
+    for section, keys in schema.items():
+        print(f"{section:<16}{len(keys):>6}")
+    print(f"{'total':<16}{sum(map(len, schema.values())):>6}")
     return 0
 
 
