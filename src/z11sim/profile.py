@@ -21,8 +21,8 @@ from the box to the embedding happens inside the transform, which skips
 the rows it knows to be zero. The inverse of that circulant's symbol,
 floored at the lowest x1-mode of the mask's longest x1-run, is the
 operator's preconditioner (Strang 1986; T. Chan 1988), and costs the
-same: conjugate gradient and the single-vector LOBPCG estimate of the
-smallest eigenvalue both use it. The residual certificate and
+same: conjugate gradient and the Davidson estimate of the smallest
+eigenvalue both use it. The residual certificate and
 :func:`verify_profile` apply Z11 on the full grid, independently of the
 embedding and of the preconditioner. A dense matrix assembly is provided
 as an oracle for small masks.
@@ -66,15 +66,17 @@ _START_SEED = 0x5EED
 # Masks of at most this many cells take the direct route to the coercivity:
 # the smallest singular value of the dense operator.
 _DIRECT_CELLS = 40
-# LOBPCG iterations allowed per mask cell.
+# Davidson iterations allowed per mask cell.
 _STEPS_PER_CELL = 10
+# Davidson restarts once its basis holds this many vectors.
+_BASIS = 8
 # Bound on the relative error of the coercivity estimate.
 _COERCIVITY_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
 # An eigenvalue estimate at or below this is reported as singular.
 _SINGULAR_BOUND = 10 * _EPS
-# LOBPCG leaves its last step out of the Rayleigh-Ritz step when
-# orthogonalization shrinks it below this fraction of its length.
+# Davidson leaves a new direction out of its basis when orthogonalization
+# shrinks it below this fraction of its length.
 _DROP_BELOW = 1e-4
 # CG replaces its recurrence residual by the true b - A x this often.
 _CG_REFRESH_EVERY = 25
@@ -215,10 +217,16 @@ class RestrictedOperator:
         inverse = np.maximum(self._symbol, floor)
         return np.reciprocal(inverse, out=inverse)
 
+    @functools.cached_property
+    def _flat_index(self) -> np.ndarray:
+        """``_box_index`` raveled into the box, built on first use: one
+        flat index scatters and gathers three times as fast as the pair."""
+        return np.ravel_multi_index(self._box_index, self._box_shape)
+
     def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         box = np.zeros(self._box_shape)
-        box[self._box_index] = x
-        return _real_fft(box, symbol)[self._box_index]
+        box.ravel()[self._flat_index] = x
+        return _real_fft(box, symbol).take(self._flat_index)
 
 
 def _longest_x1_run(op: RestrictedOperator) -> int:
@@ -378,16 +386,18 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     operator is positive semidefinite, so the smallest singular value of
     :func:`dense_L_matrix` is the eigenvalue, exact to roundoff (on a
     one-cell mask the operator's single entry, bitwise). Larger masks run
-    single-vector LOBPCG (:func:`_lobpcg_smallest`) on the masked
-    subspace, preconditioned by the operator's circulant
-    (:meth:`RestrictedOperator.precondition`). It stops when the residual
-    ||L x - theta x|| of the unit iterate x is at most _COERCIVITY_TOL
-    times its Rayleigh quotient theta, which puts theta within that
-    relative distance of an eigenvalue. The residual's square over the
-    spectral gap would allow a looser residual only for an isolated lowest
-    eigenvalue; here the two lowest are often within a percent of each
-    other. If it does not converge within _STEPS_PER_CELL iterations per
-    mask cell it raises ConvergenceError with the last iterate.
+    generalized Davidson with +1 restarting (:func:`_davidson_lowest`) on
+    the masked subspace, preconditioned by the operator's circulant
+    (:meth:`RestrictedOperator.precondition`). Its basis of _BASIS
+    vectors holds the close low modes that a three-term method meets one
+    at a time. It stops when the residual ||L x - theta x|| of the unit
+    Ritz vector x is at most _COERCIVITY_TOL times its Ritz value theta,
+    which puts theta within that relative distance of an eigenvalue. The
+    residual's square over the spectral gap would allow a looser residual
+    only for an isolated lowest eigenvalue; here the two lowest are often
+    within a percent of each other. If it does not converge within
+    _STEPS_PER_CELL iterations per mask cell it raises ConvergenceError
+    with the last iterate.
 
     The low eigenvectors are the x2-Nyquist oscillation ``(-1)^j2`` times
     a smooth envelope. The start vector is that pattern times
@@ -400,7 +410,9 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     start (a bilinear envelope is nearly orthogonal to, for instance, the
     combination (1, -2, 1) of three equal lobes in a row), and repeated
     runs are bit-identical. Box coordinates make the start, and so the
-    estimate, invariant under whole-cell translations of the mask.
+    estimate, invariant under whole-cell translations of the mask that
+    keep its cells' row-major order; one across a periodic edge permutes
+    the packed cells, and with them the Gaussian.
     """
     m = op.mask.cell_count
     if m <= _DIRECT_CELLS:
@@ -411,8 +423,8 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
         x0 = np.where(c % 2 == 0, envelope, -envelope)
         x0 += 0.1 * envelope.mean() * np.random.default_rng(_START_SEED).standard_normal(m)
         try:
-            theta = _lobpcg_smallest(op.apply_packed, op.precondition, x0, _COERCIVITY_TOL,
-                                     max_iter=_STEPS_PER_CELL * m)
+            theta, _ = _davidson_lowest(op.apply_packed, op.precondition, x0, _COERCIVITY_TOL,
+                                        max_iter=_STEPS_PER_CELL * m)
         except ConvergenceError as exc:
             exc.best = RealField(op.grid, op.mask.unpack(exc.best))
             raise
@@ -423,91 +435,96 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     return theta
 
 
-def _lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray],
+def _davidson_lowest(apply: Callable[[np.ndarray], np.ndarray],
                      precondition: Callable[[np.ndarray], np.ndarray],
-                     x: np.ndarray, tol: float, max_iter: int) -> float:
-    """Smallest eigenvalue of the positive semidefinite operator ``apply``
-    on R^m, by single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
-    2001) from the start ``x``.
+                     x: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray]:
+    """Lowest Ritz pair (theta, unit x) of the positive semidefinite
+    operator ``apply`` on R^m, by generalized Davidson with +1 restarting
+    (GD+1; Stathopoulos & Saad, ETNA 7, 1998; Stathopoulos, SIAM J. Sci.
+    Comput. 29, 2007) from the start ``x``, which it leaves unchanged.
 
-    Each iteration stops when theta, the Rayleigh quotient of the unit
-    iterate x and an upper bound of the smallest eigenvalue, is at
-    roundoff level, or when the residual r = A x - theta x has ||r|| at
-    most tol times theta (ARPACK's test, with its eps^(2/3) floor).
-    Otherwise the Rayleigh-Ritz step on [x, w, p], w the
-    preconditioned residual and p the last step, orthonormalized with 1-D
-    dot products, gives the next x as the lowest Ritz vector and the next
-    p as that vector's part outside x. Its at most 3 x 3 Gram matrix is
-    built from 1-D dot products too, since OpenBLAS runs a (3, m) @ (m, 3)
-    product on its threads once m is large, and solved by
-    :func:`_lowest_ritz_pair`. An iteration applies ``apply`` to
-    w only: A x and A p follow by the same combinations as x and p. After
-    max_iter iterations it raises ConvergenceError with the packed unit x
-    and the relative residual ||r|| / theta of each iteration.
+    The basis V holds at most _BASIS orthonormal rows, AV = A V beside it,
+    and H = V AV^T gains a row and a column per iteration. Each iteration
+    takes the lowest eigenpair (theta, c) of H, so theta is an upper bound
+    of the smallest eigenvalue, x = c^T V and r = c^T AV - theta x. It
+    stops when theta is at roundoff level, when ||r|| is at most tol times
+    theta (ARPACK's test, with its eps^(2/3) floor), or when V spans R^m,
+    where the pair is exact. Otherwise it appends the preconditioned
+    residual, less its components along V (a second time if the first
+    pass halved it; Giraud et al., Numer. Math. 101, 2005), at unit
+    length, with its image under ``apply``: one apply and one
+    preconditioner apply per iteration. A direction that shrank below
+    _DROP_BELOW of its length is left out, since its scaling would magnify
+    its rounding errors. A full basis restarts on the two lowest Ritz
+    vectors and the previous iterate's part outside them, found by
+    Gram-Schmidt on their coefficient vectors. Unit coefficient vectors
+    combine orthonormal rows without cancellation, so that part is left
+    out only when it vanishes.
+
+    Every product with V and AV, and every 1-D dot, is an ``np.einsum``,
+    which calls no BLAS: OpenBLAS runs such products on its threads once m
+    is large, where they cost more than they save. The only LAPACK call is
+    ``np.linalg.eigh`` on H, at most _BASIS x _BASIS, once per
+    preconditioner apply; the first iterate is x itself. After max_iter
+    iterations it raises ConvergenceError with the unit x and the relative
+    residual ||r|| / theta of each iteration.
     """
     floor = _EPS ** (2 / 3)
-    x = x / math.sqrt(x @ x)
-    ax = apply(x)
-    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    basis, images = np.empty((2, _BASIS, x.size))
+    gram = np.empty((_BASIS, _BASIS))
+    basis[0] = x / math.sqrt(np.einsum("i,i", x, x))
+    images[0] = apply(basis[0])
+    theta = gram[0, 0] = float(np.einsum("i,i", basis[0], images[0]))
+    k, ritz = 1, np.ones((1, 1))
     history: list[float] = []
     for it in range(1, max_iter + 1):
-        theta = float(x @ ax)
+        c = ritz[:, 0]
+        x = np.einsum("k,km->m", c, basis[:k])
         if theta <= _SINGULAR_BOUND:
-            return theta
-        r = ax - theta * x
-        residual = math.sqrt(r @ r)
+            return theta, x
+        r = np.einsum("k,km->m", c, images[:k])
+        r -= theta * x
+        residual = math.sqrt(np.einsum("i,i", r, r))
         history.append(residual / theta)
-        if residual <= tol * max(floor, theta):
-            return theta
+        if residual <= tol * max(floor, theta) or k == x.size:
+            return theta, x
         if it == max_iter:
             break
-        w = precondition(r)
-        basis = [(x, ax)]
-        for v, av in [(w, apply(w))] + steps:
-            basis += _orthonormalize(v, av, basis)
-        gram = [[0.0] * len(basis) for _ in basis]
-        for i, (u, _) in enumerate(basis):
-            for j in range(i, len(basis)):
-                gram[i][j] = gram[j][i] = float(u @ basis[j][1])
-        _, c = _lowest_ritz_pair(gram)
-        p = sum((ci * u for ci, (u, _) in zip(c[1:], basis[1:])), np.zeros_like(x))
-        ap = sum((ci * au for ci, (_, au) in zip(c[1:], basis[1:])), np.zeros_like(x))
-        steps = [(p, ap)]
-        x, ax = c[0] * x + p, c[0] * ax + ap
-        scale = math.sqrt(x @ x)
-        x, ax = x / scale, ax / scale
+        if k == _BASIS:
+            keep = ritz[:, :2]
+            outside = np.zeros(k)
+            outside[:prior.size] = prior
+            for _ in range(2):
+                outside -= np.einsum("kj,j->k", keep, np.einsum("kj,k->j", keep, outside))
+            scale = math.sqrt(np.einsum("i,i", outside, outside))
+            if scale > 0.0:
+                keep = np.column_stack([keep, outside / scale])
+            k = keep.shape[1]
+            gram[:k, :k] = np.einsum("ki,kl,lj->ij", keep, gram[:_BASIS, :_BASIS], keep)
+            for rows in basis, images:
+                rows[:k] = np.einsum("kj,km->jm", keep, rows)
+            c = np.eye(k)[0]
+        v = precondition(r)
+        length = scale = math.sqrt(np.einsum("i,i", v, v))
+        for _ in range(2):
+            before = scale
+            v = v - np.einsum("k,km->m", np.einsum("km,m->k", basis[:k], v), basis[:k])
+            scale = math.sqrt(np.einsum("i,i", v, v))
+            if scale > 0.5 * before:
+                break
+        if scale > _DROP_BELOW * length:
+            basis[k] = v / scale
+            images[k] = apply(basis[k])
+            gram[k, :k + 1] = gram[:k + 1, k] = np.einsum("km,m->k", basis[:k + 1], images[k])
+            k += 1
+        prior = c
+        eigenvalues, ritz = np.linalg.eigh(gram[:k, :k])
+        theta = float(eigenvalues[0])
     raise ConvergenceError(
-        f"LOBPCG did not reach tolerance {tol:g} in {max_iter} iterations "
+        f"Davidson did not reach tolerance {tol:g} in {max_iter} iterations "
         f"(last relative residual {history[-1]:g})",
         x, history,
     )
-
-
-def _orthonormalize(v: np.ndarray, av: np.ndarray,
-                    basis: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """[(v, A v)] with v less its components along the orthonormal vectors
-    of ``basis``, at unit length, and A v updated from their images by the
-    same combination. The projection is taken again if it halved v, and
-    twice is enough (Giraud et al., Numer. Math. 101, 2005). Empty when v
-    shrank below _DROP_BELOW of its length: the images carry rounding
-    errors of the original length, which the scaling would magnify."""
-    length = scale = math.sqrt(v @ v)
-    for _ in range(2):
-        before = scale
-        for u, au in basis:
-            c = float(u @ v)
-            v, av = v - c * u, av - c * au
-        scale = math.sqrt(v @ v)
-        if scale > 0.5 * before:
-            break
-    return [(v / scale, av / scale)] if scale > _DROP_BELOW * length else []
-
-
-def _lowest_ritz_pair(gram: list[list[float]]) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue of the small symmetric matrix ``gram`` and its
-    unit eigenvector, by LAPACK's symmetric eigensolver."""
-    eigenvalues, vectors = np.linalg.eigh(gram)
-    return float(eigenvalues[0]), vectors[:, 0]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ the conjugate-gradient solution against a dense linear solve.
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,13 +42,14 @@ from z11sim import (
 )
 from z11sim import profile
 from z11sim.profile import (
+    _BASIS,
     _COERCIVITY_TOL,
     _DIRECT_CELLS,
     _SINGULAR_BOUND,
     _cg,
-    _lobpcg_smallest,
-    _lowest_ritz_pair,
+    _davidson_lowest,
 )
+from z11sim.spectral import _real_fft
 
 from test_spectral import dft_multiplier_oracle
 
@@ -174,6 +176,19 @@ class TestEmbeddedApply:
             shapes += _transform_shapes(monkeypatch,
                                         lambda: op.apply_packed(np.ones(mask.cell_count)))
         assert shapes == [((32, 32), (64, 64))] * 2
+
+
+    def test_flat_index_matches_the_index_pair(self):
+        """The circulant scatters into the box and gathers from it through
+        one flat index; on an asymmetric two-disk mask, the apply and the
+        preconditioner equal the route through the (row, column) pair
+        bitwise."""
+        op = RestrictedOperator(Mask(Grid(128, 16.0), _two_small_disks(Grid(128, 16.0))))
+        x = np.random.default_rng(67).standard_normal(op.mask.cell_count)
+        for method, symbol in ((op.apply_packed, op._symbol), (op.precondition, op._inverse_symbol)):
+            box = np.zeros(op._box_shape)
+            box[op._box_index] = x
+            np.testing.assert_array_equal(method(x), _real_fft(box, symbol)[op._box_index])
 
 
 class TestPreconditioner:
@@ -400,7 +415,7 @@ class TestCoercivity:
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
     def test_recurrence_past_first_check(self, monkeypatch):
-        """A mask too large for the direct route, on which LOBPCG runs past
+        """A mask too large for the direct route, on which Davidson runs past
         its first residual check, still matches the dense spectrum."""
         grid = Grid(64, 8.0)
         op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
@@ -452,22 +467,35 @@ class TestCoercivity:
     def test_apply_count_on_two_lobes(self, monkeypatch):
         """Two lobes side by side along x1, whose two lowest modes lie
         1.7e-5 apart relative: the estimate finds the lower one, within
-        300 applies (268 measured; 556 with a constant floor of 1e-3)."""
+        145 applies (124 measured; LOBPCG took 268, and 556 with a constant
+        floor of 1e-3)."""
         op = RestrictedOperator(_two_disks(0)(Grid(256, 12.0)))
         estimate, applies = _count_coercivity_applies(monkeypatch, op)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
         assert abs(estimate - dense_min) / dense_min <= 1e-6
-        assert applies <= 300
+        assert applies <= 145
 
     def test_apply_count_on_three_lobes(self, monkeypatch):
         """Three disks of radius 0.4 in a row along x1: the floor follows
         one disk's chord, not the box's length, and the estimate takes at
-        most 300 applies (247 measured; 864 with a constant floor of 1e-3)."""
+        most 125 applies (105 measured; LOBPCG took 247, and 864 with a
+        constant floor of 1e-3)."""
         op = RestrictedOperator(_TOL_MASKS["three-lobes"](Grid(256, 16.0)))
         estimate, applies = _count_coercivity_applies(monkeypatch, op)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
         assert abs(estimate - dense_min) / dense_min <= 1e-6
-        assert applies <= 300
+        assert applies <= 125
+
+    @pytest.mark.parametrize("name, bound", [("annulus", 86), ("cut-disk", 91)],
+                             ids=["annulus", "cut-disk"])
+    def test_apply_count_on_clustered_masks(self, monkeypatch, name, bound):
+        """The annulus (75 applies measured) and the disk with an off-centre
+        hole (79) at n = 256; LOBPCG took 160 and 150."""
+        op = RestrictedOperator(_TOL_MASKS[name](Grid(256, 16.0)))
+        estimate, applies = _count_coercivity_applies(monkeypatch, op)
+        dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
+        assert abs(estimate - dense_min) / dense_min <= 1e-6
+        assert applies <= bound
 
     def test_translation_invariant(self):
         """The start vector lives in the mask's box coordinates, so a
@@ -479,16 +507,45 @@ class TestCoercivity:
                 == estimate_coercivity(RestrictedOperator(mask)))
 
     def test_apply_count_on_benchmark_disk(self, monkeypatch):
-        """The centred unit disk at n = 512 takes 180 applies and 179
+        """The centred unit disk at n = 512 takes 167 applies and 166
         preconditioner applies, one each per iteration and one apply for
-        the start; with a constant floor of 1e-3 it took 292 and 291, and
-        Lanczos 1100 applies."""
+        the start; LOBPCG took 180 and 179, with a constant floor of 1e-3
+        292 and 291, and Lanczos 1100 applies."""
         grid = Grid(512, 16.0)
         op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
         _, applies, preconditions = _count_calls(
             monkeypatch, lambda: estimate_coercivity(op), "apply_packed", "precondition")
         assert applies == preconditions + 1
-        assert applies + preconditions <= 400
+        assert applies + preconditions <= 380
+
+    def test_memory_bounded_by_the_basis(self, monkeypatch):
+        """On the n = 512 disk, 167 iterations, the estimate's tracemalloc
+        peak is within 10 % of that of a run capped at 2 _BASIS iterations,
+        read as the cap raises: the basis bounds the memory, whatever the
+        iteration count. The preconditioner's symbol is built beforehand,
+        outside both readings."""
+        op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), Grid(512, 16.0)))
+        op.precondition(np.ones(op.mask.cell_count))
+        davidson, capped_peaks = profile._davidson_lowest, []
+
+        def capped(*args, max_iter):
+            try:
+                return davidson(*args, max_iter=2 * _BASIS)
+            except ConvergenceError:
+                capped_peaks.append(tracemalloc.get_traced_memory()[1])
+                raise
+
+        tracemalloc.start()
+        try:
+            estimate_coercivity(op)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(profile, "_davidson_lowest", capped)
+            with pytest.raises(ConvergenceError):
+                estimate_coercivity(op)
+        finally:
+            tracemalloc.stop()
+        assert abs(peak - capped_peaks[0]) <= 0.1 * capped_peaks[0]
 
     def test_one_cell_is_lattice_mean(self):
         """On a one-cell mask the direct route returns the operator's single
@@ -526,10 +583,10 @@ class TestCoercivity:
             estimate_coercivity(op)
 
     def test_complete_line_above_direct_route_is_singular(self):
-        """With more cells than the direct route takes, LOBPCG stops once
-        its Rayleigh quotient, an upper bound of the smallest eigenvalue,
-        reaches roundoff: a residual relative to a zero eigenvalue is out
-        of reach."""
+        """With more cells than the direct route takes, Davidson stops once
+        its Ritz value, an upper bound of the smallest eigenvalue, reaches
+        roundoff: a residual relative to a zero eigenvalue is out of
+        reach."""
         grid = Grid(64, 8.0)
         ind = np.zeros((64, 64), dtype=bool)
         ind[:, 5] = True
@@ -548,9 +605,9 @@ class TestCoercivity:
         residual per iteration; the disk needs more than 25 iterations."""
         grid = Grid(64, 8.0)
         mask = rasterize(Disk((0.0, 0.0), 1.0), grid)
-        lobpcg = profile._lobpcg_smallest
-        monkeypatch.setattr(profile, "_lobpcg_smallest",
-                            lambda *args, max_iter: lobpcg(*args, max_iter=25))
+        davidson = profile._davidson_lowest
+        monkeypatch.setattr(profile, "_davidson_lowest",
+                            lambda *args, max_iter: davidson(*args, max_iter=25))
         with pytest.raises(ConvergenceError, match="in 25 iterations") as excinfo:
             estimate_coercivity(RestrictedOperator(mask))
         best = excinfo.value.best
@@ -563,9 +620,11 @@ class TestCoercivity:
 
     def test_lapack_sees_only_the_ritz_matrix(self, monkeypatch):
         """Above the direct route the estimate's only LAPACK call is one
-        ``eigh`` per Rayleigh-Ritz step, on a matrix of at most 3 x 3; no
-        other eigen- or singular-value routine runs. Each step follows one
-        preconditioner apply, which counts the steps."""
+        ``eigh`` per Rayleigh-Ritz step, on a matrix of at most _BASIS x
+        _BASIS; no other eigen- or singular-value routine runs. Each step
+        follows one preconditioner apply, which counts the steps: the
+        first iterate is the start vector, which needs no step. The disk
+        needs more than _BASIS steps, so the count takes in restarts."""
         def refuse(*args, **kwargs):
             raise AssertionError("LAPACK called")
 
@@ -582,19 +641,20 @@ class TestCoercivity:
         assert op.mask.cell_count > _DIRECT_CELLS
         delta, steps = _count_calls(monkeypatch, lambda: estimate_coercivity(op), "precondition")
         assert 0.0 < delta < 1.0
-        assert steps > 0 and len(shapes) == steps
-        assert all(len(s) == 2 and s[0] == s[1] <= 3 for s in shapes)
+        assert steps > _BASIS and len(shapes) == steps
+        assert all(len(s) == 2 and s[0] == s[1] <= _BASIS for s in shapes)
 
 
-class TestLobpcg:
-    """The private LOBPCG routine on an explicit diagonal operator, whose
+class TestDavidson:
+    """The private Davidson routine on an explicit diagonal operator, whose
     eigenvectors are the unit vectors."""
 
     DIAGONAL = np.linspace(0.5, 1.0, 200)
 
     def _smallest(self, x0, max_iter=2000):
-        return _lobpcg_smallest(lambda x: self.DIAGONAL * x, lambda r: r / self.DIAGONAL,
-                                x0, 1e-10, max_iter)
+        theta, _ = _davidson_lowest(lambda x: self.DIAGONAL * x, lambda r: r / self.DIAGONAL,
+                                    x0, 1e-10, max_iter)
+        return theta
 
     def test_smallest_eigenvalue(self):
         assert abs(self._smallest(np.ones(self.DIAGONAL.size)) - 0.5) <= 1e-10 * 0.5
@@ -609,13 +669,13 @@ class TestLobpcg:
     def test_preconditioner_is_used(self):
         """On an ill-conditioned diagonal, the exact inverse as the
         preconditioner takes a fraction of the applies that none takes
-        (53 against 1874)."""
+        (38 against 1167; LOBPCG took 53 and 1874)."""
         diagonal = np.geomspace(1e-3, 1.0, 200)
         counts = []
         for precondition in (lambda r: r, lambda r: r / diagonal):
             applies = []
-            theta = _lobpcg_smallest(lambda x: applies.append(1) or diagonal * x, precondition,
-                                     np.ones(diagonal.size), 1e-8, 10_000)
+            theta, _ = _davidson_lowest(lambda x: applies.append(1) or diagonal * x, precondition,
+                                        np.ones(diagonal.size), 1e-8, 10_000)
             assert abs(theta - 1e-3) <= 1e-8 * 1e-3
             counts.append(len(applies))
         assert 3 * counts[1] < counts[0]
@@ -630,36 +690,52 @@ class TestLobpcg:
 
 
 class TestOrthonormalize:
-    """The Gram-Schmidt step of LOBPCG's Rayleigh-Ritz basis, which carries
-    each vector's image under the operator by the same combination."""
+    """The Gram-Schmidt step that adds a direction to the Davidson basis.
+    The preconditioner stands in for the directions: each call returns the
+    next one, and each vector the routine applies the operator to is a
+    basis vector."""
 
     DIAGONAL = np.linspace(0.5, 1.0, 50)
 
-    def _basis(self, *vectors):
-        basis = []
-        for v in vectors:
-            basis += profile._orthonormalize(v, self.DIAGONAL * v, basis)
-        return basis
+    def _run(self, x, directions, max_iter):
+        """The vectors applied and the ConvergenceError of a run capped
+        at ``max_iter`` iterations."""
+        applied = []
+
+        def apply(v):
+            applied.append(v.copy())
+            return self.DIAGONAL * v
+
+        with pytest.raises(ConvergenceError) as excinfo:
+            _davidson_lowest(apply, lambda r: next(directions), x, 1e-14, max_iter)
+        return np.array(applied), excinfo.value
 
     def test_orthonormal_with_images(self):
-        """A vector within 1e-3 of the basis' span loses almost all its
-        length and is projected twice; the result is still orthogonal to
-        roundoff, and each image is the operator applied to its vector."""
+        """A direction within 1e-3 of the basis' span loses almost all its
+        length and is projected twice; the basis is still orthonormal to
+        roundoff, and the last residual, formed from the images, is the
+        operator's on the Ritz vector."""
         rng = np.random.default_rng(7)
         x, w = rng.standard_normal((2, self.DIAGONAL.size))
-        basis = self._basis(x, w, x + w + 1e-3 * rng.standard_normal(self.DIAGONAL.size))
-        vectors = np.array([v for v, _ in basis])
-        assert len(basis) == 3
+        near = x + w + 1e-3 * rng.standard_normal(self.DIAGONAL.size)
+        vectors, error = self._run(x, iter([w, near]), max_iter=3)
+        assert len(vectors) == 3
         np.testing.assert_allclose(vectors @ vectors.T, np.eye(3), atol=1e-14)
-        for v, av in basis:
-            np.testing.assert_allclose(av, self.DIAGONAL * v, atol=1e-9)
+        ritz = error.best
+        theta = ritz @ (self.DIAGONAL * ritz)
+        residual = np.linalg.norm(self.DIAGONAL * ritz - theta * ritz) / theta
+        np.testing.assert_allclose(error.residual_history[-1], residual, rtol=1e-9)
 
     def test_drops_a_vector_in_the_span(self):
-        """A vector in the span of the basis, up to roundoff, is left out:
-        scaling its remainder would magnify its image's rounding errors."""
+        """A direction in the span of the basis, up to roundoff, is left
+        out, with no apply spent on it: scaling its remainder would magnify
+        its rounding errors. The iterate then stays where it is."""
         rng = np.random.default_rng(8)
         x, w = rng.standard_normal((2, self.DIAGONAL.size))
-        assert len(self._basis(x, w, 2.0 * x - w)) == 2
+        vectors, error = self._run(x, iter([w] + [2.0 * x - w] * 3), max_iter=5)
+        assert len(vectors) == 2
+        history = error.residual_history
+        assert len(history) == 5 and len(set(history[1:])) == 1
 
 
 def _rotated(eigenvalues, seed):
@@ -717,9 +793,9 @@ def _shifted_tridiagonal(alphas, betas, shift):
 
 
 class TestLowestRitzPair:
-    """The lowest Ritz pair against dense ``eigvalsh``: of a symmetric
-    tridiagonal, by LOBPCG, and of LOBPCG's small Rayleigh-Ritz matrix, by
-    ``_lowest_ritz_pair``."""
+    """The lowest Ritz pair of the Davidson routine against dense
+    ``eigvalsh``: of a symmetric tridiagonal, and of a matrix small enough
+    that the basis spans its whole space."""
 
     @pytest.mark.parametrize("alphas, betas", [
         pytest.param(*_random_tridiagonal(j), id=f"random-{j}") for j in (1, 2, 5, 60, 700, 2000)
@@ -738,7 +814,7 @@ class TestLowestRitzPair:
     ])
     @pytest.mark.parametrize("below", [True, False], ids=["lower-below", "lower-above"])
     def test_matches_dense_eigh(self, alphas, betas, below):
-        """LOBPCG on T - lower, unpreconditioned, from a constant start.
+        """Davidson on T - lower, unpreconditioned, from a constant start.
         With ``lower`` 0.5 below the spectrum the operator is positive
         definite, and theta matches its lowest eigenvalue to the tolerance
         of the coercivity estimate. With ``lower`` 0.5 above the lowest
@@ -748,8 +824,8 @@ class TestLowestRitzPair:
         SingularOperatorError."""
         lowest = np.linalg.eigvalsh(_tridiagonal(alphas, betas))[0]
         lower = lowest - 0.5 if below else lowest + 0.5
-        theta = _lobpcg_smallest(_shifted_tridiagonal(alphas, betas, lower), lambda r: r,
-                                 np.ones(alphas.size), _COERCIVITY_TOL, 100 * alphas.size)
+        theta, _ = _davidson_lowest(_shifted_tridiagonal(alphas, betas, lower), lambda r: r,
+                                    np.ones(alphas.size), _COERCIVITY_TOL, 100 * alphas.size)
         if below:
             assert abs(theta - (lowest - lower)) <= _COERCIVITY_TOL * theta
         else:
@@ -769,11 +845,16 @@ class TestLowestRitzPair:
         pytest.param(_rotated([0.0, 0.5, 1.0], 7), id="singular"),
     ])
     def test_small_gram_matches_dense_eigh(self, gram):
-        """The lowest eigenvalue and the residual of its unit eigenvector
-        within a few rounding units of the matrix norm, the accuracy LAPACK
-        itself guarantees."""
-        eigenvalues = np.linalg.eigvalsh(np.array(gram))
-        theta, vector = _lowest_ritz_pair(gram)
+        """Davidson on the matrix, unpreconditioned, from a constant start,
+        with a tolerance of 0: it stops once its basis spans the space, in
+        as many steps as the matrix has rows, where its Rayleigh-Ritz step
+        is the whole eigenproblem. The lowest eigenvalue and the residual
+        of its unit Ritz vector are within a few rounding units of the
+        matrix norm, the accuracy LAPACK itself guarantees."""
+        matrix = np.array(gram)
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        theta, vector = _davidson_lowest(lambda x: np.einsum("ij,j->i", matrix, x), lambda r: r,
+                                         np.ones(len(gram)), 0.0, len(gram))
         bound = 8 * np.finfo(float).eps * eigenvalues[-1]
         assert abs(theta - eigenvalues[0]) <= bound
         x = np.array(vector)
@@ -781,10 +862,11 @@ class TestLowestRitzPair:
         assert np.linalg.norm(np.array(gram) @ x - theta * x) <= bound
 
     def test_leaves_its_argument(self):
-        gram = _rotated([0.1, 0.5, 1.0], 6)
-        copy = [row[:] for row in gram]
-        _lowest_ritz_pair(gram)
-        assert gram == copy
+        """The start vector is left as it was."""
+        start = np.linspace(1.0, 2.0, 200)
+        copy = start.copy()
+        _davidson_lowest(lambda x: TestDavidson.DIAGONAL * x, lambda r: r, start, 1e-8, 2000)
+        np.testing.assert_array_equal(start, copy)
 
 
 class TestGridScaleLaw:
