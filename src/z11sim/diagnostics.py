@@ -1,15 +1,12 @@
-"""Randomized invariant suite: multiplier identities, the negation
-symmetry of the flow, and the cone-mass study for compactly supported
-bumps. All randomness is drawn from one seeded generator so a diagnostics
-run is reproducible bit for bit."""
+"""Randomized invariant suite: multiplier identities and the cone-mass
+study for compactly supported bumps. All randomness is drawn from one
+seeded generator so a diagnostics run is reproducible bit for bit."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from .evolution import EvolveConfig, evolve, gaussian_bump
+from .evolution import gaussian_bump
 from .spectral import (
     Grid,
     RealField,
@@ -68,29 +65,6 @@ def multiplier_identity_report(grid: Grid, rng: np.random.Generator) -> dict:
     }
 
 
-def negation_symmetry_error(grid: Grid, rng: np.random.Generator) -> float:
-    """Max pointwise mismatch between evolving a negated state forward and
-    negating the evolution under the sign-flipped equation. Both runs take
-    identical step sequences, so the expected value is exactly zero."""
-    bump = gaussian_bump(
-        grid,
-        center=(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))),
-        width=grid.box_length / 10.0,
-        cutoff=grid.box_length / 5.0,
-    )
-    negated = RealField(grid, -bump.values)
-    cfg = EvolveConfig(t_max=0.05, rtol=1e-6, atol=1e-9, record_every=1)
-    flipped = dataclasses.replace(cfg, sign=-1)
-    forward: list[RealField] = []
-    mirrored: list[RealField] = []
-    evolve(negated, cfg, on_record=lambda t, state: forward.append(state))
-    evolve(bump, flipped, on_record=lambda t, state: mirrored.append(state))
-    worst = 0.0
-    for f_state, m_state in zip(forward, mirrored):
-        worst = max(worst, float(np.max(np.abs(f_state.values + m_state.values))))
-    return worst
-
-
 def cone_mass_study(grid: Grid, rng: np.random.Generator) -> list[dict]:
     """Cone-mass ratios at k = _CONE_K for _CONE_TRIALS random compactly
     supported bumps.
@@ -124,7 +98,6 @@ def run_diagnostics(grid: Grid, seed: int) -> dict:
     """Run the full suite and collect a serializable summary."""
     rng = np.random.default_rng(seed)
     identities = multiplier_identity_report(grid, rng)
-    symmetry = negation_symmetry_error(grid, rng)
     cone = cone_mass_study(grid, rng)
     ratios = np.array([record["ratio"] for record in cone])
     summary = {
@@ -132,7 +105,6 @@ def run_diagnostics(grid: Grid, seed: int) -> dict:
         "box_length": grid.box_length,
         "seed": seed,
         "multiplier_identities": identities,
-        "negation_symmetry_error": symmetry,
         "cone_mass": {
             "k": _CONE_K,
             "trials": _CONE_TRIALS,

@@ -82,9 +82,8 @@ class EvolveConfig:
 
     blowup_threshold is the sup-norm level declaring blow-up; leave it None
     to use 1e6 times the initial sup-norm (computed when evolve starts).
-    sign multiplies the right-hand side, giving the negated companion model
-    w_t = -(Z11 w) w for the reversal test. t_max, dt_initial, rtol and
-    atol must be finite; an infinite blowup_threshold sets no threshold.
+    t_max, dt_initial, rtol and atol must be finite; an infinite
+    blowup_threshold sets no threshold.
     """
 
     dt_initial: float = 1e-3
@@ -94,7 +93,6 @@ class EvolveConfig:
     record_every: int = 10
     rtol: float = 1e-8
     atol: float = 1e-10
-    sign: int = 1
 
     def __post_init__(self) -> None:
         for name in ("t_max", "dt_initial", "rtol", "atol"):
@@ -117,7 +115,6 @@ class EvolveConfig:
             raise ValueError(f"rtol must be positive, got {self.rtol}")
         if self.atol < 0.0:
             raise ValueError(f"atol must be nonnegative, got {self.atol}")
-        _check_sign(self.sign)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,18 +180,13 @@ class StepResult:
     rejected_attempts: int
 
 
-def _check_sign(sign: int) -> None:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-
-
 def _check_dt(dt: float) -> None:
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
-def _rhs_values(symbol: np.ndarray, values: np.ndarray, sign: int) -> np.ndarray:
-    return sign * _real_fft(values, symbol) * values
+def _rhs_values(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return _real_fft(values, symbol) * values
 
 
 def _support_operator(omega: RealField) -> RestrictedOperator:
@@ -205,7 +197,7 @@ def _support_operator(omega: RealField) -> RestrictedOperator:
     return RestrictedOperator(Mask(omega.grid, support if support.any() else ~support))
 
 
-def rhs(omega: RealField, sign: int = 1) -> RealField:
+def rhs(omega: RealField) -> RealField:
     """Right-hand side (Z11 w) w, pointwise in space.
 
     The product is taken on the grid without spectral truncation: Z11 has
@@ -218,9 +210,8 @@ def rhs(omega: RealField, sign: int = 1) -> RealField:
     full support makes the box the grid. The box's values are scattered
     back whole: off the support they are zeros.
     """
-    _check_sign(sign)
     op = _support_operator(omega)
-    product = _rhs_values(op._symbol, omega.values[op._box], sign)
+    product = _rhs_values(op._symbol, omega.values[op._box])
     return RealField(omega.grid, _on_grid(op, product))
 
 
@@ -244,8 +235,8 @@ def _stage_sum(coefficients: tuple[float, ...] | np.ndarray,
     return total
 
 
-def _rk_attempt(symbol: np.ndarray, y: np.ndarray, k0: np.ndarray, dt: float,
-                sign: int) -> tuple[np.ndarray, np.ndarray]:
+def _rk_attempt(symbol: np.ndarray, y: np.ndarray, k0: np.ndarray,
+                dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One raw Cash-Karp attempt from y and its right-hand side k0 (the
     first stage): fifth-order update and embedded error field.
 
@@ -255,24 +246,23 @@ def _rk_attempt(symbol: np.ndarray, y: np.ndarray, k0: np.ndarray, dt: float,
     """
     k = [k0]
     for i in range(1, 6):
-        k.append(_rhs_values(symbol, y + dt * _stage_sum(_RK_A[i], k), sign))
+        k.append(_rhs_values(symbol, y + dt * _stage_sum(_RK_A[i], k)))
     return y + dt * _stage_sum(_RK_B5, k), dt * _stage_sum(_RK_E, k)
 
 
-def rk_step(omega: RealField, dt: float, sign: int = 1) -> tuple[RealField, np.ndarray]:
+def rk_step(omega: RealField, dt: float) -> tuple[RealField, np.ndarray]:
     """Single fixed step of the embedded pair, no acceptance control.
 
     Returns the fifth-order update and the pointwise difference between the
     embedded orders (the raw local error field). Used directly for
     convergence-order measurements. Stages and sums run on the support box
     of :func:`rhs`; the error field is zero off the support. dt must be
-    positive and finite, and sign +1 or -1.
+    positive and finite.
     """
     _check_dt(dt)
-    _check_sign(sign)
     op = _support_operator(omega)
     y = omega.values[op._box]
-    y_new, err = _rk_attempt(op._symbol, y, _rhs_values(op._symbol, y, sign), dt, sign)
+    y_new, err = _rk_attempt(op._symbol, y, _rhs_values(op._symbol, y), dt)
     return RealField(omega.grid, _on_grid(op, y_new)), _on_grid(op, err)
 
 
@@ -284,11 +274,10 @@ def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
     ``op`` is the restricted operator of the state's support, and the
     state lives on that operator's box: ``y`` holds the box's values
     (every cell off the support is 0 and stays 0, since the flow keeps
-    the support), and ``rate`` is y's right-hand side (Z11 y) y times
-    config.sign on the box, as :func:`rhs` builds it. Every attempt starts
-    from ``rate``, and the result carries the new state's right-hand side,
-    so the first stage of the next step is computed once. dt must be
-    positive and finite.
+    the support), and ``rate`` is y's right-hand side (Z11 y) y on the
+    box, as :func:`rhs` builds it. Every attempt starts from ``rate``, and
+    the result carries the new state's right-hand side, so the first stage
+    of the next step is computed once. dt must be positive and finite.
 
     The scaled error combines atol and rtol per cell; a step is accepted
     when its root mean square over all n^2 grid cells is at most 1 and
@@ -307,7 +296,7 @@ def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
     rejected = 0
     while True:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            y_new, err_field = _rk_attempt(symbol, y, rate, dt, config.sign)
+            y_new, err_field = _rk_attempt(symbol, y, rate, dt)
             scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
             # err_field is 0 off the support; a 0 counts 0, even at scale 0 (atol = 0)
             ratio = np.divide(err_field, scale, out=np.zeros_like(y), where=err_field != 0.0)
@@ -322,7 +311,7 @@ def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
         if err <= 1.0 and np.all(np.isfinite(y_new)):
             return StepResult(
                 values=y_new,
-                rate=_rhs_values(symbol, y_new, config.sign),
+                rate=_rhs_values(symbol, y_new),
                 dt_accepted=dt,
                 dt_next=dt * factor,
                 error_estimate=err,
@@ -363,9 +352,8 @@ def evolve(omega0: RealField, config: EvolveConfig,
     built only to hand a record to on_record, when one is given. Every
     record, and the threshold test after every step, reads the box: the
     sums gather it alone (every cell off it is 0), and qform is h^2 sum
-    sign * rate, where rate is the state's right-hand side sign (Z11 w) w,
-    which the step after the state starts from (sign^2 = 1, so this is
-    bitwise h^2 sum (Z11 w) w). Z11 acts through the box's circulant
+    rate, where rate is the state's right-hand side (Z11 w) w, which the
+    step after the state starts from. Z11 acts through the box's circulant
     embedding, as :func:`rhs` applies it; that circulant is exact for
     every field supported in the box, so a cell that underflows to 0 on
     the way changes nothing.
@@ -388,12 +376,12 @@ def evolve(omega0: RealField, config: EvolveConfig,
     def record(t: float, y: np.ndarray, rate: np.ndarray) -> None:
         s = float(np.max(np.abs(y)))
         rows.append((t, s, float(h2 * np.sum(y)), float(np.sqrt(h2 * np.sum(y**2))),
-                     float(config.sign * h2 * np.sum(rate)),
+                     float(h2 * np.sum(rate)),
                      int(np.count_nonzero(np.abs(y) > _SUPPORT_CUTOFF * s))))
         if on_record is not None:
             on_record(t, RealField(grid, _on_grid(op, y)))
 
-    rate = _rhs_values(op._symbol, y, config.sign)
+    rate = _rhs_values(op._symbol, y)
     record(0.0, y, rate)
     t = 0.0
     dt = config.dt_initial

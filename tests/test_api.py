@@ -44,7 +44,6 @@ INTERNAL = (
     "fieldio.KIND_NAMES",
     "fieldio.TRACE_COLUMNS",
     "diagnostics.multiplier_identity_report",
-    "diagnostics.negation_symmetry_error",
     "diagnostics.cone_mass_study",
 )
 

@@ -42,7 +42,7 @@ SUMMARY_KEYS = {
         "t_blowup", "t_final", "max_deviation", "final_deviation", "fitted_t_blowup",
         "fit_quality"},
     "diagnostics.json": {"grid_n", "box_length", "seed", "multiplier_identities",
-                         "negation_symmetry_error", "cone_mass"},
+                         "cone_mass"},
 }
 
 
@@ -442,7 +442,6 @@ class TestDiagnosticsCommand:
         assert set(summary) == SUMMARY_KEYS["diagnostics.json"]
         assert summary["seed"] == 5
         assert max(summary["multiplier_identities"].values()) <= 1e-12
-        assert summary["negation_symmetry_error"] == 0.0
         cone = summary["cone_mass"]
         assert cone["all_positive"] is True
         assert cone["min"] > 0.0

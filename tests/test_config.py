@@ -217,13 +217,12 @@ class TestLoadEvolve:
             record_every = 2
             rtol = 1e-9
             atol = 1e-11
-            sign = -1
             """)
         cfg = load_run_config(write_config(tmp_path, text))
         assert cfg.evolve == EvolveConfig(
             dt_initial=1e-4, dt_min=1e-10, t_max=5.0,
             blowup_threshold=100.0, record_every=2,
-            rtol=1e-9, atol=1e-11, sign=-1)
+            rtol=1e-9, atol=1e-11)
 
     def test_empty_threshold_means_none(self, tmp_path):
         text = EVOLVE_BASE + "\n[evolve]\nblowup_threshold =\n"
@@ -370,6 +369,13 @@ class TestLoadEvolve:
                            match=r"^unknown key 'dealias' in section \[evolve\]$"):
             load_run_config(write_config(tmp_path, text))
 
+    def test_removed_sign_key_rejected(self, tmp_path):
+        """The model has one flow; its companion is -evolve(-w0)."""
+        text = EVOLVE_BASE + "\n[evolve]\nsign = -1\n"
+        with pytest.raises(ConfigError,
+                           match=r"^unknown key 'sign' in section \[evolve\]$"):
+            load_run_config(write_config(tmp_path, text))
+
 
 VERIFY_BASE = textwrap.dedent("""\
     [run]
@@ -419,6 +425,24 @@ class TestLoadDiagnostics:
         cfg = load_run_config(write_config(tmp_path, text))
         assert cfg.command == "diagnostics"
         assert cfg.shape is None
+
+
+# Every settable INI key, pinned: a new one has to be added here.
+SCHEMA_KEYS = {
+    "run": {"command", "seed", "output_dir", "snapshot_times"},
+    "grid": {"n", "box_length"},
+    "shape": {"spec"},
+    "solver": {"tol", "max_iter"},
+    "evolve": {"dt_initial", "dt_min", "t_max", "blowup_threshold", "record_every",
+               "rtol", "atol"},
+    "initial": {"kind", "path", "scale", "center", "width", "amplitude", "cutoff"},
+    "verify": {"t_blowup", "t_final"},
+}
+
+
+def test_schema_keys_are_pinned():
+    assert {section: set(keys) for section, keys in _SCHEMA.items()} == SCHEMA_KEYS
+    assert sum(map(len, _SCHEMA.values())) == 25
 
 
 class TestSchemaErrors:
@@ -559,7 +583,7 @@ class TestParserFuzz:
         plausible = {"command": list(COMMANDS), "seed": ["0", "3"],
                      "spec": ["disk(0, 0, 1)", "union(disk(0,0,1), rect(0,0,1,1))"],
                      "n": ["64"], "box_length": ["8"], "center": ["0.5, -0.5"],
-                     "path": ["q.vpf"], "output_dir": ["out"], "sign": ["-1"],
+                     "path": ["q.vpf"], "output_dir": ["out"],
                      "snapshot_times": ["0.5, 1"], "blowup_threshold": ["", "1e3"],
                      "dt_min": ["1e-9"], "record_every": ["2"], "max_iter": ["50"],
                      "tol": ["1e-8"]}

@@ -40,6 +40,7 @@ from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_C, _RK_E, StepResult
 from z11sim.spectral import _real_fft
 
 from test_profile import _transform_shapes
+from test_properties import _reflect
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ def profile32(grid32):
 class TestEvolveConfig:
     def test_defaults_valid(self):
         cfg = EvolveConfig()
-        assert cfg.sign == 1 and cfg.blowup_threshold is None
+        assert cfg.blowup_threshold is None
 
     @pytest.mark.parametrize("kwargs", [
         {"dt_initial": 0.0},
@@ -94,8 +95,6 @@ class TestEvolveConfig:
         {"rtol": float("nan")},
         {"atol": float("inf")},
         {"atol": float("nan")},
-        {"sign": 0},
-        {"sign": 2},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -158,15 +157,6 @@ class TestRhs:
         # powers of two scale without rounding through the transforms
         np.testing.assert_array_equal(rhs(doubled).values, 4.0 * rhs(f).values)
 
-    def test_sign_flag_negates_exactly(self, grid32):
-        rng = np.random.default_rng(72)
-        f = RealField(grid32, rng.standard_normal((32, 32)))
-        np.testing.assert_array_equal(rhs(f, sign=-1).values, -rhs(f, sign=1).values)
-
-    def test_sign_validation(self, grid32):
-        with pytest.raises(ValueError, match="sign"):
-            rhs(RealField(grid32, np.zeros((32, 32))), sign=3)
-
     def test_mass_production_equals_quadratic_form(self, grid32):
         """Integrating the right-hand side gives the (nonnegative) quadratic
         form of the field, the mechanism behind monotone mass."""
@@ -195,15 +185,14 @@ class TestRhs:
         assert np.any(out[f.values != 0.0] != 0.0)
 
     @pytest.mark.parametrize("support", sorted(SUPPORTS))
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_box_matches_full_grid(self, support, sign):
+    def test_box_matches_full_grid(self, support):
         """Z11 runs on the periodic bounding box of the support, so on the
         support it agrees with the full-grid multiplier to roundoff; a full
         support is the grid itself, transformed exactly as before."""
         grid = Grid(64, 16.0)
         values = np.random.default_rng(74).standard_normal((64, 64)) * SUPPORTS[support]()
-        expected = sign * _real_fft(values, grid.m11) * values
-        got = rhs(RealField(grid, values), sign=sign).values
+        expected = _real_fft(values, grid.m11) * values
+        got = rhs(RealField(grid, values)).values
         if support == "full":
             np.testing.assert_array_equal(got, expected)
         else:
@@ -242,13 +231,6 @@ class TestRkStep:
         with pytest.raises(ValueError, match="dt must be positive"):
             rk_step(gaussian_bump(grid32, width=0.8), dt)
 
-    @pytest.mark.parametrize("sign", [3, 0, -2])
-    def test_sign_validation(self, grid32, sign):
-        """rk_step takes the signs rhs takes, so sign = 3 cannot triple the
-        increment."""
-        with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
-            rk_step(gaussian_bump(grid32, width=0.8), 1e-3, sign=sign)
-
     def test_zero_field_fixed_point(self, grid32):
         f = RealField(grid32, np.zeros((32, 32)))
         out, err = rk_step(f, 0.1)
@@ -286,7 +268,7 @@ def _box_step(omega, dt, config):
     """One step of omega on the box of its support's restricted operator,
     from its right-hand side, as evolve takes it."""
     op = evolution._support_operator(omega)
-    rate = rhs(omega, config.sign).values[op._box]
+    rate = rhs(omega).values[op._box]
     return step(op, omega.values[op._box], rate, dt, config)
 
 
@@ -330,7 +312,7 @@ class TestStep:
         retried at a fifth of its step, below the 0.9 cap on rejections."""
         errors = iter([bad, 1e-12])
 
-        def attempt(symbol, y, k0, dt, sign):
+        def attempt(symbol, y, k0, dt):
             return y.copy(), np.full_like(y, next(errors))
 
         monkeypatch.setattr(evolution, "_rk_attempt", attempt)
@@ -490,22 +472,6 @@ class TestEvolve:
         assert exact.terminated == loose.terminated == "threshold"
         assert estimate_blowup_time(exact)[0] == pytest.approx(
             estimate_blowup_time(loose)[0], rel=1e-6)
-
-    def test_negation_mirror_is_bitwise(self, grid32):
-        """Flipping the sign of the data and the sign of the dynamics
-        produces the exact mirror run, down to the last bit."""
-        w0 = gaussian_bump(grid32, width=0.6, amplitude=1.5, cutoff=1.2)
-        neg = RealField(grid32, -w0.values)
-        cfg = dict(t_max=0.05, rtol=1e-6, atol=1e-8, record_every=1)
-        fwd_states, rev_states = [], []
-        fwd = evolve(neg, EvolveConfig(sign=1, **cfg),
-                     on_record=lambda t, f: fwd_states.append(f))
-        rev = evolve(w0, EvolveConfig(sign=-1, **cfg),
-                     on_record=lambda t, f: rev_states.append(f))
-        np.testing.assert_array_equal(fwd.times, rev.times)
-        assert len(fwd_states) == len(rev_states) == len(fwd)
-        for a, b in zip(fwd_states, rev_states):
-            np.testing.assert_array_equal(a.values, -b.values)
 
     def test_self_similar_run_tracks_profile(self, grid32, profile32):
         """Starting from Q / T the state stays within a tight tube around
@@ -722,14 +688,15 @@ class TestBoxRecords:
     def test_records_match_the_full_grid(self, n, shift, amplitude):
         """Every record matches the full-grid diagnostics of its state: the
         sup-norm bitwise, the rest to roundoff. (32, 32) and (64, 10) make
-        the box wrap periodic edges; negative data runs with sign -1."""
+        the box wrap periodic edges; negative data decays, so its run ends
+        at the horizon."""
         w0 = _config_bump(n)
         w0 = RealField(w0.grid, amplitude * np.roll(w0.values, shift, axis=(0, 1)))
-        cfg = EvolveConfig(t_max=20.0, record_every=1, sign=int(amplitude))
+        cfg = EvolveConfig(t_max=20.0, record_every=1)
         oracle = []
         trace = evolve(w0, cfg, on_record=lambda t, f: oracle.append(
             (sup_norm(f), field_integral(f), l2_norm(f), quadratic_form(f))))
-        assert trace.terminated == "threshold"
+        assert trace.terminated == ("threshold" if amplitude > 0 else "horizon")
         sups, integrals, l2s, qforms = np.array(oracle).T
         np.testing.assert_array_equal(trace.sup_norm, sups)
         np.testing.assert_allclose(trace.integral, integrals, rtol=1e-12, atol=0)
@@ -781,6 +748,29 @@ class TestFlowLaws:
         assert (doubled.accepted_steps, doubled.rejected_steps) == (
             base.accepted_steps, base.rejected_steps)
         assert estimate_blowup_time(doubled)[0] == estimate_blowup_time(base)[0] / 2
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_reflection_keeps_the_steps(self, axis):
+        """x_axis -> -x_axis, the cell index i -> (-i) mod n, commutes with
+        the flow: the bump reflected about a lattice axis runs the same
+        accepted and rejected steps to the same end. The first three steps
+        are bitwise equal; from the fourth, the step controller's error
+        ratio carries roundoff into dt, so record times agree only to
+        6.6e-5 relative and states to 5.2e-6 of their sup-norm."""
+        w0 = gaussian_bump(Grid(64, 16.0), center=(0.37, -0.61), width=0.5, cutoff=2.0)
+        cfg = EvolveConfig(t_max=20.0, record_every=1)
+        states, reflected_states = [], []
+        base = evolve(w0, cfg, on_record=lambda t, f: states.append(f.values))
+        reflected = evolve(RealField(w0.grid, _reflect(w0.values, axis)), cfg,
+                           on_record=lambda t, f: reflected_states.append(f.values))
+        assert reflected.terminated == base.terminated == "threshold"
+        assert (reflected.accepted_steps, reflected.rejected_steps) == (
+            base.accepted_steps, base.rejected_steps)
+        np.testing.assert_array_equal(reflected.times[:4], base.times[:4])
+        np.testing.assert_allclose(reflected.times, base.times, rtol=1e-4, atol=0)
+        for got, want in zip(reflected_states, states):
+            np.testing.assert_allclose(got, _reflect(want, axis), rtol=0,
+                                       atol=1e-5 * np.max(np.abs(want)))
 
     def test_mass_grows_at_the_quadratic_form(self):
         """d/dt int w = qform: each recorded step's gain in mass matches
@@ -909,22 +899,17 @@ class TestExactInvariants:
     so the support and the sign of the data are kept exactly; the
     discrete flow must keep them to the last bit, up to blow-up."""
 
-    @pytest.mark.parametrize("amplitude", [1.0, -1.0])
-    def test_support_and_sign_kept_to_blowup(self, amplitude):
+    def test_support_and_sign_kept_to_blowup(self):
         grid = Grid(64, 16.0)
-        w0 = gaussian_bump(grid, width=0.5, amplitude=amplitude, cutoff=2.0)
+        w0 = gaussian_bump(grid, width=0.5, cutoff=2.0)
         outside = w0.values == 0.0
-        # negative data blows up under the sign-flipped equation
         cfg = EvolveConfig(dt_initial=1e-3, t_max=20.0, blowup_threshold=1e5,
-                           record_every=1, sign=int(amplitude))
+                           record_every=1)
         checked = []
 
         def check(t, field):
             assert np.all(field.values[outside] == 0.0)
-            if amplitude > 0:
-                assert field.values.min() >= 0.0
-            else:
-                assert field.values.max() <= 0.0
+            assert field.values.min() >= 0.0
             checked.append(t)
 
         trace = evolve(w0, cfg, on_record=check)
@@ -932,6 +917,29 @@ class TestExactInvariants:
         assert trace.sup_norm[-1] >= 1e3
         assert checked == list(trace.times)
         assert np.all(trace.support_cells == np.count_nonzero(~outside))
+
+    def test_negative_data_decays_to_the_horizon(self):
+        """Negative data run under the one flow: s = sum w has s_t = qform
+        >= 0, so the mass of -w drains and the run reaches the horizon (21
+        steps for the n = 64 bump), keeping its support and its sign to the
+        last bit at every record."""
+        grid = Grid(64, 16.0)
+        w0 = gaussian_bump(grid, width=0.5, amplitude=-1.0, cutoff=2.0)
+        outside = w0.values == 0.0
+        checked = []
+
+        def check(t, field):
+            assert np.all(field.values[outside] == 0.0)
+            assert field.values.max() <= 0.0
+            checked.append(t)
+
+        trace = evolve(w0, EvolveConfig(t_max=20.0, record_every=1), on_record=check)
+        assert trace.terminated == "horizon"
+        assert trace.accepted_steps == 21
+        assert checked == list(trace.times)
+        assert np.all(trace.support_cells == np.count_nonzero(~outside))
+        assert np.all(np.diff(trace.integral) >= 0.0)
+        assert np.all(trace.qform >= 0.0)
 
     # (37, 45) moves the box across the x1 edge; (37, 29) across both
     @pytest.mark.parametrize("shift", [(37, 45), (37, 29)])
