@@ -496,8 +496,7 @@ def gaussian_bump(grid: Grid, center: tuple[float, float] = (0.0, 0.0),
     center, width and cutoff must be finite.
     """
     _check_bump(center, width, cutoff)
-    x1, x2 = grid.coords()
-    r2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
+    r2 = (grid.x[:, None] - center[0]) ** 2 + (grid.x[None, :] - center[1]) ** 2
     values = amplitude * np.exp(-r2 / (2.0 * width**2))
     if cutoff is not None:
         values = np.where(r2 <= cutoff**2, values, 0.0)

@@ -52,7 +52,7 @@ class FieldHeader:
     kind: str
 
 
-def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
+def atomic_write_bytes(path: str | os.PathLike, payload: bytes | bytearray) -> None:
     """Write payload to path via a same-directory temp file and rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -72,13 +72,16 @@ def write_field(path: str | os.PathLike, field: RealField | Mask,
     """Serialize a field or mask; kind defaults to omega for fields.
 
     Masks always use the mask kind. Non-finite fields are refused so that
-    every file on disk round-trips bit-exactly through read_field.
+    every file on disk round-trips bit-exactly through read_field. The
+    header and the values are packed into one buffer, the values through
+    a little-endian float view of it, so a mask's cells become 0.0 and 1.0
+    in that same copy and the file's bytes are held once.
     """
     if isinstance(field, Mask):
         if kind not in (None, "mask"):
             raise ValueError(f"a mask must use kind 'mask', got {kind!r}")
         kind = "mask"
-        values = field.indicator.astype(np.float64)
+        values = field.indicator
         grid = field.grid
     elif isinstance(field, RealField):
         if kind is None:
@@ -91,9 +94,10 @@ def write_field(path: str | os.PathLike, field: RealField | Mask,
         grid = field.grid
     else:
         raise TypeError(f"expected RealField or Mask, got {type(field).__name__}")
-    header = _HEADER.pack(MAGIC, grid.n, grid.box_length, _KIND_CODE[kind])
-    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
-    atomic_write_bytes(path, header + payload)
+    payload = bytearray(_HEADER.size + 8 * grid.n * grid.n)
+    _HEADER.pack_into(payload, 0, MAGIC, grid.n, grid.box_length, _KIND_CODE[kind])
+    np.frombuffer(payload, dtype="<f8", offset=_HEADER.size).reshape(values.shape)[...] = values
+    atomic_write_bytes(path, payload)
 
 
 def _parse_header(raw: bytes, path: str) -> FieldHeader:

@@ -184,8 +184,9 @@ def rasterize(spec: ShapeSpec, grid: Grid) -> Mask:
     Raises if no cell center falls inside the shape or if the rasterized
     diameter exceeds box_length / 4.
     """
-    x1, x2 = grid.coords()
-    ind = shape_contains(spec, x1, x2)
+    # the axes broadcast against each other, so no n x n coordinate mesh
+    # is built; each cell sees the same coordinate pair as on the mesh
+    ind = shape_contains(spec, grid.x[:, None], grid.x[None, :])
     if not ind.any():
         raise ValueError("shape rasterizes to zero cells (smaller than a grid cell?)")
     mask = Mask(grid, ind)

@@ -114,7 +114,7 @@ class RealField:
         object.__setattr__(self, "values", v)
 
 
-def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarray:
+def _real_fft(values: np.ndarray | None, symbol: np.ndarray | None = None) -> np.ndarray:
     """The one transform site: real-input FFTs over the half plane k2 >= 0.
 
     With ``symbol``, a full-plane p1 x p2 multiplier even under k -> -k,
@@ -124,17 +124,27 @@ def _real_fft(values: np.ndarray, symbol: np.ndarray | None = None) -> np.ndarra
     the result is returned. These are the per-axis transforms numpy's
     rfft2 and irfft2 run, so the block is bitwise that of the padded
     transform, without the padding rows (FFT pruning, Markel 1971).
+    ``values=None`` stands for a p1 x p2 unit impulse at the origin, whose
+    coefficients are exactly 1: the result, the multiplier's kernel, is
+    the inverse transform of the symbol alone, bitwise that of the impulse
+    without building it or its transform. The inverse transform rebinds
+    ``coeff``, so at most two half-plane arrays are alive at once.
 
     Without ``symbol``, ``values`` is an n1 x n2 periodic array, and the
     result is the power |c(k)|^2 of the coefficients normalized so that
     c(0) is the field mean, on the full-plane FFT labels.
     """
     if symbol is not None:
-        b1, b2 = values.shape
         p1, p2 = symbol.shape
-        coeff = np.fft.fft(np.fft.rfft(values, n=p2, axis=1), n=p1, axis=0)
-        coeff *= symbol[:, : p2 // 2 + 1]
-        return np.fft.irfft(np.fft.ifft(coeff, axis=0)[:b1], n=p2, axis=1)[:, :b2]
+        half = symbol[:, : p2 // 2 + 1]
+        if values is None:
+            b1, b2, coeff = p1, p2, half
+        else:
+            b1, b2 = values.shape
+            coeff = np.fft.fft(np.fft.rfft(values, n=p2, axis=1), n=p1, axis=0)
+            coeff *= half
+        coeff = np.fft.ifft(coeff, axis=0)[:b1]
+        return np.fft.irfft(coeff, n=p2, axis=1)[:, :b2]
     n1, n2 = values.shape
     coeff = np.fft.rfft2(values, norm="forward")
     half = coeff.real**2 + coeff.imag**2

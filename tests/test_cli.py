@@ -394,6 +394,28 @@ class TestBoundedMemory:
                                 "rtol = 1e-13\natol = 1e-15"),
     }
 
+    # The benchmark's three cases at n = 256, centred at the origin.
+    FULL_GRID = {
+        "solve-profile": (
+            "[run]\ncommand = solve-profile\noutput_dir = {out}\n\n"
+            "[grid]\nn = 256\nbox_length = 16.0\n\n"
+            "[shape]\nspec = disk(0, 0, 1)\n"
+        ),
+        "evolve": (
+            "[run]\ncommand = evolve\noutput_dir = {out}\nsnapshot_times = 1.0\n\n"
+            "[grid]\nn = 256\nbox_length = 16.0\n\n"
+            "[initial]\nkind = bump\nwidth = 0.5\ncutoff = 2.0\n\n"
+            "[evolve]\nt_max = 20.0\nrecord_every = 1\n"
+        ),
+        "verify-self-similar": (
+            "[run]\ncommand = verify-self-similar\noutput_dir = {out}\n\n"
+            "[grid]\nn = 256\nbox_length = 16.0\n\n"
+            "[shape]\nspec = disk(0, 0, 1)\n\n"
+            "[evolve]\nrtol = 1e-10\natol = 1e-12\n\n"
+            "[verify]\nt_blowup = 1.0\nt_final = 0.9\n"
+        ),
+    }
+
     def _peak(self, tmp_path, capsys, text, name):
         ini = tmp_path / f"{name}.ini"
         ini.write_text(text.replace("{out}", name))
@@ -405,21 +427,34 @@ class TestBoundedMemory:
             tracemalloc.stop()
         capsys.readouterr()
         assert code == 0
-        lines = (tmp_path / name / "trace.csv").read_text().count("\n")
-        return peak, lines - 1
+        return peak
+
+    def _records(self, tmp_path, name):
+        return (tmp_path / name / "trace.csv").read_text().count("\n") - 1
 
     @pytest.mark.parametrize("command", sorted(CASES))
     def test_peak_memory_independent_of_record_count(self, tmp_path, capsys, command):
         template, few, many = self.CASES[command]
         # a discarded warm-up, so one-time allocations count in neither run
         self._peak(tmp_path, capsys, template.replace("{setting}", few), "warmup")
-        peak_few, records_few = self._peak(
-            tmp_path, capsys, template.replace("{setting}", few), "few")
-        peak_many, records_many = self._peak(
-            tmp_path, capsys, template.replace("{setting}", many), "many")
+        peak_few = self._peak(tmp_path, capsys, template.replace("{setting}", few), "few")
+        peak_many = self._peak(tmp_path, capsys, template.replace("{setting}", many), "many")
+        records_few, records_many = (self._records(tmp_path, name) for name in ("few", "many"))
         assert records_many >= 3.5 * records_few
         field_bytes = 64 * 64 * 8
         assert peak_many - peak_few <= 2 * field_bytes
+
+    @pytest.mark.parametrize("command", sorted(FULL_GRID))
+    def test_full_grid_working_set(self, tmp_path, capsys, command):
+        """The full-grid passes (rasterization, the certificate,
+        verify_profile, the bump, the field writes) keep at most 4.75
+        n x n float arrays alive at once at n = 256, the grid's multiplier
+        mesh included; the three commands read about 4.3-4.5."""
+        text = self.FULL_GRID[command]
+        # a discarded warm-up, so one-time allocations (the cached kernel
+        # window among them) do not count
+        self._peak(tmp_path, capsys, text, "warmup")
+        assert self._peak(tmp_path, capsys, text, "measured") <= 4.75 * 8 * 256**2
 
 
 class TestDiagnosticsCommand:

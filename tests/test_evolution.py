@@ -873,6 +873,22 @@ class TestGaussianBump:
         assert np.all(f.values[outside] == 0.0)
         assert np.all(f.values[~outside] > 0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"center": (0.37, -0.61), "width": 0.5, "amplitude": -1.5},
+        {"center": (0.013, -0.007), "width": 0.5, "amplitude": 1.0, "cutoff": 2.0},
+        {"center": (-1.1, 0.4), "width": 0.8, "amplitude": 3.0, "cutoff": 0.9},
+    ], ids=["untruncated", "benchmark", "off-centre"])
+    def test_broadcast_axes_match_the_mesh(self, grid32, kwargs):
+        """The bump is evaluated on the broadcast axes x[:, None] and
+        x[None, :]; its bytes are those of the meshgrid formula."""
+        x1, x2 = grid32.coords()
+        c1, c2 = kwargs["center"]
+        r2 = (x1 - c1) ** 2 + (x2 - c2) ** 2
+        expected = kwargs["amplitude"] * np.exp(-r2 / (2.0 * kwargs["width"] ** 2))
+        if "cutoff" in kwargs:
+            expected = np.where(r2 <= kwargs["cutoff"] ** 2, expected, 0.0)
+        assert gaussian_bump(grid32, **kwargs).values.tobytes() == expected.tobytes()
+
     def test_validation(self, grid32):
         with pytest.raises(ValueError, match="width"):
             gaussian_bump(grid32, width=0.0)

@@ -95,6 +95,24 @@ class TestLayout:
         assert len(raw) == 17 + 32 * 32 * 8
         assert raw[17:] == f.values.astype("<f8").tobytes(order="C")
 
+    @pytest.mark.parametrize("kind", ["omega", "profile", "mask"])
+    def test_bytes_match_header_plus_values(self, grid, tmp_path, kind):
+        """The header and the values are packed into one buffer through a
+        float view; the file is the header followed by the values as
+        little-endian floats, a mask's cells as 0.0 and 1.0. The field is
+        a transposed view, so the values are not C-contiguous."""
+        if kind == "mask":
+            obj = rasterize(Disk((0.1, -0.2), 1.0), grid)
+            values, code = obj.indicator, 2
+        else:
+            obj = RealField(grid, awkward_field(grid).values.T)
+            values, code = obj.values, {"omega": 0, "profile": 1}[kind]
+            assert not values.flags.c_contiguous
+        path = tmp_path / f"{kind}.vpf"
+        write_field(path, obj, kind=kind)
+        header = struct.pack("<4sIdB", b"VPF1", grid.n, grid.box_length, code)
+        assert path.read_bytes() == header + values.astype("<f8").tobytes()
+
     def test_kind_codes(self, grid, tmp_path):
         f = awkward_field(grid)
         mask = rasterize(Disk((0.0, 0.0), 1.0), grid)

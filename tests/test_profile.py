@@ -6,6 +6,7 @@ operator value against the closed-form lattice mean of the symbol, and
 the conjugate-gradient solution against a dense linear solve.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -46,6 +47,8 @@ from z11sim.profile import (
     _COERCIVITY_TOL,
     _DIRECT_CELLS,
     _SINGULAR_BOUND,
+    ProfileReport,
+    _box_kernel,
     _cg,
     _davidson_lowest,
 )
@@ -273,6 +276,33 @@ class TestPreconditioner:
         monkeypatch.setattr(RestrictedOperator, "_inverse_symbol", property(refuse))
         evolve(RealField(grid, 0.5 * op.mask.unpack(np.ones(op.mask.cell_count))),
                EvolveConfig(t_max=0.1))
+
+
+class TestBoxKernel:
+    """``_box_kernel`` takes Z11's kernel and the circulant's symbol as
+    impulse responses without building an impulse; both are bitwise those
+    of the multiplier applied to a unit impulse."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_matches_z11_of_a_unit_impulse(self, n):
+        grid = Grid(n, 16.0)
+        impulse = np.zeros((n, n))
+        impulse[0, 0] = 1.0
+        kernel = _real_fft(impulse, grid.m11)
+        for p1, p2 in ((1, 1), (5, 12), (n // 2, 9), (15, n), (n, n)):
+            rows, cols = (np.where(o <= p // 2, o, o - p) % n
+                          for p in (p1, p2) for o in [np.arange(p)])
+            window = kernel[np.ix_(rows, cols)]
+            if p1 == p2 == n:
+                symbol = grid.m11
+            else:
+                box_impulse = np.zeros((p1, p2))
+                box_impulse[0, 0] = 1.0
+                symbol = p1 * p2 * _real_fft(box_impulse, window)
+            got_window, got_symbol = _box_kernel.__wrapped__(grid, p1, p2)
+            assert got_window.tobytes() == window.tobytes()
+            assert got_symbol.shape == symbol.shape == (p1, p2)
+            assert got_symbol.tobytes() == symbol.tobytes()
 
 
 class TestDenseMatrix:
@@ -1051,7 +1081,71 @@ class TestSolveProfile:
                             delta_estimate=0.0, mask=mask)
 
 
+def _full_array_report(sol):
+    """The report by the full-array formulas, with the defect, its squares
+    and the off-mask cells each in an array of their own."""
+    mask = sol.mask
+    h2 = mask.grid.h**2
+    z = apply_z11(sol.q)
+    dev = z.values[mask.indicator] - 1.0
+    on_max = float(np.max(np.abs(dev)))
+    on_l2 = float(np.sqrt(h2 * np.sum(dev**2)))
+    ones_norm = float(np.sqrt(h2 * mask.cell_count))
+    off_vals = sol.q.values[~mask.indicator]
+    off_max = float(np.max(np.abs(off_vals))) if off_vals.size else 0.0
+    defect = (z.values - 1.0) * sol.q.values
+    defect_l2 = float(np.sqrt(h2 * np.sum(defect**2)))
+    defect_max = float(np.max(np.abs(defect)))
+    q_l2 = float(np.sqrt(h2 * np.sum(sol.q.values**2)))
+    return ProfileReport(
+        on_mask_max_dev=on_max,
+        on_mask_l2_dev=on_l2,
+        on_mask_l2_dev_rel=on_l2 / ones_norm,
+        off_mask_max=off_max,
+        off_mask_exact_zero=(off_max == 0.0),
+        defect_l2=defect_l2,
+        defect_max=defect_max,
+        defect_l2_rel=defect_l2 / q_l2 if q_l2 > 0 else float("inf"),
+    )
+
+
+def _hand_made_solution(solved, off_mask):
+    """The solved disk's profile with its first off-mask cells set to the
+    list ``off_mask``, or every off-mask cell to the number ``off_mask``."""
+    values = solved.q.values.copy()
+    off = np.flatnonzero(~solved.mask.indicator)
+    values.flat[off if np.isscalar(off_mask) else off[: len(off_mask)]] = off_mask
+    return dataclasses.replace(solved, q=RealField(solved.q.grid, values))
+
+
 class TestVerifyProfile:
+    @pytest.mark.parametrize("off_mask", [
+        None,
+        [2e-3, -0.0, -5e-3, -0.0, 1e-3],
+        [3e-3, -0.0, 1e-3],
+        -0.0,
+        "full-grid-mask",
+    ], ids=["solved", "min-beyond-max", "max-beyond-min", "negative-zeros", "no-off-mask-cells"])
+    def test_matches_the_full_array_formulas(self, disk_setup, off_mask):
+        """Every field of the report is bitwise that of the full-array
+        formulas, the sign of each zero included, and Q is left as it
+        was. The negative-zeros case sets every off-mask cell to -0.0,
+        whose maximum magnitude the report gives as 0.0."""
+        solved = solve_profile(disk_setup[2], tol=1e-8)
+        if off_mask is None:
+            sol = solved
+        elif off_mask == "full-grid-mask":
+            grid = disk_setup[0]
+            sol = dataclasses.replace(
+                solved, mask=Mask(grid, np.ones((grid.n, grid.n), dtype=bool)))
+        else:
+            sol = _hand_made_solution(solved, off_mask)
+        before = sol.q.values.tobytes()
+        got = dataclasses.astuple(verify_profile(sol))
+        expected = dataclasses.astuple(_full_array_report(sol))
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+        assert sol.q.values.tobytes() == before
+
     def test_report_consistent_with_solve(self, disk_setup):
         _, mask, op = disk_setup
         sol = solve_profile(op, tol=1e-9)

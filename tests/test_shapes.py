@@ -146,6 +146,23 @@ class TestRasterize:
         hole_cells = rasterize(Disk((0.0, 0.0), 0.5), g).cell_count
         assert mask.cell_count == disk_cells - hole_cells
 
+    @pytest.mark.parametrize("spec", [
+        Disk((0.013, -0.007), 1.0),
+        Ellipse((-0.21, 0.33), (1.3, 0.45)),
+        Rectangle((-0.6, -0.9), (1.25, 1.5)),
+        Annulus((0.05, 0.11), 0.4, 0.95),
+        ShapeUnion((Disk((-0.5, 0.2), 0.4), Ellipse((0.5, -0.1), (0.3, 0.6)))),
+        ShapeDifference(Rectangle((-1.0, -1.0), (2.0, 2.0)), Disk((0.25, 0.0), 0.5)),
+    ], ids=["disk", "ellipse", "rectangle", "annulus", "union", "difference"])
+    def test_broadcast_axes_match_the_mesh(self, spec):
+        """Rasterization evaluates the shape on the broadcast axes x[:, None]
+        and x[None, :]: the indicator is that of the two n x n coordinate
+        meshes, cell for cell."""
+        g = Grid(128, 16.0)
+        expected = shape_contains(spec, *g.coords())
+        assert expected.shape == (128, 128)
+        np.testing.assert_array_equal(rasterize(spec, g).indicator, expected)
+
 
 class TestMask:
     def test_indicator_shape_validation(self):
