@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_run_config
+from .config import RunConfig, load_run_config
 from .diagnostics import run_diagnostics
 from .evolution import (
     EvolutionTrace,
@@ -222,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_run_config(args.config)
-    except ConfigError as exc:
+    except Exception as exc:  # boundary, before any output directory exists
         _emit_error(exc, None)
         return 1
 

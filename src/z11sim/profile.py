@@ -44,7 +44,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily: load it here, not inside a run)
 
 from .shapes import Mask
-from .spectral import Grid, RealField, _real_fft, apply_z11
+from .spectral import Grid, RealField, _real_fft, _z11_symbol, apply_z11
 
 __all__ = [
     "RestrictedOperator",
@@ -130,18 +130,19 @@ def _box_kernel(grid: Grid, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
     offsets 0..p/2, -(p/2-1)..-1 of a p1 x p2 box on ``grid``, and the
     symbol of that circulant (the Toeplitz embedding, Chan & Jin 2007). The
     window is real and even, so the symbol is p1 p2 times its inverse
-    transform. Both are impulse responses, taken as ``_real_fft(None,
-    symbol)``: no n x n impulse and no forward transform of it is built,
-    and the kernel is bitwise Z11 of the impulse. A box spanning the grid
-    is the grid, with the grid's own (box-length free) Z11 symbol.
+    transform. Both are impulse responses, taken as ``_real_fft(shape,
+    symbol)``: no impulse and no forward transform of it is built, and the
+    kernel, the inverse transform of Z11's half plane built on demand, is
+    bitwise Z11 of the impulse. A box spanning the grid is the grid, with
+    Z11's full-plane symbol, which this box alone keeps.
     """
-    n, m11 = grid.n, grid.m11
-    kernel = _real_fft(None, m11)
+    n = grid.n
+    kernel = _real_fft((n, n), _z11_symbol)
     rows, cols = (np.where(o <= p // 2, o, o - p) % n for p in (p1, p2) for o in [np.arange(p)])
     window = kernel[np.ix_(rows, cols)]
     if p1 == p2 == n:
-        return window, m11
-    return window, p1 * p2 * _real_fft(None, window)
+        return window, _z11_symbol(n, n, full=True)
+    return window, p1 * p2 * _real_fft(window.shape, window)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +156,8 @@ class RestrictedOperator:
     ``_symbol`` are the kernel window over the box and the symbol of its
     circulant embedding. The box size depends on the mask alone, and boxes
     of one size share the window. A full-grid mask's box is the grid, with
-    the symbol ``grid.m11``. The evolution steps a state supported on the
-    mask on this same box.
+    Z11's full-plane symbol, the one place that plane is held. The
+    evolution steps a state supported on the mask on this same box.
     """
 
     mask: Mask

@@ -16,6 +16,7 @@ its whole-plane counterpart differ.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,24 @@ def _wavenumbers(n: int) -> np.ndarray:
     return np.where(k < n // 2, k, k - n)
 
 
+def _z11_symbol(n1: int, n2: int, full: bool = False) -> np.ndarray:
+    """Z11's multiplier k1^2/|k|^2 on the n1 x n2 integer frequency lattice
+    in FFT layout, axis 0 along k1: its half plane k2 >= 0, the first
+    n2/2 + 1 columns, or with ``full`` the whole plane. Each entry comes
+    from the same elementwise formula either way, so the half plane is
+    bitwise the first columns of the full one, and the transpose of the
+    full plane is bitwise the companion multiplier k2^2/|k|^2. Called as
+    ``symbol(p1, p2)`` by :func:`_real_fft`, it builds the half plane
+    between the transform's passes."""
+    ksq1 = _wavenumbers(n1).astype(float) ** 2
+    ksq2 = _wavenumbers(n2).astype(float) ** 2
+    ksq = ksq1[:, None] + (ksq2 if full else ksq2[: n2 // 2 + 1])[None, :]
+    # |k|^2 vanishes at k = 0 alone, where k1^2 = 0 makes the ratio 0 / 1 = 0
+    ksq[0, 0] = 1.0
+    # divided in place: building the symbol holds one array of its size
+    return np.divide(ksq1[:, None], ksq, out=ksq)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Sample lattice and frequency lattice of the periodic box.
@@ -56,14 +75,10 @@ class Grid:
     box_length : float
         Physical side length of the periodic box.
 
-    Derived attributes (set at construction): ``h`` sample spacing, ``x``
-    1-d sample coordinates in ``[-L/2, L/2)``, and ``m11`` the multiplier
-    ``k1^2/|k|^2`` on the full integer frequency plane in FFT layout, with
-    axis 0 along k1. It is the only mesh a grid holds: ``m11.T`` is the
-    companion multiplier ``k2^2/|k|^2`` bitwise, and the transforms read
-    the half plane ``k2 >= 0`` of a multiplier as a view.
-
-    The multiplier is computed from the integer wavenumbers, so it is
+    Derived attributes (set at construction): ``h`` sample spacing and
+    ``x`` 1-d sample coordinates in ``[-L/2, L/2)``. A grid holds no
+    n x n array: Z11's multiplier is built where it is multiplied
+    (:func:`_z11_symbol`), from the integer wavenumbers alone, so it is
     bitwise independent of ``box_length`` (the symbol is 0-homogeneous).
     """
 
@@ -84,13 +99,6 @@ class Grid:
         h = length / n
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "x", -0.5 * length + h * np.arange(n))
-
-        ksq1 = _wavenumbers(n).astype(float) ** 2
-        ksq = ksq1[:, None] + ksq1[None, :]
-        # |k|^2 vanishes at k = 0 alone, where k1^2 = 0 makes m11 = 0 / 1 = 0
-        ksq[0, 0] = 1.0
-        m11 = ksq1[:, None] / ksq
-        object.__setattr__(self, "m11", m11)
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid of sample coordinates, axis 0 along x1, axis 1 along x2."""
@@ -114,35 +122,43 @@ class RealField:
         object.__setattr__(self, "values", v)
 
 
-def _real_fft(values: np.ndarray | None, symbol: np.ndarray | None = None) -> np.ndarray:
+def _real_fft(values: np.ndarray | tuple[int, int],
+              symbol: np.ndarray | Callable[[int, int], np.ndarray] | None = None) -> np.ndarray:
     """The one transform site: real-input FFTs over the half plane k2 >= 0.
 
-    With ``symbol``, a full-plane p1 x p2 multiplier even under k -> -k,
-    returns the multiplier applied to ``values`` in physical space:
-    ``values``, a b1 x b2 block with b <= p, is zero-padded to the periodic
-    p1 x p2 array inside the per-axis transforms, and the b1 x b2 block of
-    the result is returned. These are the per-axis transforms numpy's
-    rfft2 and irfft2 run, so the block is bitwise that of the padded
-    transform, without the padding rows (FFT pruning, Markel 1971).
-    ``values=None`` stands for a p1 x p2 unit impulse at the origin, whose
-    coefficients are exactly 1: the result, the multiplier's kernel, is
-    the inverse transform of the symbol alone, bitwise that of the impulse
-    without building it or its transform. The inverse transform rebinds
-    ``coeff``, so at most two half-plane arrays are alive at once.
+    With ``symbol``, a multiplier of the periodic p1 x p2 array even under
+    k -> -k, returns the multiplier applied to ``values`` in physical
+    space. ``symbol`` is either the full-plane p1 x p2 array, whose half
+    plane is read as a view, or a function of ``(p1, p2)`` that builds the
+    half plane, with p the shape of ``values``: it is called after the
+    forward column pass, and its array is dropped before the inverse row
+    pass, so it is alive only while it is multiplied. With a full-plane
+    array, ``values``, a b1 x b2 block with b <= p, is zero-padded to the
+    periodic p1 x p2 array inside the per-axis transforms, and the b1 x b2
+    block of the result is returned. These are the per-axis transforms
+    numpy's rfft2 and irfft2 run, so the block is bitwise that of the
+    padded transform, without the padding rows (FFT pruning, Markel 1971).
+    ``values`` given as a shape ``(p1, p2)`` stands for a p1 x p2 unit
+    impulse at the origin, whose coefficients are exactly 1: the result,
+    the multiplier's kernel, is the inverse transform of the symbol alone,
+    bitwise that of the impulse without building it or its transform. The
+    inverse transform rebinds ``coeff``, so at most two half-plane arrays
+    are alive at once.
 
     Without ``symbol``, ``values`` is an n1 x n2 periodic array, and the
     result is the power |c(k)|^2 of the coefficients normalized so that
     c(0) is the field mean, on the full-plane FFT labels.
     """
     if symbol is not None:
-        p1, p2 = symbol.shape
-        half = symbol[:, : p2 // 2 + 1]
-        if values is None:
-            b1, b2, coeff = p1, p2, half
+        impulse = isinstance(values, tuple)
+        b1, b2 = values if impulse else values.shape
+        p1, p2 = (b1, b2) if callable(symbol) else symbol.shape
+        half = symbol if callable(symbol) else lambda p1, p2: symbol[:, : p2 // 2 + 1]
+        if impulse:
+            coeff = half(p1, p2)
         else:
-            b1, b2 = values.shape
             coeff = np.fft.fft(np.fft.rfft(values, n=p2, axis=1), n=p1, axis=0)
-            coeff *= half
+            coeff *= half(p1, p2)
         coeff = np.fft.ifft(coeff, axis=0)[:b1]
         return np.fft.irfft(coeff, n=p2, axis=1)[:, :b2]
     n1, n2 = values.shape
@@ -164,16 +180,21 @@ def apply_z11(f: RealField) -> RealField:
     The operator is the identity on pure x1-waves, annihilates pure
     x2-waves, and is idempotent only on fields spectrally supported where
     the multiplier is 0 or 1.
+
+    The symbol's half plane is built inside the transform, between its
+    passes, so at its peak the apply holds ``f``, the half-plane
+    coefficients and the result, and no n x n symbol.
     """
-    return RealField(f.grid, _real_fft(f.values, f.grid.m11))
+    return RealField(f.grid, _real_fft(f.values, _z11_symbol))
 
 
 def apply_z22(f: RealField) -> RealField:
     """Companion multiplier lam2^2/|lam|^2; together with
     :func:`apply_z11` it sums to the identity on mean-zero fields. Its
-    symbol is the transpose of Z11's, so it is Z11 conjugated by
-    transposing the data."""
-    return RealField(f.grid, _real_fft(f.values, f.grid.m11.T))
+    symbol is the transpose of Z11's full plane, built for the call, so it
+    is Z11 conjugated by transposing the data."""
+    n = f.grid.n
+    return RealField(f.grid, _real_fft(f.values, _z11_symbol(n, n, full=True).T))
 
 
 def inner(f: RealField, g: RealField) -> float:
@@ -200,9 +221,11 @@ def quadratic_form(f: RealField) -> float:
 
     Scaled so it equals the physical inner product of ``apply_z11(f)`` with
     ``f``. Nonnegative termwise; it vanishes exactly when the spectrum is
-    supported on the lam1 = 0 axis (zero mode included).
+    supported on the lam1 = 0 axis (zero mode included). Z11's full-plane
+    symbol is built for the call and summed against the full-plane power.
     """
-    return float(f.grid.box_length**2 * np.sum(f.grid.m11 * _real_fft(f.values)))
+    n = f.grid.n
+    return float(f.grid.box_length**2 * np.sum(_z11_symbol(n, n, full=True) * _real_fft(f.values)))
 
 
 def cone_mass_ratio(f: RealField, k: float) -> float:

@@ -98,8 +98,8 @@ class TestSolveProfileCommand:
         assert record["shape"] == "disk(0, 0, 0.5)"
 
     def test_builds_one_grid(self, tmp_path, capsys, monkeypatch):
-        """The run's grid holds the only multiplier mesh: the operator's box
-        kernel reads it rather than building a grid of its own."""
+        """A run builds one grid: the operator's box kernel takes the run's
+        grid rather than building a grid of its own."""
         built = []
         post_init = z11sim.Grid.__post_init__
 
@@ -447,14 +447,37 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("command", sorted(FULL_GRID))
     def test_full_grid_working_set(self, tmp_path, capsys, command):
         """The full-grid passes (rasterization, the certificate,
-        verify_profile, the bump, the field writes) keep at most 4.75
-        n x n float arrays alive at once at n = 256, the grid's multiplier
-        mesh included; the three commands read about 4.3-4.5."""
+        verify_profile, the bump, the field writes) keep at most 3.75
+        n x n float arrays alive at once at n = 256; the three commands
+        read about 3.35-3.5 (``python tools/working_set.py``)."""
         text = self.FULL_GRID[command]
         # a discarded warm-up, so one-time allocations (the cached kernel
         # window among them) do not count
         self._peak(tmp_path, capsys, text, "warmup")
-        assert self._peak(tmp_path, capsys, text, "measured") <= 4.75 * 8 * 256**2
+        assert self._peak(tmp_path, capsys, text, "measured") <= 3.75 * 8 * 256**2
+
+    @pytest.mark.parametrize("command", sorted(FULL_GRID))
+    def test_compact_data_builds_no_full_plane(self, tmp_path, capsys, monkeypatch, command):
+        """On data that does not fill the grid, the commands build Z11's
+        symbol only as its half plane: the full plane is for the grid-sized
+        box of full-support data and the diagnostics."""
+        built = []
+        z11_symbol = z11sim.spectral._z11_symbol
+
+        def recording(n1, n2, full=False):
+            built.append(full)
+            return z11_symbol(n1, n2, full)
+
+        for module in (z11sim.spectral, z11sim.profile):
+            monkeypatch.setattr(module, "_z11_symbol", recording)
+        _box_kernel.cache_clear()
+        ini = tmp_path / "compact.ini"
+        ini.write_text(self.FULL_GRID[command].replace("n = 256", "n = 64").replace("{out}", "out"))
+        try:
+            assert run_cli(capsys, ini)[0] == 0
+        finally:
+            _box_kernel.cache_clear()
+        assert built and not any(built)
 
 
 class TestDiagnosticsCommand:
@@ -558,6 +581,31 @@ class TestErrorContract:
         assert record["error"] == "ConfigError"
         assert message in record["message"]
         assert sorted(os.listdir(tmp_path)) == ["bad.ini"]
+
+    @pytest.mark.parametrize("n", [2**20, 2**40])
+    def test_grid_too_large_to_hold(self, tmp_path, n):
+        """A grid too large to hold ends in one JSON record, not a
+        traceback: at 2^40 points per axis the config's grid coordinates
+        fail while loading, at 2^20 the command's first n x n array. The
+        interpreter's address space is capped at 2 GiB, so the allocation
+        fails alike whatever the machine's overcommit policy."""
+        (tmp_path / "huge.ini").write_text(solve_ini().replace("n = 32", f"n = {n}"))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+            "from z11sim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(z11sim.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", code, "huge.ini"], cwd=tmp_path, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "MemoryError"
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, tmp_path / "absent.ini")

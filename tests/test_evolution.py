@@ -41,6 +41,7 @@ from z11sim.spectral import _real_fft
 
 from test_profile import _transform_shapes
 from test_properties import _reflect
+from test_spectral import m11_from_scratch
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +192,7 @@ class TestRhs:
         support is the grid itself, transformed exactly as before."""
         grid = Grid(64, 16.0)
         values = np.random.default_rng(74).standard_normal((64, 64)) * SUPPORTS[support]()
-        expected = _real_fft(values, grid.m11) * values
+        expected = _real_fft(values, m11_from_scratch(64)) * values
         got = rhs(RealField(grid, values)).values
         if support == "full":
             np.testing.assert_array_equal(got, expected)
@@ -666,13 +667,14 @@ class TestSharedBox:
     @pytest.mark.parametrize("data", ["zero", "full"])
     def test_grid_support_runs_on_the_grid_symbol(self, monkeypatch, grid32, data):
         """The zero field takes the full-grid mask, as a field with no zero
-        does: the box is the grid and the symbol is grid.m11 itself."""
+        does: the box is the grid and the symbol is Z11's full plane, bitwise
+        the symbol written out from its definition."""
         values = np.zeros((32, 32)) if data == "zero" else (
             0.1 + np.random.default_rng(76).random((32, 32)))
         ops = _step_operators(monkeypatch, RealField(grid32, values), EvolveConfig(t_max=0.01))
         assert ops[0].mask.cell_count == 32 * 32
         assert ops[0]._box_shape == (32, 32)
-        assert ops[0]._symbol is grid32.m11
+        assert ops[0]._symbol.tobytes() == m11_from_scratch(32).tobytes()
 
 
 class TestBoxRecords:

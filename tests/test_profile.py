@@ -54,7 +54,7 @@ from z11sim.profile import (
 )
 from z11sim.spectral import _real_fft
 
-from test_spectral import dft_multiplier_oracle
+from test_spectral import dft_multiplier_oracle, m11_from_scratch
 
 
 @pytest.fixture(scope="module")
@@ -288,13 +288,13 @@ class TestBoxKernel:
         grid = Grid(n, 16.0)
         impulse = np.zeros((n, n))
         impulse[0, 0] = 1.0
-        kernel = _real_fft(impulse, grid.m11)
+        kernel = _real_fft(impulse, m11_from_scratch(n))
         for p1, p2 in ((1, 1), (5, 12), (n // 2, 9), (15, n), (n, n)):
             rows, cols = (np.where(o <= p // 2, o, o - p) % n
                           for p in (p1, p2) for o in [np.arange(p)])
             window = kernel[np.ix_(rows, cols)]
             if p1 == p2 == n:
-                symbol = grid.m11
+                symbol = m11_from_scratch(n)
             else:
                 box_impulse = np.zeros((p1, p2))
                 box_impulse[0, 0] = 1.0

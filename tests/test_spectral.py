@@ -24,7 +24,18 @@ from z11sim import (
     quadratic_form,
     sup_norm,
 )
-from z11sim.spectral import _real_fft
+from z11sim.spectral import _real_fft, _z11_symbol
+
+
+def m11_from_scratch(n: int) -> np.ndarray:
+    """Z11's symbol k1^2/|k|^2 on the full n x n FFT lattice, axis 0 along
+    k1, zero at k = 0, written out from its definition."""
+    j = np.arange(n)
+    k = np.where(j < n // 2, j, j - n).astype(float)
+    k1 = k[:, None]
+    k2 = k[None, :]
+    denom = k1**2 + k2**2
+    return np.divide(k1**2, denom, out=np.zeros((n, n)), where=denom > 0)
 
 
 def dft_multiplier_oracle(values: np.ndarray) -> np.ndarray:
@@ -34,13 +45,7 @@ def dft_multiplier_oracle(values: np.ndarray) -> np.ndarray:
     j = np.arange(n)
     w = np.exp(-2j * np.pi * np.outer(j, j) / n)
     coeff = w @ values @ w.T / n**2
-
-    k = np.where(j < n // 2, j, j - n).astype(float)
-    k1 = k[:, None]
-    k2 = k[None, :]
-    denom = k1**2 + k2**2
-    symbol = np.divide(k1**2, denom, out=np.zeros((n, n)), where=denom > 0)
-
+    symbol = m11_from_scratch(n)
     w_inv = np.conj(w)
     return (w_inv @ (symbol * coeff) @ w_inv.T).real
 
@@ -68,28 +73,32 @@ class TestGrid:
             Grid(32, length)
 
     def test_multiplier_is_box_independent(self):
-        small = Grid(32, 4.0)
-        large = Grid(32, 64.0)
-        np.testing.assert_array_equal(small.m11, large.m11)
+        """The symbol is built from integer wavenumbers, so Z11 of the same
+        samples is bitwise the same on boxes of any length."""
+        values = np.random.default_rng(16).standard_normal((64, 64))
+        small = apply_z11(RealField(Grid(64, 8.0), values)).values
+        large = apply_z11(RealField(Grid(64, 32.0), values)).values
+        assert small.tobytes() == large.tobytes()
 
     def test_multiplier_range_and_zero_mode(self):
-        g = Grid(32, 8.0)
-        assert g.m11[0, 0] == 0.0
-        assert g.m11.min() >= 0.0
-        assert g.m11.max() <= 1.0
-        np.testing.assert_array_equal(g.m11[0, 1:], np.zeros(31))
-        np.testing.assert_array_equal(g.m11[1:, 0], np.ones(31))
+        m11 = _z11_symbol(32, 32, full=True)
+        assert m11[0, 0] == 0.0
+        assert m11.min() >= 0.0
+        assert m11.max() <= 1.0
+        np.testing.assert_array_equal(m11[0, 1:], np.zeros(31))
+        np.testing.assert_array_equal(m11[1:, 0], np.ones(31))
 
-    def test_holds_one_multiplier_mesh(self):
-        """A grid keeps one full-plane float mesh (8 MiB at n = 1024)."""
+    def test_holds_no_mesh(self):
+        """A grid keeps no n x n array: at n = 1024 it holds under 64 KiB
+        (a full-plane mesh would be 8 MiB)."""
         tracemalloc.start()
         try:
             grid = Grid(1024, 16.0)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert grid.m11.nbytes == 8 * 2**20
-        assert held < 16 * 2**20
+        assert grid.x.shape == (1024,)
+        assert held < 64 * 2**10
 
     def test_grid_equality(self):
         assert Grid(32, 8.0) == Grid(32, 8.0)
@@ -181,6 +190,28 @@ class TestTransforms:
         np.testing.assert_array_equal(got, full[:b1, :b2])
 
 
+class TestZ11Symbol:
+    """Z11's symbol is built where it is multiplied; each form is bitwise
+    the symbol written out from its definition."""
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_full_and_half_plane_match_the_definition(self, n):
+        expected = m11_from_scratch(n)
+        full = _z11_symbol(n, n, full=True)
+        half = _z11_symbol(n, n)
+        assert full.shape == (n, n) and half.shape == (n, n // 2 + 1)
+        assert full.tobytes() == expected.tobytes()
+        assert half.tobytes() == np.ascontiguousarray(expected[:, : n // 2 + 1]).tobytes()
+
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_apply_matches_the_transform_of_the_full_plane(self, n):
+        """The half plane built between the transform's passes gives
+        bitwise the result of the full-plane symbol handed in whole."""
+        values = np.random.default_rng(n + 1).standard_normal((n, n))
+        got = apply_z11(RealField(Grid(n, 8.0), values)).values
+        assert got.tobytes() == _real_fft(values, m11_from_scratch(n)).tobytes()
+
+
 class TestMultiplierOperators:
     def test_matches_direct_dft_oracle(self):
         """apply_z11 against the definitional transform, no shared code."""
@@ -215,7 +246,7 @@ class TestMultiplierOperators:
     @pytest.mark.parametrize("n", [32, 64])
     def test_transposition_swaps_z11_and_z22(self, n):
         """Transposing the data conjugates Z11 into Z22. The Z22 symbol is
-        the transposed Z11 mesh bit for bit, so the law holds up to the
+        the transposed Z11 full plane bit for bit, so the law holds up to the
         FFT's roundoff: the real transform runs along the last axis, so
         transposed data takes another rounding path. The data has a
         nonzero mean, so a companion built as 1 - Z11 (which is 1 on the
@@ -225,7 +256,7 @@ class TestMultiplierOperators:
         k = np.where(j < n // 2, j, j - n).astype(float)
         denom = k[:, None] ** 2 + k[None, :] ** 2
         m22 = np.divide(k[None, :] ** 2, denom, out=np.zeros((n, n)), where=denom > 0)
-        assert np.array_equal(g.m11.T, m22)
+        assert np.array_equal(_z11_symbol(n, n, full=True).T, m22)
 
         values = 0.5 + np.random.default_rng(n).standard_normal((n, n))
         swapped = apply_z11(RealField(g, values.T)).values.T

@@ -1,0 +1,82 @@
+"""Measure the peak working set of the full-grid commands.
+
+For each of ``solve-profile``, ``evolve`` and ``verify-self-similar`` the
+script runs the command once through ``z11sim.cli.main`` to warm up (so
+one-time allocations, the cached kernel window among them, count in
+neither figure), then runs it again under ``tracemalloc`` and prints the
+traced peak, in MiB and in float64 arrays of ``n x n`` (8 n^2 bytes). The
+configs are the benchmark's three cases centred at the origin, as the
+Tier-1 test ``TestBoundedMemory::test_full_grid_working_set`` runs them,
+at the given grid size. Output directories go to a temporary directory
+that is removed afterwards.
+
+Run from the repository root:
+
+    python tools/working_set.py [n ...]        (default: 256)
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+CONFIGS = {
+    "solve-profile": (
+        "[run]\ncommand = solve-profile\noutput_dir = {out}\n\n"
+        "[grid]\nn = {n}\nbox_length = 16.0\n\n"
+        "[shape]\nspec = disk(0, 0, 1)\n"
+    ),
+    "evolve": (
+        "[run]\ncommand = evolve\noutput_dir = {out}\nsnapshot_times = 1.0\n\n"
+        "[grid]\nn = {n}\nbox_length = 16.0\n\n"
+        "[initial]\nkind = bump\nwidth = 0.5\ncutoff = 2.0\n\n"
+        "[evolve]\nt_max = 20.0\nrecord_every = 1\n"
+    ),
+    "verify-self-similar": (
+        "[run]\ncommand = verify-self-similar\noutput_dir = {out}\n\n"
+        "[grid]\nn = {n}\nbox_length = 16.0\n\n"
+        "[shape]\nspec = disk(0, 0, 1)\n\n"
+        "[evolve]\nrtol = 1e-10\natol = 1e-12\n\n"
+        "[verify]\nt_blowup = 1.0\nt_final = 0.9\n"
+    ),
+}
+
+
+def traced_peak(main, workdir: Path, command: str, n: int, name: str) -> int:
+    """Peak traced bytes of one run of ``command`` at grid size ``n``."""
+    ini = workdir / f"{name}.ini"
+    ini.write_text(CONFIGS[command].format(out=workdir / name, n=n))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(ini)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if code != 0:
+        raise RuntimeError(f"{command} at n = {n} exited with {code}")
+    return peak
+
+
+def main(argv: list[str]) -> int:
+    sizes = [int(arg) for arg in argv[1:]] or [256]
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from z11sim.cli import main as cli_main
+
+    print(f"{'command':<22}{'n':>6}{'peak MiB':>10}{'n^2 arrays':>12}")
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for n in sizes:
+            for command in CONFIGS:
+                traced_peak(cli_main, workdir, command, n, "warmup")
+                peak = traced_peak(cli_main, workdir, command, n, "measured")
+                print(f"{command:<22}{n:>6}{peak / 2**20:>10.2f}{peak / (8 * n * n):>12.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
