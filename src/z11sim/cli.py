@@ -26,7 +26,7 @@ from .evolution import (
     gaussian_bump,
 )
 from .fieldio import _write_csv, atomic_write_bytes, read_field, write_field, write_trace_csv
-from .profile import ProfileSolution, RestrictedOperator, solve_profile, verify_profile
+from .profile import ProfileSolution, RestrictedOperator, estimate_coercivity, solve_profile
 from .shapes import Mask, mask_area, rasterize
 from .spectral import RealField
 
@@ -41,17 +41,19 @@ def _write_json(path: str, obj) -> None:
 
 
 def _summary(cfg: RunConfig, solution: ProfileSolution | None = None,
-             trace: EvolutionTrace | None = None, **keys) -> dict:
+             delta: float | None = None, trace: EvolutionTrace | None = None,
+             **keys) -> dict:
     """A command's JSON summary: the keys every command shares, the
-    solve's and the evolution's when the command ran them, then ``keys``."""
+    solve's (the solution and its delta) and the evolution's when the
+    command ran them, then ``keys``."""
     summary = {"command": cfg.command, "grid_n": cfg.grid.n, "box_length": cfg.grid.box_length}
     if solution is not None:
         summary.update(
             shape=cfg.shape_text,
             residual_l2=solution.residual_l2,
             iterations=solution.iterations,
-            delta_estimate=solution.delta_estimate,
-            delta_over_h2=solution.delta_estimate / cfg.grid.h**2,
+            delta_estimate=delta,
+            delta_over_h2=delta / cfg.grid.h**2,
             cell_count=solution.mask.cell_count,
         )
     if trace is not None:
@@ -60,23 +62,25 @@ def _summary(cfg: RunConfig, solution: ProfileSolution | None = None,
     return summary | keys
 
 
-def _solve(cfg: RunConfig) -> ProfileSolution:
+def _solve(cfg: RunConfig) -> tuple[ProfileSolution, float]:
+    """The certified profile and delta, the smallest eigenvalue of its
+    operator, both before the command writes anything."""
     operator = RestrictedOperator(rasterize(cfg.shape, cfg.grid))
-    return solve_profile(operator, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    solution = solve_profile(operator, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    return solution, estimate_coercivity(operator)
 
 
 def _cmd_solve_profile(cfg: RunConfig) -> list[str]:
-    solution = _solve(cfg)
+    solution, delta = _solve(cfg)
     mask = solution.mask
-    report = verify_profile(solution)
     write_field(os.path.join(cfg.output_dir, "profile.vpf"), solution.q, kind="profile")
     write_field(os.path.join(cfg.output_dir, "mask.vpf"), mask)
     _write_json(os.path.join(cfg.output_dir, "solve.json"), _summary(
-        cfg, solution,
+        cfg, solution, delta,
         tol=cfg.solver_tol,
         max_iter=cfg.solver_max_iter,
         mask_area=mask_area(mask),
-        verification=dataclasses.asdict(report),
+        verification=dataclasses.asdict(solution.report),
     ))
     return ["profile.vpf", "mask.vpf", "solve.json"]
 
@@ -145,7 +149,7 @@ def _cmd_evolve(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
-    solution = _solve(cfg)
+    solution, delta = _solve(cfg)
     t_blowup = cfg.verify_t_blowup
     omega0 = RealField(cfg.grid, solution.q.values / t_blowup)
     evolve_cfg = dataclasses.replace(cfg.evolve, t_max=cfg.verify_t_final)
@@ -169,7 +173,7 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     _write_csv(os.path.join(cfg.output_dir, "deviation.csv"), ("t", "deviation"),
                zip(trace.times, deviations))
     _write_json(os.path.join(cfg.output_dir, "verify.json"), _summary(
-        cfg, solution, trace,
+        cfg, solution, delta, trace,
         t_blowup=t_blowup,
         t_final=cfg.verify_t_final,
         max_deviation=max(deviations),

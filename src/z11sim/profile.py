@@ -22,10 +22,10 @@ the rows it knows to be zero. The inverse of that circulant's symbol,
 floored at the lowest x1-mode of the mask's longest x1-run, is the
 operator's preconditioner (Strang 1986; T. Chan 1988), and costs the
 same: conjugate gradient and the Davidson estimate of the smallest
-eigenvalue both use it. The residual certificate and
-:func:`verify_profile` apply Z11 on the full grid, independently of the
-embedding and of the preconditioner. A dense matrix assembly is provided
-as an oracle for small masks.
+eigenvalue both use it. The solve's one certificate,
+:func:`verify_profile`, applies Z11 on the full grid, independently of
+the embedding and of the preconditioner. A dense matrix assembly is
+provided as an oracle for small masks.
 
 The flow w_t = (Z11 w) w keeps the support of w, where (Z11 w) w is
 (L w) w for the restricted operator L of that support, so the evolution
@@ -258,27 +258,6 @@ def dense_L_matrix(op: RestrictedOperator) -> np.ndarray:
     return op._window[(r[:, None] - r) % p1, (c[:, None] - c) % p2]
 
 
-@dataclass(frozen=True, eq=False)
-class ProfileSolution:
-    """Solved profile plus solve diagnostics.
-
-    ``q`` is exactly zero off the mask. ``residual_l2`` is the true relative
-    residual ||L q - 1|| / ||1|| over the mask, recomputed by an independent
-    operator application after the CG loop. ``delta_estimate`` is the
-    estimated smallest eigenvalue of the operator.
-    """
-
-    q: RealField
-    residual_l2: float
-    iterations: int
-    delta_estimate: float
-    mask: Mask
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta_estimate <= 1.0):
-            raise ValueError(f"delta_estimate must lie in (0, 1], got {self.delta_estimate}")
-
-
 def _cg(op: RestrictedOperator, b: np.ndarray, tol: float,
         max_iter: int) -> tuple[np.ndarray, int, list[float]]:
     """CG on the packed subspace, preconditioned by ``op.precondition``,
@@ -338,13 +317,16 @@ def _check_solver_settings(tol: float, max_iter: int) -> None:
 def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
                   max_iter: int = 10_000) -> ProfileSolution:
     """Solve L Q = 1 on the mask by conjugate gradient, preconditioned by
-    the operator's circulant.
+    the operator's circulant, and certify Q.
 
     The right-hand side is the exact indicator value 1 on mask cells, with
     no boundary smoothing; oscillation of Q near the mask boundary is
-    expected and reported, not suppressed. The returned residual is
-    recomputed with an independent operator application on the full grid,
-    which neither the embedding nor the preconditioner enters.
+    expected and reported, not suppressed. The certificate is
+    :func:`verify_profile` of Q, one application of Z11 on the full grid,
+    which neither the embedding nor the preconditioner enters. If its
+    relative on-mask L2 deviation exceeds ``tol``, ConvergenceError is
+    raised with CG's iterate and that deviation as the last entry of the
+    residual history. The solve estimates no eigenvalue.
     """
     _check_solver_settings(tol, max_iter)
     mask = op.mask
@@ -361,20 +343,13 @@ def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
             "the periodic box must dominate the set"
         )
 
-    b = np.ones(mask.cell_count)
-    x, iterations, history = _cg(op, b, tol, max_iter)
-
-    # Certificate: re-apply the multiplier operator to the extended solution.
+    x, iterations, history = _cg(op, np.ones(mask.cell_count), tol, max_iter)
     q = RealField(op.grid, mask.unpack(x))
-    z = apply_z11(q)
-    res = mask.pack(z.values) - b
-    residual = float(np.linalg.norm(res) / np.linalg.norm(b))
-    if residual > tol:
-        raise _make_convergence_error(op, x, history + [residual], tol, max_iter)
-
-    delta = estimate_coercivity(op)
-    return ProfileSolution(q=q, residual_l2=residual, iterations=iterations,
-                           delta_estimate=delta, mask=mask)
+    solution = ProfileSolution(q=q, iterations=iterations, mask=mask,
+                               report=verify_profile(q, mask))
+    if solution.residual_l2 > tol:
+        raise _make_convergence_error(op, x, history + [solution.residual_l2], tol, max_iter)
+    return solution
 
 
 def estimate_coercivity(op: RestrictedOperator) -> float:
@@ -546,20 +521,44 @@ class ProfileReport:
     defect_l2_rel: float
 
 
-def verify_profile(sol: ProfileSolution) -> ProfileReport:
-    """Check the profile equation directly on the solved field.
+@dataclass(frozen=True, eq=False)
+class ProfileSolution:
+    """Solved profile, its CG iteration count and its certificate.
 
-    Z11 Q is applied on the full grid. Past the on-mask deviation, the
-    defect is built in place in that array, the off-mask maximum of |Q| is
-    read by masked reductions rather than from a copy of the off-mask
-    cells, and the squares reuse the defect's array, so the one n x n
-    float array it allocates beside Q is Z11 Q. Every value is bitwise
-    that of the full-array formulas.
+    ``q`` is exactly zero off the mask. ``report`` is
+    :func:`verify_profile` of ``q`` on ``mask``, the one full-grid
+    application of Z11 a solve makes, and ``residual_l2``, the relative
+    residual ||L q - 1|| / ||1|| over the mask, is read from it. The
+    smallest eigenvalue of the operator is not part of a solve: it is
+    :func:`estimate_coercivity` of the operator.
     """
-    mask = sol.mask
+
+    q: RealField
+    iterations: int
+    mask: Mask
+    report: ProfileReport
+
+    @property
+    def residual_l2(self) -> float:
+        return self.report.on_mask_l2_dev_rel
+
+
+def verify_profile(q: RealField, mask: Mask) -> ProfileReport:
+    """Check the profile equation directly on the field ``q``, which is
+    meant to vanish off ``mask``.
+
+    Z11 Q is applied on the full grid, so the report depends neither on
+    the box embedding nor on the preconditioner that a solve uses; it is
+    the certificate that :func:`solve_profile` returns. Past the on-mask
+    deviation, the defect is built in place in that array, the off-mask
+    maximum of |Q| is read by masked reductions rather than from a copy of
+    the off-mask cells, and the squares reuse the defect's array, so the
+    one n x n float array it allocates beside Q is Z11 Q. Every value is
+    bitwise that of the full-array formulas.
+    """
     h2 = mask.grid.h**2
-    q = sol.q.values
-    defect = apply_z11(sol.q).values
+    values = q.values
+    defect = apply_z11(q).values
     dev = defect[mask.indicator] - 1.0
     on_max = float(np.max(np.abs(dev)))
     on_l2 = float(np.sqrt(h2 * np.sum(dev**2)))
@@ -568,19 +567,19 @@ def verify_profile(sol: ProfileSolution) -> ProfileReport:
     # max |Q| off the mask is the larger of |max Q| and |min Q| there; abs
     # turns a -0.0 extreme into 0.0, as abs of each cell would
     off = ~mask.indicator
-    off_max = max(abs(float(np.max(q, where=off, initial=0.0))),
-                  abs(float(np.min(q, where=off, initial=0.0))))
+    off_max = max(abs(float(np.max(values, where=off, initial=0.0))),
+                  abs(float(np.min(values, where=off, initial=0.0))))
 
     # (Z11 Q - 1) Q rather than (Z11 Q) Q - Q: where Z11 Q is near 1 the
     # difference is exact, so a defect at roundoff level is not swamped by
     # the eps * |Q| cancellation error of the second form.
     defect -= 1.0
-    defect *= q
+    defect *= values
     square = np.abs(defect, out=defect)
     defect_max = float(np.max(square))
     np.square(square, out=square)
     defect_l2 = float(np.sqrt(h2 * np.sum(square)))
-    q_l2 = float(np.sqrt(h2 * np.sum(np.square(q, out=square))))
+    q_l2 = float(np.sqrt(h2 * np.sum(np.square(values, out=square))))
 
     return ProfileReport(
         on_mask_max_dev=on_max,

@@ -15,6 +15,7 @@ import z11sim
 from z11sim import (
     Mask,
     RealField,
+    SingularOperatorError,
     read_field,
     read_header,
     read_trace_csv,
@@ -113,6 +114,26 @@ class TestSolveProfileCommand:
         ini.write_text(solve_ini())
         assert run_cli(capsys, ini)[0] == 0
         assert built == [32]
+
+    def test_delta_is_estimated_before_any_write(self, tmp_path, capsys, monkeypatch):
+        """The command, not the solve, estimates delta, and before it
+        writes: a numerically singular estimate fails the run with its
+        record and leaves no profile behind."""
+        def singular(op):
+            raise SingularOperatorError("operator numerically singular (stub)")
+
+        monkeypatch.setattr(cli, "estimate_coercivity", singular)
+        ini = tmp_path / "solve.ini"
+        ini.write_text(solve_ini())
+        code, out, err = run_cli(capsys, ini)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err.strip())
+        assert record == {"error": "SingularOperatorError",
+                          "message": "operator numerically singular (stub)"}
+        outdir = tmp_path / "solveout"
+        assert json.loads((outdir / "error.json").read_text()) == record
+        assert sorted(os.listdir(outdir)) == ["error.json"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         for name, outdir in (("a.ini", "out_a"), ("b.ini", "out_b")):
@@ -346,7 +367,7 @@ class TestVerifyCommand:
         assert code == 0
         rows = (tmp_path / "out-verify-disk" / "deviation.csv").read_text().splitlines()[1:]
         written = np.array([[float(x) for x in row.split(",")] for row in rows])
-        (solution,) = solutions
+        ((solution, _),) = solutions
         oracle = [self_similar_deviation(state, solution.q, 1.0, t) for t, state in states]
         assert len(written) == len(states) > 10
         np.testing.assert_array_equal(written[:, 0], [t for t, _ in states])
@@ -368,6 +389,36 @@ class TestVerifyCommand:
         outdir = tmp_path / "out-verify-disk"
         assert json.loads((outdir / "error.json").read_text()) == record
         assert sorted(os.listdir(outdir)) == ["error.json"]
+
+
+class TestOneCertificate:
+    """A command that solves for Q applies Z11 on the full grid once: for
+    the certificate that solve_profile returns and the command writes."""
+
+    @pytest.mark.parametrize("command", ["solve-profile", "verify-self-similar"])
+    def test_one_full_grid_z11(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        apply_z11 = z11sim.spectral.apply_z11
+
+        def counting(field):
+            calls.append(field.values.shape)
+            return apply_z11(field)
+
+        # every module that binds the name
+        for module in (z11sim.spectral, z11sim.profile, z11sim.diagnostics):
+            monkeypatch.setattr(module, "apply_z11", counting)
+        ini = tmp_path / "run.ini"
+        text = solve_ini(output_dir="out")
+        if command == "verify-self-similar":
+            text = (text.replace("solve-profile", "verify-self-similar")
+                    + "\n[evolve]\nrtol = 1e-10\natol = 1e-12\n"
+                    "\n[verify]\nt_blowup = 1.0\nt_final = 0.9\n")
+        ini.write_text(text)
+        assert run_cli(capsys, ini)[0] == 0
+        assert calls == [(32, 32)]
+        if command == "solve-profile":
+            record = json.loads((tmp_path / "out" / "solve.json").read_text())
+            assert record["residual_l2"] == record["verification"]["on_mask_l2_dev_rel"]
 
 
 class TestBoundedMemory:

@@ -172,7 +172,7 @@ class TestRhs:
         on its support the multiplier response is 1, so rhs(Q) = Q there
         and rhs(Q) - Q is exactly the verification defect."""
         sol = profile32
-        report = verify_profile(sol)
+        report = verify_profile(sol.q, sol.mask)
         out = rhs(sol.q)
         residual = np.abs(out.values - sol.q.values)
         assert residual.max() <= report.defect_max * (1.0 + 1e-12) + 1e-15

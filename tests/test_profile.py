@@ -24,7 +24,6 @@ from z11sim import (
     EvolveConfig,
     Grid,
     Mask,
-    ProfileSolution,
     RealField,
     RestrictedOperator,
     ShapeDifference,
@@ -953,10 +952,21 @@ class TestSolveProfile:
         np.testing.assert_allclose(mask.pack(sol.q.values), direct, atol=1e-7)
 
     def test_delta_estimate_populated(self, disk_setup):
-        sol = solve_profile(disk_setup[2], tol=1e-8)
+        delta = estimate_coercivity(disk_setup[2])
         dense_min = np.linalg.eigvalsh(dense_L_matrix(disk_setup[2]))[0]
-        assert 0.0 < sol.delta_estimate <= 1.0
-        np.testing.assert_allclose(sol.delta_estimate, dense_min, rtol=1e-6)
+        assert 0.0 < delta <= 1.0
+        np.testing.assert_allclose(delta, dense_min, rtol=1e-6)
+
+    def test_solve_estimates_no_eigenvalue(self, disk_setup, monkeypatch):
+        """delta is the commands' business: a solve returns without
+        calling the coercivity estimate."""
+        def refuse(op):
+            raise AssertionError("solve_profile estimated the coercivity")
+
+        monkeypatch.setattr(profile, "estimate_coercivity", refuse)
+        sol = solve_profile(disk_setup[2], tol=1e-8)
+        assert sol.residual_l2 <= 1e-8
+        assert not hasattr(sol, "delta_estimate")
 
     def test_asymmetric_mask_certificate(self):
         grid = Grid(32, 8.0)
@@ -1006,10 +1016,8 @@ class TestSolveProfile:
             solve_profile(op, tol=1e-8)
         err = excinfo.value
         np.testing.assert_allclose(err.residual_history[-1], 1 - 1 / 1.001, rtol=1e-4)
-        sol = ProfileSolution(q=err.best, residual_l2=err.residual_history[-1],
-                              iterations=1, delta_estimate=0.5, mask=mask)
-        np.testing.assert_allclose(verify_profile(sol).on_mask_max_dev, 1 - 1 / 1.001,
-                                   rtol=1e-4)
+        np.testing.assert_allclose(verify_profile(err.best, mask).on_mask_max_dev,
+                                   1 - 1 / 1.001, rtol=1e-4)
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_preconditioned_cg_matches_dense_solve(self, n):
@@ -1037,7 +1045,8 @@ class TestSolveProfile:
         code = (
             "import os\n"
             "import time\n"
-            "from z11sim import Disk, Grid, RestrictedOperator, rasterize, solve_profile\n"
+            "from z11sim import (Disk, Grid, RestrictedOperator, estimate_coercivity,\n"
+            "                    rasterize, solve_profile)\n"
             "def ticks():\n"
             "    out = {}\n"
             "    for tid in os.listdir('/proc/self/task'):\n"
@@ -1054,6 +1063,7 @@ class TestSolveProfile:
             "        break\n"
             "print(before)\n"
             "solve_profile(op)\n"
+            "estimate_coercivity(op)\n"
             "print(ticks())\n"
         )
         src = os.path.dirname(os.path.dirname(profile.__file__))
@@ -1073,30 +1083,22 @@ class TestSolveProfile:
         with pytest.raises(CurvatureBreakdownError, match="iteration 1"):
             _cg(NegatingStub(), np.ones(5), 1e-8, 10)
 
-    def test_solution_validation(self, disk_setup):
-        grid, mask, op = disk_setup
-        sol = solve_profile(op, tol=1e-8)
-        with pytest.raises(ValueError, match="delta_estimate"):
-            ProfileSolution(q=sol.q, residual_l2=sol.residual_l2, iterations=1,
-                            delta_estimate=0.0, mask=mask)
 
-
-def _full_array_report(sol):
+def _full_array_report(q, mask):
     """The report by the full-array formulas, with the defect, its squares
     and the off-mask cells each in an array of their own."""
-    mask = sol.mask
     h2 = mask.grid.h**2
-    z = apply_z11(sol.q)
+    z = apply_z11(q)
     dev = z.values[mask.indicator] - 1.0
     on_max = float(np.max(np.abs(dev)))
     on_l2 = float(np.sqrt(h2 * np.sum(dev**2)))
     ones_norm = float(np.sqrt(h2 * mask.cell_count))
-    off_vals = sol.q.values[~mask.indicator]
+    off_vals = q.values[~mask.indicator]
     off_max = float(np.max(np.abs(off_vals))) if off_vals.size else 0.0
-    defect = (z.values - 1.0) * sol.q.values
+    defect = (z.values - 1.0) * q.values
     defect_l2 = float(np.sqrt(h2 * np.sum(defect**2)))
     defect_max = float(np.max(np.abs(defect)))
-    q_l2 = float(np.sqrt(h2 * np.sum(sol.q.values**2)))
+    q_l2 = float(np.sqrt(h2 * np.sum(q.values**2)))
     return ProfileReport(
         on_mask_max_dev=on_max,
         on_mask_l2_dev=on_l2,
@@ -1109,13 +1111,13 @@ def _full_array_report(sol):
     )
 
 
-def _hand_made_solution(solved, off_mask):
+def _hand_made_profile(solved, off_mask):
     """The solved disk's profile with its first off-mask cells set to the
     list ``off_mask``, or every off-mask cell to the number ``off_mask``."""
     values = solved.q.values.copy()
     off = np.flatnonzero(~solved.mask.indicator)
     values.flat[off if np.isscalar(off_mask) else off[: len(off_mask)]] = off_mask
-    return dataclasses.replace(solved, q=RealField(solved.q.grid, values))
+    return RealField(solved.q.grid, values)
 
 
 class TestVerifyProfile:
@@ -1132,27 +1134,26 @@ class TestVerifyProfile:
         was. The negative-zeros case sets every off-mask cell to -0.0,
         whose maximum magnitude the report gives as 0.0."""
         solved = solve_profile(disk_setup[2], tol=1e-8)
-        if off_mask is None:
-            sol = solved
-        elif off_mask == "full-grid-mask":
+        q, mask = solved.q, solved.mask
+        if off_mask == "full-grid-mask":
             grid = disk_setup[0]
-            sol = dataclasses.replace(
-                solved, mask=Mask(grid, np.ones((grid.n, grid.n), dtype=bool)))
-        else:
-            sol = _hand_made_solution(solved, off_mask)
-        before = sol.q.values.tobytes()
-        got = dataclasses.astuple(verify_profile(sol))
-        expected = dataclasses.astuple(_full_array_report(sol))
+            mask = Mask(grid, np.ones((grid.n, grid.n), dtype=bool))
+        elif off_mask is not None:
+            q = _hand_made_profile(solved, off_mask)
+        before = q.values.tobytes()
+        got = dataclasses.astuple(verify_profile(q, mask))
+        expected = dataclasses.astuple(_full_array_report(q, mask))
         assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
-        assert sol.q.values.tobytes() == before
+        assert q.values.tobytes() == before
 
     def test_report_consistent_with_solve(self, disk_setup):
         _, mask, op = disk_setup
         sol = solve_profile(op, tol=1e-9)
-        report = verify_profile(sol)
+        report = verify_profile(sol.q, mask)
         assert report.off_mask_exact_zero
         assert report.off_mask_max == 0.0
-        np.testing.assert_allclose(report.on_mask_l2_dev_rel, sol.residual_l2, rtol=1e-10)
+        assert report.on_mask_l2_dev_rel == sol.residual_l2
+        assert report == sol.report
         assert report.on_mask_max_dev >= report.on_mask_l2_dev_rel / 10
 
     def test_defect_bounded_by_deviation(self, disk_setup):
@@ -1160,14 +1161,14 @@ class TestVerifyProfile:
         mask and defect = 0 off it, so the norms obey the product bound."""
         _, mask, op = disk_setup
         sol = solve_profile(op, tol=1e-8)
-        report = verify_profile(sol)
+        report = verify_profile(sol.q, mask)
         sup_q = sup_norm(sol.q)
         assert report.defect_max <= report.on_mask_max_dev * sup_q * (1 + 1e-12)
         assert report.defect_l2 <= report.on_mask_l2_dev * sup_q * (1 + 1e-12)
 
     def test_defect_small_relative_to_profile(self, disk_setup):
         sol = solve_profile(disk_setup[2], tol=1e-8)
-        report = verify_profile(sol)
+        report = verify_profile(sol.q, sol.mask)
         assert report.defect_l2 <= 1e-7 * l2_norm(sol.q)
 
     def test_profile_positive_on_disk(self, disk_setup):

@@ -5,8 +5,9 @@ an indentation change, and lies outside every docstring (the first
 string statement of a module, class or function, found with ``ast``).
 Blank lines, comment-only lines and docstrings are left out. The script
 also prints each module's physical line count and their total, the
-figure ``wc -l`` gives, and then the number of settable INI values, the
-keys of the package's ``config._SCHEMA``, per section and in total.
+figure ``wc -l`` gives, then the number of settable INI values, the
+keys of the package's ``config._SCHEMA``, per section and in total, and
+last the number of names the package exports, ``len(__all__)``.
 
 Run from the repository root:
 
@@ -65,6 +66,7 @@ def main(argv: list[str]) -> int:
     for section, keys in schema.items():
         print(f"{section:<16}{len(keys):>6}")
     print(f"{'total':<16}{sum(map(len, schema.values())):>6}")
+    print(f"\n{'exports':<16}{len(importlib.import_module(package.name).__all__):>6}")
     return 0
 
 
