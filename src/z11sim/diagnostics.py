@@ -96,6 +96,7 @@ def cone_mass_study(grid: Grid, rng: np.random.Generator) -> list[dict]:
 
 def run_diagnostics(grid: Grid, seed: int) -> dict:
     """Run the full suite and collect a serializable summary."""
+    # numpy loads numpy.random on this first use; no other command needs it
     rng = np.random.default_rng(seed)
     identities = multiplier_identity_report(grid, rng)
     cone = cone_mass_study(grid, rng)

@@ -25,8 +25,6 @@ __all__ = [
     "EvolveConfig",
     "EvolutionTrace",
     "StepUnderflowError",
-    "rhs",
-    "rk_step",
     "step",
     "evolve",
     "estimate_blowup_time",

@@ -25,7 +25,6 @@ from .spectral import Grid, RealField
 __all__ = [
     "FieldFileError",
     "read_field",
-    "read_header",
     "write_field",
     "write_trace_csv",
     "read_trace_csv",

@@ -41,7 +41,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401  (numpy 2 loads it lazily: load it here, not inside a run)
 
 from .shapes import Mask
 from .spectral import Grid, RealField, _real_fft, _z11_symbol, apply_z11
@@ -52,7 +51,6 @@ __all__ = [
     "ConvergenceError",
     "CurvatureBreakdownError",
     "SingularOperatorError",
-    "dense_L_matrix",
     "solve_profile",
     "estimate_coercivity",
     "verify_profile",
@@ -60,9 +58,9 @@ __all__ = [
 
 DENSE_CELL_LIMIT = 4096
 
-# Seed of the small Gaussian perturbation of the coercivity start vector:
-# fixed so repeated runs are bit-identical.
-_START_SEED = 0x5EED
+# Step of the Weyl sequence that perturbs the coercivity start vector: the
+# golden ratio's fractional part, whose multiples fill [0, 1) most evenly.
+_WEYL_STEP = (5**0.5 - 1) / 2
 # Masks of at most this many cells take the direct route to the coercivity:
 # the smallest singular value of the dense operator.
 _DIRECT_CELLS = 40
@@ -125,24 +123,25 @@ def _embedding_axis(occupied: np.ndarray) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=8)
-def _box_kernel(grid: Grid, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window of Z11's kernel (Z11 of a unit impulse) at the circulant
-    offsets 0..p/2, -(p/2-1)..-1 of a p1 x p2 box on ``grid``, and the
-    symbol of that circulant (the Toeplitz embedding, Chan & Jin 2007). The
-    window is real and even, so the symbol is p1 p2 times its inverse
-    transform. Both are impulse responses, taken as ``_real_fft(shape,
-    symbol)``: no impulse and no forward transform of it is built, and the
-    kernel, the inverse transform of Z11's half plane built on demand, is
-    bitwise Z11 of the impulse. A box spanning the grid is the grid, with
-    Z11's full-plane symbol, which this box alone keeps.
+def _box_kernel(n: int, p1: int, p2: int) -> np.ndarray:
+    """Symbol of the p1 x p2 circulant that embeds Z11's kernel (Z11 of a
+    unit impulse) on an n x n grid (the Toeplitz embedding, Chan & Jin
+    2007): the kernel's window at the circulant offsets 0..p/2,
+    -(p/2-1)..-1 is real and even, so the symbol is p1 p2 times the
+    window's inverse transform. Kernel and symbol are impulse responses,
+    taken as ``_real_fft(shape, symbol)``: no impulse and no forward
+    transform of it is built, and the kernel, the inverse transform of
+    Z11's half plane built on demand, is bitwise Z11 of the impulse. Only
+    the symbol is kept. A box spanning the grid is the grid, whose symbol
+    is Z11's full plane, built without the kernel; that box alone keeps
+    the full plane. Z11's symbol is 0-homogeneous, so the result depends
+    on n and not on the box length.
     """
-    n = grid.n
-    kernel = _real_fft((n, n), _z11_symbol)
-    rows, cols = (np.where(o <= p // 2, o, o - p) % n for p in (p1, p2) for o in [np.arange(p)])
-    window = kernel[np.ix_(rows, cols)]
     if p1 == p2 == n:
-        return window, _z11_symbol(n, n, full=True)
-    return window, p1 * p2 * _real_fft(window.shape, window)
+        return _z11_symbol(n, n, full=True)
+    rows, cols = (np.where(o <= p // 2, o, o - p) % n for p in (p1, p2) for o in [np.arange(p)])
+    window = _real_fft((n, n), _z11_symbol)[np.ix_(rows, cols)]
+    return p1 * p2 * _real_fft(window.shape, window)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,12 +151,13 @@ class RestrictedOperator:
     The mask fixes the operator, its grid included. Construction decides
     the mask's periodic bounding box once: ``_box`` indexes it on the grid,
     ``_box_index`` holds the box position of each member cell, in the
-    mask's row-major order (built on first use), and ``_window`` and
-    ``_symbol`` are the kernel window over the box and the symbol of its
-    circulant embedding. The box size depends on the mask alone, and boxes
-    of one size share the window. A full-grid mask's box is the grid, with
-    Z11's full-plane symbol, the one place that plane is held. The
-    evolution steps a state supported on the mask on this same box.
+    mask's row-major order (built on first use), and ``_symbol`` is the
+    symbol of the box's circulant embedding, the one array the operator
+    keeps from the kernel. The embedding size depends on the mask alone,
+    and operators of one grid size and embedding size share the symbol. A
+    full-grid mask's box is the grid, with Z11's full-plane symbol, the one
+    place that plane is held. The evolution steps a state supported on the
+    mask on this same box.
     """
 
     mask: Mask
@@ -166,9 +166,7 @@ class RestrictedOperator:
         n = self.grid.n
         (start1, b1, p1), (start2, b2, p2) = (
             _embedding_axis(self.mask.indicator.any(axis=a)) for a in (1, 0))
-        window, symbol = _box_kernel(self.grid, p1, p2)
-        object.__setattr__(self, "_window", window)
-        object.__setattr__(self, "_symbol", symbol)
+        object.__setattr__(self, "_symbol", _box_kernel(n, p1, p2))
         object.__setattr__(self, "_box", np.ix_((start1 + np.arange(b1)) % n,
                                                 (start2 + np.arange(b2)) % n))
         object.__setattr__(self, "_box_shape", (b1, b2))
@@ -245,17 +243,19 @@ def _longest_x1_run(op: RestrictedOperator) -> int:
 def dense_L_matrix(op: RestrictedOperator) -> np.ndarray:
     """Assemble the operator as a dense cell_count x cell_count matrix.
 
-    Entry (i, j) is the kernel at the offset x_i - x_j of cells i and j,
-    gathered from the operator's window. Used as an oracle for the
-    matrix-free application and for exact spectra at small sizes; guarded
-    against quadratic blow-up.
+    Entry (i, j) is Z11's kernel (Z11 of a unit impulse) at the periodic
+    offset (x_i - x_j) mod n of cells i and j, gathered from the kernel
+    built for the call, so every entry is bitwise the one the operator's
+    circulant embeds. Used as an oracle for the matrix-free application
+    and for exact spectra at small sizes; guarded against quadratic
+    blow-up.
     """
     m = op.mask.cell_count
     if m > DENSE_CELL_LIMIT:
         raise ValueError(f"dense assembly refused for cell_count {m} > {DENSE_CELL_LIMIT}")
-    r, c = op._box_index
-    p1, p2 = op._window.shape
-    return op._window[(r[:, None] - r) % p1, (c[:, None] - c) % p2]
+    n = op.grid.n
+    r, c = op.mask.indices
+    return _real_fft((n, n), _z11_symbol)[(r[:, None] - r) % n, (c[:, None] - c) % n]
 
 
 def _cg(op: RestrictedOperator, b: np.ndarray, tol: float,
@@ -379,14 +379,16 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     odd parts under each reflection of the box have comparable weight: on
     a mask of two weakly coupled lobes the lowest envelope can be odd
     across the centre line, and a start without an odd part would let the
-    iteration stop on the even mode above it. A seeded Gaussian of a tenth
-    the envelope's mean is added, so that no mode is missing from the
-    start (a bilinear envelope is nearly orthogonal to, for instance, the
-    combination (1, -2, 1) of three equal lobes in a row), and repeated
-    runs are bit-identical. Box coordinates make the start, and so the
-    estimate, invariant under whole-cell translations of the mask that
-    keep its cells' row-major order; one across a periodic edge permutes
-    the packed cells, and with them the Gaussian.
+    iteration stop on the even mode above it. The golden-ratio Weyl
+    sequence over the packed cells, centred and scaled to unit variance,
+    is added at a tenth the envelope's mean, so that no mode is missing
+    from the start (a bilinear envelope is nearly orthogonal to, for
+    instance, the combination (1, -2, 1) of three equal lobes in a row);
+    the sequence is fixed, so repeated runs are bit-identical. Box
+    coordinates make the start, and so the estimate, invariant under
+    whole-cell translations of the mask that keep its cells' row-major
+    order; one across a periodic edge permutes the packed cells, and with
+    them the sequence.
     """
     m = op.mask.cell_count
     if m <= _DIRECT_CELLS:
@@ -395,7 +397,7 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
         r, c = op._box_index
         envelope = (r + 1.0) * (c + 1.0)
         x0 = np.where(c % 2 == 0, envelope, -envelope)
-        x0 += 0.1 * envelope.mean() * np.random.default_rng(_START_SEED).standard_normal(m)
+        x0 += 0.1 * envelope.mean() * math.sqrt(12.0) * (np.arange(m) * _WEYL_STEP % 1.0 - 0.5)
         try:
             theta, _ = _davidson_lowest(op.apply_packed, op.precondition, x0, _COERCIVITY_TOL,
                                         max_iter=_STEPS_PER_CELL * m)

@@ -32,7 +32,6 @@ __all__ = [
     "inner",
     "l2_norm",
     "sup_norm",
-    "field_integral",
 ]
 
 

@@ -19,20 +19,20 @@ from z11sim import (
     RestrictedOperator,
     apply_z11,
     apply_z22,
-    dense_L_matrix,
     estimate_blowup_time,
     estimate_coercivity,
     evolve,
     gaussian_bump,
     rasterize,
     read_field,
-    rk_step,
     self_similar_deviation,
     solve_profile,
     write_field,
 )
 from z11sim.cli import main as cli_main
 from z11sim.diagnostics import cone_mass_study
+from z11sim.evolution import rk_step
+from z11sim.profile import dense_L_matrix
 
 from test_spectral import dft_multiplier_oracle
 

@@ -21,17 +21,17 @@ EXPORTED = {
     "Grid", "Mask", "ProfileSolution", "RealField", "Rectangle",
     "RestrictedOperator", "ShapeDifference", "ShapeUnion",
     "SingularOperatorError", "StepUnderflowError", "apply_z11", "apply_z22",
-    "cone_mass_ratio", "dense_L_matrix", "estimate_blowup_time",
-    "estimate_coercivity", "evolve", "field_integral", "gaussian_bump",
-    "inner", "l2_norm", "load_run_config", "mask_area", "parse_shape",
-    "quadratic_form", "rasterize", "read_field", "read_header",
-    "read_trace_csv", "rhs", "rk_step", "run_diagnostics",
+    "cone_mass_ratio", "estimate_blowup_time", "estimate_coercivity",
+    "evolve", "gaussian_bump", "inner", "l2_norm", "load_run_config",
+    "mask_area", "parse_shape", "quadratic_form", "rasterize", "read_field",
+    "read_trace_csv", "run_diagnostics",
     "self_similar_deviation", "solve_profile", "step", "sup_norm",
     "verify_profile", "write_field", "write_trace_csv",
 }
 
-# Constants, aliases, records a public call only returns, and sub-steps of
-# a public call: importable from their module, not exported.
+# Constants, aliases, records a public call only returns, sub-steps of a
+# public call, and oracles and helpers only the tests call: importable from
+# their module, not exported.
 INTERNAL = (
     "config.COMMANDS",
     "config.InitialSpec",
@@ -39,6 +39,11 @@ INTERNAL = (
     "shapes.ShapeSpec",
     "shapes.shape_contains",
     "profile.ProfileReport",
+    "profile.dense_L_matrix",
+    "spectral.field_integral",
+    "evolution.rhs",
+    "evolution.rk_step",
+    "fieldio.read_header",
     "evolution.StepResult",
     "fieldio.FieldHeader",
     "fieldio.KIND_NAMES",

@@ -17,7 +17,6 @@ from z11sim import (
     RealField,
     SingularOperatorError,
     read_field,
-    read_header,
     read_trace_csv,
     self_similar_deviation,
     sup_norm,
@@ -25,6 +24,7 @@ from z11sim import (
 import z11sim.cli as cli
 import z11sim.evolution as evolution
 from z11sim.cli import main
+from z11sim.fieldio import read_header
 from z11sim.profile import _box_kernel
 
 
@@ -502,8 +502,8 @@ class TestBoundedMemory:
         n x n float arrays alive at once at n = 256; the three commands
         read about 3.35-3.5 (``python tools/working_set.py``)."""
         text = self.FULL_GRID[command]
-        # a discarded warm-up, so one-time allocations (the cached kernel
-        # window among them) do not count
+        # a discarded warm-up, so one-time allocations (the cached circulant
+        # symbol among them) do not count
         self._peak(tmp_path, capsys, text, "warmup")
         assert self._peak(tmp_path, capsys, text, "measured") <= 3.75 * 8 * 256**2
 
@@ -674,7 +674,8 @@ class TestImports:
         """In a fresh interpreter, z11sim.cli loads every numpy submodule
         the commands use, so neither a solve (which estimates coercivity)
         nor an evolve imports anything inside main, and nothing loads
-        scipy."""
+        scipy. Neither the import nor those runs load numpy.random: only
+        the diagnostics command draws random numbers."""
         (tmp_path / "solve.ini").write_text(solve_ini())
         (tmp_path / "evolve.ini").write_text(
             "[run]\ncommand = evolve\noutput_dir = evolveout\n\n"
@@ -690,11 +691,14 @@ class TestImports:
             "print(sorted(name for name in set(sys.modules) - before\n"
             "             if name.startswith(('numpy.fft', 'numpy.random'))))\n"
             "print('scipy' in sys.modules)\n"
+            "print('numpy.random' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(z11sim.__file__))
         result = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path / "solve.ini"), str(tmp_path / "evolve.ini")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert result.stdout.splitlines()[-2:] == ["[]", "False"]
+        *_, loaded_in_main, scipy_loaded, random_loaded = result.stdout.splitlines()
+        assert [loaded_in_main, scipy_loaded] == ["[]", "False"]
+        assert random_loaded == "False"
         assert (tmp_path / "solveout" / "solve.json").exists()
         assert (tmp_path / "evolveout" / "evolve.json").exists()

@@ -22,13 +22,10 @@ from z11sim import (
     StepUnderflowError,
     estimate_blowup_time,
     evolve,
-    field_integral,
     gaussian_bump,
     l2_norm,
     quadratic_form,
     rasterize,
-    rhs,
-    rk_step,
     self_similar_deviation,
     solve_profile,
     step,
@@ -36,8 +33,8 @@ from z11sim import (
     verify_profile,
 )
 import z11sim.evolution as evolution
-from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_C, _RK_E, StepResult
-from z11sim.spectral import _real_fft
+from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_C, _RK_E, StepResult, rhs, rk_step
+from z11sim.spectral import _real_fft, field_integral
 
 from test_profile import _transform_shapes
 from test_properties import _reflect

@@ -21,12 +21,11 @@ from z11sim import (
     RealField,
     rasterize,
     read_field,
-    read_header,
     read_trace_csv,
     write_field,
     write_trace_csv,
 )
-from z11sim.fieldio import MAGIC, TRACE_COLUMNS, FieldHeader, atomic_write_bytes
+from z11sim.fieldio import MAGIC, TRACE_COLUMNS, FieldHeader, atomic_write_bytes, read_header
 
 
 @pytest.fixture()

@@ -30,7 +30,6 @@ from z11sim import (
     ShapeUnion,
     SingularOperatorError,
     apply_z11,
-    dense_L_matrix,
     estimate_coercivity,
     evolve,
     l2_norm,
@@ -50,6 +49,7 @@ from z11sim.profile import (
     _box_kernel,
     _cg,
     _davidson_lowest,
+    dense_L_matrix,
 )
 from z11sim.spectral import _real_fft
 
@@ -278,9 +278,10 @@ class TestPreconditioner:
 
 
 class TestBoxKernel:
-    """``_box_kernel`` takes Z11's kernel and the circulant's symbol as
-    impulse responses without building an impulse; both are bitwise those
-    of the multiplier applied to a unit impulse."""
+    """``_box_kernel`` takes the circulant's symbol as an impulse response
+    without building an impulse, and ``dense_L_matrix`` gathers Z11's
+    kernel without building one either; both are bitwise those of the
+    multiplier applied to a unit impulse."""
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_matches_z11_of_a_unit_impulse(self, n):
@@ -289,19 +290,52 @@ class TestBoxKernel:
         impulse[0, 0] = 1.0
         kernel = _real_fft(impulse, m11_from_scratch(n))
         for p1, p2 in ((1, 1), (5, 12), (n // 2, 9), (15, n), (n, n)):
-            rows, cols = (np.where(o <= p // 2, o, o - p) % n
-                          for p in (p1, p2) for o in [np.arange(p)])
-            window = kernel[np.ix_(rows, cols)]
             if p1 == p2 == n:
                 symbol = m11_from_scratch(n)
             else:
+                rows, cols = (np.where(o <= p // 2, o, o - p) % n
+                              for p in (p1, p2) for o in [np.arange(p)])
                 box_impulse = np.zeros((p1, p2))
                 box_impulse[0, 0] = 1.0
-                symbol = p1 * p2 * _real_fft(box_impulse, window)
-            got_window, got_symbol = _box_kernel.__wrapped__(grid, p1, p2)
-            assert got_window.tobytes() == window.tobytes()
+                symbol = p1 * p2 * _real_fft(box_impulse, kernel[np.ix_(rows, cols)])
+            got_symbol = _box_kernel.__wrapped__(n, p1, p2)
             assert got_symbol.shape == symbol.shape == (p1, p2)
             assert got_symbol.tobytes() == symbol.tobytes()
+
+        # the dense matrix holds the kernel at the periodic offsets of the
+        # cells: on a box across the periodic edges with a 12 x 12
+        # embedding, on one wider than n/2 along x1, whose embedding is
+        # capped at n, and on the whole grid where it is small enough
+        compact = np.zeros((n, n), dtype=bool)
+        compact[np.ix_([n - 2, n - 1, 0, 3], [n - 1, 0, 2, 4])] = True
+        wide = np.zeros((n, n), dtype=bool)
+        wide[: n // 2 + 2: 3, [0, 5]] = True
+        masks = [(compact, (12, 12)), (wide, (n, 12))]
+        if n == 16:
+            masks.append((np.ones((n, n), dtype=bool), (n, n)))
+        for indicator, embedding in masks:
+            op = RestrictedOperator(Mask(grid, indicator))
+            assert op._symbol.shape == embedding
+            r, c = op.mask.indices
+            expected = kernel[(r[:, None] - r) % n, (c[:, None] - c) % n]
+            assert dense_L_matrix(op).tobytes() == expected.tobytes()
+
+    def test_full_support_operator_holds_one_plane(self):
+        """A full-support operator keeps Z11's full-plane symbol and no
+        other n x n array: at n = 512, its mask included, it holds at most
+        1.25 n x n float arrays after construction. A kernel window kept
+        beside the symbol would make that 2.13."""
+        n = 512
+        _box_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            op = RestrictedOperator(Mask(Grid(n, 16.0), np.ones((n, n), dtype=bool)))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            _box_kernel.cache_clear()
+        assert op._symbol.shape == (n, n)
+        assert held <= 1.25 * 8 * n**2
 
 
 class TestDenseMatrix:
@@ -496,7 +530,7 @@ class TestCoercivity:
     def test_apply_count_on_two_lobes(self, monkeypatch):
         """Two lobes side by side along x1, whose two lowest modes lie
         1.7e-5 apart relative: the estimate finds the lower one, within
-        145 applies (124 measured; LOBPCG took 268, and 556 with a constant
+        145 applies (122 measured; LOBPCG took 268, and 556 with a constant
         floor of 1e-3)."""
         op = RestrictedOperator(_two_disks(0)(Grid(256, 12.0)))
         estimate, applies = _count_coercivity_applies(monkeypatch, op)
@@ -536,7 +570,7 @@ class TestCoercivity:
                 == estimate_coercivity(RestrictedOperator(mask)))
 
     def test_apply_count_on_benchmark_disk(self, monkeypatch):
-        """The centred unit disk at n = 512 takes 167 applies and 166
+        """The centred unit disk at n = 512 takes 155 applies and 154
         preconditioner applies, one each per iteration and one apply for
         the start; LOBPCG took 180 and 179, with a constant floor of 1e-3
         292 and 291, and Lanczos 1100 applies."""
@@ -548,7 +582,7 @@ class TestCoercivity:
         assert applies + preconditions <= 380
 
     def test_memory_bounded_by_the_basis(self, monkeypatch):
-        """On the n = 512 disk, 167 iterations, the estimate's tracemalloc
+        """On the n = 512 disk, 155 applies, the estimate's tracemalloc
         peak is within 10 % of that of a run capped at 2 _BASIS iterations,
         read as the cap raises: the basis bounds the memory, whatever the
         iteration count. The preconditioner's symbol is built beforehand,

@@ -21,18 +21,17 @@ from z11sim import (
     Rectangle,
     RestrictedOperator,
     ShapeUnion,
-    dense_L_matrix,
     estimate_coercivity,
     rasterize,
     read_field,
     read_trace_csv,
-    rhs,
     solve_profile,
     write_field,
     write_trace_csv,
 )
+from z11sim.evolution import rhs
 from z11sim.fieldio import MAGIC
-from z11sim.profile import _DIRECT_CELLS
+from z11sim.profile import _DIRECT_CELLS, dense_L_matrix
 
 _SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
@@ -65,8 +64,8 @@ def test_coercivity_matches_dense_and_ignores_translation(mask, shift):
     within 1e-6 relative, and a whole-cell roll of the mask leaves it
     bitwise equal when the roll keeps the cells' row-major order. A roll
     across a periodic edge permutes the packed cells, and with them the
-    start vector's seeded Gaussian, so there the estimate moves within
-    its tolerance."""
+    start vector's Weyl sequence, so there the estimate moves within its
+    tolerance."""
     delta = estimate_coercivity(RestrictedOperator(mask))
     lowest = np.linalg.eigvalsh(dense_L_matrix(RestrictedOperator(mask)))[0]
     assert abs(delta - lowest) <= 1e-6 * lowest

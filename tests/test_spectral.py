@@ -18,13 +18,12 @@ from z11sim import (
     apply_z11,
     apply_z22,
     cone_mass_ratio,
-    field_integral,
     inner,
     l2_norm,
     quadratic_form,
     sup_norm,
 )
-from z11sim.spectral import _real_fft, _z11_symbol
+from z11sim.spectral import _real_fft, _z11_symbol, field_integral
 
 
 def m11_from_scratch(n: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 For each of ``solve-profile``, ``evolve`` and ``verify-self-similar`` the
 script runs the command once through ``z11sim.cli.main`` to warm up (so
-one-time allocations, the cached kernel window among them, count in
+one-time allocations, the cached circulant symbol among them, count in
 neither figure), then runs it again under ``tracemalloc`` and prints the
 traced peak, in MiB and in float64 arrays of ``n x n`` (8 n^2 bytes). The
 configs are the benchmark's three cases centred at the origin, as the
