@@ -23,9 +23,9 @@ floored at the lowest x1-mode of the mask's longest x1-run, is the
 operator's preconditioner (Strang 1986; T. Chan 1988), and costs the
 same: conjugate gradient and the Davidson estimate of the smallest
 eigenvalue both use it. The solve's one certificate,
-:func:`verify_profile`, applies Z11 on the full grid, independently of
-the embedding and of the preconditioner. A dense matrix assembly is
-provided as an oracle for small masks.
+:func:`verify_profile`, applies Z11 with the n-point transforms of the
+periodic grid, independently of the embedding and of the preconditioner.
+A dense matrix assembly is provided as an oracle for small masks.
 
 The flow w_t = (Z11 w) w keeps the support of w, where (Z11 w) w is
 (L w) w for the restricted operator L of that support, so the evolution
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shapes import Mask
-from .spectral import Grid, RealField, _real_fft, _z11_symbol, apply_z11
+from .spectral import Grid, RealField, _real_fft, _z11_symbol
 
 __all__ = [
     "RestrictedOperator",
@@ -78,6 +78,8 @@ _SINGULAR_BOUND = 10 * _EPS
 _DROP_BELOW = 1e-4
 # CG replaces its recurrence residual by the true b - A x this often.
 _CG_REFRESH_EVERY = 25
+# Elements per leaf of numpy's pairwise summation (its PW_BLOCKSIZE).
+_PAIRWISE_LEAF = 128
 
 
 class ConvergenceError(RuntimeError):
@@ -130,18 +132,23 @@ def _box_kernel(n: int, p1: int, p2: int) -> np.ndarray:
     -(p/2-1)..-1 is real and even, so the symbol is p1 p2 times the
     window's inverse transform. Kernel and symbol are impulse responses,
     taken as ``_real_fft(shape, symbol)``: no impulse and no forward
-    transform of it is built, and the kernel, the inverse transform of
-    Z11's half plane built on demand, is bitwise Z11 of the impulse. Only
-    the symbol is kept. A box spanning the grid is the grid, whose symbol
-    is Z11's full plane, built without the kernel; that box alone keeps
-    the full plane. Z11's symbol is 0-homogeneous, so the result depends
-    on n and not on the box length.
+    transform of it is built. The kernel is taken row-restricted, on the
+    p1 rows the window gathers alone, from Z11's half plane built one
+    column block at a time, so no n x n array is built, and each row is
+    bitwise that of Z11 of the impulse. Only the symbol is kept. A box
+    spanning the grid is the grid, whose symbol is Z11's full plane, built
+    without the kernel; that box alone keeps the full plane. Z11's symbol
+    is 0-homogeneous, so the result depends on n and not on the box length.
     """
     if p1 == p2 == n:
         return _z11_symbol(n, n, full=True)
+    # allocated before the transforms' temporaries, the kept symbol does not
+    # sit above the space they free: allocated after them, it left the heap
+    # fragmented, and the evolve command's peak RSS 0.2 MB higher
+    symbol = np.empty((p1, p2))
     rows, cols = (np.where(o <= p // 2, o, o - p) % n for p in (p1, p2) for o in [np.arange(p)])
-    window = _real_fft((n, n), _z11_symbol)[np.ix_(rows, cols)]
-    return p1 * p2 * _real_fft(window.shape, window)
+    window = _real_fft((n, n), _z11_symbol, rows=rows).take(cols, axis=1)
+    return np.multiply(p1 * p2, _real_fft(window.shape, window), out=symbol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,18 +251,22 @@ def dense_L_matrix(op: RestrictedOperator) -> np.ndarray:
     """Assemble the operator as a dense cell_count x cell_count matrix.
 
     Entry (i, j) is Z11's kernel (Z11 of a unit impulse) at the periodic
-    offset (x_i - x_j) mod n of cells i and j, gathered from the kernel
-    built for the call, so every entry is bitwise the one the operator's
-    circulant embeds. Used as an oracle for the matrix-free application
-    and for exact spectra at small sizes; guarded against quadratic
-    blow-up.
+    offset (x_i - x_j) mod n of cells i and j, gathered from the kernel's
+    rows at the distinct row offsets, taken for the call by the
+    row-restricted transform, so every entry is bitwise the one the
+    operator's circulant embeds and no n x n kernel is built. Used as an
+    oracle for the matrix-free application and for exact spectra at small
+    sizes; guarded against quadratic blow-up.
     """
     m = op.mask.cell_count
     if m > DENSE_CELL_LIMIT:
         raise ValueError(f"dense assembly refused for cell_count {m} > {DENSE_CELL_LIMIT}")
     n = op.grid.n
     r, c = op.mask.indices
-    return _real_fft((n, n), _z11_symbol)[(r[:, None] - r) % n, (c[:, None] - c) % n]
+    row_offsets = (r[:, None] - r) % n
+    offsets, slot = np.unique(row_offsets, return_inverse=True)
+    kernel_rows = _real_fft((n, n), _z11_symbol, rows=offsets)
+    return kernel_rows[slot.reshape(row_offsets.shape), (c[:, None] - c) % n]
 
 
 def _cg(op: RestrictedOperator, b: np.ndarray, tol: float,
@@ -322,11 +333,12 @@ def solve_profile(op: RestrictedOperator, tol: float = 1e-8,
     The right-hand side is the exact indicator value 1 on mask cells, with
     no boundary smoothing; oscillation of Q near the mask boundary is
     expected and reported, not suppressed. The certificate is
-    :func:`verify_profile` of Q, one application of Z11 on the full grid,
-    which neither the embedding nor the preconditioner enters. If its
-    relative on-mask L2 deviation exceeds ``tol``, ConvergenceError is
-    raised with CG's iterate and that deviation as the last entry of the
-    residual history. The solve estimates no eigenvalue.
+    :func:`verify_profile` of Q, one application of Z11 by the transforms
+    of the periodic grid, which neither the embedding nor the
+    preconditioner enters. If its relative on-mask L2 deviation exceeds
+    ``tol``, ConvergenceError is raised with CG's iterate and that
+    deviation as the last entry of the residual history. The solve
+    estimates no eigenvalue.
     """
     _check_solver_settings(tol, max_iter)
     mask = op.mask
@@ -529,7 +541,7 @@ class ProfileSolution:
 
     ``q`` is exactly zero off the mask. ``report`` is
     :func:`verify_profile` of ``q`` on ``mask``, the one full-grid
-    application of Z11 a solve makes, and ``residual_l2``, the relative
+    transform a solve makes, and ``residual_l2``, the relative
     residual ||L q - 1|| / ||1|| over the mask, is read from it. The
     smallest eigenvalue of the operator is not part of a solve: it is
     :func:`estimate_coercivity` of the operator.
@@ -549,19 +561,25 @@ def verify_profile(q: RealField, mask: Mask) -> ProfileReport:
     """Check the profile equation directly on the field ``q``, which is
     meant to vanish off ``mask``.
 
-    Z11 Q is applied on the full grid, so the report depends neither on
-    the box embedding nor on the preconditioner that a solve uses; it is
-    the certificate that :func:`solve_profile` returns. Past the on-mask
-    deviation, the defect is built in place in that array, the off-mask
-    maximum of |Q| is read by masked reductions rather than from a copy of
-    the off-mask cells, and the squares reuse the defect's array, so the
-    one n x n float array it allocates beside Q is Z11 Q. Every value is
-    bitwise that of the full-array formulas.
+    Z11 Q is applied with the n-point transforms of the periodic grid, so
+    the report depends neither on the box embedding nor on the
+    preconditioner that a solve uses; it is the certificate that
+    :func:`solve_profile` returns. The transform is row-restricted
+    (:func:`_real_fft` with ``rows``): it reads the rows where Q is
+    nonzero and returns Z11 Q on the rows that hold a mask cell or a
+    nonzero of Q. Off those rows Q = 0, so the defect (Z11 Q - 1) Q is
+    zero there. The defect is built in place in the rows of Z11 Q, the
+    off-mask maximum of |Q| is read by masked reductions rather than from
+    a copy of the off-mask cells, and the grid sums of the squares run in
+    numpy's pairwise order over the rows (:func:`_grid_sum`). So every
+    value is bitwise that of the full-array formulas, and the only n x n
+    float array the report reads is Q.
     """
     h2 = mask.grid.h**2
     values = q.values
-    defect = apply_z11(q).values
-    dev = defect[mask.indicator] - 1.0
+    rows = np.flatnonzero(mask.indicator.any(axis=1) | values.any(axis=1))
+    defect = _real_fft(values, _z11_symbol, rows=rows)
+    dev = defect[mask.indicator[rows]] - 1.0
     on_max = float(np.max(np.abs(dev)))
     on_l2 = float(np.sqrt(h2 * np.sum(dev**2)))
     ones_norm = float(np.sqrt(h2 * mask.cell_count))
@@ -576,12 +594,12 @@ def verify_profile(q: RealField, mask: Mask) -> ProfileReport:
     # difference is exact, so a defect at roundoff level is not swamped by
     # the eps * |Q| cancellation error of the second form.
     defect -= 1.0
-    defect *= values
+    defect *= values[rows]
     square = np.abs(defect, out=defect)
     defect_max = float(np.max(square))
     np.square(square, out=square)
-    defect_l2 = float(np.sqrt(h2 * np.sum(square)))
-    q_l2 = float(np.sqrt(h2 * np.sum(np.square(values, out=square))))
+    defect_l2 = float(np.sqrt(h2 * _grid_sum(rows, square)))
+    q_l2 = float(np.sqrt(h2 * _grid_sum(rows, np.square(values[rows], out=square))))
 
     return ProfileReport(
         on_mask_max_dev=on_max,
@@ -593,3 +611,30 @@ def verify_profile(q: RealField, mask: Mask) -> ProfileReport:
         defect_max=defect_max,
         defect_l2_rel=defect_l2 / q_l2 if q_l2 > 0 else float("inf"),
     )
+
+
+def _grid_sum(rows: np.ndarray, part: np.ndarray) -> float:
+    """``np.sum`` of the n x n array that holds ``part`` on the distinct
+    ``rows`` and zero elsewhere, bitwise, without building that array.
+
+    numpy sums a contiguous float array pairwise (``pairwise_sum`` in its
+    loops): it splits the array in halves down to leaves of at most
+    _PAIRWISE_LEAF elements, sums each leaf in a fixed order, and adds the
+    total to 0.0. With n a power of two and at least 16, the n^2 elements
+    fall into groups of ``span`` rows, max(n, _PAIRWISE_LEAF) elements
+    each, and each group is a whole subtree, which ``np.sum`` of that group
+    alone sums in the same order. A group that meets no row of ``part``
+    sums to 0.0, and adding 0.0 leaves any other sum as it is, so the
+    groups that meet ``rows`` are summed by numpy, and the top of the tree
+    combines the n / span group sums in halves.
+    """
+    n = part.shape[1]
+    span = max(1, _PAIRWISE_LEAF // n)
+    groups, slot = np.unique(rows // span, return_inverse=True)
+    slab = np.zeros((groups.size, span, n))
+    slab[slot, rows % span] = part
+    tree = np.zeros(n // span)
+    tree[groups] = np.sum(slab.reshape(groups.size, -1), axis=1)
+    while tree.size > 1:
+        tree = tree[0::2] + tree[1::2]
+    return 0.0 + float(tree[0])

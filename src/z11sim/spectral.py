@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+# A row-restricted transform (_real_fft with rows) runs its column passes in
+# this many blocks of the half plane's columns, so that each block's complex
+# array holds about 1/8 of an n x n float array.
+_COLUMN_BLOCKS = 8
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -45,20 +51,24 @@ def _wavenumbers(n: int) -> np.ndarray:
     return np.where(k < n // 2, k, k - n)
 
 
-def _z11_symbol(n1: int, n2: int, full: bool = False) -> np.ndarray:
+def _z11_symbol(n1: int, n2: int, full: bool = False,
+                columns: slice = slice(None)) -> np.ndarray:
     """Z11's multiplier k1^2/|k|^2 on the n1 x n2 integer frequency lattice
     in FFT layout, axis 0 along k1: its half plane k2 >= 0, the first
-    n2/2 + 1 columns, or with ``full`` the whole plane. Each entry comes
-    from the same elementwise formula either way, so the half plane is
-    bitwise the first columns of the full one, and the transpose of the
-    full plane is bitwise the companion multiplier k2^2/|k|^2. Called as
-    ``symbol(p1, p2)`` by :func:`_real_fft`, it builds the half plane
-    between the transform's passes."""
+    n2/2 + 1 columns, or with ``full`` the whole plane; ``columns`` selects
+    a block of that plane's columns. Each entry comes from the same
+    elementwise formula either way, so a block is bitwise those columns of
+    the plane, the half plane is bitwise the first columns of the full one,
+    and the transpose of the full plane is bitwise the companion multiplier
+    k2^2/|k|^2. Called as ``symbol(p1, p2)`` by :func:`_real_fft`, it builds
+    the half plane between the transform's passes, and in its row-restricted
+    mode one column block at a time."""
     ksq1 = _wavenumbers(n1).astype(float) ** 2
     ksq2 = _wavenumbers(n2).astype(float) ** 2
-    ksq = ksq1[:, None] + (ksq2 if full else ksq2[: n2 // 2 + 1])[None, :]
+    ksq = ksq1[:, None] + (ksq2 if full else ksq2[: n2 // 2 + 1])[None, columns]
     # |k|^2 vanishes at k = 0 alone, where k1^2 = 0 makes the ratio 0 / 1 = 0
-    ksq[0, 0] = 1.0
+    if ksq[0, 0] == 0.0:
+        ksq[0, 0] = 1.0
     # divided in place: building the symbol holds one array of its size
     return np.divide(ksq1[:, None], ksq, out=ksq)
 
@@ -122,7 +132,8 @@ class RealField:
 
 
 def _real_fft(values: np.ndarray | tuple[int, int],
-              symbol: np.ndarray | Callable[[int, int], np.ndarray] | None = None) -> np.ndarray:
+              symbol: np.ndarray | Callable[..., np.ndarray] | None = None,
+              rows: np.ndarray | None = None) -> np.ndarray:
     """The one transform site: real-input FFTs over the half plane k2 >= 0.
 
     With ``symbol``, a multiplier of the periodic p1 x p2 array even under
@@ -144,12 +155,42 @@ def _real_fft(values: np.ndarray | tuple[int, int],
     inverse transform rebinds ``coeff``, so at most two half-plane arrays
     are alive at once.
 
+    With ``rows``, an index array, the transform is row-restricted: the
+    result is those rows of the full p1 x p2 result, in that order, and
+    ``symbol`` is a function called as ``symbol(p1, p2, columns=block)``
+    for one block of the half plane's columns, as :func:`_z11_symbol`
+    builds it. The forward row pass runs only on the rows of ``values``
+    that hold a nonzero, the column passes run over _COLUMN_BLOCKS blocks
+    of the half plane's columns, and the inverse row pass only on
+    ``rows``. Every transform is one of the full transform's per-axis
+    transforms, on the same line, so the rows are bitwise those of the
+    full result, and no array of the p1 x p2 size is built.
+
     Without ``symbol``, ``values`` is an n1 x n2 periodic array, and the
     result is the power |c(k)|^2 of the coefficients normalized so that
     c(0) is the field mean, on the full-plane FFT labels.
     """
+    impulse = isinstance(values, tuple)
+    if rows is not None:
+        p1, p2 = values if impulse else values.shape
+        half = p2 // 2 + 1
+        if not impulse:
+            nonzero = np.flatnonzero(values.any(axis=1))
+            forward = np.fft.rfft(values[nonzero], axis=1)
+        coeff_rows = np.empty((len(rows), half), dtype=complex)
+        width = -(-half // _COLUMN_BLOCKS)
+        for start in range(0, half, width):
+            block = slice(start, min(start + width, half))
+            if impulse:
+                coeff = symbol(p1, p2, columns=block)
+            else:
+                coeff = np.zeros((p1, block.stop - start), dtype=complex)
+                coeff[nonzero] = forward[:, block]
+                coeff = np.fft.fft(coeff, axis=0)
+                coeff *= symbol(p1, p2, columns=block)
+            coeff_rows[:, block] = np.fft.ifft(coeff, axis=0)[rows]
+        return np.fft.irfft(coeff_rows, n=p2, axis=1)
     if symbol is not None:
-        impulse = isinstance(values, tuple)
         b1, b2 = values if impulse else values.shape
         p1, p2 = (b1, b2) if callable(symbol) else symbol.shape
         half = symbol if callable(symbol) else lambda p1, p2: symbol[:, : p2 // 2 + 1]

@@ -337,8 +337,42 @@ class TestBoxKernel:
         assert op._symbol.shape == (n, n)
         assert held <= 1.25 * 8 * n**2
 
+    def test_cold_build_transforms_only_the_window_rows(self):
+        """Building the operator of the benchmark disk at n = 512, its
+        symbol not cached, transforms Z11's kernel on the rows its window
+        gathers alone: the build peaks at 0.75 n x n float arrays traced at
+        most. The whole n x n kernel made that 2.51."""
+        n = 512
+        mask = rasterize(Disk((0.0, 0.0), 1.0), Grid(n, 16.0))
+        _box_kernel.cache_clear()
+        tracemalloc.start()
+        try:
+            RestrictedOperator(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _box_kernel.cache_clear()
+        assert peak <= 0.75 * 8 * n**2
+
 
 class TestDenseMatrix:
+    def test_transforms_only_the_offset_rows(self):
+        """dense_L_matrix transforms Z11's kernel on the distinct row
+        offsets of the mask's cells alone: on a 5 x 5 square at n = 512 it
+        peaks at 0.75 n x n float arrays traced at most. The whole n x n
+        kernel made that 2.51."""
+        n = 512
+        indicator = np.zeros((n, n), dtype=bool)
+        indicator[250:255, 100:105] = True
+        op = RestrictedOperator(Mask(Grid(n, 16.0), indicator))
+        tracemalloc.start()
+        try:
+            dense_L_matrix(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 8 * n**2
+
     def test_single_cell_closed_form(self):
         """One-cell operator value is the lattice mean of the symbol,
         (n^2 - 1) / (2 n^2): the symbol and its axis-swapped companion sum
@@ -1154,6 +1188,15 @@ def _hand_made_profile(solved, off_mask):
     return RealField(solved.q.grid, values)
 
 
+def _solved_disk_256(centre, shift):
+    """Q and mask of the unit disk at ``centre`` on the n = 256 grid of side
+    16, both rolled by ``shift`` cells along each axis."""
+    grid = Grid(256, 16.0)
+    solved = solve_profile(RestrictedOperator(rasterize(Disk(centre, 1.0), grid)), tol=1e-8)
+    q, indicator = (np.roll(a, shift, axis=(0, 1)) for a in (solved.q.values, solved.mask.indicator))
+    return RealField(grid, q), Mask(grid, indicator)
+
+
 class TestVerifyProfile:
     @pytest.mark.parametrize("off_mask", [
         None,
@@ -1161,15 +1204,25 @@ class TestVerifyProfile:
         [3e-3, -0.0, 1e-3],
         -0.0,
         "full-grid-mask",
-    ], ids=["solved", "min-beyond-max", "max-beyond-min", "negative-zeros", "no-off-mask-cells"])
+        ((0.1, 0.05), 128),
+        ((3.1, -2.7), 0),
+    ], ids=["solved", "min-beyond-max", "max-beyond-min", "negative-zeros", "no-off-mask-cells",
+            "disk-across-both-edges", "off-centre-disk"])
     def test_matches_the_full_array_formulas(self, disk_setup, off_mask):
         """Every field of the report is bitwise that of the full-array
         formulas, the sign of each zero included, and Q is left as it
         was. The negative-zeros case sets every off-mask cell to -0.0,
-        whose maximum magnitude the report gives as 0.0."""
+        whose maximum magnitude the report gives as 0.0. The two disks at
+        n = 256 are solved profiles whose rows lie away from the grid's
+        first rows: one centred at (0.1, 0.05) and rolled by half the grid,
+        so that it lies across both periodic edges, centred at
+        (-7.9, -7.95), and one centred at (3.1, -2.7). On both, summing the
+        squares row by row, then the rows, moves defect_l2_rel by 1 ulp."""
         solved = solve_profile(disk_setup[2], tol=1e-8)
         q, mask = solved.q, solved.mask
-        if off_mask == "full-grid-mask":
+        if isinstance(off_mask, tuple):
+            q, mask = _solved_disk_256(*off_mask)
+        elif off_mask == "full-grid-mask":
             grid = disk_setup[0]
             mask = Mask(grid, np.ones((grid.n, grid.n), dtype=bool))
         elif off_mask is not None:

@@ -201,6 +201,10 @@ class TestZ11Symbol:
         assert full.shape == (n, n) and half.shape == (n, n // 2 + 1)
         assert full.tobytes() == expected.tobytes()
         assert half.tobytes() == np.ascontiguousarray(expected[:, : n // 2 + 1]).tobytes()
+        # column blocks of the half plane, with and without the zero column
+        for block in (slice(0, 3), slice(3, n // 2 + 1)):
+            got = _z11_symbol(n, n, columns=block)
+            assert got.tobytes() == np.ascontiguousarray(expected[:, block]).tobytes()
 
     @pytest.mark.parametrize("n", [32, 256])
     def test_apply_matches_the_transform_of_the_full_plane(self, n):
@@ -209,6 +213,21 @@ class TestZ11Symbol:
         values = np.random.default_rng(n + 1).standard_normal((n, n))
         got = apply_z11(RealField(Grid(n, 8.0), values)).values
         assert got.tobytes() == _real_fft(values, m11_from_scratch(n)).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 32, 256])
+    def test_row_restricted_transform_gives_the_full_rows(self, n):
+        """With ``rows``, the transform of a field with rows of zeros, and
+        that of the unit impulse, are those rows of the full transform,
+        bitwise and in the order asked for."""
+        values = np.random.default_rng(n + 2).standard_normal((n, n))
+        values[n // 4: n // 2] = 0.0
+        impulse = np.zeros((n, n))
+        impulse[0, 0] = 1.0
+        rows = np.array([n - 1, 0, n // 3, n // 4, 5])
+        for data, full_input in ((values, values), ((n, n), impulse)):
+            full = _real_fft(full_input, m11_from_scratch(n))
+            got = _real_fft(data, _z11_symbol, rows=rows)
+            assert got.tobytes() == np.ascontiguousarray(full[rows]).tobytes()
 
 
 class TestMultiplierOperators:

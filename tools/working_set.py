@@ -1,14 +1,16 @@
 """Measure the peak working set of the full-grid commands.
 
 For each of ``solve-profile``, ``evolve`` and ``verify-self-similar`` the
-script runs the command once through ``z11sim.cli.main`` to warm up (so
-one-time allocations, the cached circulant symbol among them, count in
-neither figure), then runs it again under ``tracemalloc`` and prints the
-traced peak, in MiB and in float64 arrays of ``n x n`` (8 n^2 bytes). The
-configs are the benchmark's three cases centred at the origin, as the
-Tier-1 test ``TestBoundedMemory::test_full_grid_working_set`` runs them,
-at the given grid size. Output directories go to a temporary directory
-that is removed afterwards.
+script runs the command twice through ``z11sim.cli.main`` under
+``tracemalloc`` and prints each run's traced peak, in MiB and in float64
+arrays of ``n x n`` (8 n^2 bytes). The first (cold) run starts with the
+cache of circulant symbols cleared, so its peak includes the build of
+the operator's symbol; the second (warm) run reuses that symbol, so its
+peak is the command's full-grid working set alone. The configs are the
+benchmark's three cases centred at the origin, as the Tier-1 test
+``TestBoundedMemory::test_full_grid_working_set`` runs them, at the given
+grid size. Output directories go to a temporary directory that is
+removed afterwards.
 
 Run from the repository root:
 
@@ -66,15 +68,20 @@ def main(argv: list[str]) -> int:
     sizes = [int(arg) for arg in argv[1:]] or [256]
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from z11sim.cli import main as cli_main
+    from z11sim.profile import _box_kernel
 
-    print(f"{'command':<22}{'n':>6}{'peak MiB':>10}{'n^2 arrays':>12}")
+    print(f"{'command':<22}{'n':>6}{'cold MiB':>10}{'n^2 arrays':>12}"
+          f"{'warm MiB':>10}{'n^2 arrays':>12}")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for n in sizes:
             for command in CONFIGS:
-                traced_peak(cli_main, workdir, command, n, "warmup")
-                peak = traced_peak(cli_main, workdir, command, n, "measured")
-                print(f"{command:<22}{n:>6}{peak / 2**20:>10.2f}{peak / (8 * n * n):>12.2f}")
+                _box_kernel.cache_clear()
+                row = f"{command:<22}{n:>6}"
+                for name in ("cold", "warm"):
+                    peak = traced_peak(cli_main, workdir, command, n, name)
+                    row += f"{peak / 2**20:>10.2f}{peak / (8 * n * n):>12.2f}"
+                print(row)
     return 0
 
 
