@@ -20,7 +20,7 @@ import numpy as np
 
 from .evolution import EvolutionTrace
 from .shapes import Mask
-from .spectral import Grid, RealField
+from .spectral import Grid, RealField, _blocks
 
 __all__ = [
     "FieldFileError",
@@ -51,14 +51,41 @@ class FieldHeader:
     kind: str
 
 
-def atomic_write_bytes(path: str | os.PathLike, payload: bytes | bytearray) -> None:
-    """Write payload to path via a same-directory temp file and rename."""
+@dataclass(frozen=True, eq=False)
+class _FieldPayload:
+    """The bytes of a field file, produced in pieces as they are written:
+    the header, then the values in row blocks (spectral._blocks) as
+    little-endian floats. A C-contiguous float64 block goes out as a view
+    of the values; any other block, a mask's booleans or the rows of a
+    non-contiguous field, is converted one block at a time. ``len`` is
+    the file's size."""
+
+    header: bytes
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.header) + 8 * self.values.size
+
+    def __iter__(self):
+        yield self.header
+        for rows in _blocks(len(self.values)):
+            yield np.ascontiguousarray(self.values[rows], dtype="<f8")
+
+
+def atomic_write_bytes(path: str | os.PathLike,
+                       payload: bytes | bytearray | _FieldPayload) -> None:
+    """Write payload to path via a same-directory temp file and rename.
+
+    A field file's payload is written piece by piece as it is produced,
+    so its bytes are never held whole: ``writelines`` drops each piece
+    before it asks for the next. A failure on the way removes the temp
+    file, as any other does."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            handle.writelines(payload if isinstance(payload, _FieldPayload) else (payload,))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,9 +99,11 @@ def write_field(path: str | os.PathLike, field: RealField | Mask,
 
     Masks always use the mask kind. Non-finite fields are refused so that
     every file on disk round-trips bit-exactly through read_field. The
-    header and the values are packed into one buffer, the values through
-    a little-endian float view of it, so a mask's cells become 0.0 and 1.0
-    in that same copy and the file's bytes are held once.
+    header is written first, then the values in row blocks: the rows of
+    a C-contiguous float64 field go out as views, with no copy, and a
+    mask's cells (or a non-contiguous field's rows) are converted to
+    little-endian floats, 0.0 and 1.0 for a mask, one block at a time, so
+    a write holds at most an eighth of the n x n payload beside its input.
     """
     if isinstance(field, Mask):
         if kind not in (None, "mask"):
@@ -93,10 +122,8 @@ def write_field(path: str | os.PathLike, field: RealField | Mask,
         grid = field.grid
     else:
         raise TypeError(f"expected RealField or Mask, got {type(field).__name__}")
-    payload = bytearray(_HEADER.size + 8 * grid.n * grid.n)
-    _HEADER.pack_into(payload, 0, MAGIC, grid.n, grid.box_length, _KIND_CODE[kind])
-    np.frombuffer(payload, dtype="<f8", offset=_HEADER.size).reshape(values.shape)[...] = values
-    atomic_write_bytes(path, payload)
+    header = _HEADER.pack(MAGIC, grid.n, grid.box_length, _KIND_CODE[kind])
+    atomic_write_bytes(path, _FieldPayload(header, values))
 
 
 def _parse_header(raw: bytes, path: str) -> FieldHeader:

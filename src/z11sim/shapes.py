@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .spectral import Grid
+from .spectral import Grid, _blocks
 
 __all__ = [
     "Disk",
@@ -183,10 +183,17 @@ def rasterize(spec: ShapeSpec, grid: Grid) -> Mask:
 
     Raises if no cell center falls inside the shape or if the rasterized
     diameter exceeds box_length / 4.
+
+    Membership is evaluated in row blocks (spectral._blocks) on broadcast
+    axes, so no n x n coordinate mesh is built and each block's float
+    temporaries hold an eighth of an n x n array; each cell sees the same
+    coordinate pair as on the mesh, so the indicator is bitwise that of
+    one call of shape_contains on the whole grid.
     """
-    # the axes broadcast against each other, so no n x n coordinate mesh
-    # is built; each cell sees the same coordinate pair as on the mesh
-    ind = shape_contains(spec, grid.x[:, None], grid.x[None, :])
+    x = grid.x
+    ind = np.empty((grid.n, grid.n), dtype=bool)
+    for rows in _blocks(grid.n):
+        ind[rows] = shape_contains(spec, x[rows, None], x[None, :])
     if not ind.any():
         raise ValueError("shape rasterizes to zero cells (smaller than a grid cell?)")
     mask = Mask(grid, ind)

@@ -35,10 +35,18 @@ __all__ = [
 ]
 
 
-# A row-restricted transform (_real_fft with rows) runs its column passes in
-# this many blocks of the half plane's columns, so that each block's complex
-# array holds about 1/8 of an n x n float array.
-_COLUMN_BLOCKS = 8
+# A pass over an n x n array that needs a temporary per entry runs in this
+# many blocks (the column passes of a row-restricted transform, _real_fft
+# with rows, rasterization and the field writes), so that each block's
+# temporary holds about 1/8 of an n x n float array.
+_BLOCKS = 8
+
+
+def _blocks(size: int) -> list[slice]:
+    """Consecutive slices of equal width, the last one shorter, that cover
+    range(size) in at most _BLOCKS pieces; size must be positive."""
+    width = -(-size // _BLOCKS)
+    return [slice(start, min(start + width, size)) for start in range(0, size, width)]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -160,7 +168,7 @@ def _real_fft(values: np.ndarray | tuple[int, int],
     ``symbol`` is a function called as ``symbol(p1, p2, columns=block)``
     for one block of the half plane's columns, as :func:`_z11_symbol`
     builds it. The forward row pass runs only on the rows of ``values``
-    that hold a nonzero, the column passes run over _COLUMN_BLOCKS blocks
+    that hold a nonzero, the column passes run over the _BLOCKS blocks
     of the half plane's columns, and the inverse row pass only on
     ``rows``. Every transform is one of the full transform's per-axis
     transforms, on the same line, so the rows are bitwise those of the
@@ -178,13 +186,11 @@ def _real_fft(values: np.ndarray | tuple[int, int],
             nonzero = np.flatnonzero(values.any(axis=1))
             forward = np.fft.rfft(values[nonzero], axis=1)
         coeff_rows = np.empty((len(rows), half), dtype=complex)
-        width = -(-half // _COLUMN_BLOCKS)
-        for start in range(0, half, width):
-            block = slice(start, min(start + width, half))
+        for block in _blocks(half):
             if impulse:
                 coeff = symbol(p1, p2, columns=block)
             else:
-                coeff = np.zeros((p1, block.stop - start), dtype=complex)
+                coeff = np.zeros((p1, block.stop - block.start), dtype=complex)
                 coeff[nonzero] = forward[:, block]
                 coeff = np.fft.fft(coeff, axis=0)
                 coeff *= symbol(p1, p2, columns=block)

@@ -796,6 +796,46 @@ class TestBlowupFit:
             integral=np.zeros(n), l2_norm=np.zeros(n), qform=np.zeros(n),
             support_cells=np.zeros(n, dtype=int), terminated="threshold")
 
+    def _polyfit_root(self, times, sups):
+        """np.polyfit's line through 1/sup over the fit window (the last
+        fifth of the time span): its root and its R^2."""
+        window = times >= times[-1] - 0.2 * (times[-1] - times[0])
+        t_w, y = times[window], 1.0 / sups[window]
+        slope, intercept = np.polyfit(t_w, y, 1)
+        ss_res = np.sum((y - (slope * t_w + intercept)) ** 2)
+        return -intercept / slope, 1.0 - ss_res / np.sum((y - np.mean(y)) ** 2)
+
+    @pytest.mark.parametrize("case", ["hyperbolic", "curved", "noisy", "shifted"])
+    def test_closed_form_matches_polyfit(self, case):
+        """The closed-form line agrees with np.polyfit's least squares to
+        1e-12 relative in the root and in R^2."""
+        times = np.linspace(0.0, 0.9, 201)
+        sups = {
+            "hyperbolic": 1.0 / (1.0 - times),
+            "curved": 1.0 / (1.0 - times) + 5.0 * np.exp(-10.0 * times),
+            "noisy": 1.0 / ((1.0 - times) * (1.0 + 1e-4 * np.sin(37.0 * times))),
+            "shifted": 3.0 / (2.5 - times),
+        }[case]
+        times = times + (100.0 if case == "shifted" else 0.0)
+        t_est, quality = estimate_blowup_time(self._trace(times, sups))
+        t_ref, quality_ref = self._polyfit_root(times, sups)
+        assert t_est == pytest.approx(t_ref, rel=1e-12)
+        assert quality == pytest.approx(quality_ref, rel=1e-12)
+
+    def test_closed_form_matches_polyfit_on_a_run(self, grid32):
+        """On a real threshold run, too."""
+        trace = evolve(gaussian_bump(grid32, width=0.5, cutoff=1.0),
+                       EvolveConfig(t_max=30.0, blowup_threshold=50.0, record_every=1))
+        t_est, quality = estimate_blowup_time(trace)
+        t_ref, quality_ref = self._polyfit_root(trace.times, trace.sup_norm)
+        assert t_est == pytest.approx(t_ref, rel=1e-12)
+        assert quality == pytest.approx(quality_ref, rel=1e-12)
+
+    def test_window_without_time_span_has_no_trend(self):
+        times = np.zeros(12)
+        with pytest.raises(ValueError, match="no blow-up trend"):
+            estimate_blowup_time(self._trace(times, np.arange(1.0, 13.0)))
+
     def test_exact_hyperbolic_growth(self):
         times = np.linspace(0.0, 0.9, 101)
         trace = self._trace(times, 1.0 / (1.0 - times))
@@ -859,6 +899,16 @@ class TestSelfSimilarDeviation:
             self_similar_deviation(zero, zero, T=1.0, t=0.0)
 
 
+def _bump_on_the_mesh(grid, center, width, amplitude, cutoff=None):
+    """The Gaussian bump on the two n x n coordinate meshes, written out."""
+    x1, x2 = grid.coords()
+    r2 = (x1 - center[0]) ** 2 + (x2 - center[1]) ** 2
+    values = amplitude * np.exp(-r2 / (2.0 * width**2))
+    if cutoff is not None:
+        values = np.where(r2 <= cutoff**2, values, 0.0)
+    return values
+
+
 class TestGaussianBump:
     def test_peak_amplitude_on_grid_point(self, grid32):
         f = gaussian_bump(grid32, center=(0.0, 0.0), width=0.7, amplitude=2.5)
@@ -879,14 +929,36 @@ class TestGaussianBump:
     ], ids=["untruncated", "benchmark", "off-centre"])
     def test_broadcast_axes_match_the_mesh(self, grid32, kwargs):
         """The bump is evaluated on the broadcast axes x[:, None] and
-        x[None, :]; its bytes are those of the meshgrid formula."""
-        x1, x2 = grid32.coords()
-        c1, c2 = kwargs["center"]
-        r2 = (x1 - c1) ** 2 + (x2 - c2) ** 2
-        expected = kwargs["amplitude"] * np.exp(-r2 / (2.0 * kwargs["width"] ** 2))
-        if "cutoff" in kwargs:
-            expected = np.where(r2 <= kwargs["cutoff"] ** 2, expected, 0.0)
+        x[None, :], or with a cutoff on the cutoff's box of them; its bytes
+        are those of the meshgrid formula."""
+        expected = _bump_on_the_mesh(grid32, **kwargs)
         assert gaussian_bump(grid32, **kwargs).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_cutoff_box_matches_the_mesh(self, n):
+        """With a cutoff the bump is evaluated on the box of rows and
+        columns within the cutoff of its center and scattered into zeros:
+        bitwise the meshgrid formula, signed zeros included, over drawn
+        centers, widths, amplitudes of both signs and cutoffs, a cutoff
+        past every edge of the grid, one below a cell (the zero field),
+        and no cutoff."""
+        grid = Grid(n, 16.0)
+        rng = np.random.default_rng(n)
+        cases = [
+            {"center": (0.3, -0.2), "width": 1.0, "amplitude": 1.0, "cutoff": 100.0},
+            {"center": (0.3, -0.2), "width": 1.0, "amplitude": 1.0, "cutoff": 1e-3},
+            {"center": (7.9, -7.9), "width": 0.7, "amplitude": -2.0, "cutoff": 3.0},
+            {"center": (1.0, 2.0), "width": 0.5, "amplitude": -1.0},
+        ]
+        for _ in range(40):
+            cases.append({"center": tuple(rng.uniform(-8.0, 8.0, 2)),
+                          "width": rng.uniform(0.05, 3.0),
+                          "amplitude": rng.uniform(-3.0, 3.0),
+                          "cutoff": rng.uniform(0.05, 12.0)})
+        for kwargs in cases:
+            expected = _bump_on_the_mesh(grid, **kwargs)
+            assert gaussian_bump(grid, **kwargs).values.tobytes() == expected.tobytes(), kwargs
+        assert not gaussian_bump(grid, **cases[1]).values.any()
 
     def test_validation(self, grid32):
         with pytest.raises(ValueError, match="width"):

@@ -155,13 +155,16 @@ class TestRasterize:
         ShapeDifference(Rectangle((-1.0, -1.0), (2.0, 2.0)), Disk((0.25, 0.0), 0.5)),
     ], ids=["disk", "ellipse", "rectangle", "annulus", "union", "difference"])
     def test_broadcast_axes_match_the_mesh(self, spec):
-        """Rasterization evaluates the shape on the broadcast axes x[:, None]
-        and x[None, :]: the indicator is that of the two n x n coordinate
-        meshes, cell for cell."""
-        g = Grid(128, 16.0)
-        expected = shape_contains(spec, *g.coords())
-        assert expected.shape == (128, 128)
-        np.testing.assert_array_equal(rasterize(spec, g).indicator, expected)
+        """Rasterization evaluates the shape in row blocks on the broadcast
+        axes x[:, None] and x[None, :]: the indicator is that of one call on
+        the two n x n coordinate meshes, cell for cell, at n = 16 (blocks
+        of two rows, on a box small enough to hold a few cells of each
+        shape) as at n = 128."""
+        for n, box_length in ((16, 10.0), (128, 16.0)):
+            g = Grid(n, box_length)
+            expected = shape_contains(spec, *g.coords())
+            assert expected.shape == (n, n) and expected.any()
+            np.testing.assert_array_equal(rasterize(spec, g).indicator, expected)
 
 
 class TestMask:

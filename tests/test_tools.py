@@ -1,5 +1,6 @@
 """The measuring scripts under ``tools/`` run end to end."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,16 +11,21 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_working_set_prints_cold_and_warm_peaks():
     """``tools/working_set.py 64`` prints one row per command, each with
     the cold and the warm run's traced peak in MiB and in n x n float
-    arrays, which are the same figure in two units."""
+    arrays, which are the same figure in two units, and last the growth
+    of ru_maxrss in MB over a run in a fresh interpreter."""
     result = subprocess.run([sys.executable, str(ROOT / "tools" / "working_set.py"), "64"],
                             capture_output=True, text=True, cwd=ROOT, check=True, timeout=120)
     header, *rows = result.stdout.splitlines()
     assert header.split() == ["command", "n", "cold", "MiB", "n^2", "arrays",
-                              "warm", "MiB", "n^2", "arrays"]
+                              "warm", "MiB", "n^2", "arrays", "RSS", "MB"]
     assert [row.split()[:2] for row in rows] == [
         ["solve-profile", "64"], ["evolve", "64"], ["verify-self-similar", "64"]]
     for row in rows:
-        cold_mib, cold_arrays, warm_mib, warm_arrays = map(float, row.split()[2:])
+        cold_mib, cold_arrays, warm_mib, warm_arrays, rss_mb = map(float, row.split()[2:])
+        # printed to two decimals; at n = 64 a run raises the peak by far
+        # less than the interpreter's own 30 MB
+        assert re.fullmatch(r"\d+\.\d\d", row.split()[-1])
+        assert 0.0 <= rss_mb < 30.0
         for mib, arrays in ((cold_mib, cold_arrays), (warm_mib, warm_arrays)):
             assert mib > 0
             # one n x n float array at n = 64 is 1/32 MiB; both are rounded

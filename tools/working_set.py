@@ -12,6 +12,13 @@ benchmark's three cases centred at the origin, as the Tier-1 test
 grid size. Output directories go to a temporary directory that is
 removed afterwards.
 
+A last column runs each command once more, in a fresh interpreter without
+tracemalloc, and prints how far ``main`` raised the process's
+``ru_maxrss`` above its level after the imports, in MB (KiB / 1024, as
+the benchmark's ``peak_rss_mb``). tracemalloc sees only the arrays;
+this column also counts what it cannot see: library code paged in on a
+first call (LAPACK's, for one) and where the heap places what is freed.
+
 Run from the repository root:
 
     python tools/working_set.py [n ...]        (default: 256)
@@ -21,10 +28,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CONFIGS = {
     "solve-profile": (
@@ -64,16 +75,47 @@ def traced_peak(main, workdir: Path, command: str, n: int, name: str) -> int:
     return peak
 
 
+# One run of main in a fresh interpreter: its exit code, then the growth
+# of ru_maxrss (KiB) from after the imports to after the run.
+RSS_GROWTH = (
+    "import contextlib, io, resource, sys\n"
+    "from z11sim.cli import main\n"
+    "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main([sys.argv[1]])\n"
+    "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+)
+
+
+def rss_growth(workdir: Path, command: str, n: int) -> float:
+    """Growth of ru_maxrss in MB over one run of ``command`` in a fresh
+    interpreter."""
+    ini = workdir / "rss.ini"
+    ini.write_text(CONFIGS[command].format(out=workdir / "rss", n=n))
+    result = subprocess.run([sys.executable, "-c", RSS_GROWTH, str(ini)],
+                            capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)})
+    code, kib = map(int, result.stdout.split())
+    if code != 0:
+        raise RuntimeError(f"{command} at n = {n} exited with {code}")
+    return kib / 1024
+
+
 def main(argv: list[str]) -> int:
     sizes = [int(arg) for arg in argv[1:]] or [256]
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from z11sim.cli import main as cli_main
-    from z11sim.profile import _box_kernel
-
     print(f"{'command':<22}{'n':>6}{'cold MiB':>10}{'n^2 arrays':>12}"
-          f"{'warm MiB':>10}{'n^2 arrays':>12}")
+          f"{'warm MiB':>10}{'n^2 arrays':>12}{'RSS MB':>9}")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
+        # The fresh interpreters run first: Linux carries a process's RSS
+        # at fork into its child's ru_maxrss, so this one must still hold
+        # no numpy and no grid.
+        rss = {(command, n): rss_growth(workdir, command, n)
+               for n in sizes for command in CONFIGS}
+        sys.path.insert(0, str(SRC))
+        from z11sim.cli import main as cli_main
+        from z11sim.profile import _box_kernel
+
         for n in sizes:
             for command in CONFIGS:
                 _box_kernel.cache_clear()
@@ -81,7 +123,7 @@ def main(argv: list[str]) -> int:
                 for name in ("cold", "warm"):
                     peak = traced_peak(cli_main, workdir, command, n, name)
                     row += f"{peak / 2**20:>10.2f}{peak / (8 * n * n):>12.2f}"
-                print(row)
+                print(row + f"{rss[command, n]:>9.2f}")
     return 0
 
 
