@@ -105,18 +105,19 @@ def _initial_field(cfg: RunConfig) -> RealField:
 
 
 def _cmd_evolve(cfg: RunConfig) -> list[str]:
-    omega0 = _initial_field(cfg)
-    # one (time, state) candidate per requested time, replaced while its
+    # one (time, cells) candidate per requested time, replaced while its
     # time is below the request: the first record at or after the request,
     # or the last record when the run ends earlier
-    chosen: list[tuple[float, RealField] | None] = [None] * len(cfg.snapshot_times)
+    chosen: list[tuple[float, np.ndarray] | None] = [None] * len(cfg.snapshot_times)
 
-    def keep_snapshots(t: float, state: RealField) -> None:
+    def keep_snapshots(t: float, cells: np.ndarray) -> None:
         for index, requested in enumerate(cfg.snapshot_times):
             if chosen[index] is None or chosen[index][0] < requested:
-                chosen[index] = (t, state)
+                chosen[index] = (t, cells)
 
-    trace = evolve(omega0, cfg.evolve,
+    # the data are not held past the run: the snapshots are placed on the
+    # grid after it, one at a time
+    trace = evolve(_initial_field(cfg), cfg.evolve,
                    on_record=keep_snapshots if cfg.snapshot_times else None)
     # a run that stopped short of the horizon reports its fitted blow-up
     # time, or null when the trace shows no fit
@@ -129,9 +130,10 @@ def _cmd_evolve(cfg: RunConfig) -> list[str]:
     artifacts = ["trace.csv", "evolve.json"]
     write_trace_csv(os.path.join(cfg.output_dir, "trace.csv"), trace)
     snapshots = []
-    for index, (requested, (t, state)) in enumerate(zip(cfg.snapshot_times, chosen)):
+    for index, (requested, (t, cells)) in enumerate(zip(cfg.snapshot_times, chosen)):
         name = f"snapshot_{index:03d}.vpf"
-        write_field(os.path.join(cfg.output_dir, name), state)
+        write_field(os.path.join(cfg.output_dir, name),
+                    RealField(cfg.grid, trace.support.unpack(cells)))
         snapshots.append({"requested": float(requested), "time": t, "file": name})
         artifacts.append(name)
     _write_json(os.path.join(cfg.output_dir, "evolve.json"), _summary(
@@ -151,22 +153,28 @@ def _cmd_evolve(cfg: RunConfig) -> list[str]:
 def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     solution, delta = _solve(cfg)
     t_blowup = cfg.verify_t_blowup
-    omega0 = RealField(cfg.grid, solution.q.values / t_blowup)
+    mask = solution.mask
+    q_cells = mask.pack(solution.q.values)
+    omega_cells = q_cells / t_blowup
     evolve_cfg = dataclasses.replace(cfg.evolve, t_max=cfg.verify_t_final)
     deviations: list[float] = []
-    # Q and every state are exactly 0 off the mask (the flow keeps the
-    # support), so the sums of evolution.self_similar_deviation need only
-    # the mask's cells
-    q_cells = solution.mask.pack(solution.q.values)
+    # Q and every state are exactly 0 off the support of Q / T, which the
+    # flow keeps, so the sums of evolution.self_similar_deviation need
+    # only the cells the records hold: those of the mask where Q / T is
+    # not 0, in the mask's order, as evolution._support decides
+    q_cells = q_cells[omega_cells != 0.0]
     h2 = cfg.grid.h**2
 
-    def track_deviation(t: float, state: RealField) -> None:
+    def track_deviation(t: float, cells: np.ndarray) -> None:
         target = q_cells / (t_blowup - t)
-        diff = solution.mask.pack(state.values) - target
+        diff = cells - target
         deviations.append(float(np.sqrt(h2 * np.sum(diff**2)))
                           / float(np.sqrt(h2 * np.sum(target**2))))
 
-    trace = evolve(omega0, evolve_cfg, on_record=track_deviation)
+    # Q is exactly 0 off the mask, so the data are Q / T bitwise; they are
+    # built in the call, so that the run does not hold them (evolve)
+    trace = evolve(RealField(cfg.grid, mask.unpack(omega_cells)), evolve_cfg,
+                   on_record=track_deviation)
     # fit before writing, so a failed fit leaves no fresh CSVs behind
     fitted_t, fit_quality = estimate_blowup_time(trace)
     write_trace_csv(os.path.join(cfg.output_dir, "trace.csv"), trace)

@@ -124,10 +124,14 @@ class EvolutionTrace:
     which the integral grows (it equals spectral.quadratic_form to
     roundoff). support_cells counts cells with |w| > 1e-12 sup|w|, an
     effective-support diagnostic. The recorded
-    states themselves are not kept; evolve streams them to its on_record
-    hook. accepted_steps and rejected_steps count the run's accepted steps
-    and the attempts its step controller rejected on the way. The trace
-    holds no blow-up time: :func:`estimate_blowup_time` fits one from it.
+    states themselves are not kept; evolve streams their cells on
+    ``support`` to its on_record hook, and ``support.unpack(cells)`` puts
+    a record on the grid. ``support`` is the support of the initial data,
+    which the flow keeps, or the full-grid mask for the zero field; a
+    trace built by hand may carry none. accepted_steps and rejected_steps
+    count the run's accepted steps and the attempts its step controller
+    rejected on the way. The trace holds no blow-up time:
+    :func:`estimate_blowup_time` fits one from it.
     """
 
     times: np.ndarray
@@ -139,6 +143,7 @@ class EvolutionTrace:
     terminated: str
     accepted_steps: int = 0
     rejected_steps: int = 0
+    support: Mask | None = None
 
     def __post_init__(self) -> None:
         if self.terminated not in TERMINATION_REASONS:
@@ -187,12 +192,12 @@ def _rhs_values(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _real_fft(values, symbol) * values
 
 
-def _support_operator(omega: RealField) -> RestrictedOperator:
-    """The restricted operator of omega's support, on whose box the flow
-    of omega steps; the zero field takes the full-grid mask, whose box is
-    the grid."""
+def _support(omega: RealField) -> Mask:
+    """The support of omega, which the flow keeps: the flow of omega steps
+    on the box of its restricted operator, and records its cells. The
+    zero field takes the full-grid mask, whose box is the grid."""
     support = omega.values != 0.0
-    return RestrictedOperator(Mask(omega.grid, support if support.any() else ~support))
+    return Mask(omega.grid, support if support.any() else ~support)
 
 
 def rhs(omega: RealField) -> RealField:
@@ -208,7 +213,7 @@ def rhs(omega: RealField) -> RealField:
     full support makes the box the grid. The box's values are scattered
     back whole: off the support they are zeros.
     """
-    op = _support_operator(omega)
+    op = RestrictedOperator(_support(omega))
     product = _rhs_values(op._symbol, omega.values[op._box])
     return RealField(omega.grid, _on_grid(op, product))
 
@@ -258,7 +263,7 @@ def rk_step(omega: RealField, dt: float) -> tuple[RealField, np.ndarray]:
     positive and finite.
     """
     _check_dt(dt)
-    op = _support_operator(omega)
+    op = RestrictedOperator(_support(omega))
     y = omega.values[op._box]
     y_new, err = _rk_attempt(op._symbol, y, _rhs_values(op._symbol, y), dt)
     return RealField(omega.grid, _on_grid(op, y_new)), _on_grid(op, err)
@@ -322,7 +327,7 @@ def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
 
 
 def evolve(omega0: RealField, config: EvolveConfig,
-           on_record: Callable[[float, RealField], None] | None = None) -> EvolutionTrace:
+           on_record: Callable[[float, np.ndarray], None] | None = None) -> EvolutionTrace:
     """Integrate from omega0, recording every record_every accepted steps.
 
     Terminates at the horizon t_max, at the blow-up threshold, or at step
@@ -335,19 +340,21 @@ def evolve(omega0: RealField, config: EvolveConfig,
     never serves as dt_n or dt_{n-1}.
 
     The initial and final states are always recorded. Each record also
-    calls on_record(t, field) with the recorded time and state, once per
-    trace row and in order; evolve keeps no state beyond the current one,
-    so a caller that needs fields keeps them itself. Every field handed to
-    on_record, the first one included, is new: the state's box scattered
-    into a grid of zeros, as :func:`rhs` builds its field, so a cell of
-    omega0 outside the box that holds -0.0 reads +0.0 in the first record.
+    calls on_record(t, cells) with the recorded time and the state's cells
+    on the support of omega0, once per trace row and in order: ``cells``
+    is a new 1-D array in Mask.pack order, and ``trace.support.unpack(
+    cells)`` is the state on the grid, zero off the support (a cell of
+    omega0 there that holds -0.0 reads +0.0). evolve keeps no state beyond
+    the current one, so a caller that needs states keeps them itself.
     evolve fits no blow-up time; :func:`estimate_blowup_time` fits one
     from the trace.
 
     The flow keeps the support of omega0, so the run's state lives on the
     box of the support's restricted operator, built once: each accepted
-    step (:func:`step`) works on the box alone, and a grid-sized field is
-    built only to hand a record to on_record, when one is given. Every
+    step (:func:`step`) works on the box alone, and so does each record.
+    on_record's cells are read from the box rolled into grid order, with
+    no index array of the support's size, so a run whose support is not
+    the whole grid builds no grid-sized array after its operator. Every
     record, and the threshold test after every step, reads the box: the
     sums gather it alone (every cell off it is 0), and qform is h^2 sum
     rate, where rate is the state's right-hand side (Z11 w) w, which the
@@ -356,10 +363,12 @@ def evolve(omega0: RealField, config: EvolveConfig,
     every field supported in the box, so a cell that underflows to 0 on
     the way changes nothing.
     """
-    grid = omega0.grid
-    op = _support_operator(omega0)
-    h2 = grid.h**2
+    op = RestrictedOperator(_support(omega0))
+    h2 = omega0.grid.h**2
     y = omega0.values[op._box]
+    # the run reads omega0 no further: a caller that holds no reference to
+    # it frees its grid-sized values for the run
+    del omega0
     sup0 = float(np.max(np.abs(y)))
     if config.blowup_threshold is not None:
         threshold = config.blowup_threshold
@@ -377,7 +386,7 @@ def evolve(omega0: RealField, config: EvolveConfig,
                      float(h2 * np.sum(rate)),
                      int(np.count_nonzero(np.abs(y) > _SUPPORT_CUTOFF * s))))
         if on_record is not None:
-            on_record(t, RealField(grid, _on_grid(op, y)))
+            on_record(t, op._pack_box(y))
 
     rate = _rhs_values(op._symbol, y)
     record(0.0, y, rate)
@@ -422,6 +431,7 @@ def evolve(omega0: RealField, config: EvolveConfig,
         terminated=terminated,
         accepted_steps=n_steps,
         rejected_steps=n_rejected,
+        support=op.mask,
     )
 
 

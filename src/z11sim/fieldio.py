@@ -153,8 +153,11 @@ def read_field(path: str | os.PathLike) -> RealField | Mask:
 
     A regular file's payload length is checked against the file's size
     before the payload is read, so a file of the wrong length is refused
-    without holding its payload, and only the n * n * 8 payload bytes are
-    ever read. A pipe has no size to check, so it is read whole.
+    without holding its payload. The payload is read straight into the
+    result's n x n array, so a read holds no second copy of it, and only
+    the n * n * 8 payload bytes are read from a regular file. A pipe has
+    no size to check: its payload is read into the array, and whatever
+    follows is read to count the bytes of a payload that is too long.
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
@@ -164,15 +167,17 @@ def read_field(path: str | os.PathLike) -> RealField | Mask:
         regular = stat.S_ISREG(info.st_mode)
         size = info.st_size - _HEADER.size
         if size == expected or not regular:
-            # a pipe is read whole; a file that shrank since fstat reads short
-            body = handle.read(expected if regular else -1)
-            size = len(body)
+            values = np.empty((header.n, header.n), dtype="<f8")
+            # a file that shrank since fstat reads short
+            size = handle.readinto(values)
+            if not regular and size == expected:
+                size += len(handle.read())
     if size < expected:
         raise FieldFileError(f"{path}: payload short ({size} bytes, expected {expected})")
     if size > expected:
         raise FieldFileError(f"{path}: payload long ({size} bytes, expected {expected})")
-    values = np.frombuffer(body, dtype="<f8").reshape(header.n, header.n)
-    values = values.astype(np.float64)  # native-endian writable copy
+    # native byte order: a copy only on a big-endian host
+    values = values.astype(np.float64, copy=False)
     grid = Grid(header.n, header.box_length)
     if header.kind == "mask":
         if not np.all((values == 0.0) | (values == 1.0)):

@@ -221,6 +221,20 @@ class RestrictedOperator:
         inverse = np.maximum(self._symbol, floor)
         return np.reciprocal(inverse, out=inverse)
 
+    def _pack_box(self, values: np.ndarray) -> np.ndarray:
+        """The member cells of the box values ``values``, in the mask's
+        row-major order, bitwise as :meth:`Mask.pack` reads them from the
+        grid, with no index array of the mask's size. The box's rows and
+        columns, which may wrap a periodic edge, are rolled into grid
+        order, where a boolean selection by the mask's indicator on the
+        box, rolled alike, reads the cells row-major. That indicator is
+        taken for the call and not kept: on a full-grid mask it is n^2
+        booleans."""
+        rows, cols = self._box
+        shift = (-int(np.argmin(rows[:, 0])), -int(np.argmin(cols[0])))
+        cells = np.roll(self.mask.indicator[self._box], shift, axis=(0, 1))
+        return np.roll(values, shift, axis=(0, 1))[cells]
+
     @functools.cached_property
     def _flat_index(self) -> np.ndarray:
         """``_box_index`` raveled into the box, built on first use: one

@@ -159,9 +159,13 @@ def _real_fft(values: np.ndarray | tuple[int, int],
     ``values`` given as a shape ``(p1, p2)`` stands for a p1 x p2 unit
     impulse at the origin, whose coefficients are exactly 1: the result,
     the multiplier's kernel, is the inverse transform of the symbol alone,
-    bitwise that of the impulse without building it or its transform. The
-    inverse transform rebinds ``coeff``, so at most two half-plane arrays
-    are alive at once.
+    bitwise that of the impulse without building it or its transform.
+    Data ``values`` are transformed in one p1 x (p2/2 + 1) complex
+    buffer, zero past row b1: the forward row pass fills its first b1
+    rows, and the column pass, the product with the symbol and the
+    inverse column pass run in place (numpy's ``out=``, numpy 2.0 or
+    newer). These are the same per-axis transforms, bitwise, and one
+    half-plane array is alive beside the symbol's.
 
     With ``rows``, an index array, the transform is row-restricted: the
     result is those rows of the full p1 x p2 result, in that order, and
@@ -201,12 +205,14 @@ def _real_fft(values: np.ndarray | tuple[int, int],
         p1, p2 = (b1, b2) if callable(symbol) else symbol.shape
         half = symbol if callable(symbol) else lambda p1, p2: symbol[:, : p2 // 2 + 1]
         if impulse:
-            coeff = half(p1, p2)
+            coeff = np.fft.ifft(half(p1, p2), axis=0)
         else:
-            coeff = np.fft.fft(np.fft.rfft(values, n=p2, axis=1), n=p1, axis=0)
+            coeff = np.zeros((p1, p2 // 2 + 1), dtype=complex)
+            np.fft.rfft(values, n=p2, axis=1, out=coeff[:b1])
+            np.fft.fft(coeff, axis=0, out=coeff)
             coeff *= half(p1, p2)
-        coeff = np.fft.ifft(coeff, axis=0)[:b1]
-        return np.fft.irfft(coeff, n=p2, axis=1)[:, :b2]
+            np.fft.ifft(coeff, axis=0, out=coeff)
+        return np.fft.irfft(coeff[:b1], n=p2, axis=1)[:, :b2]
     n1, n2 = values.shape
     coeff = np.fft.rfft2(values, norm="forward")
     half = coeff.real**2 + coeff.imag**2

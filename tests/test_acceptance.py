@@ -146,9 +146,10 @@ def test_criterion_5_self_similar_evolution(profile128):
     omega0 = RealField(grid, solution.q.values / lifespan)
     config = EvolveConfig(dt_initial=1e-3, t_max=0.9, rtol=1e-10, atol=1e-12,
                           record_every=1)
-    deviations = []
-    trace = evolve(omega0, config, on_record=lambda t, state: deviations.append(
-        self_similar_deviation(state, solution.q, lifespan, t)))
+    records = []
+    trace = evolve(omega0, config, on_record=lambda t, cells: records.append((t, cells)))
+    deviations = [self_similar_deviation(RealField(grid, trace.support.unpack(cells)),
+                                         solution.q, lifespan, t) for t, cells in records]
     worst = float(max(deviations))
     fitted, quality = estimate_blowup_time(trace)
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@
 configuration files in temporary directories, artifact inspection, the
 error contract on stderr, and byte-level determinism of reruns."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -367,23 +368,39 @@ class TestVerifyCommand:
     def test_cell_deviations_match_the_full_grid(self, tmp_path, capsys, monkeypatch):
         """deviation.csv, summed over the mask's cells, matches the
         full-grid self_similar_deviation of every recorded state."""
+        self._check_cell_deviations(tmp_path, capsys, monkeypatch, zero_cell=False)
+
+    def test_cell_deviations_on_a_support_short_of_the_mask(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """With Q exactly 0 on one mask cell the flow's support is the mask
+        less that cell, and the records hold one cell fewer: Q is gathered
+        on that support, and deviation.csv still matches the full grid."""
+        self._check_cell_deviations(tmp_path, capsys, monkeypatch, zero_cell=True)
+
+    def _check_cell_deviations(self, tmp_path, capsys, monkeypatch, zero_cell):
         shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "verify_disk.ini")
         with open(shipped) as handle:
             text = handle.read()
         ini = tmp_path / "verify.ini"
         ini.write_text(text.replace("n = 128", "n = 64"))
-        solutions, states = [], []
+        solutions, records, traces = [], [], []
         solve, evolve = cli._solve, cli.evolve
 
         def keep_solution(cfg):
-            solutions.append(solve(cfg))
+            solution, delta = solve(cfg)
+            if zero_cell:
+                values = solution.q.values.copy()
+                values[tuple(index[0] for index in solution.mask.indices)] = 0.0
+                solution = dataclasses.replace(solution, q=RealField(cfg.grid, values))
+            solutions.append((solution, delta))
             return solutions[-1]
 
         def keep_states(omega0, config, on_record):
-            def record(t, state):
-                states.append((t, state))
-                on_record(t, state)
-            return evolve(omega0, config, on_record=record)
+            def record(t, cells):
+                records.append((t, cells))
+                on_record(t, cells)
+            traces.append(evolve(omega0, config, on_record=record))
+            return traces[-1]
 
         monkeypatch.setattr(cli, "_solve", keep_solution)
         monkeypatch.setattr(cli, "evolve", keep_states)
@@ -391,7 +408,10 @@ class TestVerifyCommand:
         assert code == 0
         rows = (tmp_path / "out-verify-disk" / "deviation.csv").read_text().splitlines()[1:]
         written = np.array([[float(x) for x in row.split(",")] for row in rows])
-        ((solution, _),) = solutions
+        ((solution, _),), (trace,) = solutions, traces
+        assert trace.support.cell_count == solution.mask.cell_count - zero_cell
+        states = [(t, RealField(solution.q.grid, trace.support.unpack(cells)))
+                  for t, cells in records]
         oracle = [self_similar_deviation(state, solution.q, 1.0, t) for t, state in states]
         assert len(written) == len(states) > 10
         np.testing.assert_array_equal(written[:, 0], [t for t, _ in states])
@@ -526,16 +546,19 @@ class TestBoundedMemory:
         assert peak_many - peak_few <= 2 * field_bytes
 
     # Bound on the n x n float arrays alive at once, per command.
-    WORKING_SET = {"solve-profile": 2.1, "evolve": 3.75, "verify-self-similar": 3.75}
+    WORKING_SET = {"solve-profile": 2.1, "evolve": 1.55, "verify-self-similar": 2.55}
 
     @pytest.mark.parametrize("command", sorted(FULL_GRID))
     def test_full_grid_working_set(self, tmp_path, capsys, command):
         """The full-grid passes (rasterization, the certificate,
         verify_profile, the bump, the field writes) keep at most
-        WORKING_SET n x n float arrays alive at once at n = 256. Evolve and
-        verify-self-similar read about 3.45-3.5, and solve-profile 1.93,
-        whose certificate transforms only the rows of Q and of the mask and
-        whose field writes copy no payload (2.2 while they did;
+        WORKING_SET n x n float arrays alive at once at n = 256. Evolve
+        reads 1.47 and verify-self-similar 2.47: records are the support's
+        cells, read from its box, and the run does not hold the data (3.45
+        and 3.51 while each record was a grid field and the commands held
+        the data through the run). solve-profile reads 1.93: its
+        certificate transforms only the rows of Q and of the mask, and its
+        field writes copy no payload (2.2 while they did;
         ``python tools/working_set.py``)."""
         text = self.FULL_GRID[command]
         # a discarded warm-up, so one-time allocations (the cached circulant

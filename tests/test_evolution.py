@@ -70,6 +70,16 @@ def profile32(grid32):
     return solve_profile(op, tol=1e-10)
 
 
+def _record_states(omega0, config):
+    """evolve(omega0, config) with every record kept: the trace, and each
+    record's time and state, its cells placed on the grid by
+    trace.support.unpack."""
+    records = []
+    trace = evolve(omega0, config, on_record=lambda t, cells: records.append((t, cells)))
+    return trace, [(t, RealField(omega0.grid, trace.support.unpack(cells)))
+                   for t, cells in records]
+
+
 class TestEvolveConfig:
     def test_defaults_valid(self):
         cfg = EvolveConfig()
@@ -265,7 +275,7 @@ class TestRkStep:
 def _box_step(omega, dt, config):
     """One step of omega on the box of its support's restricted operator,
     from its right-hand side, as evolve takes it."""
-    op = evolution._support_operator(omega)
+    op = RestrictedOperator(evolution._support(omega))
     rate = rhs(omega).values[op._box]
     return step(op, omega.values[op._box], rate, dt, config)
 
@@ -343,7 +353,7 @@ class TestStep:
         grid = Grid(64, 16.0)
         w0 = gaussian_bump(grid, center=center, width=0.5, cutoff=2.0)
         cfg = EvolveConfig()
-        op = evolution._support_operator(w0)
+        op = RestrictedOperator(evolution._support(w0))
         y = w0.values[op._box]
         rate = rhs(w0).values[op._box]
         shapes = _transform_shapes(monkeypatch, lambda: step(op, y, rate, 1e-3, cfg))
@@ -363,9 +373,8 @@ class TestEvolve:
         """on_record fires once per trace row, in order, with the row's
         time and the state whose sup-norm the row holds."""
         cfg = EvolveConfig(t_max=0.1, record_every=3, rtol=1e-6, atol=1e-8)
-        seen = []
-        trace = evolve(gaussian_bump(grid32, width=0.8), cfg,
-                       on_record=lambda t, f: seen.append((t, sup_norm(f))))
+        trace, states = _record_states(gaussian_bump(grid32, width=0.8), cfg)
+        seen = [(t, sup_norm(state)) for t, state in states]
         assert trace.terminated == "horizon"
         assert trace.times[0] == 0.0
         assert trace.times[-1] == pytest.approx(0.1, abs=1e-12)
@@ -400,31 +409,43 @@ class TestEvolve:
                                         blowup_threshold=50.0, record_every=1))
         assert trace.terminated == "threshold"
 
-    def test_records_need_no_packed_cell_order(self, grid32, monkeypatch):
-        """Each record's field is the support box scattered onto the grid,
-        so on_record gets the same fields (compared with ==) while
-        Mask.unpack and the operator's packed cell order refuse; the first
-        is the data."""
-        w0 = gaussian_bump(grid32, width=0.6, amplitude=1.5, cutoff=1.2)
+    def test_records_are_the_packed_grid_fields(self, grid32, monkeypatch):
+        """Each record's cells are bitwise Mask.pack, on trace.support, of
+        the grid field a record used to be, the state's box scattered into
+        a grid of zeros, and trace.support.unpack gives that field back
+        bitwise; the first is the data. The cells are read with no index
+        array of the support's size: the operator's cell indices refuse.
+        Rolled by (16, 20) the box wraps both periodic edges, by (5, 30)
+        one, negative data decays, and the bump without a cutoff fills
+        the grid."""
         cfg = EvolveConfig(t_max=0.1, record_every=2, rtol=1e-6, atol=1e-8)
+        fields = []
+        pack_box = RestrictedOperator._pack_box
 
-        def records():
-            seen = []
-            evolve(w0, cfg, on_record=lambda t, f: seen.append((t, f.values)))
-            return seen
+        def spy(op, values):
+            fields.append(evolution._on_grid(op, values))
+            return pack_box(op, values)
 
         def refuse(*args):
-            raise AssertionError("packed cell order read")
+            raise AssertionError("cell indices built")
 
-        before = records()
-        monkeypatch.setattr(Mask, "unpack", refuse)
+        monkeypatch.setattr(RestrictedOperator, "_pack_box", spy)
         monkeypatch.setattr(RestrictedOperator, "_box_index", property(refuse))
-        after = records()
-        assert len(after) == len(before) > 2
-        assert np.all(after[0][1] == w0.values)
-        for (t_old, old), (t_new, new) in zip(before, after):
-            assert t_new == t_old
-            assert np.all(new == old)
+        monkeypatch.setattr(RestrictedOperator, "_flat_index", property(refuse))
+        for shift, amplitude, cutoff in [((0, 0), 1.5, 1.2), ((16, 20), 1.5, 1.2),
+                                         ((5, 30), -1.5, 1.2), ((0, 0), 1.5, None)]:
+            w0 = gaussian_bump(grid32, width=0.6, amplitude=amplitude, cutoff=cutoff)
+            w0 = RealField(grid32, np.roll(w0.values, shift, axis=(0, 1)))
+            fields.clear()
+            records = []
+            trace = evolve(w0, cfg, on_record=lambda t, cells: records.append((t, cells)))
+            assert trace.support.cell_count == np.count_nonzero(w0.values)
+            assert len(records) == len(fields) == len(trace) > 2
+            assert fields[0].tobytes() == w0.values.tobytes()
+            for (t, cells), field, t_row in zip(records, fields, trace.times):
+                assert t == t_row
+                assert cells.tobytes() == trace.support.pack(field).tobytes()
+                assert trace.support.unpack(cells).tobytes() == field.tobytes()
 
     def test_invariants_along_blowup_run(self, grid32):
         """Monotone mass and nonnegative quadratic form, the two structural
@@ -479,9 +500,8 @@ class TestEvolve:
         w0 = RealField(grid32, sol.q.values / T)
         cfg = EvolveConfig(dt_initial=1e-3, t_max=0.5, rtol=1e-10, atol=1e-12,
                            record_every=1)
-        devs = []
-        trace = evolve(w0, cfg, on_record=lambda t, f: devs.append(
-            self_similar_deviation(f, sol.q, T, t)))
+        trace, states = _record_states(w0, cfg)
+        devs = [self_similar_deviation(state, sol.q, T, t) for t, state in states]
         assert trace.terminated == "horizon"
         assert len(devs) == len(trace)
         assert max(devs) <= 1e-5
@@ -628,6 +648,69 @@ class TestSteppingContract:
         assert len(peaks) == trace.accepted_steps + 1 > 10
         assert max(peaks[1:]) < n * n * 8
 
+    def test_records_allocate_no_grid_sized_array(self, monkeypatch):
+        """What evolve does after each step of the compact n = 256 bump,
+        its record included, allocates at most 0.25 n^2 doubles more with
+        on_record than without it: the record's cells are read from the
+        65 x 65 support box (0.014 n^2 measured). A record handed out as
+        a grid field allocated 1.006 n^2 more."""
+        n = 256
+        w0 = gaussian_bump(Grid(n, 16.0), width=0.5, cutoff=2.0)
+        cfg = EvolveConfig(t_max=20.0, record_every=1)
+        evolve(w0, cfg)  # the first run of a box size builds its symbol
+        real_step = evolution.step
+
+        def after_step_peaks(on_record):
+            """Peak traced memory above its start of each stretch after a
+            step, up to the next step or the end of the run."""
+            peaks, start = [], [None]
+
+            def measured_step(*args):
+                if start[0] is not None:
+                    peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+                result = real_step(*args)
+                start[0] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                return result
+
+            monkeypatch.setattr(evolution, "step", measured_step)
+            tracemalloc.start()
+            try:
+                trace = evolve(w0, cfg, on_record=on_record)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start[0])
+            finally:
+                tracemalloc.stop()
+                monkeypatch.setattr(evolution, "step", real_step)
+            assert len(peaks) == trace.accepted_steps > 10
+            return max(peaks)
+
+        records = []
+        hooked = after_step_peaks(lambda t, cells: records.append(t))
+        assert len(records) > 10
+        assert hooked - after_step_peaks(None) <= 0.25 * 8 * n * n
+
+    def test_full_support_records_keep_the_peak(self):
+        """A Gaussian without a cutoff fills the n = 256 grid, so its box
+        is the grid. Its records' cells are read with no index array of
+        the support's size (three n^2 integer arrays) and nothing of them
+        is kept between records, so a run with on_record peaks at 11.14
+        n^2 doubles, in its steps, as it did while each record was handed
+        out as a grid field."""
+        n = 256
+        w0 = gaussian_bump(Grid(n, 16.0), width=0.5)
+        cfg = EvolveConfig(t_max=0.05, record_every=1)
+        evolve(w0, cfg)  # the grid's symbol, Z11's full plane, is cached
+        records = []
+        tracemalloc.start()
+        try:
+            trace = evolve(w0, cfg, on_record=lambda t, cells: records.append(cells.size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.support.cell_count == n * n
+        assert records == [n * n] * len(trace) and len(trace) > 2
+        assert peak <= 11.15 * 8 * n * n
+
 
 def _step_operators(monkeypatch, omega0, config):
     """The operator of each step that evolve(omega0, config) takes."""
@@ -692,9 +775,9 @@ class TestBoxRecords:
         w0 = _config_bump(n)
         w0 = RealField(w0.grid, amplitude * np.roll(w0.values, shift, axis=(0, 1)))
         cfg = EvolveConfig(t_max=20.0, record_every=1)
-        oracle = []
-        trace = evolve(w0, cfg, on_record=lambda t, f: oracle.append(
-            (sup_norm(f), field_integral(f), l2_norm(f), quadratic_form(f))))
+        trace, states = _record_states(w0, cfg)
+        oracle = [(sup_norm(f), field_integral(f), l2_norm(f), quadratic_form(f))
+                  for _, f in states]
         assert trace.terminated == ("threshold" if amplitude > 0 else "horizon")
         sups, integrals, l2s, qforms = np.array(oracle).T
         np.testing.assert_array_equal(trace.sup_norm, sups)
@@ -758,10 +841,11 @@ class TestFlowLaws:
         6.6e-5 relative and states to 5.2e-6 of their sup-norm."""
         w0 = gaussian_bump(Grid(64, 16.0), center=(0.37, -0.61), width=0.5, cutoff=2.0)
         cfg = EvolveConfig(t_max=20.0, record_every=1)
-        states, reflected_states = [], []
-        base = evolve(w0, cfg, on_record=lambda t, f: states.append(f.values))
-        reflected = evolve(RealField(w0.grid, _reflect(w0.values, axis)), cfg,
-                           on_record=lambda t, f: reflected_states.append(f.values))
+        base, states = _record_states(w0, cfg)
+        reflected, reflected_states = _record_states(
+            RealField(w0.grid, _reflect(w0.values, axis)), cfg)
+        states, reflected_states = ([f.values for _, f in records]
+                                    for records in (states, reflected_states))
         assert reflected.terminated == base.terminated == "threshold"
         assert (reflected.accepted_steps, reflected.rejected_steps) == (
             base.accepted_steps, base.rejected_steps)
@@ -993,13 +1077,11 @@ class TestExactInvariants:
         cfg = EvolveConfig(dt_initial=1e-3, t_max=20.0, blowup_threshold=1e5,
                            record_every=1)
         checked = []
-
-        def check(t, field):
+        trace, states = _record_states(w0, cfg)
+        for t, field in states:
             assert np.all(field.values[outside] == 0.0)
             assert field.values.min() >= 0.0
             checked.append(t)
-
-        trace = evolve(w0, cfg, on_record=check)
         assert trace.terminated in ("threshold", "step_underflow")
         assert trace.sup_norm[-1] >= 1e3
         assert checked == list(trace.times)
@@ -1014,13 +1096,11 @@ class TestExactInvariants:
         w0 = gaussian_bump(grid, width=0.5, amplitude=-1.0, cutoff=2.0)
         outside = w0.values == 0.0
         checked = []
-
-        def check(t, field):
+        trace, states = _record_states(w0, EvolveConfig(t_max=20.0, record_every=1))
+        for t, field in states:
             assert np.all(field.values[outside] == 0.0)
             assert field.values.max() <= 0.0
             checked.append(t)
-
-        trace = evolve(w0, EvolveConfig(t_max=20.0, record_every=1), on_record=check)
         assert trace.terminated == "horizon"
         assert trace.accepted_steps == 21
         assert checked == list(trace.times)
@@ -1037,10 +1117,11 @@ class TestExactInvariants:
         grid = Grid(64, 16.0)
         w0 = gaussian_bump(grid, width=0.5, cutoff=2.0)
         cfg = EvolveConfig(t_max=20.0, record_every=1)
-        states, rolled_states = [], []
-        trace = evolve(w0, cfg, on_record=lambda t, f: states.append(f.values))
-        rolled = evolve(RealField(grid, np.roll(w0.values, shift, axis=(0, 1))), cfg,
-                        on_record=lambda t, f: rolled_states.append(f.values))
+        trace, states = _record_states(w0, cfg)
+        rolled, rolled_states = _record_states(
+            RealField(grid, np.roll(w0.values, shift, axis=(0, 1))), cfg)
+        states, rolled_states = ([f.values for _, f in records]
+                                 for records in (states, rolled_states))
         assert rolled.terminated == trace.terminated == "threshold"
         np.testing.assert_array_equal(rolled.times, trace.times)
         np.testing.assert_array_equal(rolled_states[-1], np.roll(states[-1], shift, axis=(0, 1)))

@@ -211,6 +211,28 @@ class TestWriteMemory:
         assert os.path.getsize(path) == 17 + 8 * n * n
 
 
+class TestReadMemory:
+    def test_read_holds_no_copy_of_the_payload(self, tmp_path):
+        """Reading an n = 512 field allocates at most 1.25 n x n float
+        arrays: the payload is read straight into the result, beside a
+        boolean finiteness check (1.13 measured). Reading the bytes and
+        then converting them to a native-endian array held both at once
+        (2.13)."""
+        n = 512
+        grid = Grid(n, 16.0)
+        values = np.random.default_rng(6).standard_normal((n, n))
+        path = tmp_path / "profile.vpf"
+        write_field(path, RealField(grid, values), kind="profile")
+        tracemalloc.start()
+        try:
+            field = read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
+        assert field.values.tobytes() == values.tobytes()
+
+
 class TestReadErrors:
     def _valid_bytes(self, grid):
         values = np.arange(32 * 32, dtype=np.float64).reshape(32, 32)

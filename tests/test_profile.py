@@ -123,7 +123,8 @@ def _wide_scatter(grid):
 def _transform_shapes(monkeypatch, call):
     """(data shape, padded size) of each forward transform that call()
     runs: the rows are transformed first, padded to the rfft length, and
-    the columns after, padded to the fft length."""
+    the columns after, padded to the fft length (the length of the
+    column, when the transform runs in place on rows padded already)."""
     shapes = []
     rfft, fft = np.fft.rfft, np.fft.fft
 
@@ -134,7 +135,7 @@ def _transform_shapes(monkeypatch, call):
 
     def recording_fft(a, n=None, axis=-1, *args, **kwargs):
         assert axis == 0
-        shapes[-1][1] = (n, shapes[-1][1])
+        shapes[-1][1] = (a.shape[axis] if n is None else n, shapes[-1][1])
         return fft(a, n, axis, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", recording_rfft)
@@ -191,6 +192,32 @@ class TestEmbeddedApply:
             box = np.zeros(op._box_shape)
             box[op._box_index] = x
             np.testing.assert_array_equal(method(x), _real_fft(box, symbol)[op._box_index])
+
+
+    def test_box_values_pack_as_the_grid(self):
+        """Cells read from box values by the operator are bitwise Mask.pack
+        of the grid, in its row-major order: on drawn masks of scattered
+        cells rolled across the periodic edges (so the box wraps one edge,
+        both or none), on a mask spanning an axis, and on the full grid."""
+        grid = Grid(32, 8.0)
+        rng = np.random.default_rng(35)
+        masks = []
+        for _ in range(60):
+            ind = np.zeros((32, 32), dtype=bool)
+            h, w = rng.integers(1, 20, size=2)
+            ind[:h, :w] = rng.random((h, w)) < rng.uniform(0.05, 1.0)
+            ind[rng.integers(h), rng.integers(w)] = True
+            masks.append(np.roll(ind, tuple(rng.integers(32, size=2)), axis=(0, 1)))
+        masks += [np.isin(np.arange(32), [3, 20])[:, None] & np.ones(32, dtype=bool),
+                  np.ones((32, 32), dtype=bool)]
+        wraps = set()
+        for ind in masks:
+            op = RestrictedOperator(Mask(grid, ind))
+            values = rng.standard_normal((32, 32))
+            got = op._pack_box(values[op._box])
+            assert got.tobytes() == op.mask.pack(values).tobytes()
+            wraps.add(tuple(bool(np.any(np.diff(index.ravel()) < 0)) for index in op._box))
+        assert wraps >= {(False, False), (True, False), (False, True), (True, True)}
 
 
 class TestPreconditioner:

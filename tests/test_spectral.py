@@ -189,6 +189,41 @@ class TestTransforms:
         np.testing.assert_array_equal(got, full[:b1, :b2])
 
 
+    def test_in_place_box_transform_matches_the_per_axis_formula(self):
+        """The box path runs its column passes and the symbol product in
+        one half-plane buffer, in place; its result is bitwise that of
+        the out-of-place per-axis transforms, with numpy padding each
+        axis, for drawn boxes b <= p with odd and even embedding sizes,
+        for boxes that fill their embedding, and for the unit impulse,
+        whose result is the inverse transform of the symbol alone. Z11's
+        half plane built inside the transform gives the same as its full
+        plane handed in."""
+        def per_axis(values, symbol):
+            (b1, b2), (p1, p2) = values.shape, symbol.shape
+            coeff = np.fft.fft(np.fft.rfft(values, n=p2, axis=1), n=p1, axis=0)
+            coeff *= symbol[:, : p2 // 2 + 1]
+            return np.fft.irfft(np.fft.ifft(coeff, axis=0)[:b1], n=p2, axis=1)[:, :b2]
+
+        rng = np.random.default_rng(35)
+        sizes = [tuple(rng.integers(1, 49, size=2)) for _ in range(40)]
+        sizes += [(1, 1), (2, 2), (15, 36), (36, 15), (45, 45), (64, 64)]
+        parities = set()
+        for p1, p2 in sizes:
+            symbol = rng.random((p1, p2))
+            for b1, b2 in ((rng.integers(1, p1 + 1), rng.integers(1, p2 + 1)), (p1, p2)):
+                values = rng.standard_normal((b1, b2))
+                got = _real_fft(values, symbol)
+                assert got.tobytes() == per_axis(values, symbol).tobytes()
+            impulse = np.zeros((p1, p2))
+            impulse[0, 0] = 1.0
+            assert _real_fft((p1, p2), symbol).tobytes() == per_axis(impulse, symbol).tobytes()
+            parities |= {p1 % 2, p2 % 2}
+        assert parities == {0, 1}
+        values = rng.standard_normal((32, 32))
+        assert (_real_fft(values, _z11_symbol).tobytes()
+                == per_axis(values, m11_from_scratch(32)).tobytes())
+
+
 class TestZ11Symbol:
     """Z11's symbol is built where it is multiplied; each form is bitwise
     the symbol written out from its definition."""
