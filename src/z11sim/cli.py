@@ -154,7 +154,10 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     solution, delta = _solve(cfg)
     t_blowup = cfg.verify_t_blowup
     mask = solution.mask
-    q_cells = mask.pack(solution.q.values)
+    q_cells, solved = mask.pack(solution.q.values), _summary(cfg, solution, delta)
+    # Q is read no further than its cells and the solve's keys: freed, it
+    # leaves the run's working set
+    del solution
     omega_cells = q_cells / t_blowup
     evolve_cfg = dataclasses.replace(cfg.evolve, t_max=cfg.verify_t_final)
     deviations: list[float] = []
@@ -180,8 +183,8 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     write_trace_csv(os.path.join(cfg.output_dir, "trace.csv"), trace)
     _write_csv(os.path.join(cfg.output_dir, "deviation.csv"), ("t", "deviation"),
                zip(trace.times, deviations))
-    _write_json(os.path.join(cfg.output_dir, "verify.json"), _summary(
-        cfg, solution, delta, trace,
+    _write_json(os.path.join(cfg.output_dir, "verify.json"), solved | _summary(
+        cfg, trace=trace,
         t_blowup=t_blowup,
         t_final=cfg.verify_t_final,
         max_deviation=max(deviations),

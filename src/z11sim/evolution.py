@@ -352,8 +352,9 @@ def evolve(omega0: RealField, config: EvolveConfig,
     The flow keeps the support of omega0, so the run's state lives on the
     box of the support's restricted operator, built once: each accepted
     step (:func:`step`) works on the box alone, and so does each record.
-    on_record's cells are read from the box rolled into grid order, with
-    no index array of the support's size, so a run whose support is not
+    on_record's cells are read from the box by the operator's boolean
+    cell selector (:meth:`RestrictedOperator._pack_box`), with no index
+    array of the support's size, so a run whose support is not
     the whole grid builds no grid-sized array after its operator. Every
     record, and the threshold test after every step, reads the box: the
     sums gather it alone (every cell off it is 0), and qform is h^2 sum

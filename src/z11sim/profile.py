@@ -157,39 +157,37 @@ class RestrictedOperator:
 
     The mask fixes the operator, its grid included. Construction decides
     the mask's periodic bounding box once: ``_box`` indexes it on the grid,
-    ``_box_index`` holds the box position of each member cell, in the
-    mask's row-major order (built on first use), and ``_symbol`` is the
+    ``_selector`` is the mask's indicator on the box in grid order, by
+    whose boolean selection the member cells of box values read in the
+    mask's row-major order (:meth:`_pack_box`), and ``_symbol`` is the
     symbol of the box's circulant embedding, the one array the operator
-    keeps from the kernel. The embedding size depends on the mask alone,
-    and operators of one grid size and embedding size share the symbol. A
-    full-grid mask's box is the grid, with Z11's full-plane symbol, the one
-    place that plane is held. The evolution steps a state supported on the
-    mask on this same box.
+    keeps from the kernel. No index array of the member cells is built.
+    The embedding size depends on the mask alone, and operators of one
+    grid size and embedding size share the symbol. A full-grid mask's box
+    is the grid, with Z11's full-plane symbol, the one place that plane is
+    held. The evolution steps a state supported on the mask on this same
+    box.
     """
 
     mask: Mask
 
     def __post_init__(self) -> None:
-        n = self.grid.n
+        n, indicator = self.grid.n, self.mask.indicator
         (start1, b1, p1), (start2, b2, p2) = (
-            _embedding_axis(self.mask.indicator.any(axis=a)) for a in (1, 0))
+            _embedding_axis(indicator.any(axis=a)) for a in (1, 0))
+        box = np.ix_((start1 + np.arange(b1)) % n, (start2 + np.arange(b2)) % n)
+        # the roll that takes a box across a periodic edge into grid order
+        shift = tuple(-int(np.argmin(index.ravel())) for index in box)
         object.__setattr__(self, "_symbol", _box_kernel(n, p1, p2))
-        object.__setattr__(self, "_box", np.ix_((start1 + np.arange(b1)) % n,
-                                                (start2 + np.arange(b2)) % n))
+        object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_box_shape", (b1, b2))
+        object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_selector", np.roll(indicator[box], shift, axis=(0, 1))
+                           if any(shift) else indicator[start1:start1 + b1, start2:start2 + b2])
 
     @property
     def grid(self) -> Grid:
         return self.mask.grid
-
-    @functools.cached_property
-    def _box_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Built on first use, so a caller that works on the whole box, as
-        the evolution's right-hand side does, never builds these arrays,
-        which are n^2 long on a full-grid mask."""
-        (rows, cols), n = self._box, self.grid.n
-        r, c = self.mask.indices
-        return (r - rows[0, 0]) % n, (c - cols[0, 0]) % n
 
     def apply_packed(self, x: np.ndarray) -> np.ndarray:
         """Operator action on a member-cell vector of length cell_count."""
@@ -224,27 +222,23 @@ class RestrictedOperator:
     def _pack_box(self, values: np.ndarray) -> np.ndarray:
         """The member cells of the box values ``values``, in the mask's
         row-major order, bitwise as :meth:`Mask.pack` reads them from the
-        grid, with no index array of the mask's size. The box's rows and
-        columns, which may wrap a periodic edge, are rolled into grid
-        order, where a boolean selection by the mask's indicator on the
-        box, rolled alike, reads the cells row-major. That indicator is
-        taken for the call and not kept: on a full-grid mask it is n^2
-        booleans."""
-        rows, cols = self._box
-        shift = (-int(np.argmin(rows[:, 0])), -int(np.argmin(cols[0])))
-        cells = np.roll(self.mask.indicator[self._box], shift, axis=(0, 1))
-        return np.roll(values, shift, axis=(0, 1))[cells]
-
-    @functools.cached_property
-    def _flat_index(self) -> np.ndarray:
-        """``_box_index`` raveled into the box, built on first use: one
-        flat index scatters and gathers three times as fast as the pair."""
-        return np.ravel_multi_index(self._box_index, self._box_shape)
+        grid: a boolean selection by ``_selector``. A box across a periodic
+        edge is first rolled into grid order, where its selector is a
+        rolled copy of the indicator; any other box is read as it is,
+        through a view of the indicator, so a full-grid mask holds no
+        second n^2 booleans."""
+        rolled = np.roll(values, self._shift, axis=(0, 1)) if any(self._shift) else values
+        return rolled[self._selector]
 
     def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """Scatter the member-cell vector ``x`` into the box, as
+        :meth:`_pack_box` reads it, apply the circulant of ``symbol``, and
+        gather the cells back."""
         box = np.zeros(self._box_shape)
-        box.ravel()[self._flat_index] = x
-        return _real_fft(box, symbol).take(self._flat_index)
+        box[self._selector] = x
+        if any(self._shift):
+            box = np.roll(box, [-s for s in self._shift], axis=(0, 1))
+        return self._pack_box(_real_fft(box, symbol))
 
 
 def _longest_x1_run(op: RestrictedOperator) -> int:
@@ -254,9 +248,7 @@ def _longest_x1_run(op: RestrictedOperator) -> int:
     so its edges, where neighbours differ, pair up as the start and end of
     a run. Boolean and int64 operations only: an int8 difference paged in
     128 kB more of numpy's code, which the solve command's peak RSS showed."""
-    r, c = op._box_index
-    columns = np.zeros((op._box_shape[1], op._box_shape[0] + 2), dtype=bool)
-    columns[c, r + 1] = True
+    columns = np.pad(op.mask.indicator[op._box].T, ((0, 0), (1, 1)))
     edges = np.flatnonzero(columns[:, 1:] != columns[:, :-1])
     return int(np.max(edges[1::2] - edges[::2]))
 
@@ -276,7 +268,7 @@ def dense_L_matrix(op: RestrictedOperator) -> np.ndarray:
     if m > DENSE_CELL_LIMIT:
         raise ValueError(f"dense assembly refused for cell_count {m} > {DENSE_CELL_LIMIT}")
     n = op.grid.n
-    r, c = op.mask.indices
+    r, c = np.nonzero(op.mask.indicator)
     row_offsets = (r[:, None] - r) % n
     offsets, slot = np.unique(row_offsets, return_inverse=True)
     kernel_rows = _real_fft((n, n), _z11_symbol, rows=offsets)
@@ -420,10 +412,11 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     if m <= _DIRECT_CELLS:
         theta = float(np.linalg.svd(dense_L_matrix(op), compute_uv=False)[-1])
     else:
-        r, c = op._box_index
-        envelope = (r + 1.0) * (c + 1.0)
-        x0 = np.where(c % 2 == 0, envelope, -envelope)
-        x0 += 0.1 * envelope.mean() * math.sqrt(12.0) * (np.arange(m) * _WEYL_STEP % 1.0 - 0.5)
+        i1, i2 = np.ogrid[:op._box_shape[0], :op._box_shape[1]]
+        envelope = (i1 + 1.0) * (i2 + 1.0)
+        x0 = op._pack_box(np.where(i2 % 2 == 0, envelope, -envelope))
+        mean = op._pack_box(envelope).mean()
+        x0 += 0.1 * mean * math.sqrt(12.0) * (np.arange(m) * _WEYL_STEP % 1.0 - 0.5)
         try:
             theta, _ = _davidson_lowest(op.apply_packed, op.precondition, x0, _COERCIVITY_TOL,
                                         max_iter=_STEPS_PER_CELL * m)

@@ -162,19 +162,15 @@ class Mask:
         """Largest distance between member cell centers."""
         return _row_extent_diameter(self.grid.x, self.indicator)
 
-    @cached_property
-    def indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row/column indices of member cells, in row-major order."""
-        return np.nonzero(self.indicator)
-
     def pack(self, values: np.ndarray) -> np.ndarray:
-        """Gather the member-cell entries of a full-grid array."""
-        return values[self.indices]
+        """Gather the member-cell entries of a full-grid array, in row-major
+        order, by boolean selection: no index array is built."""
+        return values[self.indicator]
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Scatter a member-cell vector into a full-grid array (zeros off mask)."""
         full = np.zeros((self.grid.n, self.grid.n))
-        full[self.indices] = packed
+        full[self.indicator] = packed
         return full
 
 

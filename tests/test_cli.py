@@ -390,7 +390,7 @@ class TestVerifyCommand:
             solution, delta = solve(cfg)
             if zero_cell:
                 values = solution.q.values.copy()
-                values[tuple(index[0] for index in solution.mask.indices)] = 0.0
+                values[tuple(index[0] for index in np.nonzero(solution.mask.indicator))] = 0.0
                 solution = dataclasses.replace(solution, q=RealField(cfg.grid, values))
             solutions.append((solution, delta))
             return solutions[-1]
@@ -546,19 +546,21 @@ class TestBoundedMemory:
         assert peak_many - peak_few <= 2 * field_bytes
 
     # Bound on the n x n float arrays alive at once, per command.
-    WORKING_SET = {"solve-profile": 2.1, "evolve": 1.55, "verify-self-similar": 2.55}
+    WORKING_SET = {"solve-profile": 1.95, "evolve": 1.45, "verify-self-similar": 1.95}
 
     @pytest.mark.parametrize("command", sorted(FULL_GRID))
     def test_full_grid_working_set(self, tmp_path, capsys, command):
         """The full-grid passes (rasterization, the certificate,
         verify_profile, the bump, the field writes) keep at most
         WORKING_SET n x n float arrays alive at once at n = 256. Evolve
-        reads 1.47 and verify-self-similar 2.47: records are the support's
-        cells, read from its box, and the run does not hold the data (3.45
-        and 3.51 while each record was a grid field and the commands held
-        the data through the run). solve-profile reads 1.93: its
-        certificate transforms only the rows of Q and of the mask, and its
-        field writes copy no payload (2.2 while they did;
+        reads 1.37: records are the support's cells, read from its box,
+        and the run does not hold the data (3.45 while each record was a
+        grid field and the command held the data through the run; 1.47
+        while the cells were placed through index arrays).
+        verify-self-similar reads 1.87: it also frees Q once its cells are
+        packed (2.47 while it held Q through the run). solve-profile reads
+        1.87: its certificate transforms only the rows of Q and of the
+        mask, and its field writes copy no payload (2.2 while they did;
         ``python tools/working_set.py``)."""
         text = self.FULL_GRID[command]
         # a discarded warm-up, so one-time allocations (the cached circulant
@@ -566,6 +568,32 @@ class TestBoundedMemory:
         self._peak(tmp_path, capsys, text, "warmup")
         peak = self._peak(tmp_path, capsys, text, "measured")
         assert peak <= self.WORKING_SET[command] * 8 * 256**2
+
+    def test_snapshot_write_holds_no_cell_indices(self, tmp_path, capsys, monkeypatch):
+        """A Gaussian without a cutoff fills the n = 256 grid, and its
+        snapshot is placed on the grid by boolean selection: while the
+        snapshot is written the command holds at most 2.5 n x n float
+        arrays (2.30 measured: the kept cells, the placed field and the
+        write's row blocks). Placed through index arrays of the support's
+        cells, cached on its mask, it held 4.30."""
+        text = ("[run]\ncommand = evolve\noutput_dir = {out}\nsnapshot_times = 0.01\n\n"
+                "[grid]\nn = 256\nbox_length = 16.0\n\n"
+                "[initial]\nkind = bump\nwidth = 0.5\n\n"
+                "[evolve]\nt_max = 0.05\n")
+        # a discarded warm-up, so the cached full-plane symbol does not count
+        self._peak(tmp_path, capsys, text, "warmup")
+        peaks = []
+        write_field = cli.write_field
+
+        def spy(*args, **kwargs):
+            tracemalloc.reset_peak()
+            write_field(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(cli, "write_field", spy)
+        self._peak(tmp_path, capsys, text, "measured")
+        assert len(peaks) == 1
+        assert peaks[0] <= 2.5 * 8 * 256**2
 
     @pytest.mark.parametrize("command", sorted(FULL_GRID))
     def test_compact_data_builds_no_full_plane(self, tmp_path, capsys, monkeypatch, command):

@@ -16,7 +16,6 @@ from z11sim import (
     EvolutionTrace,
     EvolveConfig,
     Grid,
-    Mask,
     RealField,
     RestrictedOperator,
     StepUnderflowError,
@@ -78,6 +77,19 @@ def _record_states(omega0, config):
     trace = evolve(omega0, config, on_record=lambda t, cells: records.append((t, cells)))
     return trace, [(t, RealField(omega0.grid, trace.support.unpack(cells)))
                    for t, cells in records]
+
+
+def _refuse_cell_indices(monkeypatch):
+    """Make np.nonzero, np.flatnonzero and np.argwhere of a 2-D array
+    raise: an index array of a support's cells would come from one of them
+    applied to its indicator. Boolean selection by the indicator builds
+    none."""
+    for name in ("nonzero", "flatnonzero", "argwhere"):
+        def guarded(a, real=getattr(np, name)):
+            if np.ndim(a) > 1:
+                raise AssertionError("cell indices built")
+            return real(a)
+        monkeypatch.setattr(np, name, guarded)
 
 
 class TestEvolveConfig:
@@ -209,9 +221,10 @@ class TestRhs:
 
     def test_full_support_builds_no_cell_indices(self, monkeypatch):
         """rhs and rk_step scatter their box back whole, so on a full
-        support they never build the mask's n^2-long cell indices. Their
-        values are those from before ``Mask.indices`` refuses (compared with
-        ==, since a zero off a support may change sign)."""
+        support they never build an index array of its n^2 cells. Their
+        values are those from before the index routes refuse
+        (_refuse_cell_indices; compared with ==, since a zero off a
+        support may change sign)."""
         grid = Grid(256, 16.0)
         f = RealField(grid, np.random.default_rng(75).standard_normal((256, 256)))
 
@@ -219,11 +232,8 @@ class TestRhs:
             out, err = rk_step(f, 1e-3)
             return rhs(f).values, out.values, err
 
-        def refuse(self):
-            raise AssertionError("cell indices built")
-
         before = outputs()
-        monkeypatch.setattr(Mask, "indices", property(refuse))
+        _refuse_cell_indices(monkeypatch)
         for old, new in zip(before, outputs()):
             assert np.all(old == new)
 
@@ -414,7 +424,8 @@ class TestEvolve:
         the grid field a record used to be, the state's box scattered into
         a grid of zeros, and trace.support.unpack gives that field back
         bitwise; the first is the data. The cells are read with no index
-        array of the support's size: the operator's cell indices refuse.
+        array of the support's size: the index routes refuse
+        (_refuse_cell_indices).
         Rolled by (16, 20) the box wraps both periodic edges, by (5, 30)
         one, negative data decays, and the bump without a cutoff fills
         the grid."""
@@ -426,12 +437,8 @@ class TestEvolve:
             fields.append(evolution._on_grid(op, values))
             return pack_box(op, values)
 
-        def refuse(*args):
-            raise AssertionError("cell indices built")
-
         monkeypatch.setattr(RestrictedOperator, "_pack_box", spy)
-        monkeypatch.setattr(RestrictedOperator, "_box_index", property(refuse))
-        monkeypatch.setattr(RestrictedOperator, "_flat_index", property(refuse))
+        _refuse_cell_indices(monkeypatch)
         for shift, amplitude, cutoff in [((0, 0), 1.5, 1.2), ((16, 20), 1.5, 1.2),
                                          ((5, 30), -1.5, 1.2), ((0, 0), 1.5, None)]:
             w0 = gaussian_bump(grid32, width=0.6, amplitude=amplitude, cutoff=cutoff)
@@ -691,11 +698,12 @@ class TestSteppingContract:
 
     def test_full_support_records_keep_the_peak(self):
         """A Gaussian without a cutoff fills the n = 256 grid, so its box
-        is the grid. Its records' cells are read with no index array of
-        the support's size (three n^2 integer arrays) and nothing of them
-        is kept between records, so a run with on_record peaks at 11.14
-        n^2 doubles, in its steps, as it did while each record was handed
-        out as a grid field."""
+        is the grid. Its records' cells are read by boolean selection
+        through a view of the support's indicator, with no index array of
+        the support's size and no second copy of the indicator, and
+        nothing of them is kept between records, so a run with on_record
+        peaks at 11.14 n^2 doubles, in its steps, as it did while each
+        record was handed out as a grid field."""
         n = 256
         w0 = gaussian_bump(Grid(n, 16.0), width=0.5)
         cfg = EvolveConfig(t_max=0.05, record_every=1)
@@ -739,8 +747,8 @@ class TestSharedBox:
         solved = RestrictedOperator(profile32.mask)
         assert len(ops) > 1 and all(op is ops[0] for op in ops)
         np.testing.assert_array_equal(ops[0].mask.indicator, profile32.mask.indicator)
-        for got, want in zip(ops[0]._box + ops[0]._box_index,
-                             solved._box + solved._box_index):
+        for got, want in zip(ops[0]._box + (ops[0]._selector,),
+                             solved._box + (solved._selector,)):
             np.testing.assert_array_equal(got, want)
         assert ops[0]._symbol is solved._symbol
 

@@ -7,6 +7,7 @@ the conjugate-gradient solution against a dense linear solve.
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -181,24 +182,23 @@ class TestEmbeddedApply:
         assert shapes == [((32, 32), (64, 64))] * 2
 
 
-    def test_flat_index_matches_the_index_pair(self):
-        """The circulant scatters into the box and gathers from it through
-        one flat index; on an asymmetric two-disk mask, the apply and the
-        preconditioner equal the route through the (row, column) pair
-        bitwise."""
-        op = RestrictedOperator(Mask(Grid(128, 16.0), _two_small_disks(Grid(128, 16.0))))
-        x = np.random.default_rng(67).standard_normal(op.mask.cell_count)
-        for method, symbol in ((op.apply_packed, op._symbol), (op.precondition, op._inverse_symbol)):
-            box = np.zeros(op._box_shape)
-            box[op._box_index] = x
-            np.testing.assert_array_equal(method(x), _real_fft(box, symbol)[op._box_index])
-
-
-    def test_box_values_pack_as_the_grid(self):
+    def test_box_values_pack_as_the_grid(self, monkeypatch):
         """Cells read from box values by the operator are bitwise Mask.pack
         of the grid, in its row-major order: on drawn masks of scattered
         cells rolled across the periodic edges (so the box wraps one edge,
-        both or none), on a mask spanning an axis, and on the full grid."""
+        both or none), on a mask spanning an axis, and on the full grid.
+        On each, every boolean selection by the indicator is bitwise the
+        route through the cells' index arrays, np.nonzero of the indicator:
+        Mask.pack and unpack, the apply and the preconditioner scattered
+        and gathered at the cells' box positions, the longest x1-run read
+        from those positions, and delta's start vector built on them."""
+        starts = []
+
+        def keep_start(apply, precondition, x, *args, **kwargs):
+            starts.append(x)
+            return 1.0, x
+
+        monkeypatch.setattr(profile, "_davidson_lowest", keep_start)
         grid = Grid(32, 8.0)
         rng = np.random.default_rng(35)
         masks = []
@@ -217,6 +217,30 @@ class TestEmbeddedApply:
             got = op._pack_box(values[op._box])
             assert got.tobytes() == op.mask.pack(values).tobytes()
             wraps.add(tuple(bool(np.any(np.diff(index.ravel()) < 0)) for index in op._box))
+
+            r, c = np.nonzero(ind)
+            x = rng.standard_normal(r.size)
+            full = np.zeros((32, 32))
+            full[r, c] = x
+            assert op.mask.pack(values).tobytes() == values[r, c].tobytes()
+            assert op.mask.unpack(x).tobytes() == full.tobytes()
+            rows, cols = op._box
+            br, bc = (r - rows[0, 0]) % 32, (c - cols[0, 0]) % 32
+            for method, symbol in ((op.apply_packed, op._symbol), (op.precondition, op._inverse_symbol)):
+                box = np.zeros(op._box_shape)
+                box[br, bc] = x
+                assert method(x).tobytes() == _real_fft(box, symbol)[br, bc].tobytes()
+            columns = np.zeros((op._box_shape[1], op._box_shape[0] + 2), dtype=bool)
+            columns[bc, br + 1] = True
+            edges = np.flatnonzero(columns[:, 1:] != columns[:, :-1])
+            assert profile._longest_x1_run(op) == np.max(edges[1::2] - edges[::2])
+            if r.size > _DIRECT_CELLS:
+                envelope = (br + 1.0) * (bc + 1.0)
+                x0 = np.where(bc % 2 == 0, envelope, -envelope)
+                x0 += (0.1 * envelope.mean() * math.sqrt(12.0)
+                       * (np.arange(r.size) * profile._WEYL_STEP % 1.0 - 0.5))
+                estimate_coercivity(op)
+                assert starts.pop().tobytes() == x0.tobytes()
         assert wraps >= {(False, False), (True, False), (False, True), (True, True)}
 
 
@@ -343,7 +367,7 @@ class TestBoxKernel:
         for indicator, embedding in masks:
             op = RestrictedOperator(Mask(grid, indicator))
             assert op._symbol.shape == embedding
-            r, c = op.mask.indices
+            r, c = np.nonzero(op.mask.indicator)
             expected = kernel[(r[:, None] - r) % n, (c[:, None] - c) % n]
             assert dense_L_matrix(op).tobytes() == expected.tobytes()
 
@@ -583,7 +607,7 @@ class TestCoercivity:
         op = RestrictedOperator(build(grid))
         eigenvalues, vectors = np.linalg.eigh(dense_L_matrix(op))
         assert (eigenvalues[1] - eigenvalues[0]) / eigenvalues[0] < 1e-2
-        envelope = op.mask.unpack(vectors[:, 0] * np.where(op.mask.indices[1] % 2 == 0, 1, -1))
+        envelope = op.mask.unpack(vectors[:, 0] * np.where(np.nonzero(op.mask.indicator)[1] % 2 == 0, 1, -1))
         mirrored = np.roll(np.flip(envelope, axis=axis), 1, axis=axis)
         np.testing.assert_allclose(mirrored, parity * envelope, atol=1e-10)
         assert _relative_error_to_dense(op) <= 1e-6
