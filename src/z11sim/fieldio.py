@@ -20,7 +20,7 @@ import numpy as np
 
 from .evolution import EvolutionTrace
 from .shapes import Mask
-from .spectral import Grid, RealField, _blocks
+from .spectral import Grid, RealField, _blocks, _is_power_of_two
 
 __all__ = [
     "FieldFileError",
@@ -132,7 +132,7 @@ def _parse_header(raw: bytes, path: str) -> FieldHeader:
     magic, n, box_length, kind_code = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise FieldFileError(f"{path}: bad magic {magic!r}")
-    if n < 16 or n & (n - 1):
+    if not (_is_power_of_two(n) and n >= 16):
         raise FieldFileError(f"{path}: header n = {n} is not a power of two >= 16")
     if not (np.isfinite(box_length) and box_length > 0):
         raise FieldFileError(f"{path}: header box length {box_length} is not positive and finite")

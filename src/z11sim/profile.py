@@ -61,9 +61,6 @@ DENSE_CELL_LIMIT = 4096
 # Step of the Weyl sequence that perturbs the coercivity start vector: the
 # golden ratio's fractional part, whose multiples fill [0, 1) most evenly.
 _WEYL_STEP = (5**0.5 - 1) / 2
-# Masks of at most this many cells take the direct route to the coercivity:
-# the smallest singular value of the dense operator.
-_DIRECT_CELLS = 40
 # Davidson iterations allowed per mask cell.
 _STEPS_PER_CELL = 10
 # Davidson restarts once its basis holds this many vectors.
@@ -374,22 +371,19 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     """Estimate the smallest eigenvalue of the restricted operator to
     relative accuracy _COERCIVITY_TOL (1e-6).
 
-    A mask of at most _DIRECT_CELLS cells takes the direct route: the
-    operator is positive semidefinite, so the smallest singular value of
-    :func:`dense_L_matrix` is the eigenvalue, exact to roundoff (on a
-    one-cell mask the operator's single entry, bitwise). Larger masks run
-    generalized Davidson with +1 restarting (:func:`_davidson_lowest`) on
-    the masked subspace, preconditioned by the operator's circulant
-    (:meth:`RestrictedOperator.precondition`). Its basis of _BASIS
-    vectors holds the close low modes that a three-term method meets one
-    at a time. It stops when the residual ||L x - theta x|| of the unit
+    Every mask runs generalized Davidson with +1 restarting
+    (:func:`_davidson_lowest`) on the masked subspace, preconditioned by
+    the operator's circulant (:meth:`RestrictedOperator.precondition`).
+    Its basis of _BASIS vectors holds the close low modes that a
+    three-term method meets one at a time. It stops when the residual ||L x - theta x|| of the unit
     Ritz vector x is at most _COERCIVITY_TOL times its Ritz value theta,
     which puts theta within that relative distance of an eigenvalue. The
     residual's square over the spectral gap would allow a looser residual
     only for an isolated lowest eigenvalue; here the two lowest are often
     within a percent of each other. If it does not converge within
     _STEPS_PER_CELL iterations per mask cell it raises ConvergenceError
-    with the last iterate.
+    with the last iterate. On a one-cell mask the first iterate is the
+    unit vector, so the estimate is the operator's single entry, bitwise.
 
     The low eigenvectors are the x2-Nyquist oscillation ``(-1)^j2`` times
     a smooth envelope. The start vector is that pattern times
@@ -409,20 +403,17 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     them the sequence.
     """
     m = op.mask.cell_count
-    if m <= _DIRECT_CELLS:
-        theta = float(np.linalg.svd(dense_L_matrix(op), compute_uv=False)[-1])
-    else:
-        i1, i2 = np.ogrid[:op._box_shape[0], :op._box_shape[1]]
-        envelope = (i1 + 1.0) * (i2 + 1.0)
-        x0 = op._pack_box(np.where(i2 % 2 == 0, envelope, -envelope))
-        mean = op._pack_box(envelope).mean()
-        x0 += 0.1 * mean * math.sqrt(12.0) * (np.arange(m) * _WEYL_STEP % 1.0 - 0.5)
-        try:
-            theta, _ = _davidson_lowest(op.apply_packed, op.precondition, x0, _COERCIVITY_TOL,
-                                        max_iter=_STEPS_PER_CELL * m)
-        except ConvergenceError as exc:
-            exc.best = RealField(op.grid, op.mask.unpack(exc.best))
-            raise
+    i1, i2 = np.ogrid[:op._box_shape[0], :op._box_shape[1]]
+    envelope = (i1 + 1.0) * (i2 + 1.0)
+    x0 = op._pack_box(np.where(i2 % 2 == 0, envelope, -envelope))
+    mean = op._pack_box(envelope).mean()
+    x0 += 0.1 * mean * math.sqrt(12.0) * (np.arange(m) * _WEYL_STEP % 1.0 - 0.5)
+    try:
+        theta, _ = _davidson_lowest(op.apply_packed, op.precondition, x0, _COERCIVITY_TOL,
+                                    max_iter=_STEPS_PER_CELL * m)
+    except ConvergenceError as exc:
+        exc.best = RealField(op.grid, op.mask.unpack(exc.best))
+        raise
     if theta <= _SINGULAR_BOUND:
         raise SingularOperatorError(
             f"operator numerically singular (smallest-eigenvalue estimate {theta})"

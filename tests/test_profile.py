@@ -44,7 +44,6 @@ from z11sim import profile
 from z11sim.profile import (
     _BASIS,
     _COERCIVITY_TOL,
-    _DIRECT_CELLS,
     _SINGULAR_BOUND,
     ProfileReport,
     _box_kernel,
@@ -55,6 +54,10 @@ from z11sim.profile import (
 from z11sim.spectral import _real_fft
 
 from test_spectral import dft_multiplier_oracle, m11_from_scratch
+
+# The largest of the tiny masks below: above _BASIS, and below the 49 cells
+# of the smallest shipped mask, the n = 64 smoke disk.
+_TINY_CELLS = 40
 
 
 @pytest.fixture(scope="module")
@@ -234,13 +237,12 @@ class TestEmbeddedApply:
             columns[bc, br + 1] = True
             edges = np.flatnonzero(columns[:, 1:] != columns[:, :-1])
             assert profile._longest_x1_run(op) == np.max(edges[1::2] - edges[::2])
-            if r.size > _DIRECT_CELLS:
-                envelope = (br + 1.0) * (bc + 1.0)
-                x0 = np.where(bc % 2 == 0, envelope, -envelope)
-                x0 += (0.1 * envelope.mean() * math.sqrt(12.0)
-                       * (np.arange(r.size) * profile._WEYL_STEP % 1.0 - 0.5))
-                estimate_coercivity(op)
-                assert starts.pop().tobytes() == x0.tobytes()
+            envelope = (br + 1.0) * (bc + 1.0)
+            x0 = np.where(bc % 2 == 0, envelope, -envelope)
+            x0 += (0.1 * envelope.mean() * math.sqrt(12.0)
+                   * (np.arange(r.size) * profile._WEYL_STEP % 1.0 - 0.5))
+            estimate_coercivity(op)
+            assert starts.pop().tobytes() == x0.tobytes()
         assert wraps >= {(False, False), (True, False), (False, True), (True, True)}
 
 
@@ -487,6 +489,14 @@ def _tiny_operator(cells: int) -> RestrictedOperator:
     return RestrictedOperator(Mask(grid, ind))
 
 
+def _corner_operator() -> RestrictedOperator:
+    """Operator on the four corner cells of a 32-cell grid, whose box
+    wraps both periodic edges."""
+    ind = np.zeros((32, 32), dtype=bool)
+    ind[::31, ::31] = True
+    return RestrictedOperator(Mask(Grid(32, 8.0), ind))
+
+
 def _cell_block(grid, w1, w2):
     """The w1/h x w2/h block of cells at the origin. Its cells tile a
     w1 x w2 rectangle, so every x1-chord is exactly w1 long."""
@@ -563,13 +573,13 @@ class TestCoercivity:
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
     def test_recurrence_past_first_check(self, monkeypatch):
-        """A mask too large for the direct route, on which Davidson runs past
-        its first residual check, still matches the dense spectrum."""
+        """A mask of more than _TINY_CELLS cells, on which Davidson runs
+        past its first residual check, still matches the dense spectrum."""
         grid = Grid(64, 8.0)
         op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
         estimate, applies = _count_coercivity_applies(monkeypatch, op)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
-        assert op.mask.cell_count > _DIRECT_CELLS
+        assert op.mask.cell_count > _TINY_CELLS
         assert applies > 1
         assert abs(estimate - dense_min) / dense_min <= 1e-6
 
@@ -696,9 +706,10 @@ class TestCoercivity:
         assert abs(peak - capped_peaks[0]) <= 0.1 * capped_peaks[0]
 
     def test_one_cell_is_lattice_mean(self):
-        """On a one-cell mask the direct route returns the operator's single
-        entry exactly: the singular value of a positive 1 x 1 matrix is its
-        entry. That entry has the closed form of
+        """On a one-cell mask the estimate is the operator's single entry
+        exactly: Davidson's first iterate is the unit vector, whose Ritz
+        value is that entry, and its basis then spans the subspace. That
+        entry has the closed form of
         TestDenseMatrix.test_single_cell_closed_form."""
         op = _tiny_operator(1)
         assert op.mask.cell_count == 1
@@ -706,32 +717,43 @@ class TestCoercivity:
         np.testing.assert_allclose(estimate_coercivity(op), (32**2 - 1) / (2 * 32**2),
                                    rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("cells", [2, _DIRECT_CELLS])
-    def test_krylov_space_spans_tiny_mask(self, cells):
-        """With no more cells than the direct route takes, the estimate is
-        the dense operator's smallest singular value, exact to roundoff."""
-        op = _tiny_operator(cells)
+    @pytest.mark.parametrize("cells, rtol", [
+        pytest.param(cells, 1e-12 if cells in (2, _TINY_CELLS) else _COERCIVITY_TOL, id=str(cells))
+        for cells in (1, 2, 3, 8, 9, 16, _TINY_CELLS)
+    ] + [pytest.param(4, _COERCIVITY_TOL, id="corners")])
+    def test_krylov_space_spans_tiny_mask(self, cells, rtol):
+        """On tiny masks Davidson's estimate is the dense operator's
+        smallest eigenvalue within its contract, 1e-6 relative: on masks of
+        at most _BASIS cells, where the basis can span the subspace, and on
+        the 9- and 16-cell masks, which restart after their basis fills.
+        The 4-cell mask sits on the grid's four corner cells, so its box
+        wraps both periodic edges. The 2- and 40-cell masks are held to
+        roundoff."""
+        op = _corner_operator() if cells == 4 else _tiny_operator(cells)
         assert op.mask.cell_count == cells
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
-        assert abs(estimate_coercivity(op) - dense_min) / dense_min <= 1e-12
+        assert abs(estimate_coercivity(op) - dense_min) / dense_min <= rtol
 
-    @pytest.mark.parametrize("cells", [1, 2, _DIRECT_CELLS])
+    @pytest.mark.parametrize("cells", [1, 2, _TINY_CELLS])
     def test_tiny_mask_deterministic(self, cells):
         op = _tiny_operator(cells)
         assert estimate_coercivity(op) == estimate_coercivity(op)
 
     def test_complete_line_is_singular(self):
         """A mask containing a full line of constant x2 supports a field
-        that is constant in x1, which the operator annihilates."""
-        grid = Grid(32, 8.0)
-        ind = np.zeros((32, 32), dtype=bool)
-        ind[:, 5] = True
-        op = RestrictedOperator(Mask(grid, ind))
-        with pytest.raises(SingularOperatorError, match="numerically singular"):
-            estimate_coercivity(op)
+        that is constant in x1, which the operator annihilates: 32 cells at
+        n = 32, and 16 at n = 16, which Davidson's basis of _BASIS vectors
+        cannot span without a restart."""
+        for n, box_length in ((32, 8.0), (16, 4.0)):
+            ind = np.zeros((n, n), dtype=bool)
+            ind[:, 5] = True
+            op = RestrictedOperator(Mask(Grid(n, box_length), ind))
+            assert op.mask.cell_count == n <= _TINY_CELLS
+            with pytest.raises(SingularOperatorError, match="numerically singular"):
+                estimate_coercivity(op)
 
     def test_complete_line_above_direct_route_is_singular(self):
-        """With more cells than the direct route takes, Davidson stops once
+        """On a line of more than _TINY_CELLS cells Davidson stops once
         its Ritz value, an upper bound of the smallest eigenvalue, reaches
         roundoff: a residual relative to a zero eigenvalue is out of
         reach."""
@@ -739,7 +761,7 @@ class TestCoercivity:
         ind = np.zeros((64, 64), dtype=bool)
         ind[:, 5] = True
         op = RestrictedOperator(Mask(grid, ind))
-        assert op.mask.cell_count > _DIRECT_CELLS
+        assert op.mask.cell_count > _TINY_CELLS
         with pytest.raises(SingularOperatorError, match="numerically singular"):
             estimate_coercivity(op)
 
@@ -767,12 +789,13 @@ class TestCoercivity:
         assert history[-1] > 1e-6
 
     def test_lapack_sees_only_the_ritz_matrix(self, monkeypatch):
-        """Above the direct route the estimate's only LAPACK call is one
-        ``eigh`` per Rayleigh-Ritz step, on a matrix of at most _BASIS x
-        _BASIS; no other eigen- or singular-value routine runs. Each step
-        follows one preconditioner apply, which counts the steps: the
-        first iterate is the start vector, which needs no step. The disk
-        needs more than _BASIS steps, so the count takes in restarts."""
+        """On every mask the estimate's only LAPACK call is one ``eigh``
+        per Rayleigh-Ritz step, on a matrix of at most _BASIS x _BASIS; no
+        other eigen- or singular-value routine runs, on the 2- and 40-cell
+        masks as on the disk. Each step follows one preconditioner apply,
+        which counts the steps: the first iterate is the start vector,
+        which needs no step. The disk needs more than _BASIS steps, so the
+        count takes in restarts."""
         def refuse(*args, **kwargs):
             raise AssertionError("LAPACK called")
 
@@ -785,12 +808,15 @@ class TestCoercivity:
         for name in ("eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), Grid(64, 8.0)))
-        assert op.mask.cell_count > _DIRECT_CELLS
-        delta, steps = _count_calls(monkeypatch, lambda: estimate_coercivity(op), "precondition")
-        assert 0.0 < delta < 1.0
-        assert steps > _BASIS and len(shapes) == steps
-        assert all(len(s) == 2 and s[0] == s[1] <= _BASIS for s in shapes)
+        disk = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), Grid(64, 8.0)))
+        for op in _tiny_operator(2), _tiny_operator(_TINY_CELLS), disk:
+            shapes.clear()
+            delta, steps = _count_calls(monkeypatch, lambda: estimate_coercivity(op), "precondition")
+            assert 0.0 < delta < 1.0
+            assert len(shapes) == steps
+            assert all(len(s) == 2 and s[0] == s[1] <= _BASIS for s in shapes)
+        assert op.mask.cell_count > _TINY_CELLS
+        assert steps > _BASIS
 
 
 class TestDavidson:

@@ -31,8 +31,11 @@ from z11sim import (
 )
 from z11sim.evolution import rhs
 from z11sim.fieldio import MAGIC
-from z11sim.profile import _DIRECT_CELLS, dense_L_matrix
+from z11sim.profile import dense_L_matrix
 
+# Masks of at most this many cells are left to the tiny-mask tests of
+# test_profile.py.
+_TINY_CELLS = 40
 _SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
 _coordinate = st.floats(-1.0, 1.0)
@@ -45,15 +48,15 @@ _rectangles = st.builds(lambda c1, c2, w1, w2: Rectangle((c1, c2), (w1, w2)),
 @st.composite
 def _masks(draw):
     """A union of one to three disks or rectangles on a grid with h = 1/8,
-    of 41 to 1500 cells, so above the direct route and small enough for
-    the dense spectrum, and within a quarter of the box."""
+    of 41 to 1500 cells, so above the tiny masks and small enough for the
+    dense spectrum, and within a quarter of the box."""
     grid = draw(st.sampled_from([Grid(64, 8.0), Grid(128, 16.0)]))
     parts = draw(st.lists(st.one_of(_disks, _rectangles), min_size=1, max_size=3))
     try:
         mask = rasterize(ShapeUnion(tuple(parts)), grid)
     except ValueError:  # no cell, or wider than a quarter of the box
         assume(False)
-    assume(_DIRECT_CELLS < mask.cell_count <= 1500)
+    assume(_TINY_CELLS < mask.cell_count <= 1500)
     return mask
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import z11sim
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -30,3 +32,22 @@ def test_working_set_prints_cold_and_warm_peaks():
             assert mib > 0
             # one n x n float array at n = 64 is 1/32 MiB; both are rounded
             assert abs(arrays - 32 * mib) <= 0.2
+
+
+def test_code_lines_totals_match_the_package():
+    """``tools/code_lines.py`` prints one row per module of the package,
+    whose code and physical line counts sum to its totals; then the
+    settable INI values, the keys of ``config._SCHEMA``, per section and
+    in total; then the package's exports, ``len(__all__)``."""
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py")],
+                            capture_output=True, text=True, cwd=ROOT, check=True, timeout=120)
+    modules, sections, exports = result.stdout.split("\n\n")
+    header, *rows, total = (line.split() for line in modules.splitlines())
+    assert header == ["module", "code", "wc", "-l"]
+    assert {row[0] for row in rows} == {path.name for path in ROOT.glob("src/z11sim/*.py")}
+    assert total == ["total"] + [str(sum(int(row[i]) for row in rows)) for i in (1, 2)]
+    header, *rows, total = (line.split() for line in sections.splitlines())
+    assert [row[0] for row in rows] == list(z11sim.config._SCHEMA)
+    assert total == ["total", str(sum(int(row[1]) for row in rows))]
+    assert total[1] == str(sum(map(len, z11sim.config._SCHEMA.values())))
+    assert exports.split() == ["exports", str(len(z11sim.__all__))]
