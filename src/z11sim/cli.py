@@ -159,7 +159,6 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     # leaves the run's working set
     del solution
     omega_cells = q_cells / t_blowup
-    evolve_cfg = dataclasses.replace(cfg.evolve, t_max=cfg.verify_t_final)
     deviations: list[float] = []
     # Q and every state are exactly 0 off the support of Q / T, which the
     # flow keeps, so the sums of evolution.self_similar_deviation need
@@ -176,7 +175,7 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
 
     # Q is exactly 0 off the mask, so the data are Q / T bitwise; they are
     # built in the call, so that the run does not hold them (evolve)
-    trace = evolve(RealField(cfg.grid, mask.unpack(omega_cells)), evolve_cfg,
+    trace = evolve(RealField(cfg.grid, mask.unpack(omega_cells)), cfg.evolve,
                    on_record=track_deviation)
     # fit before writing, so a failed fit leaves no fresh CSVs behind
     fitted_t, fit_quality = estimate_blowup_time(trace)

@@ -71,7 +71,8 @@ class InitialSpec:
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description; paths are absolute."""
+    """Fully resolved run description; paths are absolute. For
+    verify-self-similar, evolve.t_max is verify_t_final."""
 
     command: str
     seed: int
@@ -328,21 +329,6 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
     solver_max_iter = _value(parser, "solver", "max_iter", 10_000)
     _checked("solver", _check_solver_settings, solver_tol, solver_max_iter)
 
-    evolve_cfg = None
-    if command in ("evolve", "verify-self-similar"):
-        values = {field.name: _value(parser, "evolve", field.name, field.default)
-                  for field in dataclasses.fields(EvolveConfig)}
-        if command == "verify-self-similar" and not parser.has_option("evolve", "record_every"):
-            # records default to every step, for the trailing-window fit
-            values["record_every"] = 1
-        evolve_cfg = _checked("evolve", EvolveConfig, **values)
-
-    initial = None
-    if command == "evolve":
-        if not parser.has_section("initial"):
-            raise ConfigError("missing section [initial] for command 'evolve'")
-        initial = _read_initial(parser, base_dir)
-
     verify_t_blowup = _value(parser, "verify", "t_blowup", 1.0)
     verify_t_final = _value(parser, "verify", "t_final", 0.9 * verify_t_blowup)
     if command == "verify-self-similar":
@@ -352,6 +338,23 @@ def load_run_config(path: str | os.PathLike) -> RunConfig:
             raise ConfigError(
                 f"[verify] t_final must lie in (0, t_blowup), got {verify_t_final}"
             )
+        if parser.has_option("evolve", "t_max"):
+            raise ConfigError("[evolve] key 't_max' does not apply to command "
+                              "'verify-self-similar'; its horizon is [verify] t_final")
+
+    evolve_cfg = None
+    if command in ("evolve", "verify-self-similar"):
+        values = {field.name: _value(parser, "evolve", field.name, field.default)
+                  for field in dataclasses.fields(EvolveConfig)}
+        if command == "verify-self-similar":
+            values["t_max"] = verify_t_final
+        evolve_cfg = _checked("evolve", EvolveConfig, **values)
+
+    initial = None
+    if command == "evolve":
+        if not parser.has_section("initial"):
+            raise ConfigError("missing section [initial] for command 'evolve'")
+        initial = _read_initial(parser, base_dir)
 
     return RunConfig(
         command=command,

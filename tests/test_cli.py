@@ -180,7 +180,9 @@ class TestEvolveCommand:
         """The evolve command, its blow-up fit included, calls no LAPACK
         routine, whose first call in a process pages about 1 MB of code
         in: the benchmark's bump runs to its fitted blow-up time with
-        np.polyfit and the np.linalg solvers patched to raise."""
+        np.polyfit and the np.linalg solvers patched to raise. The config
+        sets no record_every: the default records every accepted step, so
+        the fit's trailing window has its samples."""
         def refuse(*args, **kwargs):
             raise AssertionError("LAPACK called")
 
@@ -192,11 +194,12 @@ class TestEvolveCommand:
             "[run]\ncommand = evolve\noutput_dir = bumpout\nsnapshot_times = 1.0\n\n"
             "[grid]\nn = 64\nbox_length = 16.0\n\n"
             "[initial]\nkind = bump\nwidth = 0.5\ncutoff = 2.0\n\n"
-            "[evolve]\nt_max = 20.0\nrecord_every = 1\n")
+            "[evolve]\nt_max = 20.0\n")
         code, _, err = run_cli(capsys, ini)
         assert code == 0, err
         record = json.loads((tmp_path / "bumpout" / "evolve.json").read_text())
         assert record["terminated"] == "threshold"
+        assert record["records"] == record["accepted_steps"] + 1
         assert np.isfinite(record["blowup_time_estimate"])
         assert record["fit_quality"] >= 0.99
 
@@ -358,7 +361,7 @@ class TestVerifyCommand:
         assert record["delta_over_h2"] == record["delta_estimate"] / h**2
 
         trace = read_trace_csv(outdir / "trace.csv")
-        # verify-self-similar defaults to record_every = 1
+        # record_every defaults to 1
         assert record["accepted_steps"] == len(trace["t"]) - 1
         assert record["rejected_steps"] == 0
         deviation_lines = (outdir / "deviation.csv").read_text().splitlines()

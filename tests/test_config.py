@@ -211,7 +211,6 @@ class TestLoadEvolve:
 
             [evolve]
             dt_initial = 1e-4
-            dt_min = 1e-10
             t_max = 5.0
             blowup_threshold = 100.0
             record_every = 2
@@ -220,7 +219,7 @@ class TestLoadEvolve:
             """)
         cfg = load_run_config(write_config(tmp_path, text))
         assert cfg.evolve == EvolveConfig(
-            dt_initial=1e-4, dt_min=1e-10, t_max=5.0,
+            dt_initial=1e-4, t_max=5.0,
             blowup_threshold=100.0, record_every=2,
             rtol=1e-9, atol=1e-11)
 
@@ -395,7 +394,7 @@ class TestLoadVerify:
         cfg = load_run_config(write_config(tmp_path, VERIFY_BASE))
         assert cfg.verify_t_blowup == 1.0
         assert cfg.verify_t_final == pytest.approx(0.9)
-        assert cfg.evolve.record_every == 1
+        assert cfg.evolve == EvolveConfig(t_max=cfg.verify_t_final)
 
     def test_explicit_overrides_survive(self, tmp_path):
         text = VERIFY_BASE + "\n[evolve]\nrecord_every = 4\n"
@@ -418,6 +417,15 @@ class TestLoadVerify:
         with pytest.raises(ConfigError, match="t_blowup must be positive"):
             load_run_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("t_max", ["0.3", "5.0"])
+    def test_evolve_horizon_rejected(self, tmp_path, t_max):
+        """The run's horizon is [verify] t_final; an [evolve] t_max would
+        be ignored, so it is refused, and the error points to t_final."""
+        text = VERIFY_BASE + f"\n[evolve]\nt_max = {t_max}\n"
+        with pytest.raises(ConfigError, match=r"^\[evolve\] key 't_max' does not apply "
+                           r"to command 'verify-self-similar'.*\[verify\] t_final"):
+            load_run_config(write_config(tmp_path, text))
+
 
 class TestLoadDiagnostics:
     def test_no_shape_needed(self, tmp_path):
@@ -433,8 +441,7 @@ SCHEMA_KEYS = {
     "grid": {"n", "box_length"},
     "shape": {"spec"},
     "solver": {"tol", "max_iter"},
-    "evolve": {"dt_initial", "dt_min", "t_max", "blowup_threshold", "record_every",
-               "rtol", "atol"},
+    "evolve": {"dt_initial", "t_max", "blowup_threshold", "record_every", "rtol", "atol"},
     "initial": {"kind", "path", "scale", "center", "width", "amplitude", "cutoff"},
     "verify": {"t_blowup", "t_final"},
 }
@@ -442,7 +449,7 @@ SCHEMA_KEYS = {
 
 def test_schema_keys_are_pinned():
     assert {section: set(keys) for section, keys in _SCHEMA.items()} == SCHEMA_KEYS
-    assert sum(map(len, _SCHEMA.values())) == 25
+    assert sum(map(len, _SCHEMA.values())) == 24
 
 
 class TestSchemaErrors:
@@ -585,7 +592,7 @@ class TestParserFuzz:
                      "n": ["64"], "box_length": ["8"], "center": ["0.5, -0.5"],
                      "path": ["q.vpf"], "output_dir": ["out"],
                      "snapshot_times": ["0.5, 1"], "blowup_threshold": ["", "1e3"],
-                     "dt_min": ["1e-9"], "record_every": ["2"], "max_iter": ["50"],
+                     "record_every": ["2"], "max_iter": ["50"],
                      "tol": ["1e-8"]}
         required = {"command", "n", "box_length", "kind", "width", "path", "spec"}
         other_kind = {"bump": {"path"}, "file": {"center", "width", "amplitude", "cutoff"}}

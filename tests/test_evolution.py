@@ -99,8 +99,8 @@ class TestEvolveConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"dt_initial": 0.0},
-        {"dt_min": 0.0},
-        {"dt_min": 1e-2, "dt_initial": 1e-3},
+        {"dt_initial": -1e-3},
+        {"dt_initial": float("nan")},
         {"t_max": 0.0},
         {"t_max": -1.0},
         {"blowup_threshold": 1.0},
@@ -318,7 +318,7 @@ class TestStep:
         assert np.all(np.isfinite(result.values))
 
     def test_rejection_shrinks_before_accepting(self, grid32):
-        cfg = EvolveConfig(rtol=1e-12, atol=1e-14, dt_min=1e-12)
+        cfg = EvolveConfig(rtol=1e-12, atol=1e-14)
         result = _box_step(gaussian_bump(grid32, width=0.8, amplitude=3.0), 0.5, cfg)
         assert result.dt_accepted < 0.5
         assert result.error_estimate <= 1.0
@@ -340,14 +340,21 @@ class TestStep:
         assert result.dt_accepted == 0.2 * dt
 
     def test_underflow_when_floor_too_high(self, grid32):
-        """Violent data rejects the first attempt; with dt_min close to the
-        attempted step there is no room to shrink."""
-        cfg = EvolveConfig(dt_initial=1e-3, dt_min=9e-4, rtol=1e-10, atol=1e-12)
-        wild = gaussian_bump(grid32, width=0.5, amplitude=1e8)
-        with pytest.raises(StepUnderflowError, match="below dt_min") as excinfo:
-            _box_step(wild, 1e-3, cfg)
-        assert excinfo.value.dt_required < excinfo.value.dt_min == 9e-4
-        assert excinfo.value.rejected_attempts >= 1
+        """Data of amplitude 1e14 blow up on a time scale of about 1e-14,
+        below the floor dt_initial / 1e9: every attempt is rejected until
+        the step underflows, and the error reports that floor, 1e-12 at
+        the default dt_initial, which halves exactly with dt_initial."""
+        wild = gaussian_bump(grid32, width=0.5, amplitude=1e14)
+        floors = []
+        for dt_initial in (1e-3, 5e-4):
+            cfg = EvolveConfig(dt_initial=dt_initial, rtol=1e-10, atol=1e-12)
+            with pytest.raises(StepUnderflowError, match="below dt_min") as excinfo:
+                _box_step(wild, dt_initial, cfg)
+            assert excinfo.value.dt_min == cfg.dt_initial / 1e9
+            assert excinfo.value.dt_required < excinfo.value.dt_min
+            assert excinfo.value.rejected_attempts >= 1
+            floors.append(excinfo.value.dt_min)
+        assert floors == [1e-12, 1e-12 / 2]
 
     @pytest.mark.parametrize("center, box", [
         ((0.0, 0.0), ((17, 17), (36, 36))),
@@ -477,8 +484,8 @@ class TestEvolve:
             assert trace.sup_norm[-1] >= 1e6 * 1e-3
 
     def test_underflow_termination(self, grid32):
-        wild = gaussian_bump(grid32, width=0.5, amplitude=1e8)
-        cfg = EvolveConfig(dt_initial=1e-3, dt_min=9e-4, t_max=1.0)
+        wild = gaussian_bump(grid32, width=0.5, amplitude=1e14)
+        cfg = EvolveConfig(dt_initial=1e-3, t_max=1.0)
         trace = evolve(wild, cfg)
         assert trace.terminated == "step_underflow"
         assert len(trace) == 1
@@ -825,11 +832,10 @@ class TestFlowLaws:
         and atol doubled every operation scales by a power of two, so the
         run is the same run, to the last bit."""
         w0 = _config_bump()
-        cfg = EvolveConfig(t_max=20.0, record_every=1)
+        cfg = EvolveConfig(t_max=20.0)
         base = evolve(w0, cfg)
         doubled = evolve(RealField(w0.grid, 2.0 * w0.values), EvolveConfig(
-            t_max=cfg.t_max / 2, dt_initial=cfg.dt_initial / 2, dt_min=cfg.dt_min / 2,
-            atol=2 * cfg.atol, record_every=1))
+            t_max=cfg.t_max / 2, dt_initial=cfg.dt_initial / 2, atol=2 * cfg.atol))
         assert doubled.terminated == base.terminated == "threshold"
         np.testing.assert_array_equal(doubled.times, base.times / 2)
         for column in ("sup_norm", "integral", "l2_norm"):
