@@ -22,7 +22,9 @@ the rows it knows to be zero. The inverse of that circulant's symbol,
 floored at the lowest x1-mode of the mask's longest x1-run, is the
 operator's preconditioner (Strang 1986; T. Chan 1988), and costs the
 same: conjugate gradient and the Davidson estimate of the smallest
-eigenvalue both use it. The solve's one certificate,
+eigenvalue both use it. The estimate adds a coarse correction on the
+mask's x1-chords, whose Galerkin matrix two transforms of the embedding
+give without an apply. The solve's one certificate,
 :func:`verify_profile`, applies Z11 with the n-point transforms of the
 periodic grid, independently of the embedding and of the preconditioner.
 A dense matrix assembly is provided as an oracle for small masks.
@@ -238,16 +240,94 @@ class RestrictedOperator:
         return self._pack_box(_real_fft(box, symbol))
 
 
-def _longest_x1_run(op: RestrictedOperator) -> int:
-    """The longest run of consecutive member cells along x1, read in the
-    box coordinates of ``op``, so a run across the periodic edge counts
-    once. Each box column is padded with a non-member cell at both ends,
+def _x1_runs(op: RestrictedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of consecutive member cells along x1, read in the box
+    coordinates of ``op``, so a run across the periodic edge counts once:
+    each run's box column i2, first box row i1 and length, column by
+    column. Each box column is padded with a non-member cell at both ends,
     so its edges, where neighbours differ, pair up as the start and end of
     a run. Boolean and int64 operations only: an int8 difference paged in
     128 kB more of numpy's code, which the solve command's peak RSS showed."""
     columns = np.pad(op.mask.indicator[op._box].T, ((0, 0), (1, 1)))
     edges = np.flatnonzero(columns[:, 1:] != columns[:, :-1])
-    return int(np.max(edges[1::2] - edges[::2]))
+    column, start = np.divmod(edges[::2], columns.shape[1] - 1)
+    return column, start, edges[1::2] - edges[::2]
+
+
+def _longest_x1_run(op: RestrictedOperator) -> int:
+    """The longest x1-run of the mask in cells (:func:`_x1_runs`)."""
+    return int(np.max(_x1_runs(op)[2]))
+
+
+def _chords(op: RestrictedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coarse space of the mask's x1-chords, C, and its Galerkin matrix
+    H = C^T L C of the operator L.
+
+    C has one column per x1-run (:func:`_x1_runs`): the unit Dirichlet half
+    sine sin(pi (i1 - a + 1)/(l + 1)) on the run's l cells from box row a,
+    zero elsewhere. The columns have disjoint supports, so C is returned as
+    each member cell's chord and its value on it, in the mask's row-major
+    order: the runs are laid out in box coordinates and their cells read by
+    :meth:`_pack_box`.
+
+    H is built from two transforms and no apply. The apply is a circulant
+    on the p1 x p2 embedding, so with S_c the p1-point transform of chord c
+    along x1 and K(k1, m2) the symbol's inverse transform along x2 alone,
+    H[c, d] = (1/p1) sum_k1 conj(S_c(k1)) S_d(k1) K(k1, j2_c - j2_d), j2
+    the chords' box columns: C^T L C to rounding, wrapped boxes included.
+    The chords and K are real and K is even in k1, so the sum runs over
+    the half spectrum k1 <= p1/2, with each pair k1, p1 - k1 counted once
+    at twice its real part. H is symmetric, and one einsum per chord fills
+    its column on and below the diagonal. The cost is (chords)^2 p1, and
+    the chords are a few times the box's columns on the shapes of
+    :mod:`z11sim.shapes`.
+    """
+    column, start, length = _x1_runs(op)
+    p1, p2 = op._symbol.shape
+    chords = length.size
+    # each run's cells in order, with their chord and their place on it
+    chord = np.repeat(np.arange(chords), length)
+    place = np.arange(chord.size) - np.repeat(np.cumsum(length) - length, length)
+    span = length[chord] + 1.0
+    sine = np.sqrt(2.0 / span) * np.sin(np.pi * (place + 1) / span)
+    i1 = start[chord] + place
+    # each member cell's index in that order, read in the mask's order
+    order = np.zeros(op._box_shape, dtype=np.int64)
+    order[i1, column[chord]] = np.arange(chord.size)
+    cells = op._pack_box(order)
+
+    profiles = np.zeros((chords, p1))
+    profiles[chord, i1] = sine
+    spectra = np.fft.rfft(profiles, axis=1)
+    k1 = np.arange(spectra.shape[1])
+    pairs = np.where((k1 == 0) | (2 * k1 == p1), 1.0, 2.0) / p1
+    lag = (np.fft.ifft(op._symbol[k1], axis=1).real * pairs[:, None]).T
+    # Re(conj(a) b) = Re a Re b + Im a Im b: one real product over both parts
+    parts, lag = np.hstack([spectra.real, spectra.imag]), np.hstack([lag, lag])
+    gram = np.empty((chords, chords))
+    for d in range(chords):
+        gram[d:, d] = gram[d, d:] = np.einsum(
+            "cq,cq,q->c", parts[d:], lag[(column[d:] - column[d]) % p2], parts[d])
+    return chord[cells], sine[cells], gram
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of the symmetric positive definite matrix ``a``, by
+    Gauss-Jordan elimination, one ``np.einsum`` outer product per row. It
+    needs no pivoting: the pivots of such a matrix are the diagonals of its
+    successive Schur complements, all positive. It calls no LAPACK routine:
+    numpy's ``inv``, ``solve`` and ``cholesky`` wake OpenBLAS's second
+    thread from 100 to 128 rows, the chord count of the disk at n = 1024,
+    and page in code that the solve command's peak RSS shows."""
+    inverse = a.copy()
+    for k in range(a.shape[0]):
+        pivot = inverse[k, k]
+        row, col = inverse[k] / pivot, inverse[:, k].copy()
+        col[k] = 0.0
+        inverse -= np.einsum("i,j->ij", col, row)
+        inverse[k], inverse[:, k] = row, -col / pivot
+        inverse[k, k] = 1.0 / pivot
+    return inverse
 
 
 def dense_L_matrix(op: RestrictedOperator) -> np.ndarray:
@@ -372,10 +452,22 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     relative accuracy _COERCIVITY_TOL (1e-6).
 
     Every mask runs generalized Davidson with +1 restarting
-    (:func:`_davidson_lowest`) on the masked subspace, preconditioned by
-    the operator's circulant (:meth:`RestrictedOperator.precondition`).
-    Its basis of _BASIS vectors holds the close low modes that a
-    three-term method meets one at a time. It stops when the residual ||L x - theta x|| of the unit
+    (:func:`_davidson_lowest`) on the masked subspace. Its preconditioner
+    is the operator's circulant (:meth:`RestrictedOperator.precondition`)
+    plus the coarse correction C H^-1 C^T on the mask's x1-chords
+    (:func:`_chords`): one unit half sine per x1-run, with H = C^T L C
+    formed from two transforms and inverted once, before the iteration,
+    by :func:`_inverse`. The low eigenvectors are the x2-Nyquist pattern
+    times envelopes that vanish at the ends of each chord; the circulant
+    sees the box and not the mask's edges, and the correction supplies
+    what it misses (a two-level preconditioner; Knyazev & Neymeyr, Linear
+    Algebra Appl. 358, 2003). It depends only on the span of C, which a
+    column's sign leaves as it is, so the chords carry no (-1)^j2 factor.
+    On the centred unit disk it cuts the iterations by about a third at
+    every n from 256 to 2048, at no apply; per iteration it adds a
+    ``np.bincount`` over the cells and a product with H^-1. The basis of
+    _BASIS vectors holds the close low modes that a three-term method
+    meets one at a time. It stops when the residual ||L x - theta x|| of the unit
     Ritz vector x is at most _COERCIVITY_TOL times its Ritz value theta,
     which puts theta within that relative distance of an eigenvalue. The
     residual's square over the spectral gap would allow a looser residual
@@ -408,8 +500,17 @@ def estimate_coercivity(op: RestrictedOperator) -> float:
     x0 = op._pack_box(np.where(i2 % 2 == 0, envelope, -envelope))
     mean = op._pack_box(envelope).mean()
     x0 += 0.1 * mean * math.sqrt(12.0) * (np.arange(m) * _WEYL_STEP % 1.0 - 0.5)
+    chord, sine, gram = _chords(op)
+    inverse = _inverse(gram)
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        coarse = np.einsum("ij,j->i", inverse, np.bincount(chord, sine * r, gram.shape[0]))
+        v = op.precondition(r)
+        v += sine * coarse[chord]
+        return v
+
     try:
-        theta, _ = _davidson_lowest(op.apply_packed, op.precondition, x0, _COERCIVITY_TOL,
+        theta, _ = _davidson_lowest(op.apply_packed, precondition, x0, _COERCIVITY_TOL,
                                     max_iter=_STEPS_PER_CELL * m)
     except ConvergenceError as exc:
         exc.best = RealField(op.grid, op.mask.unpack(exc.best))
@@ -449,9 +550,11 @@ def _davidson_lowest(apply: Callable[[np.ndarray], np.ndarray],
 
     Every product with V and AV, and every 1-D dot, is an ``np.einsum``,
     which calls no BLAS: OpenBLAS runs such products on its threads once m
-    is large, where they cost more than they save. The only LAPACK call is
+    is large, where they cost more than they save. Its only LAPACK call is
     ``np.linalg.eigh`` on H, at most _BASIS x _BASIS, once per
-    preconditioner apply; the first iterate is x itself. After max_iter
+    preconditioner apply; the first iterate is x itself. (The chord
+    correction that :func:`estimate_coercivity` passes as ``precondition``
+    calls none.) After max_iter
     iterations it raises ConvergenceError with the unit x and the relative
     residual ||r|| / theta of each iteration.
     """

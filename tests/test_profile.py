@@ -625,30 +625,31 @@ class TestCoercivity:
     def test_apply_count_on_two_lobes(self, monkeypatch):
         """Two lobes side by side along x1, whose two lowest modes lie
         1.7e-5 apart relative: the estimate finds the lower one, within
-        145 applies (122 measured; LOBPCG took 268, and 556 with a constant
-        floor of 1e-3)."""
+        91 applies (79 measured; 122 without the chord correction, LOBPCG
+        took 268, and 556 with a constant floor of 1e-3)."""
         op = RestrictedOperator(_two_disks(0)(Grid(256, 12.0)))
         estimate, applies = _count_coercivity_applies(monkeypatch, op)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
         assert abs(estimate - dense_min) / dense_min <= 1e-6
-        assert applies <= 145
+        assert applies <= 91
 
     def test_apply_count_on_three_lobes(self, monkeypatch):
         """Three disks of radius 0.4 in a row along x1: the floor follows
         one disk's chord, not the box's length, and the estimate takes at
-        most 125 applies (105 measured; LOBPCG took 247, and 864 with a
-        constant floor of 1e-3)."""
+        most 78 applies (68 measured; 105 without the chord correction,
+        LOBPCG took 247, and 864 with a constant floor of 1e-3)."""
         op = RestrictedOperator(_TOL_MASKS["three-lobes"](Grid(256, 16.0)))
         estimate, applies = _count_coercivity_applies(monkeypatch, op)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
         assert abs(estimate - dense_min) / dense_min <= 1e-6
-        assert applies <= 125
+        assert applies <= 78
 
-    @pytest.mark.parametrize("name, bound", [("annulus", 86), ("cut-disk", 91)],
+    @pytest.mark.parametrize("name, bound", [("annulus", 66), ("cut-disk", 69)],
                              ids=["annulus", "cut-disk"])
     def test_apply_count_on_clustered_masks(self, monkeypatch, name, bound):
-        """The annulus (75 applies measured) and the disk with an off-centre
-        hole (79) at n = 256; LOBPCG took 160 and 150."""
+        """The annulus (57 applies measured) and the disk with an off-centre
+        hole (60) at n = 256; 75 and 79 without the chord correction, and
+        LOBPCG took 160 and 150."""
         op = RestrictedOperator(_TOL_MASKS[name](Grid(256, 16.0)))
         estimate, applies = _count_coercivity_applies(monkeypatch, op)
         dense_min = np.linalg.eigvalsh(dense_L_matrix(op))[0]
@@ -665,23 +666,25 @@ class TestCoercivity:
                 == estimate_coercivity(RestrictedOperator(mask)))
 
     def test_apply_count_on_benchmark_disk(self, monkeypatch):
-        """The centred unit disk at n = 512 takes 155 applies and 154
+        """The centred unit disk at n = 512 takes 100 applies and 99
         preconditioner applies, one each per iteration and one apply for
-        the start; LOBPCG took 180 and 179, with a constant floor of 1e-3
-        292 and 291, and Lanczos 1100 applies."""
+        the start, and no apply builds the chord correction. Without that
+        correction it took 155 and 154, LOBPCG 180 and 179, with a constant
+        floor of 1e-3 292 and 291, and Lanczos 1100 applies."""
         grid = Grid(512, 16.0)
         op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), grid))
         _, applies, preconditions = _count_calls(
             monkeypatch, lambda: estimate_coercivity(op), "apply_packed", "precondition")
         assert applies == preconditions + 1
-        assert applies + preconditions <= 380
+        assert applies + preconditions <= 220
 
     def test_memory_bounded_by_the_basis(self, monkeypatch):
-        """On the n = 512 disk, 155 applies, the estimate's tracemalloc
+        """On the n = 512 disk, 100 applies, the estimate's tracemalloc
         peak is within 10 % of that of a run capped at 2 _BASIS iterations,
         read as the cap raises: the basis bounds the memory, whatever the
         iteration count. The preconditioner's symbol is built beforehand,
-        outside both readings."""
+        outside both readings; the chord correction, built before the
+        iteration, is inside both."""
         op = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), Grid(512, 16.0)))
         op.precondition(np.ones(op.mask.cell_count))
         davidson, capped_peaks = profile._davidson_lowest, []
@@ -791,32 +794,68 @@ class TestCoercivity:
     def test_lapack_sees_only_the_ritz_matrix(self, monkeypatch):
         """On every mask the estimate's only LAPACK call is one ``eigh``
         per Rayleigh-Ritz step, on a matrix of at most _BASIS x _BASIS; no
-        other eigen- or singular-value routine runs, on the 2- and 40-cell
-        masks as on the disk. Each step follows one preconditioner apply,
-        which counts the steps: the first iterate is the start vector,
-        which needs no step. The disk needs more than _BASIS steps, so the
-        count takes in restarts."""
+        other routine of ``np.linalg`` runs, on the 2- and 40-cell masks
+        as on the disk. The chord correction's matrix, chords x chords, is
+        inverted exactly once per estimate, by ``_inverse``, which calls
+        none. Each step follows one preconditioner apply, which counts the
+        steps: the first iterate is the start vector, which needs no step.
+        The disk needs more than _BASIS steps, so the count takes in
+        restarts."""
         def refuse(*args, **kwargs):
             raise AssertionError("LAPACK called")
 
-        shapes = []
+        shapes, inverted = [], []
 
         def recording_eigh(a, eigh=np.linalg.eigh):
             shapes.append(np.shape(a))
             return eigh(a)
 
-        for name in ("eigvalsh", "svd"):
+        def recording_inverse(a, inverse=profile._inverse):
+            inverted.append(np.shape(a))
+            return inverse(a)
+
+        for name in ("eigvalsh", "svd", "inv", "solve", "cholesky", "lstsq", "pinv", "qr", "det"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(profile, "_inverse", recording_inverse)
         disk = RestrictedOperator(rasterize(Disk((0.0, 0.0), 1.0), Grid(64, 8.0)))
         for op in _tiny_operator(2), _tiny_operator(_TINY_CELLS), disk:
             shapes.clear()
+            inverted.clear()
             delta, steps = _count_calls(monkeypatch, lambda: estimate_coercivity(op), "precondition")
+            chords = profile._x1_runs(op)[2].size
             assert 0.0 < delta < 1.0
+            assert inverted == [(chords, chords)]
             assert len(shapes) == steps
             assert all(len(s) == 2 and s[0] == s[1] <= _BASIS for s in shapes)
         assert op.mask.cell_count > _TINY_CELLS
         assert steps > _BASIS
+
+    @pytest.mark.parametrize("build, roll", [
+        (lambda g: rasterize(Disk((0.0, 0.0), 1.0), g), (0, 0)),
+        (_two_disks(0), (0, 0)),
+        (_two_disks(1), (64, 0)),
+        (_two_disks(1), (64, 64)),
+    ], ids=["disk", "two-disks-x1", "two-disks-wrap-x1", "two-disks-wrap-both"])
+    def test_chord_matrix_is_the_applied_galerkin_matrix(self, build, roll):
+        """The chord matrix H, built from two transforms, is C^T (L C) with
+        L C built column by column with ``apply_packed``, to 1e-14 relative,
+        also on a box across one or both periodic edges. C's columns are
+        orthonormal half sines that cover the mask, one per x1-run, and
+        ``_inverse`` inverts H."""
+        grid = Grid(128, 12.0)
+        op = RestrictedOperator(Mask(grid, np.roll(build(grid).indicator, roll, axis=(0, 1))))
+        assert [s != 0 for s in op._shift] == [r != 0 for r in roll]
+        chord, sine, gram = profile._chords(op)
+        chords = gram.shape[0]
+        assert chords == profile._x1_runs(op)[2].size > 1
+        c = np.zeros((op.mask.cell_count, chords))
+        c[np.arange(op.mask.cell_count), chord] = sine
+        np.testing.assert_allclose(c.T @ c, np.eye(chords), rtol=0, atol=1e-14)
+        applied = c.T @ np.column_stack([op.apply_packed(column) for column in c.T])
+        assert np.max(np.abs(gram - applied)) <= 1e-14 * np.max(np.abs(applied))
+        np.testing.assert_allclose(profile._inverse(gram) @ gram, np.eye(chords),
+                                   rtol=0, atol=1e-12)
 
 
 class TestDavidson:

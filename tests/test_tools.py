@@ -51,3 +51,23 @@ def test_code_lines_totals_match_the_package():
     assert total == ["total", str(sum(int(row[1]) for row in rows))]
     assert total[1] == str(sum(map(len, z11sim.config._SCHEMA.values())))
     assert exports.split() == ["exports", str(len(z11sim.__all__))]
+
+
+def test_coercivity_cost_prints_one_row_per_mask():
+    """``tools/coercivity_cost.py 64`` prints one row per mask of its
+    family, each with the cells, the chords, delta, the applies, the
+    preconditioner applies, one fewer (the start vector takes an apply
+    and no preconditioner apply), and the wall time in ms."""
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "coercivity_cost.py"), "64"],
+                            capture_output=True, text=True, cwd=ROOT, check=True, timeout=120)
+    header, *rows = (line.split() for line in result.stdout.splitlines())
+    assert header == ["mask", "n", "cells", "chords", "delta", "applies", "precond", "ms"]
+    assert [row[:2] for row in rows] == [
+        [name, "64"] for name in ("disk", "ellipse-0.5x1", "ellipse-1.5x1", "rectangle-1x2",
+                                  "rectangle-2x1", "annulus", "one-column", "three-lobes",
+                                  "cut-disk", "two-disks-x1", "two-disks-x2")]
+    for _, _, cells, chords, delta, applies, preconditions, ms in rows:
+        assert 1 <= int(chords) <= int(cells)
+        assert 0.0 < float(delta) <= 1.0
+        assert int(applies) == int(preconditions) + 1
+        assert float(ms) > 0.0
