@@ -36,7 +36,6 @@ TERMINATION_REASONS = ("horizon", "threshold", "step_underflow")
 
 # Cash-Karp embedded pair: six stages, fifth-order propagation with a
 # fourth-order companion for the error estimate.
-_RK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
 _RK_A = (
     (),
     (1 / 5,),
@@ -189,6 +188,16 @@ def _check_dt(dt: float) -> None:
 
 
 def _rhs_values(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Right-hand side (Z11 w) w of a state's box values, pointwise.
+
+    The product is taken without spectral truncation: Z11 has order zero,
+    so no derivative loss feeds aliasing. It vanishes exactly wherever w
+    does, so the flow keeps the support of the data, as the equation
+    w = w0 exp(int Z11 w dt) does; on the support, (Z11 w) w is (L w) w
+    with L the restricted operator of the support. So ``values`` are the
+    box values of that operator, and ``symbol`` is its circulant's, which
+    applies Z11 exactly to every field supported in the box.
+    """
     return _real_fft(values, symbol) * values
 
 
@@ -198,32 +207,6 @@ def _support(omega: RealField) -> Mask:
     zero field takes the full-grid mask, whose box is the grid."""
     support = omega.values != 0.0
     return Mask(omega.grid, support if support.any() else ~support)
-
-
-def rhs(omega: RealField) -> RealField:
-    """Right-hand side (Z11 w) w, pointwise in space.
-
-    The product is taken on the grid without spectral truncation: Z11 has
-    order zero, so no derivative loss feeds aliasing. The product vanishes
-    exactly wherever w does, so the flow keeps the support of the data, as
-    the equation w = w0 exp(int Z11 w dt) does; on the support, (Z11 w) w
-    is (L w) w with L the restricted operator of the support. So the
-    product is taken on that operator's box, the periodic bounding box of
-    the support, with Z11 applied through the box's circulant embedding;
-    full support makes the box the grid. The box's values are scattered
-    back whole: off the support they are zeros.
-    """
-    op = RestrictedOperator(_support(omega))
-    product = _rhs_values(op._symbol, omega.values[op._box])
-    return RealField(omega.grid, _on_grid(op, product))
-
-
-def _on_grid(op: RestrictedOperator, values: np.ndarray) -> np.ndarray:
-    """Box values of ``op`` scattered through its box into a grid-sized
-    array, zero off the box."""
-    full = np.zeros((op.grid.n, op.grid.n))
-    full[op._box] = values
-    return full
 
 
 def _stage_sum(coefficients: tuple[float, ...] | np.ndarray,
@@ -253,22 +236,6 @@ def _rk_attempt(symbol: np.ndarray, y: np.ndarray, k0: np.ndarray,
     return y + dt * _stage_sum(_RK_B5, k), dt * _stage_sum(_RK_E, k)
 
 
-def rk_step(omega: RealField, dt: float) -> tuple[RealField, np.ndarray]:
-    """Single fixed step of the embedded pair, no acceptance control.
-
-    Returns the fifth-order update and the pointwise difference between the
-    embedded orders (the raw local error field). Used directly for
-    convergence-order measurements. Stages and sums run on the support box
-    of :func:`rhs`; the error field is zero off the support. dt must be
-    positive and finite.
-    """
-    _check_dt(dt)
-    op = RestrictedOperator(_support(omega))
-    y = omega.values[op._box]
-    y_new, err = _rk_attempt(op._symbol, y, _rhs_values(op._symbol, y), dt)
-    return RealField(omega.grid, _on_grid(op, y_new)), _on_grid(op, err)
-
-
 def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
          config: EvolveConfig) -> StepResult:
     """Advance a state on its support box by one accepted step, shrinking
@@ -278,9 +245,10 @@ def step(op: RestrictedOperator, y: np.ndarray, rate: np.ndarray, dt: float,
     state lives on that operator's box: ``y`` holds the box's values
     (every cell off the support is 0 and stays 0, since the flow keeps
     the support), and ``rate`` is y's right-hand side (Z11 y) y on the
-    box, as :func:`rhs` builds it. Every attempt starts from ``rate``, and
-    the result carries the new state's right-hand side, so the first stage
-    of the next step is computed once. dt must be positive and finite.
+    box, as :func:`_rhs_values` takes it with ``op._symbol``. Every
+    attempt starts from ``rate``, and the result carries the new state's
+    right-hand side, so the first stage of the next step is computed once.
+    dt must be positive and finite.
 
     The scaled error combines atol and rtol per cell; a step is accepted
     when its root mean square over all n^2 grid cells is at most 1 and
@@ -361,7 +329,7 @@ def evolve(omega0: RealField, config: EvolveConfig,
     sums gather it alone (every cell off it is 0), and qform is h^2 sum
     rate, where rate is the state's right-hand side (Z11 w) w, which the
     step after the state starts from. Z11 acts through the box's circulant
-    embedding, as :func:`rhs` applies it; that circulant is exact for
+    embedding (:func:`_rhs_values`); that circulant is exact for
     every field supported in the box, so a cell that underflows to 0 on
     the way changes nothing.
     """

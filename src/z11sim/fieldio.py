@@ -141,13 +141,6 @@ def _parse_header(raw: bytes, path: str) -> FieldHeader:
     return FieldHeader(n=int(n), box_length=float(box_length), kind=KIND_NAMES[kind_code])
 
 
-def read_header(path: str | os.PathLike) -> FieldHeader:
-    path = os.fspath(path)
-    with open(path, "rb") as handle:
-        raw = handle.read(_HEADER.size)
-    return _parse_header(raw, path)
-
-
 def read_field(path: str | os.PathLike) -> RealField | Mask:
     """Read a field file back into a RealField, or a Mask for mask kind.
 

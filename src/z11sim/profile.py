@@ -27,7 +27,6 @@ mask's x1-chords, whose Galerkin matrix two transforms of the embedding
 give without an apply. The solve's one certificate,
 :func:`verify_profile`, applies Z11 with the n-point transforms of the
 periodic grid, independently of the embedding and of the preconditioner.
-A dense matrix assembly is provided as an oracle for small masks.
 
 The flow w_t = (Z11 w) w keeps the support of w, where (Z11 w) w is
 (L w) w for the restricted operator L of that support, so the evolution
@@ -57,8 +56,6 @@ __all__ = [
     "estimate_coercivity",
     "verify_profile",
 ]
-
-DENSE_CELL_LIMIT = 4096
 
 # Step of the Weyl sequence that perturbs the coercivity start vector: the
 # golden ratio's fractional part, whose multiples fill [0, 1) most evenly.
@@ -328,28 +325,6 @@ def _inverse(a: np.ndarray) -> np.ndarray:
         inverse[k], inverse[:, k] = row, -col / pivot
         inverse[k, k] = 1.0 / pivot
     return inverse
-
-
-def dense_L_matrix(op: RestrictedOperator) -> np.ndarray:
-    """Assemble the operator as a dense cell_count x cell_count matrix.
-
-    Entry (i, j) is Z11's kernel (Z11 of a unit impulse) at the periodic
-    offset (x_i - x_j) mod n of cells i and j, gathered from the kernel's
-    rows at the distinct row offsets, taken for the call by the
-    row-restricted transform, so every entry is bitwise the one the
-    operator's circulant embeds and no n x n kernel is built. Used as an
-    oracle for the matrix-free application and for exact spectra at small
-    sizes; guarded against quadratic blow-up.
-    """
-    m = op.mask.cell_count
-    if m > DENSE_CELL_LIMIT:
-        raise ValueError(f"dense assembly refused for cell_count {m} > {DENSE_CELL_LIMIT}")
-    n = op.grid.n
-    r, c = np.nonzero(op.mask.indicator)
-    row_offsets = (r[:, None] - r) % n
-    offsets, slot = np.unique(row_offsets, return_inverse=True)
-    kernel_rows = _real_fft((n, n), _z11_symbol, rows=offsets)
-    return kernel_rows[slot.reshape(row_offsets.shape), (c[:, None] - c) % n]
 
 
 def _cg(op: RestrictedOperator, b: np.ndarray, tol: float,

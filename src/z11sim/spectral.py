@@ -262,12 +262,6 @@ def sup_norm(f: RealField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def field_integral(f: RealField) -> float:
-    """Integral of the field over the box, h^2 * sum (spectrally accurate
-    for periodic fields)."""
-    return float(f.grid.h**2 * np.sum(f.values))
-
-
 def quadratic_form(f: RealField) -> float:
     """Spectral-side quadratic form sum m(lam) |f_hat(lam)|^2.
 

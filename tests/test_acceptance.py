@@ -31,10 +31,8 @@ from z11sim import (
 )
 from z11sim.cli import main as cli_main
 from z11sim.diagnostics import cone_mass_study
-from z11sim.evolution import rk_step
-from z11sim.profile import dense_L_matrix
 
-from test_spectral import dft_multiplier_oracle
+from oracles import dense_L_matrix, dft_multiplier_oracle, rk_step
 
 
 def _report(number, name, ok, detail):

@@ -29,9 +29,8 @@ EXPORTED = {
     "verify_profile", "write_field", "write_trace_csv",
 }
 
-# Constants, aliases, records a public call only returns, sub-steps of a
-# public call, and oracles and helpers only the tests call: importable from
-# their module, not exported.
+# Constants, aliases, records a public call only returns and sub-steps of a
+# public call: importable from their module, not exported.
 INTERNAL = (
     "config.COMMANDS",
     "config.InitialSpec",
@@ -39,11 +38,6 @@ INTERNAL = (
     "shapes.ShapeSpec",
     "shapes.shape_contains",
     "profile.ProfileReport",
-    "profile.dense_L_matrix",
-    "spectral.field_integral",
-    "evolution.rhs",
-    "evolution.rk_step",
-    "fieldio.read_header",
     "evolution.StepResult",
     "fieldio.FieldHeader",
     "fieldio.KIND_NAMES",
@@ -121,12 +115,75 @@ def test_atomic_write_bytes_stays_in_fieldio():
     assert not hasattr(z11sim, "atomic_write_bytes")
 
 
-@pytest.mark.parametrize("name", ["apply_L", "make_grid"])
+# Each removed name and the modules it was looked up in. The oracles that
+# only the tests call live in tests/oracles.py.
+REMOVED = {
+    "apply_L": ("spectral", "profile"),
+    "make_grid": ("spectral", "profile"),
+    "dense_L_matrix": ("profile",),
+    "DENSE_CELL_LIMIT": ("profile",),
+    "rhs": ("evolution",),
+    "rk_step": ("evolution",),
+    "_on_grid": ("evolution",),
+    "_RK_C": ("evolution",),
+    "field_integral": ("spectral",),
+    "read_header": ("fieldio",),
+}
+
+
+@pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(name):
     assert name not in z11sim.__all__
     assert not hasattr(z11sim, name)
-    for module in ("spectral", "profile"):
+    for module in REMOVED[name]:
         assert not hasattr(importlib.import_module(f"z11sim.{module}"), name)
+
+
+def _named(node):
+    """Every name ``node`` reads, plain or as an attribute."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_every_module_level_name_is_exported_or_used():
+    """Every module-level function, class and constant of the package is
+    in its module's ``__all__``, or named by code of the package that is
+    itself kept: the ``__all__`` lists, the module-level statements that
+    define and import nothing, and, in turn, every kept definition. An
+    import keeps nothing by itself. A name that only dead code or the
+    tests read belongs in tests/oracles.py. Dunders are exempt."""
+    defined, roots = {}, set()
+    for info in pkgutil.iter_modules(z11sim.__path__):
+        module = importlib.import_module(f"z11sim.{info.name}")
+        roots.update(module.__all__)
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                names = []
+            names = [name for name in names if not name.startswith("__")]
+            for name in names:
+                defined.setdefault(name, []).append((info.name, node))
+            if not names:
+                roots.update(_named(node))
+    kept, todo = set(), roots & defined.keys()
+    while todo:
+        name = todo.pop()
+        kept.add(name)
+        todo |= {read for _, node in defined[name] for read in _named(node)
+                 if read in defined and read not in kept}
+    dead = sorted(f"{module}.{name}" for name, homes in defined.items()
+                  if name not in kept for module, _ in homes)
+    assert dead == []
 
 
 @pytest.mark.parametrize("qualified", INTERNAL)

@@ -25,8 +25,9 @@ from z11sim import (
 import z11sim.cli as cli
 import z11sim.evolution as evolution
 from z11sim.cli import main
-from z11sim.fieldio import read_header
 from z11sim.profile import _box_kernel
+
+from oracles import read_header
 
 
 # The top-level keys of each command's JSON summary, pinned so that the

@@ -32,12 +32,12 @@ from z11sim import (
     verify_profile,
 )
 import z11sim.evolution as evolution
-from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_C, _RK_E, StepResult, rhs, rk_step
-from z11sim.spectral import _real_fft, field_integral
+from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_E, StepResult
+from z11sim.spectral import _real_fft
 
+from oracles import _RK_C, _on_grid, field_integral, m11_from_scratch, rhs, rk_step
 from test_profile import _transform_shapes
 from test_properties import _reflect
-from test_spectral import m11_from_scratch
 
 
 @pytest.fixture(scope="module")
@@ -441,7 +441,7 @@ class TestEvolve:
         pack_box = RestrictedOperator._pack_box
 
         def spy(op, values):
-            fields.append(evolution._on_grid(op, values))
+            fields.append(_on_grid(op, values))
             return pack_box(op, values)
 
         monkeypatch.setattr(RestrictedOperator, "_pack_box", spy)

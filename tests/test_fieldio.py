@@ -25,7 +25,9 @@ from z11sim import (
     write_field,
     write_trace_csv,
 )
-from z11sim.fieldio import MAGIC, TRACE_COLUMNS, FieldHeader, atomic_write_bytes, read_header
+from z11sim.fieldio import MAGIC, TRACE_COLUMNS, FieldHeader, atomic_write_bytes
+
+from oracles import read_header
 
 
 @pytest.fixture()

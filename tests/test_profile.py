@@ -49,11 +49,10 @@ from z11sim.profile import (
     _box_kernel,
     _cg,
     _davidson_lowest,
-    dense_L_matrix,
 )
 from z11sim.spectral import _real_fft
 
-from test_spectral import dft_multiplier_oracle, m11_from_scratch
+from oracles import dense_L_matrix, dft_multiplier_oracle, m11_from_scratch
 
 # The largest of the tiny masks below: above _BASIS, and below the 49 cells
 # of the smallest shipped mask, the n = 64 smoke disk.

@@ -29,9 +29,10 @@ from z11sim import (
     write_field,
     write_trace_csv,
 )
-from z11sim.evolution import rhs
 from z11sim.fieldio import MAGIC
-from z11sim.profile import dense_L_matrix
+from z11sim.profile import _chords, _inverse
+
+from oracles import dense_L_matrix, rhs
 
 # Masks of at most this many cells are left to the tiny-mask tests of
 # test_profile.py.
@@ -79,6 +80,23 @@ def test_coercivity_matches_dense_and_ignores_translation(mask, shift):
         assert rolled_delta == delta
     else:
         assert abs(rolled_delta - lowest) <= 1e-6 * lowest
+
+
+@_SETTINGS
+@given(mask=_masks(), shift=st.tuples(st.integers(0, 127), st.integers(0, 127)))
+def test_chord_matrix_is_the_dense_galerkin_matrix(mask, shift):
+    """The chord matrix H, built from two transforms, is C^T L C with L the
+    dense operator, to 1e-14 relative, on the mask rolled by whole cells,
+    so also on boxes across one or both periodic edges, and ``_inverse``
+    inverts H to 1e-12."""
+    op = RestrictedOperator(Mask(mask.grid, np.roll(mask.indicator, shift, axis=(0, 1))))
+    chord, sine, gram = _chords(op)
+    chords = gram.shape[0]
+    c = np.zeros((op.mask.cell_count, chords))
+    c[np.arange(op.mask.cell_count), chord] = sine
+    dense = c.T @ dense_L_matrix(op) @ c
+    assert np.max(np.abs(gram - dense)) <= 1e-14 * np.max(np.abs(dense))
+    np.testing.assert_allclose(_inverse(gram) @ gram, np.eye(chords), rtol=0, atol=1e-12)
 
 
 def _reflect(values, axis):

@@ -23,30 +23,9 @@ from z11sim import (
     quadratic_form,
     sup_norm,
 )
-from z11sim.spectral import _real_fft, _z11_symbol, field_integral
+from z11sim.spectral import _real_fft, _z11_symbol
 
-
-def m11_from_scratch(n: int) -> np.ndarray:
-    """Z11's symbol k1^2/|k|^2 on the full n x n FFT lattice, axis 0 along
-    k1, zero at k = 0, written out from its definition."""
-    j = np.arange(n)
-    k = np.where(j < n // 2, j, j - n).astype(float)
-    k1 = k[:, None]
-    k2 = k[None, :]
-    denom = k1**2 + k2**2
-    return np.divide(k1**2, denom, out=np.zeros((n, n)), where=denom > 0)
-
-
-def dft_multiplier_oracle(values: np.ndarray) -> np.ndarray:
-    """Apply the multiplier by definition: explicit DFT matrices, the
-    symbol built from scratch, explicit inverse. O(n^3) matmuls, no FFT."""
-    n = values.shape[0]
-    j = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(j, j) / n)
-    coeff = w @ values @ w.T / n**2
-    symbol = m11_from_scratch(n)
-    w_inv = np.conj(w)
-    return (w_inv @ (symbol * coeff) @ w_inv.T).real
+from oracles import dft_multiplier_oracle, field_integral, m11_from_scratch
 
 
 class TestGrid:
