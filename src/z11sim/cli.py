@@ -24,6 +24,7 @@ from .evolution import (
     estimate_blowup_time,
     evolve,
     gaussian_bump,
+    self_similar_deviation,
 )
 from .fieldio import _write_csv, atomic_write_bytes, read_field, write_field, write_trace_csv
 from .profile import ProfileSolution, RestrictedOperator, estimate_coercivity, solve_profile
@@ -159,24 +160,16 @@ def _cmd_verify_self_similar(cfg: RunConfig) -> list[str]:
     # leaves the run's working set
     del solution
     omega_cells = q_cells / t_blowup
-    deviations: list[float] = []
-    # Q and every state are exactly 0 off the support of Q / T, which the
-    # flow keeps, so the sums of evolution.self_similar_deviation need
-    # only the cells the records hold: those of the mask where Q / T is
-    # not 0, in the mask's order, as evolution._support decides
+    # the records hold the cells of the mask where Q / T is not 0, which
+    # the flow keeps, in the mask's order (evolution._support)
     q_cells = q_cells[omega_cells != 0.0]
-    h2 = cfg.grid.h**2
-
-    def track_deviation(t: float, cells: np.ndarray) -> None:
-        target = q_cells / (t_blowup - t)
-        diff = cells - target
-        deviations.append(float(np.sqrt(h2 * np.sum(diff**2)))
-                          / float(np.sqrt(h2 * np.sum(target**2))))
+    deviations: list[float] = []
 
     # Q is exactly 0 off the mask, so the data are Q / T bitwise; they are
     # built in the call, so that the run does not hold them (evolve)
     trace = evolve(RealField(cfg.grid, mask.unpack(omega_cells)), cfg.evolve,
-                   on_record=track_deviation)
+                   on_record=lambda t, cells: deviations.append(
+                       self_similar_deviation(cells, q_cells, t_blowup, t)))
     # fit before writing, so a failed fit leaves no fresh CSVs behind
     fitted_t, fit_quality = estimate_blowup_time(trace)
     write_trace_csv(os.path.join(cfg.output_dir, "trace.csv"), trace)

@@ -349,11 +349,12 @@ def _cg(op: RestrictedOperator, b: np.ndarray, tol: float,
         alpha = rs / pap
         x += alpha * p
         r -= alpha * ap
-        refreshed = False
-        if it % _CG_REFRESH_EVERY == 0 or np.linalg.norm(r) <= tol * bnorm:
+        rnorm = np.linalg.norm(r)
+        refreshed = it % _CG_REFRESH_EVERY == 0 or rnorm <= tol * bnorm
+        if refreshed:
             r = b - op.apply_packed(x)
-            refreshed = True
-        rel = float(np.linalg.norm(r) / bnorm)
+            rnorm = np.linalg.norm(r)
+        rel = float(rnorm / bnorm)
         history.append(rel)
         if refreshed and rel <= tol:
             return x, it, history

@@ -2,8 +2,9 @@
 
 The package holds what its commands run; these reference routines are
 built from its private pieces (the real transform, the Runge-Kutta attempt,
-the header parser) or from scratch, and each test module imports them from
-here rather than from another test module.
+the header parser) or from scratch, and each test module imports them, and
+the helpers more than one module shares, from here rather than from another
+test module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from z11sim.evolution import _check_dt, _rhs_values, _rk_attempt, _support
 from z11sim.fieldio import _HEADER, FieldHeader, _parse_header
 from z11sim.profile import RestrictedOperator
-from z11sim.spectral import RealField, _real_fft, _z11_symbol
+from z11sim.spectral import RealField, _real_fft, _z11_symbol, l2_norm
 
 # Cash-Karp nodes: row i of the tableau sums to _RK_C[i]. The flow is
 # autonomous, so the integrator never reads them.
@@ -117,9 +118,56 @@ def field_integral(f: RealField) -> float:
     return float(f.grid.h**2 * np.sum(f.values))
 
 
+def full_grid_deviation(omega_t: RealField, q: RealField, T: float, t: float) -> float:
+    """Relative L2 distance of a state on the grid from the separable
+    solution Q/(T - t), summed over all n^2 cells."""
+    if t >= T:
+        raise ValueError(f"t must be strictly less than T, got t={t}, T={T}")
+    if omega_t.grid != q.grid:
+        raise ValueError("state and profile grids differ")
+    target = RealField(q.grid, q.values / (T - t))
+    denom = l2_norm(target)
+    if denom == 0.0:
+        raise ValueError("profile is identically zero")
+    diff = RealField(q.grid, omega_t.values - target.values)
+    return l2_norm(diff) / denom
+
+
 def read_header(path: str | os.PathLike) -> FieldHeader:
     """The header of a field file, read and checked without its payload."""
     path = os.fspath(path)
     with open(path, "rb") as handle:
         raw = handle.read(_HEADER.size)
     return _parse_header(raw, path)
+
+
+def _reflect(values, axis):
+    """values at the cell index (-i) mod n along axis: x -> -x on the grid,
+    whose coordinates run from -L/2 in steps of h."""
+    n = values.shape[axis]
+    return np.take(values, -np.arange(n) % n, axis=axis)
+
+
+def _transform_shapes(monkeypatch, call):
+    """(data shape, padded size) of each forward transform that call()
+    runs: the rows are transformed first, padded to the rfft length, and
+    the columns after, padded to the fft length (the length of the
+    column, when the transform runs in place on rows padded already)."""
+    shapes = []
+    rfft, fft = np.fft.rfft, np.fft.fft
+
+    def recording_rfft(a, n=None, axis=-1, *args, **kwargs):
+        assert axis == 1
+        shapes.append([a.shape, n])
+        return rfft(a, n, axis, *args, **kwargs)
+
+    def recording_fft(a, n=None, axis=-1, *args, **kwargs):
+        assert axis == 0
+        shapes[-1][1] = (a.shape[axis] if n is None else n, shapes[-1][1])
+        return fft(a, n, axis, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    monkeypatch.setattr(np.fft, "fft", recording_fft)
+    call()
+    monkeypatch.undo()
+    return [tuple(pair) for pair in shapes]

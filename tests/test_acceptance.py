@@ -146,8 +146,8 @@ def test_criterion_5_self_similar_evolution(profile128):
                           record_every=1)
     records = []
     trace = evolve(omega0, config, on_record=lambda t, cells: records.append((t, cells)))
-    deviations = [self_similar_deviation(RealField(grid, trace.support.unpack(cells)),
-                                         solution.q, lifespan, t) for t, cells in records]
+    q_cells = trace.support.pack(solution.q.values)
+    deviations = [self_similar_deviation(cells, q_cells, lifespan, t) for t, cells in records]
     worst = float(max(deviations))
     fitted, quality = estimate_blowup_time(trace)
     elapsed = time.perf_counter() - t0

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import pkgutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +185,24 @@ def test_every_module_level_name_is_exported_or_used():
     dead = sorted(f"{module}.{name}" for name, homes in defined.items()
                   if name not in kept for module, _ in homes)
     assert dead == []
+
+
+def test_no_test_module_imports_another():
+    """A helper that more than one test module reads lives in
+    tests/oracles.py: importing a test module from another would collect
+    its imports too, and a rename in one would break the other."""
+    imports = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            imports += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0].startswith("test_")]
+    assert imports == []
 
 
 @pytest.mark.parametrize("qualified", INTERNAL)

@@ -27,7 +27,7 @@ import z11sim.evolution as evolution
 from z11sim.cli import main
 from z11sim.profile import _box_kernel
 
-from oracles import read_header
+from oracles import full_grid_deviation, read_header
 
 
 # The top-level keys of each command's JSON summary, pinned so that the
@@ -324,31 +324,33 @@ class TestEvolveCommand:
 
 
 class TestVerifyCommand:
+    N32_INI = (
+        "[run]\n"
+        "command = verify-self-similar\n"
+        "output_dir = verifyout\n"
+        "\n"
+        "[grid]\n"
+        "n = 32\n"
+        "box_length = 8.0\n"
+        "\n"
+        "[shape]\n"
+        "spec = disk(0, 0, 0.5)\n"
+        "\n"
+        "[solver]\n"
+        "tol = 1e-10\n"
+        "\n"
+        "[evolve]\n"
+        "rtol = 1e-10\n"
+        "atol = 1e-12\n"
+        "\n"
+        "[verify]\n"
+        "t_blowup = 1.0\n"
+        "t_final = 0.9\n"
+    )
+
     def test_deviation_stays_small(self, tmp_path, capsys):
         ini = tmp_path / "verify.ini"
-        ini.write_text(
-            "[run]\n"
-            "command = verify-self-similar\n"
-            "output_dir = verifyout\n"
-            "\n"
-            "[grid]\n"
-            "n = 32\n"
-            "box_length = 8.0\n"
-            "\n"
-            "[shape]\n"
-            "spec = disk(0, 0, 0.5)\n"
-            "\n"
-            "[solver]\n"
-            "tol = 1e-10\n"
-            "\n"
-            "[evolve]\n"
-            "rtol = 1e-10\n"
-            "atol = 1e-12\n"
-            "\n"
-            "[verify]\n"
-            "t_blowup = 1.0\n"
-            "t_final = 0.9\n"
-        )
+        ini.write_text(self.N32_INI)
         code, out, _ = run_cli(capsys, ini)
         assert code == 0
         outdir = tmp_path / "verifyout"
@@ -369,9 +371,29 @@ class TestVerifyCommand:
         assert deviation_lines[0] == "t,deviation"
         assert len(deviation_lines) - 1 == len(trace["t"])
 
+    def test_one_deviation_per_record(self, tmp_path, capsys, monkeypatch):
+        """The command writes self_similar_deviation of each record, called
+        once per trace.csv row, in order."""
+        calls = []
+
+        def spy(cells, q_cells, T, t):
+            calls.append((t, self_similar_deviation(cells, q_cells, T, t)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli, "self_similar_deviation", spy)
+        ini = tmp_path / "verify.ini"
+        ini.write_text(self.N32_INI)
+        code, _, _ = run_cli(capsys, ini)
+        assert code == 0
+        trace = read_trace_csv(tmp_path / "verifyout" / "trace.csv")
+        rows = (tmp_path / "verifyout" / "deviation.csv").read_text().splitlines()[1:]
+        assert len(calls) == len(trace["t"]) == len(rows) > 10
+        assert [t for t, _ in calls] == list(trace["t"])
+        assert [float(row.split(",")[1]) for row in rows] == [d for _, d in calls]
+
     def test_cell_deviations_match_the_full_grid(self, tmp_path, capsys, monkeypatch):
         """deviation.csv, summed over the mask's cells, matches the
-        full-grid self_similar_deviation of every recorded state."""
+        full-grid deviation of every recorded state."""
         self._check_cell_deviations(tmp_path, capsys, monkeypatch, zero_cell=False)
 
     def test_cell_deviations_on_a_support_short_of_the_mask(self, tmp_path, capsys,
@@ -416,7 +438,7 @@ class TestVerifyCommand:
         assert trace.support.cell_count == solution.mask.cell_count - zero_cell
         states = [(t, RealField(solution.q.grid, trace.support.unpack(cells)))
                   for t, cells in records]
-        oracle = [self_similar_deviation(state, solution.q, 1.0, t) for t, state in states]
+        oracle = [full_grid_deviation(state, solution.q, 1.0, t) for t, state in states]
         assert len(written) == len(states) > 10
         np.testing.assert_array_equal(written[:, 0], [t for t, _ in states])
         np.testing.assert_allclose(written[:, 1], oracle, rtol=1e-12, atol=0)

@@ -35,9 +35,8 @@ import z11sim.evolution as evolution
 from z11sim.evolution import _RK_A, _RK_B4, _RK_B5, _RK_E, StepResult
 from z11sim.spectral import _real_fft
 
-from oracles import _RK_C, _on_grid, field_integral, m11_from_scratch, rhs, rk_step
-from test_profile import _transform_shapes
-from test_properties import _reflect
+from oracles import (_RK_C, _on_grid, _reflect, _transform_shapes, field_integral,
+                     m11_from_scratch, rhs, rk_step)
 
 
 @pytest.fixture(scope="module")
@@ -514,8 +513,10 @@ class TestEvolve:
         w0 = RealField(grid32, sol.q.values / T)
         cfg = EvolveConfig(dt_initial=1e-3, t_max=0.5, rtol=1e-10, atol=1e-12,
                            record_every=1)
-        trace, states = _record_states(w0, cfg)
-        devs = [self_similar_deviation(state, sol.q, T, t) for t, state in states]
+        records = []
+        trace = evolve(w0, cfg, on_record=lambda t, cells: records.append((t, cells)))
+        q_cells = trace.support.pack(sol.q.values)
+        devs = [self_similar_deviation(cells, q_cells, T, t) for t, cells in records]
         assert trace.terminated == "horizon"
         assert len(devs) == len(trace)
         assert max(devs) <= 1e-5
@@ -969,30 +970,32 @@ class TestBlowupFit:
 
 
 class TestSelfSimilarDeviation:
-    def test_exact_match_is_zero(self, grid32, profile32):
-        q = profile32.q
-        state = RealField(grid32, q.values / (1.0 - 0.3))
-        assert self_similar_deviation(state, q, T=1.0, t=0.3) == 0.0
+    """The deviation of a record's cells from Q / (T - t), with Q gathered
+    on the same cells."""
 
-    def test_relative_scale_error(self, grid32, profile32):
-        q = profile32.q
-        state = RealField(grid32, 1.1 * q.values / (1.0 - 0.3))
-        dev = self_similar_deviation(state, q, T=1.0, t=0.3)
+    @pytest.fixture
+    def q_cells(self, profile32):
+        return profile32.mask.pack(profile32.q.values)
+
+    def test_exact_match_is_zero(self, q_cells):
+        cells = q_cells / (1.0 - 0.3)
+        assert self_similar_deviation(cells, q_cells, T=1.0, t=0.3) == 0.0
+
+    def test_relative_scale_error(self, q_cells):
+        cells = 1.1 * q_cells / (1.0 - 0.3)
+        dev = self_similar_deviation(cells, q_cells, T=1.0, t=0.3)
         assert dev == pytest.approx(0.1, abs=1e-12)
 
-    def test_requires_time_before_blowup(self, grid32, profile32):
-        q = profile32.q
+    def test_requires_time_before_blowup(self, q_cells):
         with pytest.raises(ValueError, match="strictly less than T"):
-            self_similar_deviation(q, q, T=1.0, t=1.0)
+            self_similar_deviation(q_cells, q_cells, T=1.0, t=1.0)
 
-    def test_grid_mismatch(self, profile32):
-        other = Grid(32, 16.0)
-        state = RealField(other, np.zeros((32, 32)))
-        with pytest.raises(ValueError, match="grids differ"):
-            self_similar_deviation(state, profile32.q, T=1.0, t=0.0)
+    def test_length_mismatch(self, q_cells):
+        with pytest.raises(ValueError, match="record has"):
+            self_similar_deviation(q_cells[1:], q_cells, T=1.0, t=0.0)
 
-    def test_zero_profile_rejected(self, grid32):
-        zero = RealField(grid32, np.zeros((32, 32)))
+    def test_zero_profile_rejected(self, q_cells):
+        zero = np.zeros_like(q_cells)
         with pytest.raises(ValueError, match="identically zero"):
             self_similar_deviation(zero, zero, T=1.0, t=0.0)
 

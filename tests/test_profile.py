@@ -52,7 +52,7 @@ from z11sim.profile import (
 )
 from z11sim.spectral import _real_fft
 
-from oracles import dense_L_matrix, dft_multiplier_oracle, m11_from_scratch
+from oracles import _transform_shapes, dense_L_matrix, dft_multiplier_oracle, m11_from_scratch
 
 # The largest of the tiny masks below: above _BASIS, and below the 49 cells
 # of the smallest shipped mask, the n = 64 smoke disk.
@@ -121,31 +121,6 @@ def _wide_scatter(grid):
     ind = np.zeros((grid.n, grid.n), dtype=bool)
     ind[20:100, 30:110] = np.random.default_rng(65).random((80, 80)) < 0.1
     return ind
-
-
-def _transform_shapes(monkeypatch, call):
-    """(data shape, padded size) of each forward transform that call()
-    runs: the rows are transformed first, padded to the rfft length, and
-    the columns after, padded to the fft length (the length of the
-    column, when the transform runs in place on rows padded already)."""
-    shapes = []
-    rfft, fft = np.fft.rfft, np.fft.fft
-
-    def recording_rfft(a, n=None, axis=-1, *args, **kwargs):
-        assert axis == 1
-        shapes.append([a.shape, n])
-        return rfft(a, n, axis, *args, **kwargs)
-
-    def recording_fft(a, n=None, axis=-1, *args, **kwargs):
-        assert axis == 0
-        shapes[-1][1] = (a.shape[axis] if n is None else n, shapes[-1][1])
-        return fft(a, n, axis, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
-    monkeypatch.setattr(np.fft, "fft", recording_fft)
-    call()
-    monkeypatch.undo()
-    return [tuple(pair) for pair in shapes]
 
 
 class TestEmbeddedApply:

@@ -32,7 +32,7 @@ from z11sim import (
 from z11sim.fieldio import MAGIC
 from z11sim.profile import _chords, _inverse
 
-from oracles import dense_L_matrix, rhs
+from oracles import _reflect, dense_L_matrix, rhs
 
 # Masks of at most this many cells are left to the tiny-mask tests of
 # test_profile.py.
@@ -97,13 +97,6 @@ def test_chord_matrix_is_the_dense_galerkin_matrix(mask, shift):
     dense = c.T @ dense_L_matrix(op) @ c
     assert np.max(np.abs(gram - dense)) <= 1e-14 * np.max(np.abs(dense))
     np.testing.assert_allclose(_inverse(gram) @ gram, np.eye(chords), rtol=0, atol=1e-12)
-
-
-def _reflect(values, axis):
-    """values at the cell index (-i) mod n along axis: x -> -x on the grid,
-    whose coordinates run from -L/2 in steps of h."""
-    n = values.shape[axis]
-    return np.take(values, -np.arange(n) % n, axis=axis)
 
 
 _axes = st.sampled_from([0, 1])
