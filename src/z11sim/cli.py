@@ -98,11 +98,8 @@ def _initial_field(cfg: RunConfig) -> RealField:
                 f"not match configured grid ({grid.n}, {grid.box_length})"
             )
         return RealField(grid, spec.scale * loaded.values)
-    bump = gaussian_bump(grid, center=spec.center, width=spec.width,
+    return gaussian_bump(grid, center=spec.center, width=spec.width,
                          amplitude=spec.amplitude, cutoff=spec.cutoff)
-    if spec.scale != 1.0:
-        bump = RealField(grid, spec.scale * bump.values)
-    return bump
 
 
 def _cmd_evolve(cfg: RunConfig) -> list[str]:

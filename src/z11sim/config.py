@@ -58,7 +58,8 @@ class ConfigError(ValueError):
 @dataclasses.dataclass(frozen=True)
 class InitialSpec:
     """Initial condition for an evolve run: a stored field scaled by a
-    constant, or a synthesized truncated Gaussian bump."""
+    constant (scale, kind 'file' only), or a synthesized truncated
+    Gaussian bump, whose one multiplier is amplitude."""
 
     kind: str
     path: str | None = None
@@ -185,8 +186,8 @@ def _numbers(text: str, count: int | None = None) -> tuple[float, ...]:
 
 
 # section -> key -> converter of the stripped text, whose ValueError _value
-# reports. An [evolve] field's default picks its converter: None an
-# optional number, an int an integer, anything else a number.
+# reports. An [evolve] field's default picks its converter: an int an
+# integer, anything else a number.
 _SCHEMA = {
     "run": {"command": str, "seed": _integer, "output_dir": str,
             "snapshot_times": _numbers},
@@ -194,8 +195,7 @@ _SCHEMA = {
     "shape": {"spec": str},
     "solver": {"tol": _number, "max_iter": _integer},
     "evolve": {
-        field.name: _optional_number if field.default is None
-        else _integer if isinstance(field.default, int) else _number
+        field.name: _integer if isinstance(field.default, int) else _number
         for field in dataclasses.fields(EvolveConfig)
     },
     "initial": {"kind": str, "path": str, "scale": _number,
@@ -265,17 +265,17 @@ def _read_initial(parser: configparser.ConfigParser, base_dir: str) -> InitialSp
             initial = InitialSpec(kind="file", path=path,
                                   scale=_value(parser, "initial", "scale", 1.0))
         case "bump":
-            if parser.has_option("initial", "path"):
-                raise ConfigError("[initial] key 'path' does not apply to kind 'bump'")
-            width = _value(parser, "initial", "width")
-            cutoff = _value(parser, "initial", "cutoff", None)
+            for forbidden in ("path", "scale"):
+                if parser.has_option("initial", forbidden):
+                    raise ConfigError(
+                        f"[initial] key {forbidden!r} does not apply to kind 'bump'"
+                    )
             initial = InitialSpec(
                 kind="bump",
-                scale=_value(parser, "initial", "scale", 1.0),
                 center=_value(parser, "initial", "center", (0.0, 0.0)),
-                width=width,
+                width=_value(parser, "initial", "width"),
                 amplitude=_value(parser, "initial", "amplitude", 1.0),
-                cutoff=cutoff,
+                cutoff=_value(parser, "initial", "cutoff", None),
             )
             _checked("initial", _check_bump, initial.center, initial.width, initial.cutoff)
         case _:

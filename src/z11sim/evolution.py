@@ -58,6 +58,9 @@ _MIN_SHRINK = 0.2
 # with dt_initial: 1e-12 at the default dt_initial = 1e-3.
 _DT_FLOOR_RATIO = 1e9
 _SUPPORT_CUTOFF = 1e-12
+# Blow-up is declared once the sup-norm reaches _BLOWUP_RATIO times its
+# initial value, a level relative to the data: T(c w0) = T(w0) / c.
+_BLOWUP_RATIO = 1e6
 # The blow-up fit uses the last fifth of a trace's time span.
 _FIT_WINDOW = 0.2
 
@@ -81,10 +84,9 @@ class StepUnderflowError(RuntimeError):
 class EvolveConfig:
     """Adaptive integration parameters.
 
-    blowup_threshold is the sup-norm level declaring blow-up; leave it None
-    to use 1e6 times the initial sup-norm (computed when evolve starts).
-    t_max, dt_initial, rtol and atol must be finite; an infinite
-    blowup_threshold sets no threshold. A step underflows below
+    t_max, dt_initial, rtol and atol must be finite. Blow-up is declared
+    at 1e6 times the initial sup-norm (:func:`evolve`), a level that scales
+    with the data, so no setting fixes it. A step underflows below
     dt_initial / 1e9 (:func:`step`), so halving dt_initial halves that
     floor exactly. record_every = 1, the default, records every accepted
     step, as the blow-up fit's trailing window needs.
@@ -92,7 +94,6 @@ class EvolveConfig:
 
     dt_initial: float = 1e-3
     t_max: float = 1.0
-    blowup_threshold: float | None = None
     record_every: int = 1
     rtol: float = 1e-8
     atol: float = 1e-10
@@ -104,10 +105,6 @@ class EvolveConfig:
         for name in ("t_max", "dt_initial", "rtol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.blowup_threshold is not None and not self.blowup_threshold > 1.0:
-            raise ValueError(
-                f"blowup_threshold must exceed 1, got {self.blowup_threshold}"
-            )
         if self.record_every < 1:
             raise ValueError(f"record_every must be at least 1, got {self.record_every}")
         if self.atol < 0.0:
@@ -300,9 +297,11 @@ def evolve(omega0: RealField, config: EvolveConfig,
     """Integrate from omega0, recording every record_every accepted steps.
 
     Terminates at the horizon t_max, at the blow-up threshold, or at step
-    underflow. After every accepted step but the first, the next step is
-    the smaller of step's proposal dt_next and Gustafsson's predictive
-    proposal dt_next * (dt_n / dt_{n-1}) * (err_{n-1} / err_n)^(1/5), as in
+    underflow. The threshold is 1e6 times the sup-norm of omega0
+    (_BLOWUP_RATIO); zero data have none and run to the horizon. After
+    every accepted step but the first, the next step is the smaller of
+    step's proposal dt_next and Gustafsson's predictive proposal
+    dt_next * (dt_n / dt_{n-1}) * (err_{n-1} / err_n)^(1/5), as in
     RADAU5: near blow-up the error constant grows from step to step, so the
     standard proposal alone overshoots and is rejected. The prediction
     needs both error estimates positive, and a step clipped to the horizon
@@ -340,12 +339,7 @@ def evolve(omega0: RealField, config: EvolveConfig,
     # it frees its grid-sized values for the run
     del omega0
     sup0 = float(np.max(np.abs(y)))
-    if config.blowup_threshold is not None:
-        threshold = config.blowup_threshold
-    elif sup0 > 0.0:
-        threshold = 1e6 * sup0
-    else:
-        threshold = float("inf")
+    threshold = _BLOWUP_RATIO * sup0 if sup0 > 0.0 else float("inf")
 
     # one row per record, in the order of EvolutionTrace's array fields
     rows: list[tuple[float, float, float, float, float, int]] = []

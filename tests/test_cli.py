@@ -155,7 +155,7 @@ class TestEvolveCommand:
         assert run_cli(capsys, ini)[0] == 0
         return read_field(tmp_path / "solveout" / "profile.vpf")
 
-    def _evolve_ini(self, threshold, extra_run=""):
+    def _evolve_ini(self, extra_run=""):
         return (
             "[run]\n"
             "command = evolve\n"
@@ -173,7 +173,6 @@ class TestEvolveCommand:
             "\n"
             "[evolve]\n"
             "t_max = 5.0\n"
-            f"blowup_threshold = {threshold}\n"
             "record_every = 1\n"
         )
 
@@ -204,14 +203,33 @@ class TestEvolveCommand:
         assert np.isfinite(record["blowup_time_estimate"])
         assert record["fit_quality"] >= 0.99
 
+    def test_threshold_run_without_a_fit_reports_null(self, tmp_path, capsys):
+        """A run that stops at the threshold but whose trace holds too few
+        records for the blow-up fit writes null for the blow-up time and
+        its fit quality, and exits 0: the n = 32 bump records every 50th
+        of its accepted steps, 3 records in all."""
+        ini = tmp_path / "sparse.ini"
+        ini.write_text(
+            "[run]\ncommand = evolve\noutput_dir = sparseout\n\n"
+            "[grid]\nn = 32\nbox_length = 8.0\n\n"
+            "[initial]\nkind = bump\nwidth = 0.5\ncutoff = 1.0\n\n"
+            "[evolve]\nt_max = 30.0\nrecord_every = 50\n")
+        code, _, err = run_cli(capsys, ini)
+        assert code == 0, err
+        record = json.loads((tmp_path / "sparseout" / "evolve.json").read_text())
+        assert record["terminated"] == "threshold"
+        assert record["records"] == 3
+        assert record["blowup_time_estimate"] is None
+        assert record["fit_quality"] is None
+
     def test_profile_data_blows_up_on_schedule(self, tmp_path, capsys):
         """Feeding the solved profile back as initial data must produce a
         run whose fitted singular time is the nominal lifespan 1, the
         separable-solution prediction."""
         profile = self._solve_first(tmp_path, capsys)
-        threshold = 50.0 * float(np.max(np.abs(profile.values)))
+        threshold = 1e6 * float(np.max(np.abs(profile.values)))
         ini = tmp_path / "evolve.ini"
-        ini.write_text(self._evolve_ini(threshold))
+        ini.write_text(self._evolve_ini())
         code, out, _ = run_cli(capsys, ini)
         assert code == 0
         outdir = tmp_path / "evolveout"
@@ -227,13 +245,28 @@ class TestEvolveCommand:
         assert record["accepted_steps"] == record["records"] - 1
         assert record["rejected_steps"] == 0
 
+    def test_file_scale_multiplies_the_data(self, tmp_path, capsys):
+        """[initial] scale multiplies a file's field: the profile at half
+        its size starts at half its sup-norm and blows up at the lifespan
+        2, by the scaling law T(c w0) = T(w0) / c."""
+        profile = self._solve_first(tmp_path, capsys)
+        ini = tmp_path / "evolve.ini"
+        ini.write_text(self._evolve_ini().replace("scale = 1.0", "scale = 0.5")
+                       .replace("t_max = 5.0", "t_max = 10.0"))
+        assert run_cli(capsys, ini)[0] == 0
+        outdir = tmp_path / "evolveout"
+        record = json.loads((outdir / "evolve.json").read_text())
+        assert record["terminated"] == "threshold"
+        assert abs(record["blowup_time_estimate"] - 2.0) <= 0.04
+        sup0 = read_trace_csv(outdir / "trace.csv")["sup_norm"][0]
+        assert sup0 == 0.5 * float(np.max(np.abs(profile.values)))
+
     def test_snapshots(self, tmp_path, capsys):
         """Each request selects the first record at or after it, or the
         final record when the run ends earlier."""
-        profile = self._solve_first(tmp_path, capsys)
-        threshold = 50.0 * float(np.max(np.abs(profile.values)))
+        self._solve_first(tmp_path, capsys)
         ini = tmp_path / "evolve.ini"
-        ini.write_text(self._evolve_ini(threshold))
+        ini.write_text(self._evolve_ini())
         assert run_cli(capsys, ini)[0] == 0
         outdir = tmp_path / "evolveout"
         trace = read_trace_csv(outdir / "trace.csv")
@@ -243,7 +276,7 @@ class TestEvolveCommand:
         requests = (times[5], 0.5 * (times[8] + times[9]), 0.2, 99.0)
         expected = [5, 9, int(np.argmax(times >= 0.2)), len(times) - 1]
         listed = ", ".join(repr(float(r)) for r in requests)
-        ini.write_text(self._evolve_ini(threshold, extra_run=f"snapshot_times = {listed}\n"))
+        ini.write_text(self._evolve_ini(extra_run=f"snapshot_times = {listed}\n"))
         assert run_cli(capsys, ini)[0] == 0
         record = json.loads((outdir / "evolve.json").read_text())
         snaps = record["snapshots"]
@@ -261,10 +294,9 @@ class TestEvolveCommand:
     def test_horizon_run_reports_no_blowup_time(self, tmp_path, capsys):
         """A run that reaches the horizon writes null for the blow-up time
         and its fit quality, though its trace of Q/(1 - t) would fit."""
-        profile = self._solve_first(tmp_path, capsys)
-        threshold = 50.0 * float(np.max(np.abs(profile.values)))
+        self._solve_first(tmp_path, capsys)
         ini = tmp_path / "evolve.ini"
-        ini.write_text(self._evolve_ini(threshold).replace("t_max = 5.0", "t_max = 0.5"))
+        ini.write_text(self._evolve_ini().replace("t_max = 5.0", "t_max = 0.5"))
         assert run_cli(capsys, ini)[0] == 0
         record = json.loads((tmp_path / "evolveout" / "evolve.json").read_text())
         assert record["terminated"] == "horizon"
@@ -274,8 +306,7 @@ class TestEvolveCommand:
     def test_no_snapshots_build_no_fields(self, tmp_path, capsys, monkeypatch):
         """With no snapshot time set no record is handed out, so the run
         builds no grid-sized field in the evolution."""
-        profile = self._solve_first(tmp_path, capsys)
-        threshold = 50.0 * float(np.max(np.abs(profile.values)))
+        self._solve_first(tmp_path, capsys)
         built = []
 
         def counted(*args, **kwargs):
@@ -284,7 +315,7 @@ class TestEvolveCommand:
 
         monkeypatch.setattr(evolution, "RealField", counted)
         ini = tmp_path / "evolve.ini"
-        ini.write_text(self._evolve_ini(threshold))
+        ini.write_text(self._evolve_ini())
         assert run_cli(capsys, ini)[0] == 0
         assert json.loads((tmp_path / "evolveout" / "evolve.json").read_text())["records"] > 1
         assert built == []
@@ -292,7 +323,7 @@ class TestEvolveCommand:
     def test_initial_grid_mismatch_reported(self, tmp_path, capsys):
         self._solve_first(tmp_path, capsys)
         ini = tmp_path / "evolve.ini"
-        ini.write_text(self._evolve_ini(50.0).replace("n = 32", "n = 64"))
+        ini.write_text(self._evolve_ini().replace("n = 32", "n = 64"))
         code, _, err = run_cli(capsys, ini)
         assert code == 1
         record = json.loads(err.strip())
@@ -303,17 +334,16 @@ class TestEvolveCommand:
     def test_mask_rejected_as_initial_field(self, tmp_path, capsys):
         self._solve_first(tmp_path, capsys)
         ini = tmp_path / "evolve.ini"
-        ini.write_text(self._evolve_ini(50.0).replace("profile.vpf", "mask.vpf"))
+        ini.write_text(self._evolve_ini().replace("profile.vpf", "mask.vpf"))
         code, _, err = run_cli(capsys, ini)
         assert code == 1
         assert "holds a mask" in json.loads(err.strip())["message"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
-        profile = self._solve_first(tmp_path, capsys)
-        threshold = 50.0 * float(np.max(np.abs(profile.values)))
+        self._solve_first(tmp_path, capsys)
         for name, outdir in (("e1.ini", "run1"), ("e2.ini", "run2")):
             ini = tmp_path / name
-            text = self._evolve_ini(threshold, extra_run="snapshot_times = 0.5\n")
+            text = self._evolve_ini(extra_run="snapshot_times = 0.5\n")
             ini.write_text(text.replace("output_dir = evolveout",
                                         f"output_dir = {outdir}"))
             assert run_cli(capsys, ini)[0] == 0
@@ -697,6 +727,24 @@ class TestErrorContract:
         saved = json.loads((tmp_path / "solveout" / "error.json").read_text())
         assert saved == record
 
+    def test_unwritable_error_record_still_reported(self, tmp_path, capsys):
+        """When error.json cannot be written, here because a directory
+        sits in its place, the record still reaches stderr, the run exits
+        1, and the failed write leaves no temp file behind."""
+        outdir = tmp_path / "solveout"
+        (outdir / "error.json").mkdir(parents=True)
+        ini = tmp_path / "wide.ini"
+        ini.write_text(solve_ini().replace("disk(0, 0, 0.5)",
+                                           "rect(-3, -0.1, 6, 0.2)"))
+        code, out, err = run_cli(capsys, ini)
+        assert code == 1
+        assert out == ""
+        record = json.loads(err.strip())
+        assert record["error"] == "ValueError"
+        assert "exceeds box_length/4" in record["message"]
+        assert os.listdir(outdir) == ["error.json"]
+        assert os.listdir(outdir / "error.json") == []
+
     def test_undecodable_config(self, tmp_path, capsys):
         """A config that is not UTF-8 ends in one JSON error record, not a
         traceback."""
@@ -734,8 +782,11 @@ class TestErrorContract:
          "[grid] box_length must be positive"),
         (solve_ini(tol="0.5"), "[solver] tol must lie in (0, 1e-2)"),
         (solve_ini() + "max_iter = 0\n", "[solver] max_iter must be at least 1"),
+        ("[run]\ncommand = evolve\noutput_dir = solveout\n\n[grid]\nn = 32\nbox_length = 8.0\n"
+         "\n[initial]\nkind = bump\nwidth = 0.5\n\n[evolve]\nblowup_threshold = 100\n",
+         "unknown key 'blowup_threshold' in section [evolve]"),
     ], ids=["overflowing-shape-number", "default-section", "negative-cutoff", "grid-n",
-            "negative-box-length", "solver-tol", "solver-max-iter"])
+            "negative-box-length", "solver-tol", "solver-max-iter", "blowup-threshold"])
     def test_config_error_before_any_output(self, tmp_path, capsys, text, message):
         ini = tmp_path / "bad.ini"
         ini.write_text(text)

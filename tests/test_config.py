@@ -212,21 +212,22 @@ class TestLoadEvolve:
             [evolve]
             dt_initial = 1e-4
             t_max = 5.0
-            blowup_threshold = 100.0
             record_every = 2
             rtol = 1e-9
             atol = 1e-11
             """)
         cfg = load_run_config(write_config(tmp_path, text))
         assert cfg.evolve == EvolveConfig(
-            dt_initial=1e-4, t_max=5.0,
-            blowup_threshold=100.0, record_every=2,
+            dt_initial=1e-4, t_max=5.0, record_every=2,
             rtol=1e-9, atol=1e-11)
 
-    def test_empty_threshold_means_none(self, tmp_path):
-        text = EVOLVE_BASE + "\n[evolve]\nblowup_threshold =\n"
-        cfg = load_run_config(write_config(tmp_path, text))
-        assert cfg.evolve.blowup_threshold is None
+    def test_removed_blowup_threshold_key_rejected(self, tmp_path):
+        """Blow-up is declared at 1e6 times the initial sup-norm, a level
+        relative to the data; an absolute one is refused by name."""
+        text = EVOLVE_BASE + "\n[evolve]\nblowup_threshold = 100.0\n"
+        with pytest.raises(ConfigError,
+                           match=r"^unknown key 'blowup_threshold' in section \[evolve\]$"):
+            load_run_config(write_config(tmp_path, text))
 
     def test_bump_options(self, tmp_path):
         text = EVOLVE_BASE + "center = 0.5, -0.5\namplitude = 2.0\ncutoff = 1.5\n"
@@ -290,6 +291,21 @@ class TestLoadEvolve:
         with pytest.raises(ConfigError, match="does not apply to kind 'bump'"):
             load_run_config(write_config(tmp_path, text))
 
+    def test_center_needs_two_numbers(self, tmp_path):
+        text = EVOLVE_BASE + "center = 1, 2, 3\n"
+        with pytest.raises(ConfigError,
+                           match=r"^\[initial\] key 'center': expected 2 numbers, got 3$"):
+            load_run_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("value", ["2.0", "nan"])
+    def test_bump_rejects_scale(self, tmp_path, value):
+        """A bump's one multiplier is amplitude: scale, finite or not, is
+        a key of kind 'file' alone."""
+        text = EVOLVE_BASE + f"scale = {value}\n"
+        with pytest.raises(ConfigError,
+                           match=r"^\[initial\] key 'scale' does not apply to kind 'bump'$"):
+            load_run_config(write_config(tmp_path, text))
+
     def test_file_rejects_bump_keys(self, tmp_path):
         text = EVOLVE_BASE.replace("kind = bump\nwidth = 0.5",
                                    "kind = file\npath = q.vpf\nwidth = 0.5")
@@ -325,7 +341,6 @@ class TestLoadEvolve:
         ("width = inf", "width"),
         ("width = nan", "width"),
         ("amplitude = -inf", "amplitude"),
-        ("scale = nan", "scale"),
     ])
     def test_non_finite_bump_numbers_rejected(self, tmp_path, line, key):
         """These used to evolve an all-zero or constant field to the
@@ -441,7 +456,7 @@ SCHEMA_KEYS = {
     "grid": {"n", "box_length"},
     "shape": {"spec"},
     "solver": {"tol", "max_iter"},
-    "evolve": {"dt_initial", "t_max", "blowup_threshold", "record_every", "rtol", "atol"},
+    "evolve": {"dt_initial", "t_max", "record_every", "rtol", "atol"},
     "initial": {"kind", "path", "scale", "center", "width", "amplitude", "cutoff"},
     "verify": {"t_blowup", "t_final"},
 }
@@ -449,7 +464,7 @@ SCHEMA_KEYS = {
 
 def test_schema_keys_are_pinned():
     assert {section: set(keys) for section, keys in _SCHEMA.items()} == SCHEMA_KEYS
-    assert sum(map(len, _SCHEMA.values())) == 24
+    assert sum(map(len, _SCHEMA.values())) == 23
 
 
 class TestSchemaErrors:
@@ -591,11 +606,10 @@ class TestParserFuzz:
                      "spec": ["disk(0, 0, 1)", "union(disk(0,0,1), rect(0,0,1,1))"],
                      "n": ["64"], "box_length": ["8"], "center": ["0.5, -0.5"],
                      "path": ["q.vpf"], "output_dir": ["out"],
-                     "snapshot_times": ["0.5, 1"], "blowup_threshold": ["", "1e3"],
-                     "record_every": ["2"], "max_iter": ["50"],
+                     "snapshot_times": ["0.5, 1"], "record_every": ["2"], "max_iter": ["50"],
                      "tol": ["1e-8"]}
         required = {"command", "n", "box_length", "kind", "width", "path", "spec"}
-        other_kind = {"bump": {"path"}, "file": {"center", "width", "amplitude", "cutoff"}}
+        other_kind = {"bump": {"path", "scale"}, "file": {"center", "width", "amplitude", "cutoff"}}
         path = tmp_path / "fuzz.ini"
         loaded = evolving = 0
         for _ in range(1000):

@@ -160,6 +160,11 @@ class TestWriteErrors:
         with pytest.raises(ValueError, match="'omega' or 'profile'"):
             write_field(tmp_path / "x.vpf", f, kind="bogus")
 
+    def test_neither_field_nor_mask_refused(self, grid, tmp_path):
+        with pytest.raises(TypeError, match="expected RealField or Mask, got ndarray"):
+            write_field(tmp_path / "x.vpf", np.zeros((32, 32)))
+        assert os.listdir(tmp_path) == []
+
     def test_no_temp_files_left_behind(self, grid, tmp_path):
         path = tmp_path / "field.vpf"
         write_field(path, awkward_field(grid))

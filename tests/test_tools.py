@@ -71,3 +71,25 @@ def test_coercivity_cost_prints_one_row_per_mask():
         assert 0.0 < float(delta) <= 1.0
         assert int(applies) == int(preconditions) + 1
         assert float(ms) > 0.0
+
+
+def test_untested_lines_lists_the_lines_no_test_runs():
+    """``tools/untested_lines.py tests/test_shapes.py`` prints each line of
+    a package function that the module's tests do not run, as
+    ``path:line: function: source`` with the source as in the file, and
+    last their count. The shapes tests run every line of ``shapes.py``
+    and none of ``cli.main``."""
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "untested_lines.py"), "tests/test_shapes.py"],
+        capture_output=True, text=True, cwd=ROOT, check=True, timeout=300)
+    *rows, total = result.stdout.splitlines()
+    assert total == f"untested lines: {len(rows)}"
+    listed = set()
+    for row in rows:
+        match = re.fullmatch(r"(src/z11sim/\w+\.py):(\d+): ([\w.<>]+): (.+)", row)
+        assert match, row
+        path, line, _, text = match.groups()
+        assert (ROOT / path).read_text().splitlines()[int(line) - 1].strip() == text
+        listed.add((path, match[3]))
+    assert not any(path == "src/z11sim/shapes.py" for path, _ in listed)
+    assert ("src/z11sim/cli.py", "main") in listed
